@@ -159,6 +159,12 @@ func appendRecord(b []byte, rr Record) []byte {
 	return append(b, data...)
 }
 
+// IsQuery reports whether data holds a complete DNS header with the QR bit
+// clear. It reads only the 12-byte header, so a receiver that answers
+// queries can drop responses before paying for Unmarshal: whenever Unmarshal
+// succeeds, IsQuery(data) == !m.Response.
+func IsQuery(data []byte) bool { return len(data) >= 12 && data[2]&0x80 == 0 }
+
 // Unmarshal decodes a DNS message.
 func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < 12 {
@@ -262,9 +268,13 @@ func Unmarshal(data []byte) (*Message, error) {
 	return m, nil
 }
 
-// readName decodes a (possibly compressed) domain name starting at off.
+// readName decodes a (possibly compressed) domain name starting at off. The
+// name is assembled in a stack buffer sized for any legal name (255 bytes),
+// so the result costs one string allocation; longer (illegal, pointer-built)
+// names spill to the heap and decode identically.
 func readName(data []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	var buf [255]byte
+	name := buf[:0]
 	jumped := false
 	end := off
 	for hops := 0; ; hops++ {
@@ -280,7 +290,7 @@ func readName(data []byte, off int) (string, int, error) {
 			if !jumped {
 				end = off + 1
 			}
-			return sb.String(), end, nil
+			return string(name), end, nil
 		case l&0xc0 == 0xc0:
 			if off+1 >= len(data) {
 				return "", 0, fmt.Errorf("dnsmsg: truncated pointer")
@@ -298,10 +308,10 @@ func readName(data []byte, off int) (string, int, error) {
 			if off+1+l > len(data) {
 				return "", 0, fmt.Errorf("dnsmsg: truncated label")
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if len(name) > 0 {
+				name = append(name, '.')
 			}
-			sb.Write(data[off+1 : off+1+l])
+			name = append(name, data[off+1:off+1+l]...)
 			off += 1 + l
 		}
 	}

@@ -20,6 +20,10 @@ type Node interface {
 	// HandleFrame delivers a frame addressed to (or multicast past) the node.
 	// It runs in simulation-event context. The frame is network-owned (see
 	// the Send ownership contract); receivers must not modify it.
+	// Receivers should dispatch on headers before decoding bodies, and any
+	// decoded form they build per delivery (stack.Host's *layers.Packet) is
+	// scratch valid only until HandleFrame returns; the frame bytes are what
+	// may be retained.
 	HandleFrame(frame []byte)
 }
 

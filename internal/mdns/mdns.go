@@ -65,11 +65,22 @@ func (r *Responder) Stop() {
 	r.Host.CloseUDP(Port)
 }
 
+// onDatagram answers queries. Most of what reaches port 5353 is other
+// stations' responses and announcements, which a responder ignores, so the
+// QR bit is read from the header before paying for a full decode.
 func (r *Responder) onDatagram(dg stack.Datagram) {
-	m, err := dnsmsg.Unmarshal(dg.Payload)
-	if err != nil || m.Response {
+	if !dnsmsg.IsQuery(dg.Payload) {
 		return
 	}
+	m, err := dnsmsg.Unmarshal(dg.Payload)
+	if err != nil {
+		return
+	}
+	r.answer(m, dg)
+}
+
+// answer replies to a decoded query received as dg.
+func (r *Responder) answer(m *dnsmsg.Message, dg stack.Datagram) {
 	var answers, extra []dnsmsg.Record
 	unicastOK := false
 	for _, q := range m.Questions {

@@ -5,9 +5,10 @@
 package ssdp
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/xml"
 	"fmt"
+	"io"
 	"net/netip"
 	"sort"
 	"strings"
@@ -54,38 +55,59 @@ func (m *Message) USN() string { return m.Header("USN") }
 // Location returns the device-description URL.
 func (m *Message) Location() string { return m.Header("LOCATION") }
 
-// Parse decodes an SSDP datagram.
-func Parse(data []byte) (*Message, error) {
-	rd := bufio.NewReader(strings.NewReader(string(data)))
-	first, err := rd.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("ssdp: no start line: %w", err)
+// kindOf returns the datagram's kind — "M-SEARCH", "NOTIFY" or "RESPONSE" —
+// from its start line alone, or "" when the datagram has no '\n'-terminated
+// start line or an unrecognised one. It allocates nothing, so a receiver can
+// dispatch on it before paying for Parse; Parse classifies by the same rule.
+func kindOf(data []byte) string {
+	first, _, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return ""
 	}
-	first = strings.TrimSpace(first)
-	m := &Message{Headers: make(map[string]string)}
+	return startKind(bytes.TrimSpace(first))
+}
+
+// startKind classifies a trimmed start line.
+func startKind(first []byte) string {
 	switch {
-	case strings.HasPrefix(first, "M-SEARCH"):
-		m.Kind = "M-SEARCH"
-	case strings.HasPrefix(first, "NOTIFY"):
-		m.Kind = "NOTIFY"
-	case strings.HasPrefix(first, "HTTP/1.1 200"):
-		m.Kind = "RESPONSE"
-	default:
+	case bytes.HasPrefix(first, []byte("M-SEARCH")):
+		return "M-SEARCH"
+	case bytes.HasPrefix(first, []byte("NOTIFY")):
+		return "NOTIFY"
+	case bytes.HasPrefix(first, []byte("HTTP/1.1 200")):
+		return "RESPONSE"
+	}
+	return ""
+}
+
+// Parse decodes an SSDP datagram. Headers run from the start line to the
+// first blank line; a final line without '\n' is ignored, as is a line with
+// no colon. It walks data in place, copying each header line once.
+func Parse(data []byte) (*Message, error) {
+	first, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, fmt.Errorf("ssdp: no start line: %w", io.EOF)
+	}
+	first = bytes.TrimSpace(first)
+	kind := startKind(first)
+	if kind == "" {
 		return nil, fmt.Errorf("ssdp: unrecognised start line %q", first)
 	}
+	m := &Message{Kind: kind, Headers: make(map[string]string)}
 	for {
-		line, err := rd.ReadString('\n')
-		if err != nil {
+		var line []byte
+		if line, rest, ok = bytes.Cut(rest, []byte{'\n'}); !ok {
 			break
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			break
 		}
-		k, v, ok := strings.Cut(line, ":")
-		if !ok {
+		if bytes.IndexByte(line, ':') < 0 {
 			continue
 		}
+		// One copy per header line; key and value are substrings of it.
+		k, v, _ := strings.Cut(string(line), ":")
 		m.Headers[strings.ToUpper(strings.TrimSpace(k))] = strings.TrimSpace(v)
 	}
 	return m, nil
@@ -182,8 +204,13 @@ func (r *Responder) Start() {
 }
 
 func (r *Responder) onDatagram(dg stack.Datagram) {
+	// Only searches get an answer; the NOTIFYs and 200 OKs that make up
+	// most SSDP traffic are dropped on their start line, before Parse.
+	if kindOf(dg.Payload) != "M-SEARCH" {
+		return
+	}
 	m, err := Parse(dg.Payload)
-	if err != nil || m.Kind != "M-SEARCH" {
+	if err != nil {
 		return
 	}
 	st := m.ST()

@@ -97,6 +97,14 @@ type Host struct {
 	// onICMPIn lets the scanner observe ICMP responses to its probes.
 	onICMPIn func(*layers.Packet)
 
+	// rx is the receive path's decode scratch: HandleFrame decodes every
+	// delivery into it, so the *layers.Packet that handlers and the ICMP
+	// hook see is only valid for the duration of the call. rxBusy marks it
+	// in use; a nested HandleFrame on the same host decodes into a fresh
+	// Packet instead of clobbering the outer one.
+	rx     layers.Packet
+	rxBusy bool
+
 	// foreignARP tracks, per sender, the last broadcast who-has for an IP
 	// other than ours — the sweep detector behind RespondARPBroadcast.
 	foreignARP map[netx.MAC]time.Time
@@ -199,7 +207,11 @@ func (h *Host) SendRaw(frame []byte) {
 	h.Net.Send(frame)
 }
 
-// HandleFrame implements lan.Node: the host's receive path.
+// HandleFrame implements lan.Node: the host's receive path. Receivers
+// dispatch on headers before decoding bodies: the frame is decoded into the
+// host's scratch Packet, so nothing a handler is handed (the *layers.Packet,
+// its layer structs) outlives the call — copy what must be kept. Payload
+// slices point into the frame itself, which the network never reuses.
 func (h *Host) HandleFrame(frame []byte) {
 	if h.down {
 		return
@@ -217,7 +229,17 @@ func (h *Host) HandleFrame(frame []byte) {
 			}
 		}
 	}
-	p := layers.Decode(frame)
+	if h.rxBusy {
+		h.dispatch(layers.Decode(frame))
+		return
+	}
+	h.rxBusy = true
+	h.rx.DecodeInto(frame)
+	h.dispatch(&h.rx)
+	h.rxBusy = false
+}
+
+func (h *Host) dispatch(p *layers.Packet) {
 	if p.Err != nil {
 		return
 	}
@@ -512,5 +534,6 @@ func (h *Host) SendIPv4Proto(dst netip.Addr, proto uint8, payload []byte) {
 	h.sendIPv4(dst, proto, layers.RawPayload(payload))
 }
 
-// SetICMPHook registers an observer for inbound ICMP (scanner probes).
+// SetICMPHook registers an observer for inbound ICMP (scanner probes). The
+// Packet is the host's receive scratch, valid only during the call.
 func (h *Host) SetICMPHook(fn func(*layers.Packet)) { h.onICMPIn = fn }

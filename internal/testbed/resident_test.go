@@ -171,4 +171,3 @@ func TestAddedDeviceJoinsLate(t *testing.T) {
 		}
 	}
 }
-
