@@ -38,14 +38,14 @@ func runSelftest(seed int64, households int) error {
 	srvNet := vnet.New(pump, mk(10))
 	cliNet := vnet.New(pump, mk(11))
 
-	s := serve.New(serve.Config{Workers: 2, QueueCapacity: households})
+	s := serve.New(serve.Config{Workers: 2, QueueCapacity: households, Inline: true})
 	defer s.Close()
 	l, err := srvNet.Listen("tcp", ":80")
 	if err != nil {
 		return fmt.Errorf("in-sim listen: %w", err)
 	}
 	hs := serve.NewHTTPServer("", s.Mux())
-	go hs.Serve(l)
+	pump.Go(func() { hs.Serve(l) })
 	defer hs.Close()
 
 	ds := inspector.Generate(seed, households)

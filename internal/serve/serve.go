@@ -55,6 +55,14 @@ type Config struct {
 	Workers int
 	// QueueCapacity bounds the ingestion queue; a full queue answers 429.
 	QueueCapacity int
+	// Inline runs each admitted upload on its request's own goroutine
+	// instead of handing it to the worker pool. Admission keeps its size —
+	// at most Workers+QueueCapacity uploads in flight, the rest shed with
+	// 429 — but no upload ever waits for a worker. In-sim serving over vnet
+	// sets it: the pool's channel hop is invisible to the simulation's clock
+	// gate, so a handler waiting on a worker would hold the virtual clock
+	// while the worker ran ungranted (see internal/vnet).
+	Inline bool
 	// MaxUploadBytes bounds one upload body (413 beyond it).
 	MaxUploadBytes int64
 	// MaxRecordBytes bounds one pcap record's captured length (400 beyond).
@@ -249,6 +257,9 @@ type Server struct {
 	// flag flips is therefore already in the queue when the workers start
 	// their final drain sweep — an accepted upload is always processed.
 	drainMu sync.RWMutex
+	// slots admits Inline uploads, one token per upload in flight (nil
+	// with the worker pool).
+	slots chan struct{}
 
 	// shards hold the fleet state (shard.go); fleetVersion is the global
 	// ingest counter behind the merged-artifact memo.
@@ -362,6 +373,10 @@ func (s *Server) startWorkers() {
 	if workers < 1 {
 		workers = defaultWorkers()
 	}
+	if s.cfg.Inline {
+		s.slots = make(chan struct{}, workers+s.cfg.QueueCapacity)
+		return
+	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -435,8 +450,21 @@ func (s *Server) worker() {
 // enqueue offers a job to the queue without blocking. False means the queue
 // is full (the caller sheds the upload with 429) or the server is draining.
 // The read lock spans the draining check and the send so a job can never
-// slip into the queue after Close's final drain sweep has started.
+// slip into the queue after Close's final drain sweep has started. Inline
+// servers take an admission slot instead and run the job right away, on the
+// caller; Close waits for it like for a worker.
 func (s *Server) enqueue(j *job) bool {
+	if s.slots != nil {
+		if !s.admit() {
+			return false
+		}
+		defer func() {
+			<-s.slots
+			s.wg.Done()
+		}()
+		s.process(j)
+		return true
+	}
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if s.draining.Load() {
@@ -445,6 +473,23 @@ func (s *Server) enqueue(j *job) bool {
 	select {
 	case s.queue <- j:
 		s.mQueueDepth.Set(int64(len(s.queue)))
+		return true
+	default:
+		return false
+	}
+}
+
+// admit takes an Inline admission slot. The read lock spans the draining
+// check and the wait-group add, so Close never misses an admitted upload.
+func (s *Server) admit() bool {
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	if s.draining.Load() {
+		return false
+	}
+	select {
+	case s.slots <- struct{}{}:
+		s.wg.Add(1)
 		return true
 	default:
 		return false

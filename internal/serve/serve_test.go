@@ -206,6 +206,62 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
+// TestInlineAdmission: an Inline server runs each upload on its request's
+// own goroutine. With one worker and a one-deep queue, two uploads are
+// processed at once (neither waits for a worker), the third is shed with
+// 429, and Close waits for the admitted uploads to finish.
+func TestInlineAdmission(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCapacity: 1, Inline: true})
+	gate, release := testGate(t)
+	entered := make(chan struct{}, 8)
+	s.processHook = func(*job) {
+		entered <- struct{}{}
+		<-gate
+	}
+
+	ds := inspector.Generate(3, 3)
+	var wg sync.WaitGroup
+	codes := make([]int, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i] = do(s, "POST", "/v1/households/hi/capture", capturePCAP(t, ds.Households[i])).Code
+		}(i)
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("upload %d never started processing: it is waiting for a worker", i)
+		}
+	}
+	if w := do(s, "POST", "/v1/households/hi/capture", capturePCAP(t, ds.Households[2])); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("third upload status %d, want 429", w.Code)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, s.Draining)
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted uploads were still running")
+	default:
+	}
+	release()
+	wg.Wait()
+	<-closed
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("admitted upload %d finished %d, want 200", i, code)
+		}
+	}
+	if got := s.reg.Total("serve_uploads"); got != 2 {
+		t.Fatalf("serve_uploads = %d, want 2", got)
+	}
+}
+
 // TestErrorEnvelopeEverywhere: every 4xx/5xx on the v1 surface carries the
 // unified envelope — error message, retry_after_ms hint (zero when retrying
 // cannot help), and queue_depth — so clients parse one shape.

@@ -35,15 +35,21 @@ type ioResult struct {
 type waiter struct {
 	buf []byte
 	ch  chan ioResult
+	a   actor // the blocked goroutine
 }
 
-func newWaiter(buf []byte) *waiter { return &waiter{buf: buf, ch: make(chan ioResult, 1)} }
+// newWaiter parks the calling goroutine's next operation.
+func newWaiter(buf []byte) *waiter {
+	return &waiter{buf: buf, ch: make(chan ioResult, 1), a: self()}
+}
 
 // finish completes the waiter on the pump goroutine, handing out grants
 // compute tokens (1 for completions whose caller keeps running, 0 for
 // terminal ones — see the package comment).
 func (w *waiter) finish(p *Pump, n int, err error, grants int) {
-	p.grant(grants)
+	if grants > 0 {
+		p.grant(w.a)
+	}
 	w.ch <- ioResult{n: n, err: err}
 }
 
@@ -69,6 +75,14 @@ type Conn struct {
 	wdeadline time.Time
 	rdTimer   *sim.Timer
 
+	// birth is set while the grant minted by Accept for this conn's serving
+	// goroutine is unclaimed; the first operation on the conn claims it.
+	// Whoever issues that operation — a spawned per-conn goroutine, or an
+	// accept loop serving inline — is the goroutine the grant stood for. (An
+	// inline server whose first operation after Accept is elsewhere, say a
+	// Sleep, leaves it unclaimed and the clock waits for the stall valve.)
+	birth bool
+
 	cOverflow *obs.Counter
 }
 
@@ -91,6 +105,18 @@ func newConn(p *Pump, tc *stack.TCPConn, laddr, raddr netip.AddrPort, rlimit int
 	tc.OnFin = func(*stack.TCPConn) { c.onFin() }
 	tc.OnClose = func(*stack.TCPConn) { c.onClose() }
 	return c
+}
+
+// claimBirth claims the conn's unclaimed birth grant, on entry of every
+// operation on the conn (pump-side, after the caller's own release). The
+// stall valve may have zeroed the births in between.
+func (c *Conn) claimBirth() {
+	if c.birth {
+		c.birth = false
+		if c.p.births > 0 {
+			c.p.births--
+		}
+	}
 }
 
 // --- pump-side event handlers ---------------------------------------------
@@ -231,7 +257,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 	}
 	w := newWaiter(b)
 	c.p.submit(func() {
-		c.p.release()
+		c.p.release(w.a)
+		c.claimBirth()
 		switch {
 		case len(c.rbuf) > 0:
 			n := copy(w.buf, c.rbuf)
@@ -263,7 +290,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 func (c *Conn) Write(b []byte) (int, error) {
 	w := newWaiter(nil)
 	c.p.submit(func() {
-		c.p.release()
+		c.p.release(w.a)
+		c.claimBirth()
 		switch {
 		case c.closed || c.wclosed:
 			w.finish(c.p, 0, &net.OpError{Op: "write", Net: "tcp", Source: c.laddr, Addr: c.raddr, Err: net.ErrClosed}, 1)
@@ -295,6 +323,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 // data pending — the peer learns its bytes were lost.
 func (c *Conn) Close() error {
 	c.p.execTerminal(func() {
+		c.claimBirth()
 		if c.closed {
 			return
 		}
@@ -319,6 +348,7 @@ func (c *Conn) Close() error {
 func (c *Conn) CloseWrite() error {
 	var err error
 	c.p.exec(func() {
+		c.claimBirth()
 		if c.closed || c.wclosed {
 			err = &net.OpError{Op: "close", Net: "tcp", Source: c.laddr, Addr: c.raddr, Err: net.ErrClosed}
 			return
@@ -342,6 +372,7 @@ func (c *Conn) RemoteAddr() net.Addr { return c.raddr }
 // idiom) expires pending and future I/O immediately.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.p.exec(func() {
+		c.claimBirth()
 		c.rdeadline, c.wdeadline = t, t
 		c.applyReadDeadline()
 	})
@@ -351,6 +382,7 @@ func (c *Conn) SetDeadline(t time.Time) error {
 // SetReadDeadline sets the read deadline on the virtual clock.
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.p.exec(func() {
+		c.claimBirth()
 		c.rdeadline = t
 		c.applyReadDeadline()
 	})
@@ -360,6 +392,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 // SetWriteDeadline sets the write deadline on the virtual clock.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
 	c.p.exec(func() {
+		c.claimBirth()
 		c.wdeadline = t
 	})
 	return nil

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,7 +127,8 @@ func (rc *rawClient) readHeader() (int, map[string]string, error) {
 }
 
 // startInSimServe binds the iotserve mux to host b's port 80 behind an
-// unmodified net/http.Server. Teardown runs after the pump has stopped, when
+// unmodified net/http.Server. The accept loop is a pump actor, so the clock
+// waits for its first Accept. Teardown runs after the pump has stopped, when
 // inline operations are safe again.
 func startInSimServe(t *testing.T, f *fix, cfg serve.Config) *serve.Server {
 	t.Helper()
@@ -136,10 +138,21 @@ func startInSimServe(t *testing.T, f *fix, cfg serve.Config) *serve.Server {
 		t.Fatalf("in-sim listen: %v", err)
 	}
 	hs := serve.NewHTTPServer("", s.Mux())
-	go hs.Serve(l)
+	f.pump.Go(func() { hs.Serve(l) })
 	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
+		// A goroutine still parked in an operation the stopped pump never
+		// ran would wedge Close; fail with a goroutine dump instead.
+		closed := make(chan struct{})
+		go func() {
+			hs.Close()
+			s.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Errorf("in-sim serve teardown hung\n%s", goroutines())
+		}
 	})
 	return s
 }
@@ -185,14 +198,17 @@ type chaosTally struct {
 }
 
 // runInSimServe drives one full in-sim scenario: `clients` concurrent in-sim
-// HTTP clients split the dataset's households between them, upload each over
-// keep-alive connections, and a collector fetches the table2 artifact once
-// all uploads are in. Returns the artifact bytes.
+// HTTP clients split the dataset's households between them and upload each
+// over keep-alive connections; the client whose last upload lands last then
+// fetches the table2 artifact. Returns the artifact bytes.
 func runInSimServe(t *testing.T, ds *inspector.Dataset, workers, clients int) []byte {
 	t.Helper()
 	f := newFix(1)
-	startInSimServe(t, f, serve.Config{Workers: workers, QueueCapacity: len(ds.Households)})
+	startInSimServe(t, f, serve.Config{Workers: workers, QueueCapacity: len(ds.Households), Inline: true})
 
+	var remaining atomic.Int32
+	remaining.Store(int32(clients))
+	var artifact []byte
 	var dones []<-chan struct{}
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
@@ -213,36 +229,50 @@ func runInSimServe(t *testing.T, ds *inspector.Dataset, workers, clients int) []
 					return
 				}
 			}
+			// Collecting on the last finisher's own connection keeps every
+			// step a pump-visible operation: a collector blocked on the
+			// clients' done channels would hold its birth grant meanwhile.
+			if remaining.Add(-1) == 0 {
+				artifact = collect(t, rc, len(ds.Households))
+			}
 		}))
 	}
-	var artifact []byte
-	collector := f.pump.Go(func() {
-		for _, d := range dones {
-			<-d
-		}
-		rc := &rawClient{n: f.a, addr: "192.168.10.11:80"}
-		defer rc.close()
-		status, body, err := rc.roundTrip("GET", "/v1/artifacts/table2", nil, time.Time{})
-		if err != nil || status != http.StatusOK {
-			t.Errorf("artifact fetch: status %d err %v", status, err)
-			return
-		}
-		artifact = body
-		status, body, err = rc.roundTrip("GET", "/v1/fleet", nil, time.Time{})
-		if err != nil || status != http.StatusOK {
-			t.Errorf("fleet fetch: status %d err %v", status, err)
-			return
-		}
-		var fl struct {
-			Households int `json:"households"`
-		}
-		if err := json.Unmarshal(body, &fl); err != nil || fl.Households != len(ds.Households) {
-			t.Errorf("fleet households %d, want %d (err %v)", fl.Households, len(ds.Households), err)
-		}
-	})
 	f.pump.RunFor(5 * time.Minute)
-	wait(t, collector, "collector")
+	for _, d := range dones {
+		wait(t, d, "client")
+	}
+	checkNoResets(t, f)
 	return artifact
+}
+
+// collect fetches the table2 artifact and checks the fleet size.
+func collect(t *testing.T, rc *rawClient, households int) []byte {
+	status, artifact, err := rc.roundTrip("GET", "/v1/artifacts/table2", nil, time.Time{})
+	if err != nil || status != http.StatusOK {
+		t.Errorf("artifact fetch: status %d err %v", status, err)
+		return nil
+	}
+	status, body, err := rc.roundTrip("GET", "/v1/fleet", nil, time.Time{})
+	if err != nil || status != http.StatusOK {
+		t.Errorf("fleet fetch: status %d err %v", status, err)
+		return artifact
+	}
+	var fl struct {
+		Households int `json:"households"`
+	}
+	if err := json.Unmarshal(body, &fl); err != nil || fl.Households != households {
+		t.Errorf("fleet households %d, want %d (err %v)", fl.Households, households, err)
+	}
+	return artifact
+}
+
+// checkNoResets fails the test if the pump's stall valve ever fired: every
+// clock step must have waited for the in-sim goroutines, not for real time.
+func checkNoResets(t *testing.T, f *fix) {
+	t.Helper()
+	if resets := f.sched.Telemetry.Registry.Total("vnet_grant_resets"); resets != 0 {
+		t.Fatalf("vnet_grant_resets = %d: the virtual clock was driven by the real-time valve", resets)
+	}
 }
 
 // TestInSimHTTPServe is the tentpole smoke: the real iotserve mux under an
@@ -325,7 +355,7 @@ func runChaosScenario(t *testing.T, seed int64, ds *inspector.Dataset) string {
 		},
 	}
 	eng := chaos.New(f.sched, f.ln, plan)
-	s := startInSimServe(t, f, serve.Config{Workers: 2, QueueCapacity: 4, RetryAfter: 500 * time.Millisecond})
+	s := startInSimServe(t, f, serve.Config{Workers: 2, QueueCapacity: 4, RetryAfter: 500 * time.Millisecond, Inline: true})
 	f.a.DialTimeout = 2 * time.Second
 
 	var tally chaosTally
@@ -368,10 +398,7 @@ func runChaosScenario(t *testing.T, seed int64, ds *inspector.Dataset) string {
 	})
 	f.pump.RunFor(2 * time.Minute)
 	wait(t, client, "chaos client")
-
-	if resets := f.sched.Telemetry.Registry.Total("vnet_grant_resets"); resets != 0 {
-		t.Fatalf("vnet_grant_resets = %d: the virtual clock was driven by the real-time valve", resets)
-	}
+	checkNoResets(t, f)
 	reg := s.Registry()
 	return fmt.Sprintf("ok=%d shed=%d neterrs=%d faults=%d responses=%d uploads=%d rejected=%d cache=%d artifact=%x",
 		tally.ok, tally.shed, tally.netErrors, eng.Faults(),

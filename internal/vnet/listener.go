@@ -16,7 +16,21 @@ type acceptResult struct {
 	err error
 }
 
-type acceptWaiter struct{ ch chan acceptResult }
+type acceptWaiter struct {
+	ch chan acceptResult
+	a  actor
+}
+
+// accepted completes an Accept with a connection. It grants twice: the
+// accept loop resumes, and the connection's birth grant covers the
+// goroutine a server spawns to serve it, up to its first operation on the
+// connection (see Conn.birth).
+func (l *Listener) accepted(w *acceptWaiter, c *Conn) {
+	l.p.grant(w.a)
+	c.birth = true
+	l.p.births++
+	w.ch <- acceptResult{c: c}
+}
 
 // Listener accepts stream connections on a host port, satisfying
 // net.Listener.
@@ -50,11 +64,7 @@ func newListener(p *Pump, h *stack.Host, port uint16, rlimit int) *Listener {
 		if len(l.awaiters) > 0 {
 			w := l.awaiters[0]
 			l.awaiters = l.awaiters[1:]
-			// Two grants: the accept loop resumes, and the connection
-			// goroutine it is about to spawn gets its birth token — its
-			// compute up to the first Read is clock-frozen too.
-			l.p.grant(2)
-			w.ch <- acceptResult{c: c}
+			l.accepted(w, c)
 			return
 		}
 		if len(l.backlog) >= backlogMax {
@@ -69,15 +79,14 @@ func newListener(p *Pump, h *stack.Host, port uint16, rlimit int) *Listener {
 
 // Accept blocks until a handshake completes or the listener closes.
 func (l *Listener) Accept() (net.Conn, error) {
-	w := &acceptWaiter{ch: make(chan acceptResult, 1)}
+	w := &acceptWaiter{ch: make(chan acceptResult, 1), a: self()}
 	l.p.submit(func() {
-		l.p.release()
+		l.p.release(w.a)
 		switch {
 		case len(l.backlog) > 0:
 			c := l.backlog[0]
 			l.backlog = l.backlog[1:]
-			l.p.grant(2)
-			w.ch <- acceptResult{c: c}
+			l.accepted(w, c)
 		case l.closed:
 			w.ch <- acceptResult{err: &net.OpError{Op: "accept", Net: "tcp", Addr: l.addr, Err: net.ErrClosed}}
 		default:

@@ -94,7 +94,7 @@ func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, 
 		w.finish(n.p, 0, err, grants)
 	}
 	n.p.submit(func() {
-		n.p.release()
+		n.p.release(w.a)
 		tc := n.h.DialTCP(ip, port)
 		laddr := netip.AddrPortFrom(n.h.IPv4(), tc.LocalPort())
 		raddr := netip.AddrPortFrom(ip, port)

@@ -39,6 +39,7 @@ type packetResult struct {
 type packetWaiter struct {
 	buf []byte
 	ch  chan packetResult
+	a   actor
 }
 
 // PacketConn is a UDP socket over the simulated stack, satisfying
@@ -75,7 +76,7 @@ func newPacketConn(p *Pump, h *stack.Host, port uint16) *PacketConn {
 			w := pc.waiters[0]
 			pc.waiters = pc.waiters[1:]
 			n := copy(w.buf, dg.Payload)
-			p.grant(1)
+			p.grant(w.a)
 			w.ch <- packetResult{n: n, addr: net.UDPAddrFromAddrPort(netip.AddrPortFrom(dg.Src, dg.SrcPort))}
 			return
 		}
@@ -94,21 +95,21 @@ func newPacketConn(p *Pump, h *stack.Host, port uint16) *PacketConn {
 // ReadFrom blocks until a datagram, a deadline, or Close. Oversized
 // datagrams truncate into b, UDP-style.
 func (pc *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	w := &packetWaiter{buf: b, ch: make(chan packetResult, 1)}
+	w := &packetWaiter{buf: b, ch: make(chan packetResult, 1), a: self()}
 	pc.p.submit(func() {
-		pc.p.release()
+		pc.p.release(w.a)
 		switch {
 		case len(pc.queue) > 0:
 			dg := pc.queue[0]
 			pc.queue = pc.queue[1:]
 			n := copy(w.buf, dg.payload)
-			pc.p.grant(1)
+			pc.p.grant(w.a)
 			w.ch <- packetResult{n: n, addr: net.UDPAddrFromAddrPort(dg.from)}
 		case pc.closed:
 			w.ch <- packetResult{err: &net.OpError{Op: "read", Net: "udp", Addr: pc.addr, Err: net.ErrClosed}}
 		case !pc.rdeadline.IsZero() && !pc.rdeadline.After(pc.p.sched.Now()):
 			if !pc.p.abortDeadline(pc.rdeadline) {
-				pc.p.grant(1)
+				pc.p.grant(w.a)
 			}
 			w.ch <- packetResult{err: &net.OpError{Op: "read", Net: "udp", Addr: pc.addr, Err: os.ErrDeadlineExceeded}}
 		default:
@@ -220,12 +221,11 @@ func (pc *PacketConn) applyReadDeadline() {
 // expireReaders fails pending readers with a timeout, granting compute only
 // for genuine in-sim deadlines (see Pump.abortDeadline).
 func (pc *PacketConn) expireReaders() {
-	g := 1
-	if pc.p.abortDeadline(pc.rdeadline) {
-		g = 0
-	}
+	abort := pc.p.abortDeadline(pc.rdeadline)
 	for _, w := range pc.waiters {
-		pc.p.grant(g)
+		if !abort {
+			pc.p.grant(w.a)
+		}
 		w.ch <- packetResult{err: &net.OpError{Op: "read", Net: "udp", Addr: pc.addr, Err: os.ErrDeadlineExceeded}}
 	}
 	pc.waiters = nil

@@ -15,31 +15,48 @@
 //     stack directly; every operation is a closure submitted to the pump and
 //     executed there, which gives all operations a single total order and
 //     keeps the stack lock-free.
-//   - A grant counter gates the virtual clock. Completing a blocking
+//   - Compute grants gate the virtual clock. Completing a blocking
 //     operation grants the woken goroutine "compute with the clock frozen";
-//     entering the next operation returns the grant. The pump only advances
+//     entering its next operation returns the grant. The pump only advances
 //     virtual time (dispatches the next simulation event) when no goroutine
 //     holds a grant, so app compute takes zero virtual time and the event
 //     order cannot depend on how fast the real CPU ran a handler — the same
 //     contract engine.Map makes for analysis workers, applied to I/O.
+//   - A grant belongs to one goroutine, identified by the runtime's goroutine
+//     id captured as it enters an operation. Only the holder's next
+//     operation returns it: a goroutine that was never granted cannot
+//     return somebody else's grant and let the clock move under a goroutine
+//     that is still computing. net/http is the standing example: once a
+//     request body is consumed its server parks a fresh goroutine in a
+//     one-byte background Read while the handler keeps computing, and the
+//     goroutine that closes a connection after reading EOF holds no grant.
 //   - Completions that typically precede a goroutine's exit (EOF, ErrClosed,
 //     connection reset, Close itself) grant nothing: a goroutine that
 //     unwinds and dies after an error must not freeze the clock forever.
-//     Grant arithmetic floors at zero, so code that keeps running after such
-//     an error self-corrects at its next operation.
+//   - Spawning is granted too. Go mints a grant the new actor adopts before
+//     running, and an Accept completion mints one for whichever goroutine
+//     serves the accepted connection — the first operation on that
+//     connection claims it — so a connection goroutine's compute up to its
+//     first operation is clock-frozen like any other.
 //
 // Known slack, accepted and bounded: a goroutine computing without a grant
-// (just spawned, or continuing after a terminal error) races the clock for
-// the length of that compute stretch. The pump yields through several settle
-// rounds before every clock step so such goroutines almost always get their
-// next operation in first, and a real-time stall valve (plus the
-// vnet_grant_resets counter making it observable) recovers the rare leaked
-// grant instead of deadlocking. Content-level results — served artifacts,
-// response bodies — are deterministic regardless, because the serving
-// pipeline's outputs don't depend on segment timing.
+// (spawned by plain go, woken from a plain channel, or continuing after a
+// terminal error) races the clock for the length of that compute stretch.
+// The pump yields through several settle rounds before every clock step so
+// such goroutines almost always get their next operation in first, and a
+// real-time stall valve (plus the vnet_grant_resets counter making it
+// observable) recovers a leaked grant — one whose holder exited, or waits
+// on something other than the pump — instead of deadlocking. Work handed
+// across a plain channel and waited on (a worker pool) is such a wait: the
+// waiter keeps its grant while the worker runs ungranted, so deterministic
+// in-sim code runs that work on the granted goroutine itself
+// (serve.Config.Inline for iotserve). Content-level results — served
+// artifacts, response bodies — are deterministic regardless, because the
+// serving pipeline's outputs don't depend on segment timing.
 package vnet
 
 import (
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -68,9 +85,11 @@ type Pump struct {
 	// deadlines (see abortDeadline).
 	epoch time.Time
 
-	// active counts outstanding compute grants. Only the pump goroutine
-	// touches it.
-	active int
+	// holders are the goroutines holding a compute grant; births counts the
+	// grants minted for goroutines not yet running (Go, Conn.birth). Only
+	// the pump goroutine touches them.
+	holders map[actor]struct{}
+	births  int
 
 	// running is true while Run executes. Non-blocking operations issued
 	// before Run starts (test and scenario setup: Listen, ListenPacket)
@@ -89,6 +108,7 @@ func NewPump(s *sim.Scheduler) *Pump {
 		sched:   s,
 		calls:   make(chan func(), 256),
 		epoch:   s.Now(),
+		holders: make(map[actor]struct{}),
 		cResets: s.Telemetry.Registry.Counter("vnet_grant_resets"),
 	}
 }
@@ -107,30 +127,68 @@ func (p *Pump) abortDeadline(t time.Time) bool { return t.Before(p.epoch) }
 func (p *Pump) Now() time.Time { return p.sched.Now() }
 
 // Go spawns an in-sim actor goroutine and returns a channel closed when it
-// finishes. It exists for symmetry and test legibility; the goroutine gets no
-// special treatment beyond the settle rounds every new goroutine relies on
-// to get its first operation in before the clock moves.
+// finishes. The actor starts with a compute grant: the clock stays frozen
+// from the spawn until its first operation. fn should therefore reach a vnet
+// operation before blocking on anything else — an actor that first waits on
+// a plain channel holds the clock until the stall valve releases it.
 func (p *Pump) Go(fn func()) <-chan struct{} {
 	done := make(chan struct{})
+	p.pumpSide(func() { p.births++ })
 	go func() {
 		defer close(done)
+		a := self()
+		p.submit(func() {
+			if p.births > 0 { // the stall valve may have zeroed it
+				p.births--
+			}
+			p.grant(a)
+		})
 		fn()
 	}()
 	return done
 }
 
+// pumpSide runs fn on the pump goroutine when the pump is running, without
+// waiting for it, and on the caller otherwise (setup before Run).
+func (p *Pump) pumpSide(fn func()) {
+	if p.running.Load() {
+		p.submit(fn)
+		return
+	}
+	fn()
+}
+
 // submit queues an operation for the pump goroutine.
 func (p *Pump) submit(fn func()) { p.calls <- fn }
 
-// release returns the calling goroutine's compute grant (operation entry).
-func (p *Pump) release() {
-	if p.active > 0 {
-		p.active--
+// actor identifies the goroutine an operation runs on behalf of: the
+// runtime's goroutine id, captured on that goroutine as it enters the
+// operation.
+type actor uint64
+
+// self returns the calling goroutine's actor, parsed from the header of its
+// stack trace ("goroutine 42 [running]:").
+func self() actor {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	var id actor
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + actor(c-'0')
 	}
+	return id
 }
 
-// grant hands out n compute grants (operation completion).
-func (p *Pump) grant(n int) { p.active += n }
+// release returns a's compute grant, if it holds one (operation entry).
+func (p *Pump) release(a actor) { delete(p.holders, a) }
+
+// grant hands a a compute grant (operation completion).
+func (p *Pump) grant(a actor) { p.holders[a] = struct{}{} }
+
+// granted counts outstanding compute grants.
+func (p *Pump) granted() int { return len(p.holders) + p.births }
 
 // exec runs fn on the pump goroutine and blocks the caller until it ran. The
 // caller is treated as paused during fn and resumed after — the shape of a
@@ -140,11 +198,12 @@ func (p *Pump) exec(fn func()) {
 		fn()
 		return
 	}
+	a := self()
 	done := make(chan struct{})
 	p.submit(func() {
-		p.release()
+		p.release(a)
 		fn()
-		p.grant(1)
+		p.grant(a)
 		close(done)
 	})
 	<-done
@@ -157,9 +216,10 @@ func (p *Pump) execTerminal(fn func()) {
 		fn()
 		return
 	}
+	a := self()
 	done := make(chan struct{})
 	p.submit(func() {
-		p.release()
+		p.release(a)
 		fn()
 		close(done)
 	})
@@ -170,11 +230,12 @@ func (p *Pump) execTerminal(fn func()) {
 // granted completion, so the caller's follow-up compute is clock-frozen like
 // any read result.
 func (p *Pump) Sleep(d time.Duration) {
+	a := self()
 	ch := make(chan struct{}, 1)
 	p.submit(func() {
-		p.release()
+		p.release(a)
 		p.sched.AfterTagged("vnet", d, func() {
-			p.grant(1)
+			p.grant(a)
 			ch <- struct{}{}
 		})
 	})
@@ -199,7 +260,7 @@ func (p *Pump) Run(until time.Time) {
 				draining = false
 			}
 		}
-		if p.active > 0 {
+		if p.granted() > 0 {
 			// Somebody computes with the clock frozen; wait for their next
 			// operation. The valve recovers grants leaked by goroutines
 			// that exited after a granted completion.
@@ -207,8 +268,9 @@ func (p *Pump) Run(until time.Time) {
 			case fn := <-p.calls:
 				fn()
 			case <-time.After(stallReset):
-				p.cResets.Add(uint64(p.active))
-				p.active = 0
+				p.cResets.Add(uint64(p.granted()))
+				clear(p.holders)
+				p.births = 0
 			}
 			continue
 		}

@@ -1,0 +1,17 @@
+package vnet
+
+import "testing"
+
+// TestSelfIdentifiesGoroutine: grants are owned per goroutine, so self must
+// be stable on one goroutine and distinct across two.
+func TestSelfIdentifiesGoroutine(t *testing.T) {
+	a := self()
+	if a == 0 || self() != a {
+		t.Fatalf("self() = %d then %d on one goroutine", a, self())
+	}
+	other := make(chan actor)
+	go func() { other <- self() }()
+	if b := <-other; b == 0 || b == a {
+		t.Fatalf("self() = %d on a second goroutine, first was %d", b, a)
+	}
+}

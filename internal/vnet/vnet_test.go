@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -55,8 +56,15 @@ func wait(t *testing.T, done <-chan struct{}, name string) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("goroutine %s did not finish", name)
+		t.Fatalf("goroutine %s did not finish\n%s", name, goroutines())
 	}
+}
+
+// goroutines is a dump of every goroutine's stack, for failures that would
+// otherwise only say that something is stuck.
+func goroutines() []byte {
+	buf := make([]byte, 1<<20)
+	return buf[:runtime.Stack(buf, true)]
 }
 
 func TestPingPong(t *testing.T) {
