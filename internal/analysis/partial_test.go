@@ -265,3 +265,16 @@ func TestPartialCloneIndependence(t *testing.T) {
 		t.Fatal("entropy clone differs structurally from batch")
 	}
 }
+
+// BenchmarkHouseholdPartialOf is the per-household extraction the serving
+// layer's fold pays for every changed record: one shared identifier
+// extraction feeding both singleton partials.
+func BenchmarkHouseholdPartialOf(b *testing.B) {
+	h := inspector.Generate(1, 1).Households[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		partialSink = HouseholdPartialOf(h)
+	}
+}
+
+var partialSink *HouseholdPartial

@@ -92,18 +92,45 @@ func (h *Household) Wire() WireHousehold {
 	return w
 }
 
-// ContentHash digests a household's wire form — the identity of its
-// analysis contribution. The wire encoding is deterministic (fixed struct
-// field order, no maps), so two records with equal hashes produce identical
-// singleton partials; the serving layer uses this to make refolds
-// idempotent: re-ingesting an unchanged household skips the retract/fold
-// and the shard version bump, keeping warm caches warm.
-func (h *Household) ContentHash() [sha256.Size]byte {
+// WireRecord returns the household's canonical wire record: its wire form
+// as encoding/json marshals it, without a trailing newline. It is the one
+// byte form a household takes outside the process: EncodeWire writes it
+// plus '\n', the serving layer's write-ahead log stores it as one record's
+// payload, and ContentHash digests it.
+//
+// The invariant the serving layer relies on: for every record the server
+// wrote, sha256(record) == ContentHash of the record decoded with
+// DecodeWireRecord. Decoding and re-encoding a WireRecord reproduces it
+// byte for byte — the encoding has a fixed field order and no maps, and
+// the strings it holds are valid UTF-8 because they were decoded from JSON
+// — so recovery can hash the bytes it read instead of re-marshalling.
+func (h *Household) WireRecord() []byte {
 	b, err := json.Marshal(h.Wire())
 	if err != nil { // unreachable: wire types always marshal
-		return [sha256.Size]byte{}
+		panic(fmt.Sprintf("inspector: marshal household %s: %v", h.ID, err))
 	}
-	return sha256.Sum256(b)
+	return b
+}
+
+// ContentHash digests a household's wire record — the identity of its
+// analysis contribution. The wire encoding is deterministic, so two records
+// with equal hashes produce identical singleton partials; the serving layer
+// uses this to make refolds idempotent: re-ingesting an unchanged household
+// skips the retract/fold and the shard version bump, keeping warm caches
+// warm.
+func (h *Household) ContentHash() [sha256.Size]byte {
+	return sha256.Sum256(h.WireRecord())
+}
+
+// DecodeWireRecord decodes one wire record, as WireRecord writes it: the
+// one-record decode for bytes the server wrote itself (WAL payloads and
+// checkpoint lines). Upload bodies go through WireDecoder instead.
+func DecodeWireRecord(rec []byte) (*Household, error) {
+	var w WireHousehold
+	if err := json.Unmarshal(rec, &w); err != nil {
+		return nil, fmt.Errorf("inspector: wire decode: %w", err)
+	}
+	return w.Household()
 }
 
 // Household reconstructs the in-memory form, validating the OUI.
@@ -157,12 +184,11 @@ func ParseOUI(s string) (netx.OUI, error) {
 	return mac.OUI(), nil
 }
 
-// EncodeWire streams households to w as JSON lines, one WireHousehold per
-// line. Output is deterministic for a fixed input.
+// EncodeWire streams households to w as JSON lines: each household's
+// WireRecord followed by '\n'. Output is deterministic for a fixed input.
 func EncodeWire(w io.Writer, hs []*Household) error {
-	enc := json.NewEncoder(w) // Encode appends the newline separator
 	for _, h := range hs {
-		if err := enc.Encode(h.Wire()); err != nil {
+		if _, err := w.Write(append(h.WireRecord(), '\n')); err != nil {
 			return err
 		}
 	}

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"iotlan/internal/inspector"
@@ -49,49 +47,55 @@ func Open(cfg Config) (*Server, error) {
 }
 
 // recoverState rebuilds fleet state: load the newest complete checkpoint,
-// then replay WAL segments from the checkpoint's label onward. A torn or
-// corrupt record stops the replay at the last intact prefix — counted under
-// serve_wal_replay_truncated and logged, never fatal: that tail is exactly
-// the un-acknowledged write a crash interrupts.
+// then replay WAL segments from the checkpoint's label onward, every record
+// through the fold (fold.go) — prepared across the worker pool, applied in
+// log order. Replay is idempotent — households replace whole — so a record
+// captured by both a checkpoint and the racing WAL segment converges to one
+// state, and since replay folds exactly as live ingest does, a restarted
+// server holds the incremental state a never-crashed one would (the
+// boot-time self-check in Open proves it against a batch recompute). A torn
+// or corrupt record stops the replay at the last intact prefix — counted
+// under serve_wal_replay_truncated and logged, never fatal: that tail is
+// exactly the un-acknowledged write a crash interrupts.
 func (s *Server) recoverState() error {
 	dir := s.cfg.DataDir
 	mf, blobs, ok, err := store.LatestCheckpoint(dir)
 	if err != nil {
 		return err
 	}
-	fromSeg, applied := 0, 0
+	rp := &replay{s: s}
+	fromSeg, loaded := 0, 0
 	if ok {
 		for i, blob := range blobs {
-			dec := inspector.NewWireDecoder(bytes.NewReader(blob))
-			for {
-				hh, err := dec.Next()
-				if err == io.EOF {
-					break
+			// A shard blob is EncodeWire output. JSON never contains a raw
+			// newline, so splitting at '\n' yields exactly its records.
+			for n := 1; len(blob) > 0; {
+				var line []byte
+				line, blob, _ = bytes.Cut(blob, []byte{'\n'})
+				if len(bytes.TrimSpace(line)) == 0 {
+					continue
 				}
-				if err != nil {
-					return fmt.Errorf("checkpoint shard %d: %w", i, err)
+				if err := rp.add(logRecord{b: line, shard: i, n: n}); err != nil {
+					return err
 				}
-				s.applyRecovered(hh)
-				applied++
+				n++
+				loaded++
 			}
 		}
+		if err := rp.flush(); err != nil {
+			return err
+		}
 		fromSeg = mf.Seq
-		s.reg.Counter("serve_checkpoint_households_loaded").Add(uint64(applied))
+		s.reg.Counter("serve_checkpoint_households_loaded").Add(uint64(loaded))
 	}
+	walN := 0
 	st, err := store.ReplayLog(dir, fromSeg, func(p []byte) error {
-		var w inspector.WireHousehold
-		if err := json.Unmarshal(p, &w); err != nil {
-			// The record passed its checksum, so this is a writer bug or a
-			// format change, not disk damage — surface it.
-			return fmt.Errorf("wal record: %w", err)
-		}
-		hh, err := w.Household()
-		if err != nil {
-			return fmt.Errorf("wal record: %w", err)
-		}
-		s.applyRecovered(hh)
-		return nil
+		walN++
+		return rp.add(logRecord{b: p, shard: -1, n: walN})
 	})
+	if err == nil {
+		err = rp.flush()
+	}
 	if err != nil {
 		return err
 	}
@@ -105,46 +109,28 @@ func (s *Server) recoverState() error {
 	}
 	if s.logger != nil {
 		s.logger.Info("recovered durable state",
-			"checkpoint_households", applied, "wal_records", st.Records, "wal_segments", st.Segments)
+			"checkpoint_households", loaded, "wal_records", st.Records, "wal_segments", st.Segments)
 	}
-	if applied+st.Records > 0 {
+	if loaded+st.Records > 0 {
 		s.fleetVersion.Add(1)
 	}
 	return nil
 }
 
-// applyRecovered installs one recovered household. Replay is idempotent —
-// households replace whole — so a record captured by both a checkpoint and
-// the racing WAL segment converges to one state. With incremental
-// maintenance on, replay goes through the same fold path as live ingest, so
-// recovery rebuilds the live aggregates in lockstep with the records: a
-// restarted server holds exactly the incremental state a never-crashed one
-// would (the boot-time self-check in Open proves it against a batch
-// recompute).
-func (s *Server) applyRecovered(hh *inspector.Household) {
-	if s.incremental() {
-		s.foldHousehold(hh)
-		return
-	}
-	s.installRecord(hh)
-}
-
-// walAppend logs one ingest batch, one record per household, before the
-// batch touches fleet state. When it returns nil every record has reached
-// the kernel (and, in group/always sync modes, stable storage) — the ack
-// the client gets is backed by the log. Caller holds ckptGate.RLock.
-func (s *Server) walAppend(hhs []*inspector.Household) error {
-	for _, hh := range hhs {
-		p, err := json.Marshal(hh.Wire())
-		if err != nil {
-			return err
-		}
-		if err := s.wal.Append(p); err != nil {
+// walAppend logs one prepared chunk, one record per household, before the
+// chunk touches fleet state. The payloads are the record bytes prepare
+// built, so nothing is marshalled twice and the log holds exactly the bytes
+// recovery hashes. When it returns nil every record has reached the kernel
+// (and, in group/always sync modes, stable storage) — the ack the client
+// gets is backed by the log. Caller holds ckptGate.RLock.
+func (s *Server) walAppend(ps []prepared) error {
+	for i := range ps {
+		if err := s.wal.Append(ps[i].record); err != nil {
 			return err
 		}
 	}
-	s.reg.Counter("serve_wal_appends").Add(uint64(len(hhs)))
-	s.walSince.Add(int64(len(hhs)))
+	s.reg.Counter("serve_wal_appends").Add(uint64(len(ps)))
+	s.walSince.Add(int64(len(ps)))
 	return nil
 }
 

@@ -143,7 +143,7 @@ func TestPartialForSingleFlight(t *testing.T) {
 	const callers = 8
 	ds := inspector.Generate(51, 6)
 	s := newTestServer(t, Config{Shards: 1, QueueCapacity: 8})
-	s.ingest(ds.Households)
+	s.ingest(&job{}, ds.Households)
 
 	var computes atomic.Int32
 	gate := make(chan struct{})

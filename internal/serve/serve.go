@@ -41,6 +41,7 @@ import (
 
 	"iotlan"
 	"iotlan/internal/analysis"
+	"iotlan/internal/engine"
 	"iotlan/internal/inspector"
 	"iotlan/internal/obs"
 	"iotlan/internal/pcap"
@@ -51,7 +52,9 @@ import (
 // every field.
 type Config struct {
 	// Workers is the analysis worker pool size (< 1 = one per CPU, via the
-	// engine's convention). Worker count never changes output bytes.
+	// engine's convention), and how many records the fold (fold.go)
+	// prepares at once during recovery and batch uploads. Worker count
+	// never changes output bytes.
 	Workers int
 	// QueueCapacity bounds the ingestion queue; a full queue answers 429.
 	QueueCapacity int
@@ -161,7 +164,7 @@ type householdState struct {
 	exposed     int // exposure cells filled across all captures (latest union)
 	inspector   *inspector.Household
 	// contribHash is the wire content hash of the installed inspector
-	// record — the idempotence key for incremental refolds (foldHousehold).
+	// record — the idempotence key for incremental refolds (fold.go apply).
 	// Zero when no record is installed or incremental maintenance is off.
 	contribHash [sha256.Size]byte
 }
@@ -651,36 +654,19 @@ func (s *Server) processInspector(j *job) jobResult {
 	}
 	aStart := time.Now()
 	_, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
-	if s.wal != nil {
-		// Write-ahead, then apply: the ack is backed by the log. The gate's
-		// read lock keeps the append+apply pair atomic with respect to
-		// checkpoint compaction (see checkpoint).
-		wStart, wspan := time.Now(), s.spans.Now()
-		s.ckptGate.RLock()
-		err := s.walAppend(hhs)
-		if err == nil {
-			body = s.ingest(hhs)
-		}
-		s.ckptGate.RUnlock()
-		j.stats.WALAppend = time.Since(wStart) // bracket includes the apply; dominated by fsync
-		s.stageObserve("wal.append", j.stats.WALAppend)
-		s.spans.RecordSpan(j.ctx, "serve", "wal.append", wspan, j.stats.WALAppend.Microseconds(),
-			"households", strconv.Itoa(len(hhs)))
-		if err != nil {
-			aspan.Fail()
-			aspan.End()
-			s.reg.Counter("serve_upload_rejected", "reason", "wal").Inc()
-			return jobResult{status: http.StatusInternalServerError,
-				body: s.errEnvelope(fmt.Sprintf("durable ingest failed: %v", err), s.cfg.RetryAfter)}
-		}
-		s.maybeCheckpoint()
-	} else {
-		body = s.ingest(hhs)
+	if err := s.ingest(j, hhs); err != nil {
+		aspan.Fail()
+		aspan.End()
+		s.reg.Counter("serve_upload_rejected", "reason", "wal").Inc()
+		return jobResult{status: http.StatusInternalServerError,
+			body: s.errEnvelope(fmt.Sprintf("durable ingest failed: %v", err), s.cfg.RetryAfter)}
 	}
+	s.maybeCheckpoint()
 	s.maybeSelfCheck()
 	aspan.End()
 	j.stats.Analysis = time.Since(aStart)
 	s.stageObserve("analysis", j.stats.Analysis)
+	body = ingestReply(hhs)
 	s.cachePut(digest, body)
 	s.reg.Counter("serve_uploads", "kind", "inspector").Inc()
 	return jobResult{status: http.StatusOK, body: body}
@@ -775,34 +761,72 @@ func (s *Server) analyzeCapture(household string, records []pcap.Record) []byte 
 // path instead).
 func (s *Server) incremental() bool { return !s.cfg.DisableIncremental }
 
-// ingest installs the uploaded households' crowdsourced records. With
-// incremental maintenance on, each install folds the household's delta into
-// its shard's live aggregates — O(one household), never O(shard) — and an
-// unchanged re-upload is skipped entirely (no version bump, warm caches stay
-// warm). Only touched shards' versions move, and the fleet version moves
-// only if something actually changed.
-func (s *Server) ingest(hhs []*inspector.Household) []byte {
-	devices, folded := 0, 0
-	for _, hh := range hhs {
-		devices += len(hh.Devices)
-		if !s.incremental() {
-			s.installRecord(hh)
-			folded++
+// ingest folds an uploaded batch into the fleet (fold.go), foldChunk
+// households at a time. Each chunk is prepared outside ckptGate; with
+// durability on it is then written ahead — the prepared record bytes — and
+// applied in upload order under the gate's read lock, which keeps every
+// append+apply pair atomic with respect to checkpoint compaction (see
+// checkpoint). The ack is backed by the log. A WAL error stops the batch:
+// earlier chunks stay logged and applied, the client gets a 500, and its
+// retry re-applies idempotently. Only touched shards' versions move, and
+// the fleet version moves only if something actually changed.
+func (s *Server) ingest(j *job, hhs []*inspector.Household) error {
+	folded := 0
+	var err error
+	for lo := 0; lo < len(hhs) && err == nil; lo += foldChunk {
+		// A one-household upload is prepared inline on the caller.
+		chunk := hhs[lo:min(lo+foldChunk, len(hhs))]
+		ps := engine.Map(s.cfg.Workers, len(chunk), func(i int) prepared { return s.prepareUpload(chunk[i]) })
+		if s.wal == nil {
+			folded += s.applyUploads(ps)
 			continue
 		}
-		if s.foldHousehold(hh) {
-			folded++
-			s.reg.Counter("serve_refold", "result", "folded").Inc()
-		} else {
-			s.reg.Counter("serve_refold", "result", "skipped").Inc()
+		wStart, wspan := time.Now(), s.spans.Now()
+		s.ckptGate.RLock()
+		if err = s.walAppend(ps); err == nil {
+			folded += s.applyUploads(ps)
 		}
+		s.ckptGate.RUnlock()
+		d := time.Since(wStart) // includes the apply; dominated by fsync
+		j.stats.WALAppend += d
+		s.spans.RecordSpan(j.ctx, "serve", "wal.append", wspan, d.Microseconds(),
+			"households", strconv.Itoa(len(ps)))
+	}
+	if s.wal != nil {
+		s.stageObserve("wal.append", j.stats.WALAppend)
 	}
 	if folded > 0 {
 		s.fleetVersion.Add(1)
 		s.foldsSince.Add(int64(folded))
 	}
+	return err
+}
+
+// applyUploads applies a prepared chunk in upload order, counting refolds
+// under serve_refold{result=folded|skipped}, and returns how many changed
+// the fleet.
+func (s *Server) applyUploads(ps []prepared) int {
+	folded := 0
+	for i := range ps {
+		if !s.apply(&ps[i]) {
+			s.reg.Counter("serve_refold", "result", "skipped").Inc()
+			continue
+		}
+		folded++
+		if s.incremental() {
+			s.reg.Counter("serve_refold", "result", "folded").Inc()
+		}
+	}
+	return folded
+}
+
+// ingestReply is the JSON answer to an inspector upload: the batch's
+// household IDs, sorted, and its device count.
+func ingestReply(hhs []*inspector.Household) []byte {
+	devices := 0
 	ids := make([]string, len(hhs))
 	for i, hh := range hhs {
+		devices += len(hh.Devices)
 		ids[i] = hh.ID
 	}
 	sort.Strings(ids)
@@ -824,63 +848,6 @@ func (s *Server) installRecord(hh *inspector.Household) {
 	st.inspector = hh
 	sh.version++
 	sh.mu.Unlock()
-}
-
-// foldHousehold installs hh as the household's record and folds the delta
-// into the shard's live aggregates: the previously installed record's
-// singleton partials are retracted and the new ones folded in. The expensive
-// parts — content hash and the two HouseholdPartialOf extractions — run
-// outside the shard lock; installed records are immutable, so the previous
-// contribution can be recomputed from the old pointer instead of stored
-// (which would roughly double per-household memory for the fingerprint
-// multisets). Retraction is only valid while that exact record is still
-// installed, so the fold re-checks under the lock and retries on a
-// concurrent replacement of the same household.
-//
-// Returns false when hh's content hash matches the installed record: the
-// refold is idempotent — no retract, no fold, no version bump.
-func (s *Server) foldHousehold(hh *inspector.Household) bool {
-	sh := s.shardFor(hh.ID)
-	hash := hh.ContentHash()
-	sh.mu.Lock()
-	st := sh.household(hh.ID)
-	if st.inspector != nil && st.contribHash == hash {
-		sh.mu.Unlock()
-		return false
-	}
-	prev := st.inspector
-	sh.mu.Unlock()
-
-	contrib := analysis.HouseholdPartialOf(hh)
-	for {
-		var retract *analysis.HouseholdPartial
-		if prev != nil {
-			retract = analysis.HouseholdPartialOf(prev)
-		}
-		sh.mu.Lock()
-		st := sh.household(hh.ID)
-		if st.inspector != nil && st.contribHash == hash {
-			sh.mu.Unlock()
-			return false
-		}
-		if st.inspector != prev {
-			// A concurrent upload replaced the record since the snapshot;
-			// recompute the retraction against the new installee.
-			prev = st.inspector
-			sh.mu.Unlock()
-			continue
-		}
-		if prev == nil {
-			sh.inspectorN++
-		} else {
-			sh.subContrib(retract)
-		}
-		sh.addContrib(contrib)
-		st.inspector, st.contribHash = hh, hash
-		sh.version++
-		sh.mu.Unlock()
-		return true
-	}
 }
 
 // cacheGet looks a digest up in the bounded result cache.

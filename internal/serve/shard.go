@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"sort"
 	"sync"
 	"time"
@@ -29,8 +30,8 @@ type fleetShard struct {
 	inspectorN int
 	// liveEntropy/liveMitigations are the shard's *live* merged partials:
 	// every ingest folds the household's previous contribution out and the
-	// new one in (serve.go foldHousehold), so a read snapshots running
-	// counts instead of recomputing the shard. Maintained unless
+	// new one in (fold.go apply), so a read snapshots running counts
+	// instead of recomputing the shard. Maintained unless
 	// Config.DisableIncremental.
 	liveEntropy     *analysis.EntropyPartial
 	liveMitigations *analysis.MitigationPartial
@@ -107,6 +108,15 @@ func (sh *fleetShard) inspectorSnapshot() []*inspector.Household {
 		out[i] = sh.households[id].inspector
 	}
 	return out
+}
+
+// installed reports whether the household's installed record has content
+// hash h. Caller does not hold sh.mu.
+func (sh *fleetShard) installed(id string, h [sha256.Size]byte) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st, ok := sh.households[id]
+	return ok && st.inspector != nil && st.contribHash == h
 }
 
 // addContrib folds one household's singleton partials into the live

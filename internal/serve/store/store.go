@@ -67,9 +67,10 @@ type RecordReader struct {
 // NewRecordReader wraps r for record-by-record decoding.
 func NewRecordReader(r io.Reader) *RecordReader { return &RecordReader{r: r} }
 
-// Next returns the next record's payload. io.EOF marks a clean end exactly
-// at a record boundary; ErrRecordTruncated a stream ending mid-record;
-// ErrRecordCorrupt a failed checksum or implausible length.
+// Next returns the next record's payload in a fresh slice. io.EOF marks a
+// clean end exactly at a record boundary; ErrRecordTruncated a stream
+// ending mid-record; ErrRecordCorrupt a failed checksum or implausible
+// length.
 func (rr *RecordReader) Next() ([]byte, error) {
 	var hdr [recordHeaderBytes]byte
 	n, err := io.ReadFull(rr.r, hdr[:])

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -283,10 +284,14 @@ type ReplayStats struct {
 	Err              error
 }
 
+// replayBufBytes sizes the read buffer replay puts in front of a segment.
+const replayBufBytes = 256 << 10
+
 // ReplayLog feeds every intact record in segments >= fromSeg, in order, to
-// fn. A torn or corrupt record stops replay — the intact prefix is the
-// durable state; anything after a bad frame is untrustworthy — and is
-// reported in the stats, not as an error. fn errors abort the replay.
+// fn. Each payload is a fresh slice fn may keep. A torn or corrupt record
+// stops replay — the intact prefix is the durable state; anything after a
+// bad frame is untrustworthy — and is reported in the stats, not as an
+// error. fn errors abort the replay.
 func ReplayLog(dir string, fromSeg int, fn func(payload []byte) error) (ReplayStats, error) {
 	var st ReplayStats
 	segs, err := Segments(dir)
@@ -315,7 +320,9 @@ func replaySegment(dir string, seg int, fn func([]byte) error, st *ReplayStats) 
 		return false, err
 	}
 	defer f.Close()
-	rr := NewRecordReader(f)
+	// Buffered: a record's header and payload then cost one read(2) per
+	// buffer fill instead of two per record.
+	rr := NewRecordReader(bufio.NewReaderSize(f, replayBufBytes))
 	for {
 		payload, err := rr.Next()
 		if err == io.EOF {
