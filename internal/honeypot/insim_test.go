@@ -1,12 +1,13 @@
 package honeypot_test
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"fmt"
 	"io"
-	"net"
+	"net/http"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,7 +27,56 @@ import (
 // deadline logic under test are byte-for-byte the ones a real deployment
 // runs.
 func TestServerInSim(t *testing.T) {
-	sched := sim.NewScheduler(5)
+	hp, _ := probeInSim(t, 5)
+	got := hp.Interactions()
+	for _, proto := range []string{"ssdp", "http", "telnet"} {
+		if got[proto] == 0 {
+			t.Errorf("no %s interactions logged: %v", proto, got)
+		}
+	}
+	var loginLogged bool
+	probeAddr := netip.AddrFrom4([4]byte{192, 168, 10, 11})
+	for _, e := range hp.Events {
+		if e.From != probeAddr {
+			t.Errorf("event %v from %v, want %v", e.Detail, e.From, probeAddr)
+		}
+		if e.Proto == "telnet" && e.Detail == "login root:hunter2" {
+			loginLogged = true
+		}
+		if e.Time.Before(sim.Epoch) || e.Time.After(sim.Epoch.Add(time.Hour)) {
+			t.Errorf("event %v stamped %v, outside the simulated window (wall clock leaked in?)", e.Detail, e.Time)
+		}
+	}
+	if !loginLogged {
+		t.Errorf("telnet credentials not captured; events: %+v", hp.Events)
+	}
+}
+
+// TestServerInSimDeterministic: the Server starts its SSDP read loop and
+// its accept loops as granted actors (netx.Fabric.Go), so none of them
+// computes while the virtual clock moves. The same probe on the same seed
+// therefore logs the same events at the same virtual instants, with no
+// help from the pump's real-time stall valve.
+func TestServerInSimDeterministic(t *testing.T) {
+	first, resets := probeInSim(t, 5)
+	if resets != 0 {
+		t.Fatalf("first run: vnet_grant_resets = %d: the virtual clock was driven by the real-time valve", resets)
+	}
+	second, resets := probeInSim(t, 5)
+	if resets != 0 {
+		t.Fatalf("second run: vnet_grant_resets = %d: the virtual clock was driven by the real-time valve", resets)
+	}
+	if len(first.Events) == 0 || !reflect.DeepEqual(first.Events, second.Events) {
+		t.Fatalf("same seed, different honeypot logs:\n%+v\n%+v", first.Events, second.Events)
+	}
+}
+
+// probeInSim starts a honeypot Server on one simulated host, probes its
+// SSDP, HTTP and telnet services from another for a virtual minute, and
+// returns the honeypot and the run's vnet_grant_resets count.
+func probeInSim(t *testing.T, seed int64) (*honeypot.Honeypot, uint64) {
+	t.Helper()
+	sched := sim.NewScheduler(seed)
 	ln := lan.New(sched)
 	mk := func(last byte) *stack.Host {
 		h := stack.NewHost(ln, netx.MAC{2, 0, 0, 0, 0, last}, stack.DefaultPolicy)
@@ -37,7 +87,7 @@ func TestServerInSim(t *testing.T) {
 	hpNet := vnet.New(pump, mk(10))
 	prober := vnet.New(pump, mk(11))
 
-	hp := honeypot.New("fake-hue", 5)
+	hp := honeypot.New("fake-hue", seed)
 	srv := &honeypot.Server{
 		HP:         hp,
 		Net:        hpNet,
@@ -74,17 +124,27 @@ func TestServerInSim(t *testing.T) {
 			t.Errorf("ssdp response lacks honeytoken: %q", buf[:n])
 		}
 
-		// HTTP: the description document carries the token.
+		// HTTP: the description document carries the token. The response
+		// is read to its Content-Length and the conn closed only when the
+		// probe ends: a read that ends in EOF, and a Close, grant no
+		// compute, so a probe that went on after either would race the
+		// virtual clock until its next operation.
 		c, err := prober.DialContext(context.Background(), "tcp", "192.168.10.10:8080")
 		if err != nil {
 			t.Errorf("http dial: %v", err)
 			return
 		}
+		defer c.Close()
 		fmt.Fprintf(c, "GET /description.xml HTTP/1.1\r\nHost: honeypot\r\n\r\n")
-		resp := readUntilClose(c, 5*time.Second, prober)
-		c.Close()
-		if !bytes.Contains(resp, []byte("200 OK")) || !hp.TokenAppearsIn(resp) {
-			t.Errorf("http response missing status or token: %q", resp)
+		c.SetReadDeadline(prober.Now().Add(5 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err != nil {
+			t.Errorf("http response: %v", err)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK || !hp.TokenAppearsIn(body) {
+			t.Errorf("http response %d (%v) missing status or token: %q", resp.StatusCode, err, body)
 		}
 
 		// Telnet: a full login attempt must be captured.
@@ -117,49 +177,7 @@ func TestServerInSim(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("prober did not finish")
 	}
-
-	got := hp.Interactions()
-	for _, proto := range []string{"ssdp", "http", "telnet"} {
-		if got[proto] == 0 {
-			t.Errorf("no %s interactions logged: %v", proto, got)
-		}
-	}
-	var loginLogged bool
-	probeAddr := netip.AddrFrom4([4]byte{192, 168, 10, 11})
-	for _, e := range hp.Events {
-		if e.From != probeAddr {
-			t.Errorf("event %v from %v, want %v", e.Detail, e.From, probeAddr)
-		}
-		if e.Proto == "telnet" && e.Detail == "login root:hunter2" {
-			loginLogged = true
-		}
-		if e.Time.Before(sim.Epoch) || e.Time.After(sim.Epoch.Add(time.Hour)) {
-			t.Errorf("event %v stamped %v, outside the simulated window (wall clock leaked in?)", e.Detail, e.Time)
-		}
-	}
-	if !loginLogged {
-		t.Errorf("telnet credentials not captured; events: %+v", hp.Events)
-	}
-}
-
-// readUntilClose drains c until EOF or the deadline, extending the read
-// deadline per chunk.
-func readUntilClose(c net.Conn, per time.Duration, n *vnet.Net) []byte {
-	var out []byte
-	buf := make([]byte, 4096)
-	for {
-		c.SetReadDeadline(n.Now().Add(per))
-		k, err := c.Read(buf)
-		out = append(out, buf[:k]...)
-		if err != nil {
-			if err != io.EOF {
-				// Deadline expiry also ends the drain; the assertions on the
-				// accumulated bytes decide pass/fail.
-				_ = err
-			}
-			return out
-		}
-	}
+	return hp, sched.Telemetry.Registry.Total("vnet_grant_resets")
 }
 
 // vnetUDPAddr satisfies net.Addr for WriteTo against the virtual fabric.

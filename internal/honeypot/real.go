@@ -18,6 +18,11 @@ import (
 // real home LAN (the default), or a vnet.Net to exercise the exact same
 // accept loops and session code on the simulated LAN. Ports are configurable
 // since the well-known ones need elevated privileges on a real host.
+//
+// The service loops start through the fabric's Go, so on a virtual net the
+// clock waits for each to block in its first read or accept. Per-connection
+// goroutines use a plain go: the Accept that returned the connection minted
+// the grant their first operation claims.
 type Server struct {
 	HP *Honeypot
 	// Net is the network to bind on. Nil means the standard library
@@ -115,7 +120,7 @@ func (s *Server) startSSDP() error {
 		Server:   "Linux/3.14 UPnP/1.0 HoneyBridge/1.0",
 		Location: "http://0.0.0.0" + s.HTTPAddr + "/description.xml",
 	}
-	go func() {
+	fab.Go(func() {
 		buf := make([]byte, 2048)
 		for {
 			n, from, err := pc.ReadFrom(buf)
@@ -129,7 +134,7 @@ func (s *Server) startSSDP() error {
 			s.logLocked("ssdp", addrOf(from), "M-SEARCH "+m.ST())
 			pc.WriteTo(ad.Response(m.ST()), from)
 		}
-	}()
+	})
 	return nil
 }
 
@@ -145,7 +150,7 @@ func (s *Server) startHTTP() error {
 		SerialNumber: s.HP.Token, UDN: "uuid:" + s.HP.Token, DeviceType: ssdp.TargetBasic,
 	}
 	doc, _ := desc.Document()
-	go func() {
+	fab.Go(func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
@@ -169,7 +174,7 @@ func (s *Server) startHTTP() error {
 				conn.Write(body)
 			}(conn)
 		}
-	}()
+	})
 	return nil
 }
 
@@ -180,7 +185,7 @@ func (s *Server) startTelnet() error {
 		return fmt.Errorf("honeypot: telnet listen: %w", err)
 	}
 	s.track(l)
-	go func() {
+	fab.Go(func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
@@ -209,6 +214,6 @@ func (s *Server) startTelnet() error {
 				}
 			}(conn)
 		}
-	}()
+	})
 	return nil
 }

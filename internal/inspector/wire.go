@@ -1,6 +1,8 @@
 package inspector
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -96,7 +98,8 @@ func (h *Household) Wire() WireHousehold {
 // as encoding/json marshals it, without a trailing newline. It is the one
 // byte form a household takes outside the process: EncodeWire writes it
 // plus '\n', the serving layer's write-ahead log stores it as one record's
-// payload, and ContentHash digests it.
+// payload, and ContentHash digests it. The bytes come from the one-pass
+// encoder in wirecodec.go, byte-identical to json.Marshal(h.Wire()).
 //
 // The invariant the serving layer relies on: for every record the server
 // wrote, sha256(record) == ContentHash of the record decoded with
@@ -105,11 +108,24 @@ func (h *Household) Wire() WireHousehold {
 // the strings it holds are valid UTF-8 because they were decoded from JSON
 // — so recovery can hash the bytes it read instead of re-marshalling.
 func (h *Household) WireRecord() []byte {
-	b, err := json.Marshal(h.Wire())
-	if err != nil { // unreachable: wire types always marshal
-		panic(fmt.Sprintf("inspector: marshal household %s: %v", h.ID, err))
+	return appendWireRecord(make([]byte, 0, wireSizeHint(h)), h)
+}
+
+// wireSizeHint estimates the length of h's wire record, so that encoding
+// it usually takes one allocation.
+func wireSizeHint(h *Household) int {
+	n := 32 + len(h.ID)
+	for _, d := range h.Devices {
+		n += 192 + len(d.ID) + len(d.DHCPHostname) + len(d.UserLabel) +
+			len(d.Product.Vendor) + len(d.Product.Category) + 64*len(d.Windows)
+		for _, s := range d.MDNS {
+			n += 8 + len(s)
+		}
+		for _, s := range d.SSDP {
+			n += 8 + len(s)
+		}
 	}
-	return b
+	return n
 }
 
 // ContentHash digests a household's wire record — the identity of its
@@ -124,8 +140,14 @@ func (h *Household) ContentHash() [sha256.Size]byte {
 
 // DecodeWireRecord decodes one wire record, as WireRecord writes it: the
 // one-record decode for bytes the server wrote itself (WAL payloads and
-// checkpoint lines). Upload bodies go through WireDecoder instead.
+// checkpoint lines). Upload bodies go through WireDecoder instead. A
+// canonical record takes the one-pass parser; anything else goes through
+// encoding/json, which decides whether it is accepted and how.
 func DecodeWireRecord(rec []byte) (*Household, error) {
+	var p wireParser
+	if h, ok := p.decodeCanonical(rec); ok {
+		return h, nil
+	}
 	var w WireHousehold
 	if err := json.Unmarshal(rec, &w); err != nil {
 		return nil, fmt.Errorf("inspector: wire decode: %w", err)
@@ -174,40 +196,83 @@ func (w WireHousehold) Household() (*Household, error) {
 }
 
 // ParseOUI parses the aa:bb:cc vendor-prefix rendering netx.OUI.String
-// produces.
+// produces: exactly three two-digit hex octets separated by ':', in either
+// case. Anything else is an error, never a silently rewritten OUI.
 func ParseOUI(s string) (netx.OUI, error) {
-	var o netx.OUI
-	mac, err := netx.ParseMAC(s + ":00:00:00")
-	if err != nil {
+	o, ok := parseOUI(s, true)
+	if !ok {
 		return o, fmt.Errorf("inspector: invalid OUI %q", s)
 	}
-	return mac.OUI(), nil
+	return o, nil
 }
 
 // EncodeWire streams households to w as JSON lines: each household's
 // WireRecord followed by '\n'. Output is deterministic for a fixed input.
 func EncodeWire(w io.Writer, hs []*Household) error {
+	var buf []byte
 	for _, h := range hs {
-		if _, err := w.Write(append(h.WireRecord(), '\n')); err != nil {
+		buf = append(appendWireRecord(buf[:0], h), '\n')
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// maxWireLine bounds the line WireDecoder buffers for the one-pass parser.
+// A longer line goes to encoding/json as read so far, so a body that never
+// breaks its line is not held in memory before its first syntax error.
+const maxWireLine = 1 << 20
+
 // WireDecoder streams households out of a JSONL (or whitespace-separated
-// JSON) upload body without buffering it.
+// JSON) upload body, buffering at most a line of it. It reads the body a
+// line at a time and decodes each canonical record (a WireRecord line) in
+// one pass.
+// The first line that is not one — whitespace, a record split over lines
+// or sharing one, any JSON spelling WireRecord does not write — and
+// everything after it go to a json.Decoder, as the whole body did before
+// the one-pass parser existed. So is a line a read error cut short: a
+// syntax error before an upload limit is still a syntax error.
 type WireDecoder struct {
-	dec *json.Decoder
+	r    *bufio.Reader
+	long []byte // a line longer than r's buffer, assembled
+	eof  bool
+	p    wireParser
+	dec  *json.Decoder // non-nil once the body left canonical lines
 }
 
 // NewWireDecoder returns a streaming decoder over r.
 func NewWireDecoder(r io.Reader) *WireDecoder {
-	return &WireDecoder{dec: json.NewDecoder(r)}
+	return &WireDecoder{r: bufio.NewReaderSize(r, 16<<10)}
 }
 
 // Next returns the next household, or io.EOF cleanly at end of body.
 func (d *WireDecoder) Next() (*Household, error) {
+	if d.dec == nil {
+		if d.eof {
+			return nil, io.EOF
+		}
+		line, err := d.readLine()
+		if err == io.EOF {
+			if len(line) == 0 {
+				return nil, io.EOF
+			}
+			d.eof = true
+		}
+		if err == nil || err == io.EOF {
+			if h, ok := d.p.decodeCanonical(bytes.TrimSuffix(line, []byte{'\n'})); ok {
+				return h, nil
+			}
+		}
+		// The json.Decoder gets its own copy of the line, then the rest of
+		// the body: the line may alias the bufio buffer, which reading the
+		// rest refills.
+		rest := io.Reader(d.r)
+		if err != nil && err != bufio.ErrBufferFull {
+			rest = errReader{err}
+		}
+		d.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
+	}
 	var w WireHousehold
 	if err := d.dec.Decode(&w); err != nil {
 		if err == io.EOF {
@@ -217,3 +282,25 @@ func (d *WireDecoder) Next() (*Household, error) {
 	}
 	return w.Household()
 }
+
+// readLine returns the next line with its '\n', valid until the next read.
+// A line that ends without one comes with the read error that ended it (io.EOF
+// at the end of the body), and one past maxWireLine with bufio.ErrBufferFull.
+func (d *WireDecoder) readLine() ([]byte, error) {
+	line, err := d.r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	d.long = append(d.long[:0], line...)
+	for err == bufio.ErrBufferFull && len(d.long) < maxWireLine {
+		line, err = d.r.ReadSlice('\n')
+		d.long = append(d.long, line...)
+	}
+	return d.long, err
+}
+
+// errReader replays the read error that cut a line short, so the
+// json.Decoder meets it where the original reader did.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }

@@ -3,11 +3,13 @@ package inspector_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"io"
 	"testing"
 
 	"iotlan/internal/analysis"
 	"iotlan/internal/inspector"
+	"iotlan/internal/netx"
 	"iotlan/internal/pcap"
 )
 
@@ -199,6 +201,87 @@ func TestWireRecordHashInvariant(t *testing.T) {
 	}
 }
 
+// TestWireRecordMatchesJSON: the one-pass encoder writes exactly what
+// json.Marshal writes for the household's wire form, across generated
+// worlds.
+func TestWireRecordMatchesJSON(t *testing.T) {
+	for _, seed := range []int64{1, 2, 7} {
+		g := inspector.NewGenerator(seed)
+		for i := 0; i < 2000; i++ {
+			h := g.Household(i)
+			want, err := json.Marshal(h.Wire())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := h.WireRecord(); !bytes.Equal(got, want) {
+				t.Fatalf("world %d household %d: WireRecord differs from json.Marshal:\n%s\n%s", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestParseOUIStrict: an OUI is exactly three two-digit hex octets joined
+// by ':', in either case. Nothing else is read as some other OUI.
+func TestParseOUIStrict(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want netx.OUI
+	}{
+		{"aa:bb:cc", netx.OUI{0xaa, 0xbb, 0xcc}},
+		{"AA:bB:0c", netx.OUI{0xaa, 0xbb, 0x0c}},
+		{"00:09:f9", netx.OUI{0x00, 0x09, 0xf9}},
+	} {
+		if got, err := inspector.ParseOUI(c.in); err != nil || got != c.want {
+			t.Errorf("ParseOUI(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{
+		"aab:bb:cc", "0x:bb:cc", "+a:bb:cc", " aa:bb:cc", "aa:bb:cc ", "a:b:c",
+		"aa-bb-cc", "aa:bb:cc:dd", "aa:bb", "", "gg:bb:cc", "aa:bb:c",
+	} {
+		if got, err := inspector.ParseOUI(bad); err == nil {
+			t.Errorf("ParseOUI(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
+// BenchmarkWireRecord is the encode cost of one household: the upload's
+// WAL payload and content hash, and each line of a checkpoint.
+func BenchmarkWireRecord(b *testing.B) {
+	h := inspector.Generate(1, 1).Households[0]
+	b.SetBytes(int64(len(h.WireRecord())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recordSink = h.WireRecord()
+	}
+}
+
+// BenchmarkWireDecoder streams a 1000-household upload body through
+// NewWireDecoder, as the server reads a batch ingest.
+func BenchmarkWireDecoder(b *testing.B) {
+	var body bytes.Buffer
+	if err := inspector.EncodeWire(&body, inspector.Generate(1, 1000).Households); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec := inspector.NewWireDecoder(bytes.NewReader(body.Bytes()))
+		for {
+			h, err := dec.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			decodedSink = h
+		}
+	}
+}
+
 // BenchmarkDecodeWireRecord is the per-record cost recovery pays for each
 // household it reads back from a checkpoint or the WAL.
 func BenchmarkDecodeWireRecord(b *testing.B) {
@@ -214,4 +297,7 @@ func BenchmarkDecodeWireRecord(b *testing.B) {
 	}
 }
 
-var decodedSink *inspector.Household
+var (
+	decodedSink *inspector.Household
+	recordSink  []byte
+)

@@ -52,24 +52,6 @@ func (m MAC) IsMulticast() bool { return m[0]&0x01 != 0 }
 // IsBroadcast reports whether the address is the all-ones broadcast.
 func (m MAC) IsBroadcast() bool { return m == Broadcast }
 
-// ParseMAC parses aa:bb:cc:dd:ee:ff or aa-bb-... forms.
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	s = strings.ReplaceAll(s, "-", ":")
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return m, fmt.Errorf("netx: invalid MAC %q", s)
-	}
-	for i, p := range parts {
-		var v int
-		if _, err := fmt.Sscanf(p, "%02x", &v); err != nil {
-			return m, fmt.Errorf("netx: invalid MAC %q: %v", s, err)
-		}
-		m[i] = byte(v)
-	}
-	return m, nil
-}
-
 // OUI is the vendor prefix of a MAC address.
 type OUI [3]byte
 

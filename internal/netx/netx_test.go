@@ -19,27 +19,6 @@ func TestMACString(t *testing.T) {
 	}
 }
 
-func TestParseMACRoundTrip(t *testing.T) {
-	f := func(m MAC) bool {
-		got, err := ParseMAC(m.String())
-		return err == nil && got == m
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseMACErrors(t *testing.T) {
-	for _, bad := range []string{"", "aa:bb", "aa:bb:cc:dd:ee:zz", "aabbccddeeff"} {
-		if _, err := ParseMAC(bad); err == nil {
-			t.Errorf("ParseMAC(%q) accepted", bad)
-		}
-	}
-	if m, err := ParseMAC("9C-8E-CD-0A-33-1B"); err != nil || m[0] != 0x9c {
-		t.Fatalf("dash form rejected: %v %v", m, err)
-	}
-}
-
 func TestMulticastAndBroadcastBits(t *testing.T) {
 	if !Broadcast.IsBroadcast() || !Broadcast.IsMulticast() {
 		t.Fatal("broadcast flags wrong")

@@ -51,6 +51,10 @@ func (n *Net) Pump() *Pump { return n.p }
 // pump is aware of (one holding a grant or blocked in a vnet op).
 func (n *Net) Now() time.Time { return n.p.Now() }
 
+// Go spawns fn as a granted in-sim actor (Pump.Go): the clock stays frozen
+// until fn's first operation.
+func (n *Net) Go(fn func()) { n.p.Go(fn) }
+
 // Host returns the underlying stack host.
 func (n *Net) Host() *stack.Host { return n.h }
 
