@@ -1,53 +1,24 @@
-// Command iotbench times the simulator and writes machine-readable
-// benchmark records.
-//
-// The default mode times the standard idle run (45 simulated minutes of the
-// full 93-device lab); make bench uses it to produce BENCH_1.json so
+// Command iotbench times the simulator and writes a machine-readable
+// benchmark record: the standard idle run (45 simulated minutes of the full
+// 93-device lab), which make bench uses to produce BENCH_1.json so
 // throughput regressions show up in review diffs.
 //
-// -artifacts instead benchmarks the analysis engine: the Inspector
-// generation + decode-once index + artifact fan-out stage, run once with
-// one worker and once with one worker per CPU, over identical pipelines.
-// The two runs' results are checksummed — the record's "identical" field
-// asserts the engine's byte-identical-output contract — and the speedup is
-// written to BENCH_2.json. make bench2 drives this mode.
-//
-// -engine benchmarks the shared-prerequisite memoization that replaced the
-// per-artifact duplicated work behind BENCH_2's apparent parallel slowdown.
-// Three variants run over one simulated capture: the duplicated-work baseline
-// (memoization off — every artifact rebuilds the decode-once index,
-// communication graph, and identifier extraction it needs), the memoized
-// analysis at workers=1, and the memoized analysis at workers=4. Each variant
-// is timed -reps times with the caches reset and a GC between reps, and the
-// minimum wall is kept — min-of-N discards the GC-debt/scheduler noise that
-// produced BENCH_2's sub-1.0 "speedup" on a single-core box. All variants'
-// results are checksummed and must match. make bench3 drives this mode and
-// writes BENCH_3.json.
-//
 // BENCH_4.json (serving throughput and the served-vs-offline determinism
-// gate) is written by the companion load generator, cmd/iotload.
+// gate) is written by the companion load generator, cmd/iotload; the
+// repository's end-to-end benchmark is bench/ (see bench/README.md).
 //
 // Usage:
 //
 //	iotbench [-seed N] [-idle 45m] [-out BENCH_1.json]
-//	iotbench -artifacts [-seed N] [-idle 45m] [-interactions 120]
-//	         [-households 3860] [-out BENCH_2.json]
-//	iotbench -engine [-seed N] [-idle 45m] [-interactions 120]
-//	         [-households 3860] [-reps 3] [-out BENCH_3.json]
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"sort"
 	"time"
 
-	"iotlan"
 	"iotlan/internal/sim"
 	"iotlan/internal/testbed"
 )
@@ -67,51 +38,11 @@ type record struct {
 	FramesPerSec    float64 `json:"frames_per_sec"`
 }
 
-// artifactRecord is the BENCH_2.json schema: the artifact+Inspector stage
-// timed sequentially (workers=1) and in parallel (one worker per CPU), with
-// a result checksum proving both produced identical bytes.
-type artifactRecord struct {
-	Seed             int64   `json:"seed"`
-	Cores            int     `json:"cores"`
-	IdleVirtual      string  `json:"idle_virtual"`
-	Interactions     int     `json:"interactions"`
-	Households       int     `json:"households"`
-	Artifacts        int     `json:"artifacts"`
-	WallSequentialMS float64 `json:"wall_sequential_ms"`
-	WallParallelMS   float64 `json:"wall_parallel_ms"`
-	Speedup          float64 `json:"speedup"`
-	Identical        bool    `json:"identical"`
-	ChecksumSHA256   string  `json:"checksum_sha256"`
-}
-
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	idle := flag.Duration("idle", 45*time.Minute, "idle window to simulate")
-	interactions := flag.Int("interactions", 120, "scripted interactions (-artifacts/-engine modes)")
-	households := flag.Int("households", 3860, "crowdsourced households (-artifacts/-engine modes)")
-	artifacts := flag.Bool("artifacts", false, "benchmark the artifact+Inspector analysis stage instead of the idle run")
-	engineMode := flag.Bool("engine", false, "benchmark the shared-prereq memoization against the duplicated-work baseline")
-	reps := flag.Int("reps", 3, "timing repetitions per variant, minimum kept (-engine mode)")
-	out := flag.String("out", "", "output file (\"-\" for stdout; default BENCH_1.json, BENCH_2.json with -artifacts, BENCH_3.json with -engine)")
+	out := flag.String("out", "BENCH_1.json", "output file (\"-\" for stdout)")
 	flag.Parse()
-	if *out == "" {
-		*out = "BENCH_1.json"
-		if *artifacts {
-			*out = "BENCH_2.json"
-		}
-		if *engineMode {
-			*out = "BENCH_3.json"
-		}
-	}
-
-	if *engineMode {
-		benchEngine(*seed, *idle, *interactions, *households, *reps, *out)
-		return
-	}
-	if *artifacts {
-		benchArtifacts(*seed, *idle, *interactions, *households, *out)
-		return
-	}
 
 	lab := testbed.New(*seed)
 	lab.Start()
@@ -136,181 +67,6 @@ func main() {
 	writeJSON(rec, *out)
 	fmt.Printf("bench: %d events in %.0f ms (%.0f events/sec, %.0f frames/sec) → %s\n",
 		rec.Events, rec.WallMS, rec.EventsPerSec, rec.FramesPerSec, *out)
-}
-
-// benchArtifacts times Everything()'s analysis stage at workers=1 and
-// workers=NumCPU. The virtual-time pipelines (passive capture, scans, vuln
-// audit, apps) are sequential by design and shared by both variants, so
-// they run untimed; the timed region is Inspector generation, the
-// decode-once index build, identifier extraction, and the artifact fan-out.
-func benchArtifacts(seed int64, idle time.Duration, interactions, households int, out string) {
-	run := func(workers int) (time.Duration, string) {
-		s := iotlan.New(seed,
-			iotlan.WithIdleDuration(idle),
-			iotlan.WithInteractions(interactions),
-			iotlan.WithHouseholds(households),
-			iotlan.WithWorkers(workers),
-		)
-		s.RunPassive()
-		s.RunScans()
-		s.RunVulnScans()
-		s.RunApps()
-		start := time.Now()
-		results := s.Everything()
-		wall := time.Since(start)
-		return wall, checksum(results)
-	}
-
-	cores := runtime.NumCPU()
-	seqWall, seqSum := run(1)
-	parWall, parSum := run(cores)
-
-	rec := artifactRecord{
-		Seed:             seed,
-		Cores:            cores,
-		IdleVirtual:      idle.String(),
-		Interactions:     interactions,
-		Households:       households,
-		Artifacts:        len(iotlan.Artifacts()),
-		WallSequentialMS: float64(seqWall) / float64(time.Millisecond),
-		WallParallelMS:   float64(parWall) / float64(time.Millisecond),
-		Identical:        seqSum == parSum,
-		ChecksumSHA256:   seqSum,
-	}
-	if parWall > 0 {
-		rec.Speedup = float64(seqWall) / float64(parWall)
-	}
-	writeJSON(rec, out)
-	fmt.Printf("bench2: %d artifacts on %d core(s): sequential %.0f ms, parallel %.0f ms (%.2fx, identical=%v) → %s\n",
-		rec.Artifacts, cores, rec.WallSequentialMS, rec.WallParallelMS, rec.Speedup, rec.Identical, out)
-	if !rec.Identical {
-		fmt.Fprintln(os.Stderr, "bench2: parallel output diverged from sequential")
-		os.Exit(1)
-	}
-}
-
-// engineRecord is the BENCH_3.json schema: the analysis stage timed against
-// the duplicated-work baseline (shared-prereq memoization disabled) and with
-// memoization on at workers=1 and workers=4. Each wall figure is the minimum
-// of -reps runs with caches reset and a GC between reps. Both speedups are
-// relative to the baseline; all three variants must checksum identically.
-type engineRecord struct {
-	Seed            int64   `json:"seed"`
-	Cores           int     `json:"cores"`
-	IdleVirtual     string  `json:"idle_virtual"`
-	Interactions    int     `json:"interactions"`
-	Households      int     `json:"households"`
-	Artifacts       int     `json:"artifacts"`
-	Reps            int     `json:"reps"`
-	WallUnsharedMS  float64 `json:"wall_unshared_ms"`
-	WallWorkers1MS  float64 `json:"wall_workers1_ms"`
-	WallParallelMS  float64 `json:"wall_parallel_ms"`
-	SpeedupWorkers1 float64 `json:"speedup_workers1"`
-	SpeedupWorkers4 float64 `json:"speedup_workers4"`
-	Identical       bool    `json:"identical"`
-	ChecksumSHA256  string  `json:"checksum_sha256"`
-}
-
-// benchEngine times Everything()'s analysis stage in three variants over one
-// simulated workload: memoization off at workers=1 (the duplicated-work
-// behaviour the memoization replaced — every artifact rebuilds the
-// decode-once index, communication graph, and identifier extraction), and
-// memoization on at workers=1 and workers=4. The virtual-time pipelines run
-// once per study, untimed. Each variant is timed reps times — caches dropped
-// and a GC forced before every measurement — and the minimum wall is kept,
-// so one unlucky GC or scheduler stall cannot manufacture a slowdown.
-func benchEngine(seed int64, idle time.Duration, interactions, households, reps int, out string) {
-	if reps < 1 {
-		reps = 1
-	}
-	newStudy := func(opts ...iotlan.Option) *iotlan.Study {
-		s := iotlan.New(seed, append([]iotlan.Option{
-			iotlan.WithIdleDuration(idle),
-			iotlan.WithInteractions(interactions),
-			iotlan.WithHouseholds(households),
-			iotlan.WithWorkers(1),
-		}, opts...)...)
-		s.RunAll()
-		return s
-	}
-	unshared := newStudy(iotlan.WithoutSharedPrereqs())
-	shared := newStudy()
-
-	timeOnce := func(s *iotlan.Study, workers int) (time.Duration, string) {
-		s.Workers = workers
-		s.ResetAnalysisCaches()
-		runtime.GC()
-		start := time.Now()
-		results := s.Everything()
-		return time.Since(start), checksum(results)
-	}
-	min := func(a, b time.Duration) time.Duration {
-		if b < a {
-			return b
-		}
-		return a
-	}
-
-	const huge = time.Duration(1<<63 - 1)
-	wallU, wallW1, wallW4 := huge, huge, huge
-	var sumU, sumW1, sumW4 string
-	for r := 0; r < reps; r++ {
-		wu, su := timeOnce(unshared, 1)
-		w1, s1 := timeOnce(shared, 1)
-		w4, s4 := timeOnce(shared, 4)
-		wallU, wallW1, wallW4 = min(wallU, wu), min(wallW1, w1), min(wallW4, w4)
-		sumU, sumW1, sumW4 = su, s1, s4
-	}
-
-	rec := engineRecord{
-		Seed:           seed,
-		Cores:          runtime.NumCPU(),
-		IdleVirtual:    idle.String(),
-		Interactions:   interactions,
-		Households:     households,
-		Artifacts:      len(iotlan.Artifacts()),
-		Reps:           reps,
-		WallUnsharedMS: float64(wallU) / float64(time.Millisecond),
-		WallWorkers1MS: float64(wallW1) / float64(time.Millisecond),
-		WallParallelMS: float64(wallW4) / float64(time.Millisecond),
-		Identical:      sumU == sumW1 && sumW1 == sumW4,
-		ChecksumSHA256: sumU,
-	}
-	if wallW1 > 0 {
-		rec.SpeedupWorkers1 = float64(wallU) / float64(wallW1)
-	}
-	if wallW4 > 0 {
-		rec.SpeedupWorkers4 = float64(wallU) / float64(wallW4)
-	}
-	writeJSON(rec, out)
-	fmt.Printf("bench3: %d artifacts, %d rep(s): unshared %.0f ms, workers=1 %.0f ms (%.2fx), workers=4 %.0f ms (%.2fx), identical=%v → %s\n",
-		rec.Artifacts, reps, rec.WallUnsharedMS, rec.WallWorkers1MS, rec.SpeedupWorkers1,
-		rec.WallParallelMS, rec.SpeedupWorkers4, rec.Identical, out)
-	if !rec.Identical {
-		fmt.Fprintln(os.Stderr, "bench3: variant outputs diverged")
-		os.Exit(1)
-	}
-}
-
-// checksum hashes every result's ID, rendition, and metrics (sorted) so two
-// runs can be compared byte-for-byte.
-func checksum(results []iotlan.Result) string {
-	h := sha256.New()
-	for _, r := range results {
-		io.WriteString(h, r.ID)
-		io.WriteString(h, "\x00")
-		io.WriteString(h, r.Rendered)
-		io.WriteString(h, "\x00")
-		keys := make([]string, 0, len(r.Metrics))
-		for k := range r.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(h, "%s=%v\n", k, r.Metrics[k])
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func writeJSON(v interface{}, out string) {

@@ -13,8 +13,9 @@
 // Every upload honors backpressure: a 429 answer sleeps the Retry-After
 // hint and retries, so the "dropped" count is zero unless the server
 // refuses an upload for a non-backpressure reason. -dup-frac re-posts a
-// fraction of the upload set after the originals, exercising the server's
-// content-hash cache; the bench record counts the observed hits.
+// fraction of the upload set after the originals: re-posted captures
+// exercise the server's content-hash cache (the bench record counts the
+// observed hits), and re-posted wire records the fold's idempotent skip.
 //
 // -diurnal shapes each synthetic capture's frame timestamps by the resident
 // layer's typical hour-of-day histogram (resident.TypicalHours) instead of
@@ -36,22 +37,12 @@
 // -data-dir makes it durable (WAL + checkpoints), so one command exercises
 // the full sharded/durable ingest path.
 //
-// -sustained switches to the BENCH_7 mixed read/write comparison: the same
-// churning load (every round re-uploads every household with changed
-// contents) runs against a self-hosted server twice — incremental artifact
-// maintenance on, then off — while concurrent readers time mid-ingest fleet
-// Table 2 reads. The record reports the read-latency speedup and upload
-// throughput ratio, and the run fails unless both servers converge to
-// byte-identical artifacts and the incremental shadow-batch self-check is
-// clean. See cmd/iotload/bench7.go.
-//
 // Usage:
 //
 //	iotload [-households 200] [-concurrency 16] [-seed 1]
 //	        [-mode mixed|inspector|capture] [-dup-frac 0.25] [-diurnal]
 //	        [-addr host:port] [-queue 64] [-workers N] [-shards N]
 //	        [-data-dir DIR] [-checkpoint-every 4096] [-stream]
-//	        [-sustained] [-readers 2] [-rounds 5]
 //	        [-out BENCH_5.json]
 package main
 
@@ -134,7 +125,7 @@ func main() {
 	concurrency := flag.Int("concurrency", 16, "concurrent uploaders")
 	seed := flag.Int64("seed", 1, "generation seed")
 	mode := flag.String("mode", "mixed", "upload mix: inspector, capture, or mixed (both per household)")
-	dupFrac := flag.Float64("dup-frac", 0.25, "fraction of the upload set re-posted after the originals (cache exercise)")
+	dupFrac := flag.Float64("dup-frac", 0.25, "fraction of the upload set re-posted after the originals (capture cache and idempotent refold exercise)")
 	addr := flag.String("addr", "", "target server (empty = self-host in process)")
 	workers := flag.Int("workers", 0, "self-hosted server workers (0 = one per CPU)")
 	queue := flag.Int("queue", 64, "self-hosted server queue capacity")
@@ -143,19 +134,8 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "self-hosted server checkpoint cadence in WAL records")
 	stream := flag.Bool("stream", false, "generate each household on demand instead of materializing the corpus (inspector mode only)")
 	diurnal := flag.Bool("diurnal", false, "spread synthetic capture frames over a resident-shaped hour-of-day distribution (capture/mixed modes)")
-	sustained := flag.Bool("sustained", false, "BENCH_7 mode: sustained mixed read/write load, incremental vs recompute read path (self-hosted only)")
-	readers := flag.Int("readers", 2, "concurrent artifact readers in -sustained mode")
-	rounds := flag.Int("rounds", 5, "re-upload rounds in -sustained mode (each round changes every household's contents)")
 	out := flag.String("out", "BENCH_5.json", "output file (\"-\" for stdout)")
 	flag.Parse()
-	if *sustained {
-		if *addr != "" {
-			fmt.Fprintln(os.Stderr, "iotload: -sustained self-hosts both configurations; -addr is not supported")
-			os.Exit(2)
-		}
-		runSustained(*seed, *households, *concurrency, *readers, *rounds, *shards, *workers, *queue, *out)
-		return
-	}
 	if *mode != "inspector" && *mode != "capture" && *mode != "mixed" {
 		fmt.Fprintf(os.Stderr, "iotload: unknown -mode %q\n", *mode)
 		os.Exit(2)
@@ -256,7 +236,8 @@ func main() {
 			}
 		}
 		// Duplicates go after the originals, so by the time one is posted its
-		// original has (almost always) landed and the content-hash cache answers.
+		// original has (almost always) landed: a capture's is answered from
+		// the content-hash cache, a wire record's folds nothing.
 		nDup := int(*dupFrac * float64(len(uploads)))
 		for i := 0; i < nDup; i++ {
 			uploads = append(uploads, uploads[i%len(uploads)])
@@ -314,7 +295,7 @@ func main() {
 	rec.P99MS = percentileMS(lats, 0.99)
 
 	// Determinism gate: the loaded server's fleet Table 2 vs the offline
-	// pipeline over the identical corpus, iotbench-checksum style.
+	// pipeline over the identical corpus, compared by checksum.
 	// Capture-only load ingests no inspector corpus, so the gate only
 	// applies when wire uploads happened.
 	if *mode != "capture" {
@@ -425,9 +406,10 @@ func scrapeStageQuantiles(client *http.Client, base string) (map[string]stageQua
 	}
 	// Every upload, whatever its kind, passes through these stages; if one
 	// of them recorded nothing the instrumentation is broken. Kind-specific
-	// stages (pcap.decode vs inspector.decode, artifact.build) may
-	// legitimately be idle and are simply omitted from the record.
-	for _, stage := range []string{"queue.wait", "body.read", "analysis", "cache.lookup"} {
+	// stages (pcap.decode and cache.lookup vs inspector.decode,
+	// artifact.build) may legitimately be idle and are simply omitted from
+	// the record.
+	for _, stage := range []string{"queue.wait", "body.read", "analysis"} {
 		if counts[stage] == 0 {
 			return nil, fmt.Errorf("/metrics: stage %q histogram empty after load", stage)
 		}
@@ -527,7 +509,7 @@ func fetchArtifact(client *http.Client, base, name string) (iotlan.Result, error
 	return iotlan.Result{ID: rep.ID, Rendered: rep.Rendered, Metrics: rep.Metrics}, nil
 }
 
-// checksum mirrors iotbench's result hash: ID, rendition, sorted metrics.
+// checksum hashes a result's ID, rendition and sorted metrics.
 func checksum(r iotlan.Result) string {
 	h := sha256.New()
 	io.WriteString(h, r.ID)

@@ -14,18 +14,22 @@
 //	GET  /metrics /healthz /debug/...  operational surface
 //
 // Uploads flow through a bounded worker pool behind a fixed-capacity queue;
-// a full queue answers 429 + Retry-After. Results are cached by content
-// hash. SIGINT/SIGTERM drains gracefully: queued and in-flight analyses
-// finish, new uploads get 503, then the listener shuts down. SIGQUIT dumps
-// the flight recorder (recent + slowest + errored request traces) as Chrome
-// trace JSON to a file and keeps serving — the in-flight incident snapshot.
+// a full queue answers 429 + Retry-After. Capture reports are cached by
+// content hash. SIGINT/SIGTERM drains gracefully: queued and in-flight
+// analyses finish, new uploads get 503, then the listener shuts down.
+// SIGQUIT dumps the flight recorder (recent + slowest + errored request
+// traces) as Chrome trace JSON to a file and keeps serving — the in-flight
+// incident snapshot.
 //
 // With -data-dir set the service is durable: every acknowledged inspector
 // ingest is written to a checksummed write-ahead log before fleet state
 // changes, periodic checkpoints snapshot the sharded fleet, and boot
 // replays checkpoint + WAL — acknowledged uploads survive SIGKILL. Fleet
-// state is sharded by household-ID hash (-shards); artifact bytes are
-// identical for any shard count.
+// state is sharded by household-ID hash (-shards), each shard keeping live
+// aggregates of the two artifacts computed from uploads (table2 and
+// mitigations); artifact bytes are identical for any shard count. Every
+// other registry artifact, table3's static lab inventory included, answers
+// 409.
 //
 // Usage:
 //
@@ -33,8 +37,7 @@
 //	         [-timeout 30s] [-retry-after 1s] [-cache 4096]
 //	         [-log-format text|json] [-trace=true] [-flight 256]
 //	         [-data-dir DIR] [-shards N] [-checkpoint-every 4096]
-//	         [-wal-sync group|always|none] [-incremental=true]
-//	         [-selfcheck-every N]
+//	         [-wal-sync group|always|none] [-selfcheck-every N]
 //	iotserve -selftest    # serve an in-sim fleet over the virtual LAN
 //	                      # (internal/vnet), verify artifacts, exit — no
 //	                      # sockets, ports, or network privileges needed
@@ -64,7 +67,7 @@ func main() {
 	maxUpload := flag.Int64("max-upload", 64<<20, "maximum upload body bytes (413 beyond)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-upload budget: queue wait + analysis")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-	cache := flag.Int("cache", 4096, "content-hash result cache entries")
+	cache := flag.Int("cache", 4096, "content-hash cache entries for capture reports")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget on SIGTERM")
 	logFormat := flag.String("log-format", "text", "structured request log format: text, json, or none")
 	trace := flag.Bool("trace", true, "record per-upload spans into the flight recorder")
@@ -74,7 +77,6 @@ func main() {
 	shards := flag.Int("shards", 8, "fleet state shards (artifact bytes are shard-count invariant)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "checkpoint after this many WAL records (0 = only on shutdown)")
 	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (coalesced, default), always (per record), none (page cache only)")
-	incremental := flag.Bool("incremental", true, "maintain live per-shard artifact aggregates at ingest (false = recompute shards on read)")
 	selfCheckEvery := flag.Int("selfcheck-every", 0, "shadow-batch self-check after this many folds: recompute every shard from scratch and compare to the live aggregates (0 = never)")
 	flag.Parse()
 
@@ -117,7 +119,6 @@ func main() {
 		Shards:             *shards,
 		CheckpointEvery:    *checkpointEvery,
 		WALSync:            syncMode,
-		DisableIncremental: !*incremental,
 		SelfCheckEvery:     *selfCheckEvery,
 	})
 	if err != nil {

@@ -36,8 +36,8 @@ type prepared struct {
 	record []byte
 	hash   [sha256.Size]byte
 	// contrib is hh's singleton partials. Nil when prepare skipped the
-	// extraction because the record was already installed, or because
-	// incremental maintenance is off; apply extracts it if it needs it.
+	// extraction because the record was already installed; apply extracts
+	// it if it needs it.
 	contrib *analysis.HouseholdPartial
 }
 
@@ -63,28 +63,24 @@ func (s *Server) prepareRecord(rec []byte) (prepared, error) {
 // extract fills in p's partials unless apply is sure not to need them. The
 // installed-hash peek only saves work: apply re-checks under the lock.
 func (s *Server) extract(p prepared) prepared {
-	if s.incremental() && !s.shardFor(p.hh.ID).installed(p.hh.ID, p.hash) {
+	if !s.shardFor(p.hh.ID).installed(p.hh.ID, p.hash) {
 		p.contrib = analysis.HouseholdPartialOf(p.hh)
 	}
 	return p
 }
 
-// apply installs p as its household's record. With incremental maintenance
-// on, the installed record's singleton partials are retracted and p's folded
-// in — O(one household), never O(shard). The retraction is recomputed from
-// the immutable installed record rather than stored (storing it would
-// roughly double per-household memory for the fingerprint multisets), and
-// it is only valid while that exact record is installed: extractions run
-// outside the lock, and the commit re-checks and retries on a concurrent
-// replacement of the same household.
+// apply installs p as its household's record: the installed record's
+// singleton partials are retracted and p's folded in — O(one household),
+// never O(shard). The retraction is recomputed from the immutable installed
+// record rather than stored (storing it would roughly double per-household
+// memory for the fingerprint multisets), and it is only valid while that
+// exact record is installed: extractions run outside the lock, and the
+// commit re-checks and retries on a concurrent replacement of the same
+// household.
 //
 // Returns false when p's hash matches the installed record: the refold is
 // idempotent — no retract, no fold, no version bump.
 func (s *Server) apply(p *prepared) bool {
-	if !s.incremental() {
-		s.installRecord(p.hh)
-		return true
-	}
 	sh := s.shardFor(p.hh.ID)
 	var prev *inspector.Household
 	var retract *analysis.HouseholdPartial

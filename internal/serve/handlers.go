@@ -86,12 +86,9 @@ func (s *Server) handleUpload(kind string) http.HandlerFunc {
 		// 503 promptly.
 		res := <-j.done
 		cache := "none"
-		if res.cacheHit {
-			w.Header().Set("X-Cache", "hit")
-			cache = "hit"
-		} else if res.status == http.StatusOK {
-			w.Header().Set("X-Cache", "miss")
-			cache = "miss"
+		if res.cache != "" {
+			cache = res.cache
+			w.Header().Set("X-Cache", cache)
 		}
 		root.SetAttr("status", strconv.Itoa(res.status))
 		if res.status >= 500 {

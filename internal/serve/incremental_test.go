@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"iotlan"
-	"iotlan/internal/analysis"
 	"iotlan/internal/inspector"
 	"iotlan/internal/obs"
 )
@@ -83,10 +81,9 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			// Step 1: initial concurrent upload of the whole corpus.
 			ingestFleet(t, s, ds.Households)
 
-			// Step 2: idempotent re-upload. A fresh batch body (different
-			// content hash than the single-household uploads, so it reaches
-			// ingest) carrying unchanged households must fold nothing: no
-			// shard version moves, the artifact memo stays warm.
+			// Step 2: idempotent re-upload. A batch carrying unchanged
+			// households must fold nothing: no shard version moves, the
+			// artifact memo stays warm.
 			check := func(step string, expect []*inspector.Household) {
 				t.Helper()
 				b := bodies{}
@@ -136,55 +133,34 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestPartialForSingleFlight: concurrent partialFor misses on the same stale
-// shard coalesce onto one compute. The blocking compute func holds every
-// caller in flight until released; exactly one may have run.
-func TestPartialForSingleFlight(t *testing.T) {
-	const callers = 8
-	ds := inspector.Generate(51, 6)
-	s := newTestServer(t, Config{Shards: 1, QueueCapacity: 8})
-	s.ingest(&job{}, ds.Households)
-
-	var computes atomic.Int32
-	gate := make(chan struct{})
-	sa := shardedArtifact{batch: func(hhs []*inspector.Household) any {
-		computes.Add(1)
-		<-gate
-		return analysis.EntropyPartialOf(hhs, nil)
-	}} // live == nil: always the batch path, like -incremental=false
-
-	vals := make([]any, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i], _, _ = s.partialFor(s.shards[0], "flight-test", sa)
-		}(i)
+// TestRepostReplacesNewerRecord: a batch re-posted byte for byte after a
+// newer upload of the same households is applied again, not answered from
+// a cache. Post A, then B (A's households with other devices), then A's
+// exact bytes: the fleet must hold A, served equal to the offline Study
+// over A's households, and inspector uploads never touch the result cache.
+func TestRepostReplacesNewerRecord(t *testing.T) {
+	const households = 12
+	a := inspector.Generate(71, households).Households
+	alt := inspector.Generate(72, households).Households
+	b := make([]*inspector.Household, households)
+	for i := range b {
+		b[i] = &inspector.Household{ID: a[i].ID, Devices: alt[i].Devices}
 	}
-	for computes.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // let the rest reach the flight wait
-	close(gate)
-	wg.Wait()
-
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("%d computes ran, want exactly 1", n)
-	}
-	for i, v := range vals {
-		if v != vals[0] {
-			t.Fatalf("caller %d got a different partial than the flight leader", i)
+	s := newTestServer(t, Config{Workers: 2, Shards: 4})
+	bodyA := wireBody(t, a...)
+	for i, body := range [][]byte{bodyA, wireBody(t, b...), bodyA} {
+		if w := do(s, "POST", "/v1/ingest/inspector", body); w.Code != http.StatusOK {
+			t.Fatalf("post %d: status %d: %s", i+1, w.Code, w.Body.String())
 		}
 	}
-	misses := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "miss"))
-	waits := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "wait"))
-	hits := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "hit"))
-	if misses != 1 {
-		t.Fatalf("miss counter %d, want 1 (the flight leader)", misses)
+	for _, name := range []string{"table2", "mitigations"} {
+		assertServedEqualsOffline(t, fetchArtifact(t, s, name), a, name, "after re-post")
 	}
-	if waits+hits != callers-1 {
-		t.Fatalf("waits %d + hits %d != %d followers", waits, hits, callers-1)
+	if n := s.SelfCheck(); n != 0 {
+		t.Fatalf("selfcheck found %d mismatches", n)
+	}
+	if n := s.reg.Total("serve_cache"); n != 0 {
+		t.Fatalf("inspector uploads made %d result-cache lookups, want 0", n)
 	}
 }
 
@@ -198,8 +174,8 @@ func TestArtifactReadsDuringIngest(t *testing.T) {
 	const writers, perWriter, rounds = 4, 6, 5
 	base := inspector.Generate(61, writers*perWriter)
 	// Every round re-uploads each household with distinct device contents
-	// (identical bodies would hit the upload result cache and never reach
-	// ingest); the IDs stay fixed so each round retracts the previous one.
+	// (identical bodies would fold nothing); the IDs stay fixed so each
+	// round retracts the previous one.
 	variants := make([][]*inspector.Household, rounds)
 	variants[0] = base.Households
 	for r := 1; r < rounds; r++ {

@@ -1,7 +1,5 @@
 package serve
 
-import "bytes"
-
 // The shadow-batch self-check: the structural proof that the retraction
 // algebra (analysis.Add/Sub over refcounted multisets) kept every shard's
 // live incremental aggregate equal to what a from-scratch batch pass over
@@ -17,28 +15,13 @@ import "bytes"
 // household snapshot and byte-compares their rendering against the live
 // incremental aggregates. Returns the number of (shard, artifact)
 // comparisons that mismatched; each comparison also counts under
-// serve_selfcheck{result}. With incremental maintenance off there is
-// nothing to cross-check and it reports 0 without counting.
+// serve_selfcheck{result}.
 func (s *Server) SelfCheck() int {
-	if !s.incremental() {
-		return 0
-	}
 	mismatches := 0
 	for i, sh := range s.shards {
-		// One lock hold per shard: snapshot the records and clone the live
-		// aggregates at the same version, then recompute and compare outside
-		// the lock so readers and ingest keep flowing.
-		sh.mu.Lock()
-		hhs := sh.inspectorSnapshot()
-		live := make(map[string]any, len(shardedArtifacts))
-		for name, sa := range shardedArtifacts {
-			live[name] = sa.live(sh)
-		}
-		sh.mu.Unlock()
-		for name, sa := range shardedArtifacts {
-			got := mustJSON(renderSharded(name, []any{live[name]}))
-			want := mustJSON(renderSharded(name, []any{sa.batch(hhs)}))
-			if bytes.Equal(got, want) {
+		for name, fa := range fleetArtifacts {
+			ok, households := fa.check(sh)
+			if ok {
 				s.reg.Counter("serve_selfcheck", "result", "ok").Inc()
 				continue
 			}
@@ -46,7 +29,7 @@ func (s *Server) SelfCheck() int {
 			s.reg.Counter("serve_selfcheck", "result", "mismatch").Inc()
 			if s.logger != nil {
 				s.logger.Error("selfcheck mismatch: incremental aggregate diverged from batch recompute",
-					"shard", i, "artifact", name, "households", len(hhs))
+					"shard", i, "artifact", name, "households", households)
 			}
 		}
 	}
@@ -59,7 +42,7 @@ func (s *Server) SelfCheck() int {
 // covers their folds).
 func (s *Server) maybeSelfCheck() {
 	n := int64(s.cfg.SelfCheckEvery)
-	if n <= 0 || !s.incremental() || s.foldsSince.Load() < n {
+	if n <= 0 || s.foldsSince.Load() < n {
 		return
 	}
 	if !s.selfMu.TryLock() {

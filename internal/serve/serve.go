@@ -8,18 +8,20 @@
 // and batch uploads in the inspector wire format (JSON lines, decoded
 // streamingly too). Every upload flows through a bounded worker pool fed by
 // a fixed-capacity queue: when the queue is full the server sheds load with
-// 429 + Retry-After instead of buffering unboundedly. Results are cached by
-// content hash, so a re-uploaded capture is served without recompute. Fleet
-// aggregates (Table 2 entropy/uniqueness over every ingested household) are
-// recomputed from the registry's artifacts on demand and are byte-identical
-// to the offline Study pipeline for the same household set — concurrency
-// never changes output bytes.
+// 429 + Retry-After instead of buffering unboundedly. Capture reports are
+// cached by content hash, so a re-uploaded capture is served without
+// recompute.
 //
-// Fleet state is sharded by household-ID hash (shard.go): each shard locks
-// independently and caches its own partial aggregates, merged at read time,
-// so an upload invalidates one shard's partial instead of the whole fleet's
-// work. With Config.DataDir set the service is durable (durable.go): ingests
-// are written ahead to a checksummed log before acknowledgement, shards are
+// Each fleet artifact has one write path and one read path. Every inspector
+// record enters fleet state through the fold (fold.go), which keeps live
+// partial aggregates per shard; every served artifact (Table 2 and the §7
+// mitigation sweep) merges those aggregates (shard.go) and is
+// byte-identical to the offline Study pipeline for the same household set —
+// concurrency never changes output bytes. Fleet state is sharded by
+// household-ID hash: each shard locks independently, so an upload touches
+// one shard's aggregates and leaves the others' read clones warm. With
+// Config.DataDir set the service is durable (durable.go): ingests are
+// written ahead to a checksummed log before acknowledgement, shards are
 // checkpointed periodically, and Open replays checkpoint + WAL on boot.
 package serve
 
@@ -76,8 +78,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// RetryAfter is the backoff hint attached to 429 responses.
 	RetryAfter time.Duration
-	// CacheEntries bounds the content-hash result cache; at capacity new
-	// results are served but not retained.
+	// CacheEntries bounds the content-hash cache of capture reports; at
+	// capacity new reports are served but not retained.
 	CacheEntries int
 	// DisableTracing turns off per-request spans and the flight recorder.
 	// Tracing is observational only — artifact bytes are identical either
@@ -109,12 +111,6 @@ type Config struct {
 	// them — the recovery tests compare boot-from-checkpoint against
 	// boot-from-full-WAL with it.
 	RetainWAL bool
-	// DisableIncremental turns off the live per-shard aggregates: ingest
-	// stops folding household contributions at write time and stale shard
-	// partials are batch-recomputed on read (the pre-incremental behavior,
-	// kept as the cold path and as bench7's comparison baseline). Default
-	// is incremental maintenance on.
-	DisableIncremental bool
 	// SelfCheckEvery, when > 0, shadow-recomputes every shard's batch
 	// partials after that many folded households and byte-compares the
 	// rendering against the live incremental aggregates, counting under
@@ -164,8 +160,8 @@ type householdState struct {
 	exposed     int // exposure cells filled across all captures (latest union)
 	inspector   *inspector.Household
 	// contribHash is the wire content hash of the installed inspector
-	// record — the idempotence key for incremental refolds (fold.go apply).
-	// Zero when no record is installed or incremental maintenance is off.
+	// record — the idempotence key for refolds (fold.go apply). Zero when
+	// no record is installed.
 	contribHash [sha256.Size]byte
 }
 
@@ -200,11 +196,13 @@ type uploadStats struct {
 	WALAppend   time.Duration
 }
 
-// jobResult is what the waiting handler writes back to the client.
+// jobResult is what the waiting handler writes back to the client. cache
+// is the result-cache verdict ("hit" or "miss") of an analyzed capture, and
+// empty for every other result.
 type jobResult struct {
-	status   int
-	body     []byte
-	cacheHit bool
+	status int
+	body   []byte
+	cache  string
 }
 
 // ctxReader aborts a body stream once the request context is cancelled, so
@@ -264,12 +262,12 @@ type Server struct {
 	// with the worker pool).
 	slots chan struct{}
 
-	// shards hold the fleet state (shard.go); fleetVersion is the global
-	// ingest counter behind the merged-artifact memo.
+	// shards hold the fleet state (shard.go); fleetVersion counts the
+	// ingests that changed it, reported by /v1/fleet.
 	shards       []*fleetShard
 	fleetVersion atomic.Uint64
 
-	// mu guards the content-hash result cache and the merged-artifact memo.
+	// mu guards the capture result cache and the merged-artifact memo.
 	mu        sync.Mutex
 	cache     map[[sha256.Size]byte][]byte
 	fleetMemo map[string]fleetEntry
@@ -320,11 +318,9 @@ var uploadStages = []string{
 // usually far under 1ms.
 var stageBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
-// fleetEntry is one memoized merged-artifact body. Sharded artifacts label
-// it with the per-shard version vector the building sweep observed
-// (shardVers); full-snapshot artifacts label it with the fleet version.
+// fleetEntry is one memoized merged-artifact body, labeled with the
+// per-shard version vector the building sweep observed.
 type fleetEntry struct {
-	version   uint64
 	shardVers []uint64
 	body      []byte
 }
@@ -582,7 +578,7 @@ func (s *Server) processCapture(j *job) jobResult {
 	h.Sum(digest[:0])
 	body, hit := s.timedCacheGet(j, digest)
 	if hit {
-		return jobResult{status: http.StatusOK, body: body, cacheHit: true}
+		return jobResult{status: http.StatusOK, body: body, cache: "hit"}
 	}
 	aStart := time.Now()
 	_, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
@@ -593,7 +589,7 @@ func (s *Server) processCapture(j *job) jobResult {
 	s.cachePut(digest, body)
 	s.reg.Counter("serve_uploads", "kind", "capture").Inc()
 	s.reg.Counter("serve_upload_frames").Add(uint64(len(records)))
-	return jobResult{status: http.StatusOK, body: body}
+	return jobResult{status: http.StatusOK, body: body, cache: "miss"}
 }
 
 // timedCacheGet is cacheGet with the cache.lookup stage accounted.
@@ -612,9 +608,11 @@ func (s *Server) timedCacheGet(j *job, digest [sha256.Size]byte) ([]byte, bool) 
 }
 
 // processInspector streams a JSONL wire-format body, replacing each
-// household's crowdsourced record and bumping the fleet version.
+// household's crowdsourced record. It never consults the result cache: the
+// fold skips a record whose content hash is already installed, so a
+// re-posted batch is applied idempotently — including over a newer upload
+// of the same household, which an answer from the cache would have kept.
 func (s *Server) processInspector(j *job) jobResult {
-	h := sha256.New()
 	mr := &meterReader{r: j.body, inflight: s.mInflight}
 	defer func() { s.mInflight.Add(-mr.n) }()
 	decodeStart, spanStart := time.Now(), s.spans.Now()
@@ -629,7 +627,7 @@ func (s *Server) processInspector(j *job) jobResult {
 		s.spans.RecordSpan(j.ctx, "serve", "inspector.decode", spanStart, loop.Microseconds(),
 			"households", strconv.Itoa(households))
 	}
-	dec := inspector.NewWireDecoder(io.TeeReader(mr, h))
+	dec := inspector.NewWireDecoder(mr)
 	var hhs []*inspector.Household
 	for {
 		hh, err := dec.Next()
@@ -643,15 +641,6 @@ func (s *Server) processInspector(j *job) jobResult {
 		hhs = append(hhs, hh)
 	}
 	endDecode(len(hhs))
-	var digest [sha256.Size]byte
-	h.Sum(digest[:0])
-	body, hit := s.timedCacheGet(j, digest)
-	if hit {
-		// Ingest is idempotent per household ID, so a duplicate batch needs
-		// no re-ingest either: the fleet already contains these households
-		// (and the miss that populated the cache already logged them).
-		return jobResult{status: http.StatusOK, body: body, cacheHit: true}
-	}
 	aStart := time.Now()
 	_, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
 	if err := s.ingest(j, hhs); err != nil {
@@ -666,10 +655,8 @@ func (s *Server) processInspector(j *job) jobResult {
 	aspan.End()
 	j.stats.Analysis = time.Since(aStart)
 	s.stageObserve("analysis", j.stats.Analysis)
-	body = ingestReply(hhs)
-	s.cachePut(digest, body)
 	s.reg.Counter("serve_uploads", "kind", "inspector").Inc()
-	return jobResult{status: http.StatusOK, body: body}
+	return jobResult{status: http.StatusOK, body: ingestReply(hhs)}
 }
 
 // uploadError classifies a streaming-decode failure: a cancelled request
@@ -756,11 +743,6 @@ func (s *Server) analyzeCapture(household string, records []pcap.Record) []byte 
 	return mustJSON(rep)
 }
 
-// incremental reports whether the shards maintain live merged aggregates
-// (the default; Config.DisableIncremental selects the batch-recompute read
-// path instead).
-func (s *Server) incremental() bool { return !s.cfg.DisableIncremental }
-
 // ingest folds an uploaded batch into the fleet (fold.go), foldChunk
 // households at a time. Each chunk is prepared outside ckptGate; with
 // durability on it is then written ahead — the prepared record bytes — and
@@ -813,9 +795,7 @@ func (s *Server) applyUploads(ps []prepared) int {
 			continue
 		}
 		folded++
-		if s.incremental() {
-			s.reg.Counter("serve_refold", "result", "folded").Inc()
-		}
+		s.reg.Counter("serve_refold", "result", "folded").Inc()
 	}
 	return folded
 }
@@ -834,20 +814,6 @@ func ingestReply(hhs []*inspector.Household) []byte {
 		Households []string `json:"households"`
 		Devices    int      `json:"devices"`
 	}{ids, devices})
-}
-
-// installRecord replaces a household's crowdsourced record without touching
-// live aggregates — the write path when incremental maintenance is off.
-func (s *Server) installRecord(hh *inspector.Household) {
-	sh := s.shardFor(hh.ID)
-	sh.mu.Lock()
-	st := sh.household(hh.ID)
-	if st.inspector == nil {
-		sh.inspectorN++
-	}
-	st.inspector = hh
-	sh.version++
-	sh.mu.Unlock()
 }
 
 // cacheGet looks a digest up in the bounded result cache.
@@ -876,24 +842,6 @@ func (s *Server) cachePut(digest [sha256.Size]byte, body []byte) {
 	s.mu.Unlock()
 }
 
-// fleetSnapshot assembles the current fleet as an inspector dataset, with
-// households in sorted-ID order — ingestion order, shard layout, and upload
-// concurrency never reach the analysis. The households themselves are
-// shared immutably with the ingest path (replaced whole, never mutated).
-// The version is read first, so a racing ingest can only mislabel fresher
-// data as older (forcing a recompute later), never the reverse.
-func (s *Server) fleetSnapshot() (uint64, *inspector.Dataset) {
-	version := s.fleetVersion.Load()
-	var hhs []*inspector.Household
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		hhs = append(hhs, sh.inspectorSnapshot()...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(hhs, func(i, j int) bool { return hhs[i].ID < hhs[j].ID })
-	return version, &inspector.Dataset{Households: hhs}
-}
-
 // artifactReport is the JSON rendering of one registry artifact computed
 // over the ingested fleet.
 type artifactReport struct {
@@ -906,71 +854,61 @@ type artifactReport struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// RunFleetArtifact computes a registry artifact over every ingested
-// household. Only artifacts whose pipelines the serving layer holds can run:
-// the crowdsourced (NeedInspector) artifacts and the lab-independent ones.
-// Artifacts needing the offline lab pipelines return ErrOfflineArtifact.
-// Results are memoized per fleet version (hit/miss metrics under
-// serve_fleet_cache), and for a fixed household set they are byte-identical
-// to the offline Study pipeline's output regardless of upload concurrency
-// or worker count. ctx carries the request's span for tracing (use
-// context.Background() outside a request).
+// RunFleetArtifact serves a registry artifact over every ingested household
+// by merging the shards' live partial aggregates (shard.go). Only the
+// artifacts computed from uploads run; every other one — the lab's
+// pipelines, and the static device inventory of table3 — returns
+// ErrOfflineArtifact. Bodies are memoized under the per-shard version
+// vector the merge observed (hit/miss metrics under serve_fleet_cache): the
+// vector is read alongside each shard's partial, so a racing ingest can
+// never get a mixed-state body memoized under a label a later read would
+// trust. For a fixed household set the bytes equal the offline Study
+// pipeline's regardless of upload concurrency, shard count or worker count.
+// ctx carries the request's span for tracing (use context.Background()
+// outside a request).
 func (s *Server) RunFleetArtifact(ctx context.Context, name string) ([]byte, error) {
 	a, ok := iotlan.ArtifactByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown artifact %q", name)
 	}
-	if a.Needs&^iotlan.NeedInspector != 0 {
-		return nil, fmt.Errorf("%w: artifact %q needs pipelines %s", ErrOfflineArtifact, a.Name, a.Needs)
+	fa, ok := fleetArtifacts[a.Name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrOfflineArtifact, a.Name)
 	}
-	if sa, ok := shardedArtifacts[a.Name]; ok {
-		return s.runShardedArtifact(ctx, a, sa)
-	}
-	version, ds := s.fleetSnapshot()
 	s.mu.Lock()
 	memo, ok := s.fleetMemo[a.Name]
 	s.mu.Unlock()
-	if ok && memo.version == version {
+	if ok && s.shardVersionsMatch(memo.shardVers) {
 		s.reg.Counter("serve_fleet_cache", "result", "hit").Inc()
 		return memo.body, nil
 	}
 	s.reg.Counter("serve_fleet_cache", "result", "miss").Inc()
 
-	// A study with the fleet dataset pre-installed runs the registered
-	// artifact exactly as the offline pipeline would; RunInspector is a
-	// no-op because the corpus is already present.
 	bStart := time.Now()
 	_, bspan := s.spans.StartSpan(ctx, "serve", "artifact.build", "artifact", a.Name)
-	study := iotlan.New(0, iotlan.WithWorkers(s.cfg.Workers), iotlan.WithHouseholds(len(ds.Households)))
-	study.Inspector = ds
-	res, err := study.RunArtifact(a.Name)
-	if err != nil {
-		bspan.Fail()
-	}
+	res, households, vers := fa.build(s, a.Name)
 	bspan.End()
 	s.stageObserve("artifact.build", time.Since(bStart))
-	if err != nil {
-		return nil, err
-	}
 	body := mustJSON(artifactReport{
 		Name:       a.Name,
 		PaperRef:   a.PaperRef,
 		Kind:       a.Kind,
-		Households: len(ds.Households),
+		Households: households,
 		ID:         res.ID,
 		Rendered:   res.Rendered,
 		Metrics:    res.Metrics,
 	})
 	s.mu.Lock()
-	s.fleetMemo[a.Name] = fleetEntry{version: version, body: body}
+	s.fleetMemo[a.Name] = fleetEntry{shardVers: vers, body: body}
 	s.mu.Unlock()
 	return body, nil
 }
 
-// ErrOfflineArtifact marks registry artifacts that need the offline lab
-// pipelines (passive capture, scans, vuln audit, app runs) and therefore
-// cannot be computed from crowdsourced uploads alone.
-var ErrOfflineArtifact = errors.New("artifact requires offline lab pipelines")
+// ErrOfflineArtifact marks registry artifacts the service does not compute
+// from crowdsourced uploads: those needing the offline lab pipelines
+// (passive capture, scans, vuln audit, app runs) and the lab's static
+// device inventory.
+var ErrOfflineArtifact = errors.New("artifact not computed from uploads")
 
 // householdReport is the JSON answer to GET /v1/households/{id}/report.
 type householdReport struct {

@@ -62,7 +62,7 @@ func capturePCAP(t *testing.T, h *inspector.Household) []byte {
 }
 
 // wireBody renders households in the upload wire format.
-func wireBody(t *testing.T, hs ...*inspector.Household) []byte {
+func wireBody(t testing.TB, hs ...*inspector.Household) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := inspector.EncodeWire(&buf, hs); err != nil {
@@ -277,6 +277,7 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		{"unknown household", "GET", "/v1/households/ghost/report", nil, 404, false},
 		{"unknown artifact", "GET", "/v1/artifacts/nope", nil, 404, false},
 		{"offline artifact", "GET", "/v1/artifacts/table1", nil, 409, false},
+		{"static inventory artifact", "GET", "/v1/artifacts/table3", nil, 409, false},
 	}
 	check := func(name string, w *httptest.ResponseRecorder, want int, retryable bool) {
 		t.Helper()
@@ -569,15 +570,18 @@ func TestConcurrentIngestDeterministic(t *testing.T) {
 	}
 }
 
-// TestArtifactGating: artifacts needing offline lab pipelines answer 409;
-// unknown names answer 404; the fleet memo serves repeat requests.
+// TestArtifactGating: artifacts not computed from uploads — those needing
+// offline lab pipelines, and the lab's static device inventory — answer
+// 409; unknown names answer 404; the fleet memo serves repeat requests.
 func TestArtifactGating(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	if w := do(s, "GET", "/v1/artifacts/nope", nil); w.Code != http.StatusNotFound {
 		t.Fatalf("unknown artifact: %d, want 404", w.Code)
 	}
-	if w := do(s, "GET", "/v1/artifacts/table1", nil); w.Code != http.StatusConflict {
-		t.Fatalf("lab artifact: %d, want 409", w.Code)
+	for _, name := range []string{"table1", "table3"} {
+		if w := do(s, "GET", "/v1/artifacts/"+name, nil); w.Code != http.StatusConflict {
+			t.Fatalf("lab artifact %s: %d, want 409", name, w.Code)
+		}
 	}
 
 	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, inspector.Generate(6, 5).Households...)); w.Code != http.StatusOK {

@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"context"
+	"bytes"
 	"crypto/sha256"
 	"sort"
 	"sync"
-	"time"
 
 	"iotlan"
 	"iotlan/internal/analysis"
@@ -15,12 +14,10 @@ import (
 
 // fleetShard is one hash slice of the fleet: households whose IDs map to it
 // under engine.ShardOf, an independent lock, a version counter bumped on
-// every inspector mutation, and the incrementally maintained merged partial
-// aggregates for the sharded artifacts. Sharding is purely an
-// availability/latency structure — artifact bytes are identical for any
-// shard count, because the partial aggregates merge partition-invariantly
-// (internal/analysis/partial.go) and every read-side assembly sorts by
-// household ID.
+// every inspector mutation, and the live merged partial aggregates of the
+// fleet artifacts. Sharding is purely an availability/latency structure —
+// artifact bytes are identical for any shard count, because the partial
+// aggregates merge partition-invariantly (internal/analysis/partial.go).
 type fleetShard struct {
 	mu         sync.Mutex
 	households map[string]*householdState
@@ -30,34 +27,14 @@ type fleetShard struct {
 	inspectorN int
 	// liveEntropy/liveMitigations are the shard's *live* merged partials:
 	// every ingest folds the household's previous contribution out and the
-	// new one in (fold.go apply), so a read snapshots running counts
-	// instead of recomputing the shard. Maintained unless
-	// Config.DisableIncremental.
+	// new one in (fold.go apply), so a read clones running counts instead
+	// of recomputing the shard.
 	liveEntropy     *analysis.EntropyPartial
 	liveMitigations *analysis.MitigationPartial
-	partials        map[string]shardPartialEntry
-	// flights single-flights the batch-recompute path per artifact: the
-	// first miss computes, concurrent misses at the same version wait for
-	// its result instead of duplicating the work.
-	flights map[string]*partialFlight
-}
-
-// shardPartialEntry caches one artifact's partial aggregate for the shard
-// state at version; any mutation of the shard invalidates it — and only it:
-// an upload leaves every other shard's cached partial warm.
-type shardPartialEntry struct {
-	version    uint64
-	households int
-	val        any
-}
-
-// partialFlight is one in-progress batch recompute. val and n are written
-// before done closes and only read after.
-type partialFlight struct {
-	version uint64
-	done    chan struct{}
-	val     any
-	n       int
+	// partials holds, per artifact name, the shardPartial a read last
+	// cloned. Any mutation of the shard invalidates it — and only it: an
+	// upload leaves every other shard's clone warm.
+	partials map[string]any
 }
 
 func newShards(n int) []*fleetShard {
@@ -67,8 +44,7 @@ func newShards(n int) []*fleetShard {
 			households:      make(map[string]*householdState),
 			liveEntropy:     analysis.NewEntropyPartial(),
 			liveMitigations: analysis.NewMitigationPartial(),
-			partials:        make(map[string]shardPartialEntry),
-			flights:         make(map[string]*partialFlight),
+			partials:        make(map[string]any),
 		}
 	}
 	return shards
@@ -131,168 +107,110 @@ func (sh *fleetShard) subContrib(c *analysis.HouseholdPartial) {
 	sh.liveMitigations.Sub(c.Mitigations)
 }
 
-// shardedArtifact describes one artifact served by per-shard partial merge:
-// how to snapshot the live incremental aggregate, and how to recompute the
-// partial from a household snapshot (the cold path — -incremental=false —
-// and the self-check's shadow).
-type shardedArtifact struct {
-	batch func([]*inspector.Household) any
-	// live clones the shard's incrementally maintained aggregate. Caller
-	// holds sh.mu. Nil means the artifact has no live form and always takes
-	// the batch path (tests use this to exercise the single-flight).
-	live func(*fleetShard) any
+// fleetArtifact is one artifact served from the shards' live aggregates;
+// P is its partial type. Reads merge every shard's clone of the live
+// aggregate (build); the batch recompute is kept only as SelfCheck's oracle
+// (check). Both render through the iotlan result constructor the offline
+// Study uses, so "byte-identical" means the full rendered surface.
+type fleetArtifact[P any] struct {
+	// live clones the shard's live aggregate. Caller holds sh.mu.
+	live func(*fleetShard) P
+	// batch recomputes the partial from scratch over households.
+	batch func([]*inspector.Household) P
+	// render merges shard partials into the artifact's result.
+	render func([]P) iotlan.Result
 }
 
-// shardedArtifacts maps the artifacts served via per-shard partial merge.
-// Everything else takes the full-snapshot Study path in RunFleetArtifact.
-var shardedArtifacts = map[string]shardedArtifact{
-	"table2": {
-		batch: func(hhs []*inspector.Household) any { return analysis.EntropyPartialOf(hhs, nil) },
-		live:  func(sh *fleetShard) any { return sh.liveEntropy.Clone() },
+// servedArtifact is a fleetArtifact with its partial type erased.
+type servedArtifact interface {
+	// build merges every shard's partial and renders the result. It also
+	// returns the households covered and, per shard, the version its
+	// partial was cloned at.
+	build(s *Server, name string) (res iotlan.Result, households int, vers []uint64)
+	// check reports whether sh's live aggregate renders as a batch
+	// recompute of its households does, and how many households it holds.
+	check(sh *fleetShard) (ok bool, households int)
+}
+
+// fleetArtifacts are the artifacts computed from uploads. Every other
+// registry artifact describes the lab and answers ErrOfflineArtifact.
+var fleetArtifacts = map[string]servedArtifact{
+	"table2": fleetArtifact[*analysis.EntropyPartial]{
+		live:  func(sh *fleetShard) *analysis.EntropyPartial { return sh.liveEntropy.Clone() },
+		batch: func(hhs []*inspector.Household) *analysis.EntropyPartial { return analysis.EntropyPartialOf(hhs, nil) },
+		render: func(ps []*analysis.EntropyPartial) iotlan.Result {
+			return iotlan.EntropyResult(analysis.MergeEntropy(ps))
+		},
 	},
-	"mitigations": {
-		batch: func(hhs []*inspector.Household) any { return analysis.MitigationPartialOf(hhs, nil) },
-		live:  func(sh *fleetShard) any { return sh.liveMitigations.Clone() },
+	"mitigations": fleetArtifact[*analysis.MitigationPartial]{
+		live: func(sh *fleetShard) *analysis.MitigationPartial { return sh.liveMitigations.Clone() },
+		batch: func(hhs []*inspector.Household) *analysis.MitigationPartial {
+			return analysis.MitigationPartialOf(hhs, nil)
+		},
+		render: func(ps []*analysis.MitigationPartial) iotlan.Result {
+			return iotlan.MitigationResult(analysis.MergeMitigations(ps))
+		},
 	},
 }
 
-// renderSharded merges shard partials for one sharded artifact through the
-// same iotlan result constructors the offline Study uses — shared by the
-// read path and the self-check so "byte-identical" means the full rendered
-// surface.
-func renderSharded(name string, parts []any) iotlan.Result {
-	switch name {
-	case "table2":
-		ps := make([]*analysis.EntropyPartial, len(parts))
-		for i, p := range parts {
-			ps[i] = p.(*analysis.EntropyPartial)
-		}
-		return iotlan.EntropyResult(analysis.MergeEntropy(ps))
-	case "mitigations":
-		ps := make([]*analysis.MitigationPartial, len(parts))
-		for i, p := range parts {
-			ps[i] = p.(*analysis.MitigationPartial)
-		}
-		return iotlan.MitigationResult(analysis.MergeMitigations(ps))
+// shardPartial is one shard's partial for one artifact, the households it
+// covers, and the shard version it was cloned at.
+type shardPartial[P any] struct {
+	val        P
+	households int
+	version    uint64
+}
+
+// build fans the shards out across the worker budget and merges their
+// partials by shard index — never completion order.
+func (a fleetArtifact[P]) build(s *Server, name string) (iotlan.Result, int, []uint64) {
+	got := engine.Map(s.cfg.Workers, len(s.shards), func(i int) shardPartial[P] {
+		return a.partial(s, s.shards[i], name)
+	})
+	parts := make([]P, len(got))
+	vers := make([]uint64, len(got))
+	households := 0
+	for i, p := range got {
+		parts[i], vers[i] = p.val, p.version
+		households += p.households
 	}
-	panic("serve: renderSharded of unknown artifact " + name)
+	return a.render(parts), households, vers
 }
 
-// partialFor returns the shard's partial aggregate for one artifact plus the
-// shard version the value corresponds to.
-//
-// With incremental maintenance on, a stale entry is refreshed by *cloning*
-// the live aggregate under the shard lock — a counter copy, no re-extraction
-// — so the cache check and store are one critical section and recomputation
-// cannot be duplicated by construction. The batch fallback (cold path when
-// incremental maintenance is off) snapshots the households and recomputes
-// outside the lock; concurrent misses at the same version coalesce onto a
-// single flight — previously both ran compute and the laggard's store
-// silently won, wasting a full shard recompute per racing reader.
-func (s *Server) partialFor(sh *fleetShard, name string, sa shardedArtifact) (any, int, uint64) {
+// partial returns the shard's partial for the artifact. A stale entry is
+// refreshed by cloning the live aggregate under the shard lock — a counter
+// copy, no re-extraction — so the cache check and store are one critical
+// section and no two reads clone the same shard version.
+func (a fleetArtifact[P]) partial(s *Server, sh *fleetShard, name string) shardPartial[P] {
 	sh.mu.Lock()
-	v := sh.version
-	if e, ok := sh.partials[name]; ok && e.version == v {
+	p, ok := sh.partials[name].(shardPartial[P])
+	if ok && p.version == sh.version {
 		sh.mu.Unlock()
 		s.reg.Counter("serve_shard_partials", "result", "hit").Inc()
-		return e.val, e.households, v
+		return p
 	}
-	if sa.live != nil && s.incremental() {
-		val := sa.live(sh)
-		n := sh.inspectorN
-		sh.partials[name] = shardPartialEntry{version: v, households: n, val: val}
-		sh.mu.Unlock()
-		s.reg.Counter("serve_shard_partials", "result", "miss").Inc()
-		return val, n, v
-	}
-	if f, ok := sh.flights[name]; ok && f.version == v {
-		sh.mu.Unlock()
-		s.reg.Counter("serve_shard_partials", "result", "wait").Inc()
-		<-f.done
-		return f.val, f.n, f.version
-	}
-	f := &partialFlight{version: v, done: make(chan struct{})}
-	sh.flights[name] = f
-	hhs := sh.inspectorSnapshot()
+	p = shardPartial[P]{val: a.live(sh), households: sh.inspectorN, version: sh.version}
+	sh.partials[name] = p
 	sh.mu.Unlock()
 	s.reg.Counter("serve_shard_partials", "result", "miss").Inc()
-	f.val, f.n = sa.batch(hhs), len(hhs)
-	sh.mu.Lock()
-	if sh.flights[name] == f {
-		delete(sh.flights, name)
-	}
-	// A racing ingest may have bumped the version mid-compute; never clobber
-	// a fresher entry with this older snapshot.
-	if e, ok := sh.partials[name]; !ok || e.version < v {
-		sh.partials[name] = shardPartialEntry{version: v, households: f.n, val: f.val}
-	}
-	sh.mu.Unlock()
-	close(f.done)
-	return f.val, f.n, v
+	return p
 }
 
-// runShardedArtifact serves table2/mitigations by merging per-shard partial
-// aggregates at read time (fanned out across the worker budget, merged by
-// shard index — never completion order) and rendering the merged rows
-// through the same iotlan result constructors the offline Study uses.
-// Output bytes are identical to the full-snapshot path for any shard count.
-//
-// The memo is labeled with the per-shard version *vector the sweep actually
-// observed* — partialFor returns each contribution's version alongside the
-// value. The previous fleet-version label was read before the sweep, so a
-// racing ingest could memoize a body mixing shard states under a version
-// that matched neither; with the vector label, a hit requires every shard
-// to still be exactly at the version its contribution came from.
-func (s *Server) runShardedArtifact(ctx context.Context, a iotlan.Artifact, sa shardedArtifact) ([]byte, error) {
-	s.mu.Lock()
-	memo, ok := s.fleetMemo[a.Name]
-	s.mu.Unlock()
-	if ok && s.shardVersionsMatch(memo.shardVers) {
-		s.reg.Counter("serve_fleet_cache", "result", "hit").Inc()
-		return memo.body, nil
-	}
-	s.reg.Counter("serve_fleet_cache", "result", "miss").Inc()
-
-	bStart := time.Now()
-	_, bspan := s.spans.StartSpan(ctx, "serve", "artifact.build", "artifact", a.Name)
-	type contribution struct {
-		val any
-		n   int
-		ver uint64
-	}
-	contribs := engine.Map(s.cfg.Workers, len(s.shards), func(i int) contribution {
-		val, n, ver := s.partialFor(s.shards[i], a.Name, sa)
-		return contribution{val, n, ver}
-	})
-	households := 0
-	observed := make([]uint64, len(contribs))
-	parts := make([]any, len(contribs))
-	for i, c := range contribs {
-		households += c.n
-		observed[i] = c.ver
-		parts[i] = c.val
-	}
-	res := renderSharded(a.Name, parts)
-	bspan.End()
-	s.stageObserve("artifact.build", time.Since(bStart))
-
-	body := mustJSON(artifactReport{
-		Name:       a.Name,
-		PaperRef:   a.PaperRef,
-		Kind:       a.Kind,
-		Households: households,
-		ID:         res.ID,
-		Rendered:   res.Rendered,
-		Metrics:    res.Metrics,
-	})
-	s.mu.Lock()
-	s.fleetMemo[a.Name] = fleetEntry{shardVers: observed, body: body}
-	s.mu.Unlock()
-	return body, nil
+// check snapshots the records and clones the live aggregate in one lock
+// hold, so both are at the same version, then recomputes and compares
+// outside the lock so readers and ingest keep flowing.
+func (a fleetArtifact[P]) check(sh *fleetShard) (bool, int) {
+	sh.mu.Lock()
+	hhs := sh.inspectorSnapshot()
+	live := a.live(sh)
+	sh.mu.Unlock()
+	got := mustJSON(a.render([]P{live}))
+	want := mustJSON(a.render([]P{a.batch(hhs)}))
+	return bytes.Equal(got, want), len(hhs)
 }
 
 // shardVersionsMatch reports whether every shard currently sits at the
-// version recorded in vers — the memo-hit condition for sharded artifacts.
+// version recorded in vers — the memo-hit condition for fleet artifacts.
 func (s *Server) shardVersionsMatch(vers []uint64) bool {
 	if len(vers) != len(s.shards) {
 		return false

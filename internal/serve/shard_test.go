@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -179,8 +180,8 @@ func TestShardPartialInvalidation(t *testing.T) {
 		t.Fatalf("warm pass computed %d partials, want 8", missesAfterWarm)
 	}
 
-	// Re-upload one household (changed bytes so the result cache misses):
-	// exactly one shard moves.
+	// Re-upload one household with changed contents: exactly one shard
+	// moves.
 	hh := ds.Households[0]
 	clone := *hh
 	clone.Devices = hh.Devices[:len(hh.Devices)-1]
@@ -196,5 +197,31 @@ func TestShardPartialInvalidation(t *testing.T) {
 	}
 	if hits != 7 {
 		t.Fatalf("warm shards answered %d hits, want 7", hits)
+	}
+}
+
+// BenchmarkFleetArtifactRead times one table2 read over 8 shards and 2000
+// households with every shard stale, as under a writer that keeps touching
+// the whole fleet: the memo and every shard's cached clone miss, so each
+// read clones, merges and renders all eight live aggregates.
+func BenchmarkFleetArtifactRead(b *testing.B) {
+	s := New(Config{Shards: 8})
+	b.Cleanup(s.Close)
+	body := wireBody(b, inspector.Generate(5, 2000).Households...)
+	if w := do(s, "POST", "/v1/ingest/inspector", body); w.Code != http.StatusOK {
+		b.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sh := range s.shards { // what a write to each shard does to reads
+			sh.mu.Lock()
+			sh.version++
+			sh.mu.Unlock()
+		}
+		if _, err := s.RunFleetArtifact(ctx, "table2"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -103,12 +103,6 @@ type Study struct {
 	// polluted by later scan/app probe traffic, matching §3.1's separation.
 	passiveLen int
 
-	// sharePrereqs guards the shared-prerequisite memoization (decode-once
-	// index, communication graph, identifier extraction). It is on by
-	// default; WithoutSharedPrereqs disables it so benchmarks can measure
-	// the duplicated-work baseline the memoization replaced.
-	sharePrereqs bool
-
 	// passiveIdx is the decode-once packet index over the passive capture:
 	// every record's layers parsed exactly once, then shared read-only by all
 	// artifacts. Built lazily on first PassiveIndex call.
@@ -163,14 +157,6 @@ func WithLabProfiles(profiles []*device.Profile) Option {
 	return func(s *Study) { s.labProfiles = profiles }
 }
 
-// WithoutSharedPrereqs disables the shared-prerequisite memoization: every
-// PassiveIndex/PassiveGraph/ExtractedIdentifiers call rebuilds from scratch
-// instead of reusing a cached result. Output is identical either way (the
-// builds are deterministic); only wall time changes. This exists so
-// cmd/iotbench can measure the duplicated-work baseline the memoization
-// replaced — it is not useful in production.
-func WithoutSharedPrereqs() Option { return func(s *Study) { s.sharePrereqs = false } }
-
 // New builds a study with the paper-equivalent defaults scaled to simulation
 // time, then applies options.
 func New(seed int64, opts ...Option) *Study {
@@ -181,7 +167,6 @@ func New(seed int64, opts ...Option) *Study {
 		Households:   3860,
 		AppsToRun:    0,
 		Profiler:     obs.NewProfiler(),
-		sharePrereqs: true,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -257,11 +242,6 @@ func (s *Study) RunPassive() {
 // share the cached parse. The index is immutable once built.
 func (s *Study) PassiveIndex() *pcap.Index {
 	s.RunPassive()
-	if !s.sharePrereqs {
-		// Unshared mode: rebuild per call, store nothing (so concurrent
-		// artifacts never share — and never race on — a cached build).
-		return s.buildIndex()
-	}
 	s.idxOnce.Do(func() { s.passiveIdx = s.buildIndex() })
 	return s.passiveIdx
 }
@@ -282,9 +262,6 @@ func (s *Study) buildIndex() *pcap.Index {
 // graph from the full record set — the duplicated work behind the BENCH_2
 // parallel regression.
 func (s *Study) PassiveGraph() *analysis.Graph {
-	if !s.sharePrereqs {
-		return s.buildGraph()
-	}
 	s.graphOnce.Do(func() { s.graph = s.buildGraph() })
 	return s.graph
 }
@@ -453,9 +430,6 @@ func (s *Study) RunInspector() {
 // Table 2 and the mitigation sweep.
 func (s *Study) ExtractedIdentifiers() *analysis.ExtractedIdentifiers {
 	s.RunInspector()
-	if !s.sharePrereqs {
-		return s.buildIdentifiers()
-	}
 	s.idsOnce.Do(func() { s.identifiers = s.buildIdentifiers() })
 	return s.identifiers
 }

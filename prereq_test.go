@@ -7,30 +7,23 @@ import (
 )
 
 // The shared-prerequisite memoization (decode-once index, communication
-// graph, identifier extraction) must be invisible in output: a study with the
-// caches disabled rebuilds everything per artifact yet renders byte-identical
-// results, and dropping the caches mid-study changes nothing on the next
-// pass.
+// graph, identifier extraction) must be invisible in output: dropping the
+// caches mid-study rebuilds every prerequisite, and the next pass renders
+// byte-identical results.
 func TestUnsharedPrereqsIdenticalOutput(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two full studies")
+		t.Skip("runs a full study")
 	}
-	opts := []Option{
-		WithIdleDuration(2 * time.Minute),
+	study := New(5,
+		WithIdleDuration(2*time.Minute),
 		WithInteractions(8),
 		WithHouseholds(60),
 		WithApps(6),
 		WithWorkers(1),
-	}
-	shared := New(5, opts...)
-	unshared := New(5, append(opts, WithoutSharedPrereqs())...)
-
-	a := shared.Everything()
-	b := unshared.Everything()
-	compareResults(t, "unshared", a, b)
-
-	shared.ResetAnalysisCaches()
-	compareResults(t, "post-reset", a, shared.Everything())
+	)
+	a := study.Everything()
+	study.ResetAnalysisCaches()
+	compareResults(t, "post-reset", a, study.Everything())
 }
 
 func compareResults(t *testing.T, label string, want, got []Result) {

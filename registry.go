@@ -72,13 +72,9 @@ func (s *Study) satisfy(n NeedMask) {
 // Inspector consumers. Each is behind a sync.Once, so concurrent artifacts
 // that skipped prepare would still be safe; building up front just keeps the
 // expensive work out of the fan-out's critical path (and out of per-artifact
-// timings). Unshared mode builds nothing here — each artifact pays for its
-// own rebuild, which is the baseline cmd/iotbench measures.
+// timings).
 func (s *Study) prepare(n NeedMask) {
 	s.satisfy(n)
-	if !s.sharePrereqs {
-		return
-	}
 	if n&NeedPassive != 0 {
 		s.PassiveIndex()
 		s.PassiveGraph()
