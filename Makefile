@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify lint bench bench4 bench5 bench6 microbench repro serve examples clean
+.PHONY: all build vet test race verify lint bench4 bench5 bench6 microbench repro serve examples clean
 
 all: build vet test
 
@@ -35,11 +35,6 @@ test:
 # shared state; they must stay clean under -race).
 race:
 	$(GO) test -race ./... 2>&1 | tee race_output.txt
-
-# Standard benchmark: the 45-virtual-minute idle run of the full lab,
-# recorded as BENCH_1.json (wall time, events/sec, frames/sec).
-bench:
-	$(GO) run ./cmd/iotbench -seed 1 -idle 45m -out BENCH_1.json
 
 # Serving benchmark: iotload self-hosts an in-process iotserve, uploads 200
 # synthesized households (wire + capture) at concurrency 16 honoring 429
@@ -83,4 +78,4 @@ examples:
 	$(GO) run ./examples/honeypot
 
 clean:
-	rm -f test_output.txt bench_output.txt race_output.txt BENCH_1.json
+	rm -f test_output.txt bench_output.txt race_output.txt

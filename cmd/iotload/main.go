@@ -12,10 +12,13 @@
 //
 // Every upload honors backpressure: a 429 answer sleeps the Retry-After
 // hint and retries, so the "dropped" count is zero unless the server
-// refuses an upload for a non-backpressure reason. -dup-frac re-posts a
-// fraction of the upload set after the originals: re-posted captures
-// exercise the server's content-hash cache (the bench record counts the
-// observed hits), and re-posted wire records the fold's idempotent skip.
+// refuses an upload for a non-backpressure reason. The self-hosted server
+// admits -workers + -queue uploads at once, each on its request goroutine,
+// so a -concurrency above that sum sheds load (retries_429 > 0) without
+// dropping any. -dup-frac re-posts a fraction of the upload set after the
+// originals: re-posted captures exercise the server's content-hash cache
+// (the bench record counts the observed hits), and re-posted wire records
+// the fold's idempotent skip.
 //
 // -diurnal shapes each synthetic capture's frame timestamps by the resident
 // layer's typical hour-of-day histogram (resident.TypicalHours) instead of
@@ -128,7 +131,7 @@ func main() {
 	dupFrac := flag.Float64("dup-frac", 0.25, "fraction of the upload set re-posted after the originals (capture cache and idempotent refold exercise)")
 	addr := flag.String("addr", "", "target server (empty = self-host in process)")
 	workers := flag.Int("workers", 0, "self-hosted server workers (0 = one per CPU)")
-	queue := flag.Int("queue", 64, "self-hosted server queue capacity")
+	queue := flag.Int("queue", 64, "self-hosted server uploads admitted beyond -workers")
 	shards := flag.Int("shards", 0, "self-hosted server fleet shards (0 = server default)")
 	dataDir := flag.String("data-dir", "", "self-hosted server durable state dir (empty = in-memory)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "self-hosted server checkpoint cadence in WAL records")
@@ -409,7 +412,7 @@ func scrapeStageQuantiles(client *http.Client, base string) (map[string]stageQua
 	// stages (pcap.decode and cache.lookup vs inspector.decode,
 	// artifact.build) may legitimately be idle and are simply omitted from
 	// the record.
-	for _, stage := range []string{"queue.wait", "body.read", "analysis"} {
+	for _, stage := range []string{"body.read", "analysis"} {
 		if counts[stage] == 0 {
 			return nil, fmt.Errorf("/metrics: stage %q histogram empty after load", stage)
 		}

@@ -8,15 +8,16 @@
 //
 //	POST /v1/households/{id}/capture   libpcap body, streamed record by record
 //	POST /v1/ingest/inspector          JSONL batch in the inspector wire format
-//	GET  /v1/households/{id}/report    accumulated per-household analysis
+//	GET  /v1/households/{id}/report    the household's inspector record summary
 //	GET  /v1/artifacts/{name}          registry artifact over the fleet
 //	GET  /v1/fleet                     fleet summary
 //	GET  /metrics /healthz /debug/...  operational surface
 //
-// Uploads flow through a bounded worker pool behind a fixed-capacity queue;
-// a full queue answers 429 + Retry-After. Capture reports are cached by
-// content hash. SIGINT/SIGTERM drains gracefully: queued and in-flight
-// analyses finish, new uploads get 503, then the listener shuts down.
+// Each admitted upload runs on its own request goroutine, at most
+// -workers + -queue at once; past that an upload answers 429 + Retry-After
+// before its body is read. Capture reports are stateless and memoized by
+// content hash. SIGINT/SIGTERM drains gracefully: admitted uploads finish,
+// new uploads get 503, then the listener shuts down.
 // SIGQUIT dumps the flight recorder (recent + slowest + errored request
 // traces) as Chrome trace JSON to a file and keeps serving — the in-flight
 // incident snapshot.
@@ -63,9 +64,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "analysis workers (0 = one per CPU)")
-	queue := flag.Int("queue", 64, "ingestion queue capacity (full queue answers 429)")
+	queue := flag.Int("queue", 64, "uploads admitted beyond -workers (429 past workers+queue in flight)")
 	maxUpload := flag.Int64("max-upload", 64<<20, "maximum upload body bytes (413 beyond)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-upload budget: queue wait + analysis")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-upload budget for streaming the body")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	cache := flag.Int("cache", 4096, "content-hash cache entries for capture reports")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget on SIGTERM")
@@ -171,7 +172,7 @@ func main() {
 	}
 
 	// Drain first so /healthz flips and new uploads bounce with 503 while
-	// the queue empties; then stop the listener; then stop the pool.
+	// admitted ones finish; then stop the listener; then close the service.
 	s.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

@@ -38,7 +38,7 @@ func runSelftest(seed int64, households int) error {
 	srvNet := vnet.New(pump, mk(10))
 	cliNet := vnet.New(pump, mk(11))
 
-	s := serve.New(serve.Config{Workers: 2, QueueCapacity: households, Inline: true})
+	s := serve.New(serve.Config{Workers: 2, QueueCapacity: households})
 	defer s.Close()
 	l, err := srvNet.Listen("tcp", ":80")
 	if err != nil {

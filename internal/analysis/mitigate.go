@@ -74,49 +74,6 @@ type ReidentificationResult struct {
 	EntropyBits float64
 }
 
-// EvaluateMitigation simulates two observation sessions of the same
-// households and measures cross-session linkability. An unmitigated corpus
-// re-identifies ~everything; per-session UUID randomisation plus MAC/name
-// minimisation collapses it. Equivalent to EvaluateMitigationWith(ds, nil, m).
-func EvaluateMitigation(ds *inspector.Dataset, m Mitigation) ReidentificationResult {
-	return EvaluateMitigationWith(ds, nil, m)
-}
-
-// EvaluateMitigationWith evaluates one mitigation regime reusing a
-// precomputed identifier extraction (nil extracts inline).
-func EvaluateMitigationWith(ds *inspector.Dataset, ids *ExtractedIdentifiers, m Mitigation) ReidentificationResult {
-	session1 := map[string]string{} // fingerprint → household (unique only)
-	dup1 := map[string]bool{}
-	for _, h := range ds.Households {
-		fp := fingerprint(h, ids, m, 1)
-		if fp == "" {
-			continue
-		}
-		if _, seen := session1[fp]; seen {
-			dup1[fp] = true
-		}
-		session1[fp] = h.ID
-	}
-	res := ReidentificationResult{Mitigation: m}
-	counts := map[string]int{}
-	for _, h := range ds.Households {
-		fp2 := fingerprint(h, ids, m, 2)
-		if fp2 == "" {
-			continue
-		}
-		res.Households++
-		counts[fp2]++
-		if owner, ok := session1[fp2]; ok && !dup1[fp2] && owner == h.ID {
-			res.Reidentified++
-		}
-	}
-	if res.Households > 0 {
-		res.ReidRate = float64(res.Reidentified) / float64(res.Households)
-	}
-	res.EntropyBits = shannon(counts, res.Households)
-	return res
-}
-
 // MitigationName renders a mitigation set for reports.
 func MitigationName(m Mitigation) string {
 	if m == 0 {

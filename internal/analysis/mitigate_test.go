@@ -1,10 +1,71 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
 	"iotlan/internal/inspector"
 )
+
+// evaluateMitigation is the oracle for the §7 sweep: a batch evaluation of
+// one regime, written independently of MitigationPartial. It simulates two
+// observation sessions of the same households and counts a session-2
+// household as re-identified when its fingerprint was claimed in session 1
+// by that household alone. ids may be nil (identifiers are then extracted
+// inline).
+func evaluateMitigation(ds *inspector.Dataset, ids *ExtractedIdentifiers, m Mitigation) ReidentificationResult {
+	session1 := map[string]string{} // fingerprint → household (unique only)
+	dup1 := map[string]bool{}
+	for _, h := range ds.Households {
+		fp := fingerprint(h, ids, m, 1)
+		if fp == "" {
+			continue
+		}
+		if _, seen := session1[fp]; seen {
+			dup1[fp] = true
+		}
+		session1[fp] = h.ID
+	}
+	res := ReidentificationResult{Mitigation: m}
+	counts := map[string]int{}
+	for _, h := range ds.Households {
+		fp2 := fingerprint(h, ids, m, 2)
+		if fp2 == "" {
+			continue
+		}
+		res.Households++
+		counts[fp2]++
+		if owner, ok := session1[fp2]; ok && !dup1[fp2] && owner == h.ID {
+			res.Reidentified++
+		}
+	}
+	if res.Households > 0 {
+		res.ReidRate = float64(res.Reidentified) / float64(res.Households)
+	}
+	res.EntropyBits = shannon(counts, res.Households)
+	return res
+}
+
+// TestMitigationTableMatchesOracle: every MitigationTable row — computed by
+// merging mitigation partials, the path the served artifact takes — equals
+// the batch oracle's evaluation of its regime, entropy floats included.
+func TestMitigationTableMatchesOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 7, 42, 1337} {
+		for _, households := range []int{1, 5, 50, 400} {
+			ds := inspector.Generate(seed, households)
+			rows := MitigationTable(ds)
+			if len(rows) != len(mitigationRegimes) {
+				t.Fatalf("seed %d, %d households: %d rows, want %d", seed, households, len(rows), len(mitigationRegimes))
+			}
+			for i, m := range mitigationRegimes {
+				if want := evaluateMitigation(ds, nil, m); !reflect.DeepEqual(rows[i], want) {
+					t.Fatalf("seed %d, %d households, %s: table row %+v, oracle %+v",
+						seed, households, MitigationName(m), rows[i], want)
+				}
+			}
+		}
+	}
+}
 
 func TestMitigationSweepShape(t *testing.T) {
 	ds := inspector.Generate(4, 1500)
@@ -46,9 +107,9 @@ func TestMitigationMonotonic(t *testing.T) {
 	// stack. (The *rate* is not: dropping an identifier class also shrinks
 	// the denominator of households with non-empty fingerprints.)
 	ds := inspector.Generate(4, 800)
-	none := EvaluateMitigation(ds, 0)
-	partial := EvaluateMitigation(ds, MitigateRedactMACs)
-	full := EvaluateMitigation(ds, MitigateAll)
+	none := evaluateMitigation(ds, nil, 0)
+	partial := evaluateMitigation(ds, nil, MitigateRedactMACs)
+	full := evaluateMitigation(ds, nil, MitigateAll)
 	if !(full.Reidentified <= partial.Reidentified && partial.Reidentified <= none.Reidentified) {
 		t.Fatalf("reidentified counts not monotone: none=%d partial=%d full=%d",
 			none.Reidentified, partial.Reidentified, full.Reidentified)

@@ -13,14 +13,13 @@ import (
 // acknowledged inspector ingest is appended to a write-ahead log (one
 // checksummed record per household, inspector wire format) before it
 // mutates fleet state, periodic checkpoints snapshot the shards, and Open
-// replays checkpoint + WAL on boot. Capture-derived counters (frames,
-// protocols, exposure) are deliberately ephemeral — they are operational
-// accumulators, not inputs to any registry artifact — so only the
-// crowdsourced inspector records cross restarts.
+// replays checkpoint + WAL on boot. Captures are stateless — a capture's
+// report depends only on its own upload — so the crowdsourced inspector
+// records are all the state there is, and all that crosses restarts.
 
 // Open builds the server, recovering durable state from cfg.DataDir first
-// (latest complete checkpoint, then every intact WAL record after it), and
-// starts the worker pool. With DataDir empty it is equivalent to New.
+// (latest complete checkpoint, then every intact WAL record after it). With
+// DataDir empty it is equivalent to New.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := newServer(cfg)
@@ -35,23 +34,22 @@ func Open(cfg Config) (*Server, error) {
 		s.wal = wal
 		s.reg.Gauge("serve_wal_segment").Set(int64(wal.Segment()))
 		if cfg.SelfCheckEvery > 0 {
-			// Workers are not running yet, so this checks exactly the
-			// recovered state: the live aggregates the replay folded must
-			// render byte-identically to a batch recompute of the recovered
-			// records.
+			// No upload can arrive before Open returns, so this checks
+			// exactly the recovered state: the live aggregates the replay
+			// folded must render byte-identically to a batch recompute of
+			// the recovered records.
 			s.SelfCheck()
 		}
 	}
-	s.startWorkers()
 	return s, nil
 }
 
 // recoverState rebuilds fleet state: load the newest complete checkpoint,
 // then replay WAL segments from the checkpoint's label onward, every record
-// through the fold (fold.go) — prepared across the worker pool, applied in
-// log order. Replay is idempotent — households replace whole — so a record
-// captured by both a checkpoint and the racing WAL segment converges to one
-// state, and since replay folds exactly as live ingest does, a restarted
+// through the fold (fold.go) — prepared in parallel, applied in log order.
+// Replay is idempotent — households replace whole — so a record captured
+// by both a checkpoint and the racing WAL segment converges to one state,
+// and since replay folds exactly as live ingest does, a restarted
 // server holds the incremental state a never-crashed one would (the
 // boot-time self-check in Open proves it against a batch recompute). A torn
 // or corrupt record stops the replay at the last intact prefix — counted
@@ -154,7 +152,7 @@ func (s *Server) maybeCheckpoint() {
 
 // checkpoint rotates the WAL to a fresh segment and snapshots every shard,
 // labeled with that segment: the snapshot then covers everything below it,
-// so pre-checkpoint segments are compacted away (unless RetainWAL). The
+// so pre-checkpoint segments are compacted away (unless retainWAL). The
 // ckptGate write lock is held only across rotate + pointer capture — every
 // (append, apply) ingest pair runs under the read lock, so a record in a
 // pre-rotation segment is always in the captured state; encoding and disk
@@ -192,7 +190,7 @@ func (s *Server) checkpoint() {
 		s.checkpointFailed(err)
 		return
 	}
-	if !s.cfg.RetainWAL {
+	if !s.cfg.retainWAL {
 		if _, _, err := store.CompactBefore(s.cfg.DataDir, seg); err != nil {
 			s.checkpointFailed(err)
 			return

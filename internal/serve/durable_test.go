@@ -82,8 +82,8 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 
 	for _, shards := range []int{4, 3} {
 		re := openTestServer(t, Config{Workers: 2, Shards: shards, QueueCapacity: households, DataDir: copyDataDir(t, dir)})
-		if got := fleetOf(t, re); got.InspectorHouseholds != households {
-			t.Fatalf("shards=%d: recovered %d households, want %d", shards, got.InspectorHouseholds, households)
+		if got := fleetOf(t, re); got.Households != households {
+			t.Fatalf("shards=%d: recovered %d households, want %d", shards, got.Households, households)
 		}
 		if got := fetchArtifact(t, re, "table2"); !bytes.Equal(got, table2) {
 			t.Fatalf("shards=%d: recovered table2 differs:\n%s\nvs\n%s", shards, got, table2)
@@ -143,8 +143,8 @@ func TestWALReplayTruncatedTail(t *testing.T) {
 	if w := do(re, "GET", "/v1/households/"+ds.Households[2].ID+"/report", nil); w.Code != http.StatusNotFound {
 		t.Fatalf("household from torn record: status %d, want 404", w.Code)
 	}
-	if got := fleetOf(t, re); got.InspectorHouseholds != 2 {
-		t.Fatalf("recovered %d households, want 2", got.InspectorHouseholds)
+	if got := fleetOf(t, re); got.Households != 2 {
+		t.Fatalf("recovered %d households, want 2", got.Households)
 	}
 }
 
@@ -188,13 +188,13 @@ func TestCheckpointCompaction(t *testing.T) {
 	// the same bytes as the checkpoint boot.
 	dirR := t.TempDir()
 	s2 := openTestServer(t, Config{Workers: 2, Shards: 4, QueueCapacity: households,
-		DataDir: dirR, CheckpointEvery: 10, RetainWAL: true})
+		DataDir: dirR, CheckpointEvery: 10, retainWAL: true})
 	ingestFleet(t, s2, ds.Households)
 	want2 := fetchArtifact(t, s2, "table2")
 	wantM := fetchArtifact(t, s2, "mitigations")
 	s2.Close()
 
-	fromCkpt := openTestServer(t, Config{Workers: 1, Shards: 4, DataDir: copyDataDir(t, dirR), RetainWAL: true})
+	fromCkpt := openTestServer(t, Config{Workers: 1, Shards: 4, DataDir: copyDataDir(t, dirR), retainWAL: true})
 	if fromCkpt.reg.CounterValue("serve_checkpoint_households_loaded") == 0 {
 		t.Fatal("checkpoint boot did not load from the checkpoint")
 	}
@@ -205,7 +205,7 @@ func TestCheckpointCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fromWAL := openTestServer(t, Config{Workers: 1, Shards: 4, DataDir: walDir, RetainWAL: true})
+	fromWAL := openTestServer(t, Config{Workers: 1, Shards: 4, DataDir: walDir, retainWAL: true})
 	if fromWAL.reg.CounterValue("serve_wal_replay_records") < households {
 		t.Fatalf("full-WAL boot replayed %d records, want >= %d",
 			fromWAL.reg.CounterValue("serve_wal_replay_records"), households)
@@ -219,7 +219,7 @@ func TestCheckpointCompaction(t *testing.T) {
 		}
 	}
 	fa, fb := fleetOf(t, fromCkpt), fleetOf(t, fromWAL)
-	if fa != fb || fa.InspectorHouseholds != households {
+	if fa != fb || fa.Households != households {
 		t.Fatalf("fleet summaries disagree: %+v vs %+v", fa, fb)
 	}
 }
@@ -250,13 +250,13 @@ func TestDurableAckSurvivesUncleanStop(t *testing.T) {
 	ingestFleet(t, s, ds.Households)
 	want := fetchArtifact(t, s, "table2")
 	// No Close: the process "dies" with the WAL unclosed and no checkpoint.
-	// (The workers leak for the rest of the test binary — the price of
-	// simulating a crash in-process; the subprocess SIGKILL harness in
-	// cmd/iotserve covers the real thing.)
+	// (The open WAL and its flusher goroutine leak for the rest of the test
+	// binary — the price of simulating a crash in-process; the subprocess
+	// SIGKILL harness in cmd/iotserve covers the real thing.)
 
 	re := openTestServer(t, Config{Workers: 2, Shards: 4, DataDir: copyDataDir(t, dir)})
-	if got := fleetOf(t, re); got.InspectorHouseholds != households {
-		t.Fatalf("recovered %d households after unclean stop, want %d", got.InspectorHouseholds, households)
+	if got := fleetOf(t, re); got.Households != households {
+		t.Fatalf("recovered %d households after unclean stop, want %d", got.Households, households)
 	}
 	if got := fetchArtifact(t, re, "table2"); !bytes.Equal(got, want) {
 		t.Fatalf("table2 after unclean stop differs:\n%s\nvs\n%s", got, want)

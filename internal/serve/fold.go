@@ -14,7 +14,7 @@ import (
 // recovery (durable.go). The wire record is the unit of work, in two
 // phases:
 //
-//   - prepare is pure and runs across the worker pool (engine.Map over
+//   - prepare is pure and runs in parallel (engine.Map over
 //     Config.Workers): decode the record or build its canonical bytes, hash
 //     them, extract the household's singleton partials;
 //   - apply runs in record order under the shard locks: retract the
@@ -143,7 +143,7 @@ func (r *replay) add(rec logRecord) error {
 	return r.flush()
 }
 
-// flush prepares the buffered records across the worker pool and applies
+// flush prepares the buffered records in parallel (engine.Map) and applies
 // them in log order. A record that passed its checksum but fails to decode
 // is a writer bug or a format change, not disk damage: the first one in log
 // order aborts the boot, named the same at any worker count.

@@ -12,7 +12,7 @@ import (
 //
 //	POST /v1/households/{id}/capture   streaming libpcap upload
 //	POST /v1/ingest/inspector          batch upload, inspector wire format
-//	GET  /v1/households/{id}/report    accumulated per-household report
+//	GET  /v1/households/{id}/report    the household's inspector record summary
 //	GET  /v1/artifacts/{name}          registry artifact over the fleet
 //	GET  /v1/fleet                     fleet summary
 //
@@ -30,11 +30,11 @@ func (s *Server) Mux() *http.ServeMux {
 	return mux
 }
 
-// handleUpload is the shared ingestion front end: backpressure first (the
-// queue-full check happens before a single body byte is consumed), then the
-// worker streams the body, then the handler relays the worker's verdict.
+// handleUpload is the shared ingestion front end: admission first (the
+// slot check happens before a single body byte is consumed), then the
+// upload is processed on this request goroutine and its verdict written.
 // Every upload records an `upload` root span (when tracing is on) with the
-// worker's stage spans as children, and leaves one structured log line.
+// stage spans as children, and leaves one structured log line.
 func (s *Server) handleUpload(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -46,29 +46,15 @@ func (s *Server) handleUpload(kind string) http.HandlerFunc {
 		if s.draining.Load() {
 			s.reg.Counter("serve_upload_rejected", "reason", "draining").Inc()
 			s.respond(w, http.StatusServiceUnavailable, s.errEnvelope("server draining", s.cfg.RetryAfter))
-			s.logUpload(kind, household, http.StatusServiceUnavailable, uploadStats{}, "none", len(s.queue), time.Since(start))
+			s.logUpload(kind, household, http.StatusServiceUnavailable, uploadStats{}, "none", len(s.slots), time.Since(start))
 			return
 		}
-		admitDepth := len(s.queue)
+		admitDepth := len(s.slots)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		ctx, root := s.spans.StartSpan(ctx, "serve", "upload",
 			"kind", kind, "household", household, "queue_depth_admit", strconv.Itoa(admitDepth))
-		j := &job{
-			kind:      kind,
-			household: household,
-			body:      &ctxReader{ctx: ctx, r: http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)},
-			ctx:       ctx,
-			done:      make(chan jobResult, 1),
-		}
-		// The queue.wait child starts before the enqueue attempt: the worker
-		// may pop the job the instant the send lands, and it (not the
-		// handler) ends the span. After a successful enqueue the handler
-		// never touches qspan or enqueuedAt again.
-		j.enqueuedAt = time.Now()
-		_, j.qspan = s.spans.StartSpan(ctx, "serve", "queue.wait")
-		if !s.enqueue(j) {
-			j.qspan.End()
+		if !s.admit() {
 			s.reg.Counter("serve_upload_rejected", "reason", "queue_full").Inc()
 			root.SetAttr("status", "429")
 			root.End()
@@ -78,13 +64,16 @@ func (s *Server) handleUpload(kind string) http.HandlerFunc {
 			s.logUpload(kind, household, http.StatusTooManyRequests, uploadStats{}, "none", admitDepth, time.Since(start))
 			return
 		}
-		// Always wait for the worker's verdict: the worker holds the request
-		// body and the MaxBytesReader-wrapped ResponseWriter, which net/http
-		// forbids touching after the handler returns. A timeout doesn't
-		// abandon the job — it cancels ctx, which the worker observes before
-		// processing (queue pre-check) or mid-stream (ctxReader), answering
-		// 503 promptly.
-		res := <-j.done
+		defer s.release()
+		j := &job{
+			kind:      kind,
+			household: household,
+			body:      &ctxReader{ctx: ctx, r: http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)},
+			ctx:       ctx,
+		}
+		// A timeout cancels ctx, which process observes before starting and
+		// ctxReader mid-stream, answering 503 promptly.
+		res := s.process(j)
 		cache := "none"
 		if res.cache != "" {
 			cache = res.cache
@@ -102,7 +91,7 @@ func (s *Server) handleUpload(kind string) http.HandlerFunc {
 	}
 }
 
-// handleReport serves a household's accumulated analysis.
+// handleReport serves a household's inspector record summary.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.report(r.PathValue("id"))
 	if !ok {

@@ -47,7 +47,7 @@ func TestUploadSpansReachFlightRecorder(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"upload", "queue.wait", "body.read", "pcap.decode",
+	for _, want := range []string{"upload", "body.read", "pcap.decode",
 		"inspector.decode", "analysis", "cache.lookup", "artifact", "artifact.build"} {
 		if !stageSeen[want] {
 			t.Fatalf("no %q span recorded; saw %v", want, stageSeen)
@@ -94,13 +94,13 @@ func TestStageHistogramsPopulated(t *testing.T) {
 	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, ds.Households...)); w.Code != http.StatusOK {
 		t.Fatalf("wire upload: %d", w.Code)
 	}
-	for _, stage := range []string{"queue.wait", "body.read", "pcap.decode", "inspector.decode", "analysis", "cache.lookup"} {
+	for _, stage := range []string{"body.read", "pcap.decode", "inspector.decode", "analysis", "cache.lookup"} {
 		if n := s.stageHist[stage].Count(); n == 0 {
 			t.Fatalf("stage %q histogram empty", stage)
 		}
 	}
-	if s.mWorkersBusy.Value() != 0 {
-		t.Fatalf("workers busy gauge %d after drain of work, want 0", s.mWorkersBusy.Value())
+	if s.mQueueDepth.Value() != 0 {
+		t.Fatalf("admitted uploads gauge %d at rest, want 0", s.mQueueDepth.Value())
 	}
 	if s.mInflight.Value() != 0 {
 		t.Fatalf("in-flight bytes gauge %d at rest, want 0", s.mInflight.Value())
@@ -133,7 +133,7 @@ func TestTracingDisabled(t *testing.T) {
 
 // TestStructuredRequestLog: with a Logger configured, every upload leaves
 // exactly one structured line carrying household, stage timings, status,
-// cache verdict, and admission-time queue depth — in both slog formats.
+// cache verdict, and uploads admitted on arrival — in both slog formats.
 func TestStructuredRequestLog(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
@@ -167,7 +167,6 @@ func TestStructuredRequestLog(t *testing.T) {
 		Status          int     `json:"status"`
 		Bytes           int64   `json:"bytes"`
 		TotalMS         float64 `json:"total_ms"`
-		QueueWaitMS     float64 `json:"queue_wait_ms"`
 		AnalysisMS      float64 `json:"analysis_ms"`
 		Cache           string  `json:"cache"`
 		QueueDepthAdmit int     `json:"queue_depth_admit"`

@@ -6,11 +6,11 @@
 // The service accepts per-household capture uploads (streaming libpcap
 // bodies — decoded record by record via pcap.Reader, never buffered whole)
 // and batch uploads in the inspector wire format (JSON lines, decoded
-// streamingly too). Every upload flows through a bounded worker pool fed by
-// a fixed-capacity queue: when the queue is full the server sheds load with
-// 429 + Retry-After instead of buffering unboundedly. Capture reports are
-// cached by content hash, so a re-uploaded capture is served without
-// recompute.
+// streamingly too). Every admitted upload runs on its own request goroutine;
+// admission is a fixed number of slots, and when all are taken the server
+// sheds load with 429 + Retry-After before reading a byte of the body. A
+// capture upload is stateless: its report is a function of the household ID
+// and the body alone, memoized by content hash.
 //
 // Each fleet artifact has one write path and one read path. Every inspector
 // record enters fleet state through the fold (fold.go), which keeps live
@@ -53,33 +53,28 @@ import (
 // Config sizes the service. The zero value is usable: withDefaults fills
 // every field.
 type Config struct {
-	// Workers is the analysis worker pool size (< 1 = one per CPU, via the
-	// engine's convention), and how many records the fold (fold.go)
-	// prepares at once during recovery and batch uploads. Worker count
-	// never changes output bytes.
+	// Workers is how many records the fold (fold.go) prepares at once
+	// during recovery and batch uploads (< 1 = one per CPU, via the engine's
+	// convention). Worker count never changes output bytes.
 	Workers int
-	// QueueCapacity bounds the ingestion queue; a full queue answers 429.
+	// QueueCapacity is how many uploads are admitted beyond Workers. At
+	// most Workers+QueueCapacity uploads run at once, each on its request's
+	// own goroutine; the next one answers 429. That bound also bounds decode
+	// memory: (Workers+QueueCapacity) × MaxUploadBytes.
 	QueueCapacity int
-	// Inline runs each admitted upload on its request's own goroutine
-	// instead of handing it to the worker pool. Admission keeps its size —
-	// at most Workers+QueueCapacity uploads in flight, the rest shed with
-	// 429 — but no upload ever waits for a worker. In-sim serving over vnet
-	// sets it: the pool's channel hop is invisible to the simulation's clock
-	// gate, so a handler waiting on a worker would hold the virtual clock
-	// while the worker ran ungranted (see internal/vnet).
-	Inline bool
 	// MaxUploadBytes bounds one upload body (413 beyond it).
 	MaxUploadBytes int64
 	// MaxRecordBytes bounds one pcap record's captured length (400 beyond).
 	MaxRecordBytes uint32
-	// RequestTimeout bounds queue wait + body streaming for one upload.
-	// On expiry the worker abandons the upload and answers 503; analysis of
-	// a fully-streamed body is never interrupted mid-flight.
+	// RequestTimeout bounds body streaming for one upload. On expiry the
+	// upload is abandoned with 503; analysis of a fully-streamed body is
+	// never interrupted mid-flight.
 	RequestTimeout time.Duration
 	// RetryAfter is the backoff hint attached to 429 responses.
 	RetryAfter time.Duration
-	// CacheEntries bounds the content-hash cache of capture reports; at
-	// capacity new reports are served but not retained.
+	// CacheEntries bounds the content-hash memo of capture reports; at
+	// capacity new reports are served but not retained. A capture's answer
+	// is the same bytes either way.
 	CacheEntries int
 	// DisableTracing turns off per-request spans and the flight recorder.
 	// Tracing is observational only — artifact bytes are identical either
@@ -90,8 +85,8 @@ type Config struct {
 	// disabled.
 	FlightRecorderSize int
 	// Logger, when set, gets one structured line per upload: household,
-	// route, bytes, stage timings, status, cache verdict, queue depth at
-	// admit. Nil means no request logging.
+	// route, bytes, stage timings, status, cache verdict, uploads already
+	// admitted when it arrived. Nil means no request logging.
 	Logger *slog.Logger
 	// Shards splits fleet state by household-ID hash into independently
 	// locked shards with independently cached partial aggregates (< 1 = 1).
@@ -107,10 +102,6 @@ type Config struct {
 	// WALSync selects WAL durability (default store.SyncGroup: fsync before
 	// acknowledging, coalescing concurrent uploads into one fsync).
 	WALSync store.SyncMode
-	// RetainWAL keeps pre-checkpoint WAL segments instead of compacting
-	// them — the recovery tests compare boot-from-checkpoint against
-	// boot-from-full-WAL with it.
-	RetainWAL bool
 	// SelfCheckEvery, when > 0, shadow-recomputes every shard's batch
 	// partials after that many folded households and byte-compares the
 	// rendering against the live incremental aggregates, counting under
@@ -118,6 +109,11 @@ type Config struct {
 	// right after recovery. 0 disables the periodic check (tests and the
 	// property suite call SelfCheck directly).
 	SelfCheckEvery int
+
+	// retainWAL keeps pre-checkpoint WAL segments instead of compacting
+	// them — the recovery tests compare boot-from-checkpoint against
+	// boot-from-full-WAL with it.
+	retainWAL bool
 }
 
 func (c Config) withDefaults() Config {
@@ -148,47 +144,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// householdState accumulates one household's ingested data. Capture counters
-// only ever add, so any arrival order of the same upload set produces the
-// same totals; the inspector record is replaced whole per upload.
+// householdState is one household's ingested data: its crowdsourced
+// inspector record, replaced whole per upload. Captures leave no state.
 type householdState struct {
-	captures    int
-	frames      int
-	localFrames int
-	protocols   map[string]int
-	sources     map[string]bool
-	exposed     int // exposure cells filled across all captures (latest union)
-	inspector   *inspector.Household
+	inspector *inspector.Household
 	// contribHash is the wire content hash of the installed inspector
 	// record — the idempotence key for refolds (fold.go apply). Zero when
 	// no record is installed.
 	contribHash [sha256.Size]byte
 }
 
-// job is one queued upload. The body is the still-unread request stream:
-// backpressure applies before a byte of the upload is consumed, and the
-// worker is the only reader.
+// job is one admitted upload, processed on its request's goroutine. The
+// body is the still-unread request stream: admission applies before a byte
+// of the upload is consumed.
 type job struct {
 	kind      string // "capture" | "inspector"
 	household string
 	body      io.Reader
 	ctx       context.Context // request ctx, carrying the upload root span
-	done      chan jobResult
-	// enqueuedAt and qspan bracket queue wait: stamped by the handler just
-	// before the queue send, closed out by the worker at pop. The handler
-	// never touches them after a successful enqueue.
-	enqueuedAt time.Time
-	qspan      *obs.Span
-	// stats is written by the worker and read by the handler after done —
-	// the handler always waits for the worker's verdict, so no race.
-	stats uploadStats
+	stats     uploadStats
 }
 
 // uploadStats is the per-stage accounting one upload leaves behind for the
 // structured request log.
 type uploadStats struct {
 	Bytes       int64
-	QueueWait   time.Duration
 	BodyRead    time.Duration
 	Decode      time.Duration
 	Analysis    time.Duration
@@ -196,9 +176,9 @@ type uploadStats struct {
 	WALAppend   time.Duration
 }
 
-// jobResult is what the waiting handler writes back to the client. cache
-// is the result-cache verdict ("hit" or "miss") of an analyzed capture, and
-// empty for every other result.
+// jobResult is what the handler writes back to the client. cache is the
+// result-cache verdict ("hit" or "miss") of an analyzed capture, and empty
+// for every other result.
 type jobResult struct {
 	status int
 	body   []byte
@@ -206,9 +186,8 @@ type jobResult struct {
 }
 
 // ctxReader aborts a body stream once the request context is cancelled, so
-// a worker never keeps reading an upload whose deadline has passed — it
-// fails fast with the context error and the handler (which always waits for
-// the worker's verdict) relays the 503.
+// an upload whose deadline has passed is never read further — the read
+// fails fast with the context error and the handler answers 503.
 type ctxReader struct {
 	ctx context.Context
 	r   io.Reader
@@ -221,7 +200,7 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// meterReader accounts a body stream as the worker consumes it: bytes and
+// meterReader accounts a body stream as process consumes it: bytes and
 // time spent blocked in Read (the body.read stage — reads interleave with
 // record decoding, so the cost accumulates rather than brackets), plus a
 // live in-flight-bytes gauge. The caller releases the gauge when done.
@@ -246,21 +225,19 @@ func (m *meterReader) Read(p []byte) (int, error) {
 // Server is the ingestion service. Create with New, attach Mux to an HTTP
 // server, and stop with Drain + Close.
 type Server struct {
-	cfg      Config
-	reg      *obs.Registry
-	queue    chan *job
-	quit     chan struct{}
+	cfg Config
+	reg *obs.Registry
+	// slots admits uploads, one token per upload in flight; its capacity,
+	// Workers+QueueCapacity, is the only admission bound. wg counts the
+	// admitted uploads for Close.
+	slots    chan struct{}
 	wg       sync.WaitGroup
 	draining atomic.Bool
-	// drainMu orders enqueue against Close: enqueue holds the read lock
-	// across its draining check + queue send, and Close sets the drain flag
-	// under the write lock before closing quit. Any job accepted before the
-	// flag flips is therefore already in the queue when the workers start
-	// their final drain sweep — an accepted upload is always processed.
+	// drainMu orders admit against Close: admit holds the read lock across
+	// its draining check and wait-group add, and Close sets the drain flag
+	// under the write lock before waiting — an admitted upload is always
+	// processed before Close returns.
 	drainMu sync.RWMutex
-	// slots admits Inline uploads, one token per upload in flight (nil
-	// with the worker pool).
-	slots chan struct{}
 
 	// shards hold the fleet state (shard.go); fleetVersion counts the
 	// ingests that changed it, reported by /v1/fleet.
@@ -294,14 +271,15 @@ type Server struct {
 	flight *obs.FlightRecorder
 	logger *slog.Logger
 
-	mQueueDepth  *obs.Gauge
-	mWorkersBusy *obs.Gauge
-	mInflight    *obs.Gauge
-	mLatency     *obs.Histogram
-	stageHist    map[string]*obs.Histogram
+	// mQueueDepth is serve_queue_depth: the uploads admitted right now.
+	mQueueDepth *obs.Gauge
+	mInflight   *obs.Gauge
+	mLatency    *obs.Histogram
+	stageHist   map[string]*obs.Histogram
 
-	// processHook, when set (tests only), runs in the worker before each
-	// job — a gate for deterministic queue-full and drain scenarios.
+	// processHook, when set (tests only), runs before each admitted upload
+	// is processed — a gate for deterministic admission and drain
+	// scenarios.
 	processHook func(*job)
 }
 
@@ -309,12 +287,12 @@ type Server struct {
 // serve_stage_ms{stage=...} histogram — the direct answer to "where did
 // the p99 go".
 var uploadStages = []string{
-	"queue.wait", "body.read", "pcap.decode", "inspector.decode",
+	"body.read", "pcap.decode", "inspector.decode",
 	"analysis", "cache.lookup", "artifact.build", "wal.append",
 }
 
 // stageBounds are millisecond bucket bounds for the stage histograms; the
-// sub-millisecond buckets matter because cache lookups and queue waits are
+// sub-millisecond buckets matter because body reads and cache lookups are
 // usually far under 1ms.
 var stageBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
@@ -325,9 +303,8 @@ type fleetEntry struct {
 	body      []byte
 }
 
-// New builds an in-memory server and starts its worker pool. For durable
-// configurations (DataDir set) prefer Open, which surfaces recovery errors;
-// New panics on them.
+// New builds an in-memory server. For durable configurations (DataDir set)
+// prefer Open, which surfaces recovery errors; New panics on them.
 func New(cfg Config) *Server {
 	s, err := Open(cfg)
 	if err != nil {
@@ -336,21 +313,23 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// newServer builds the server without starting workers — Open recovers
-// durable state in between, so no upload races the replay.
+// newServer builds the server. Open recovers durable state before handing
+// it out, so no upload races the replay.
 func newServer(cfg Config) *Server {
+	workers := cfg.Workers
+	if workers < 1 {
+		workers = runtime.NumCPU() // the engine's convention for unset
+	}
 	s := &Server{
 		cfg:       cfg,
 		reg:       obs.NewRegistry(),
-		queue:     make(chan *job, cfg.QueueCapacity),
-		quit:      make(chan struct{}),
+		slots:     make(chan struct{}, workers+cfg.QueueCapacity),
 		shards:    newShards(cfg.Shards),
 		cache:     make(map[[sha256.Size]byte][]byte),
 		fleetMemo: make(map[string]fleetEntry),
 	}
 	s.reg.Gauge("serve_shards").Set(int64(cfg.Shards))
 	s.mQueueDepth = s.reg.Gauge("serve_queue_depth")
-	s.mWorkersBusy = s.reg.Gauge("serve_workers_busy")
 	s.mInflight = s.reg.Gauge("serve_inflight_bytes")
 	s.mLatency = s.reg.Histogram("serve_latency_ms",
 		[]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000})
@@ -367,24 +346,9 @@ func newServer(cfg Config) *Server {
 	return s
 }
 
-func (s *Server) startWorkers() {
-	workers := s.cfg.Workers
-	if workers < 1 {
-		workers = defaultWorkers()
-	}
-	if s.cfg.Inline {
-		s.slots = make(chan struct{}, workers+s.cfg.QueueCapacity)
-		return
-	}
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-}
-
 // Registry exposes the service's operational metrics (served at /metrics).
 // Unlike the simulator registries, these values are wall-clock operational
-// data — latency histograms, queue depths — and are not expected to be
+// data — latency histograms, admitted uploads — and are not expected to be
 // deterministic across runs.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
@@ -399,87 +363,30 @@ func (s *Server) stageObserve(stage string, d time.Duration) {
 }
 
 // Drain marks the server as draining: new uploads are refused with 503
-// while queued and in-flight analyses run to completion. Safe to call more
-// than once.
+// while admitted ones run to completion. Safe to call more than once.
 func (s *Server) Drain() { s.draining.Store(true) }
 
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close drains (if not already draining), lets the workers finish every
-// queued job, and stops the pool. After Close no job is processed. With
-// durability on, the flush happens after the last worker exits: a final
-// checkpoint is written and the WAL is synced shut, so every acknowledged
-// upload is on disk before Close returns — the graceful-drain contract
-// cmd/iotserve relies on for SIGTERM.
+// Close drains (if not already draining) and waits for every admitted
+// upload to finish. After Close no upload is admitted. With durability on,
+// the flush happens after the last upload finishes: a final checkpoint is
+// written and the WAL is synced shut, so every acknowledged upload is on
+// disk before Close returns — the graceful-drain contract cmd/iotserve
+// relies on for SIGTERM.
 func (s *Server) Close() {
 	s.drainMu.Lock()
 	s.draining.Store(true)
 	s.drainMu.Unlock()
-	select {
-	case <-s.quit:
-	default:
-		close(s.quit)
-	}
 	s.wg.Wait()
 	s.closeOnce.Do(s.closeDurable)
 }
 
-// worker pops jobs until quit, then finishes whatever is still queued — the
-// graceful-drain contract: an accepted upload is always analyzed.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			s.process(j)
-		case <-s.quit:
-			for {
-				select {
-				case j := <-s.queue:
-					s.process(j)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// enqueue offers a job to the queue without blocking. False means the queue
-// is full (the caller sheds the upload with 429) or the server is draining.
-// The read lock spans the draining check and the send so a job can never
-// slip into the queue after Close's final drain sweep has started. Inline
-// servers take an admission slot instead and run the job right away, on the
-// caller; Close waits for it like for a worker.
-func (s *Server) enqueue(j *job) bool {
-	if s.slots != nil {
-		if !s.admit() {
-			return false
-		}
-		defer func() {
-			<-s.slots
-			s.wg.Done()
-		}()
-		s.process(j)
-		return true
-	}
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining.Load() {
-		return false
-	}
-	select {
-	case s.queue <- j:
-		s.mQueueDepth.Set(int64(len(s.queue)))
-		return true
-	default:
-		return false
-	}
-}
-
-// admit takes an Inline admission slot. The read lock spans the draining
-// check and the wait-group add, so Close never misses an admitted upload.
+// admit takes an admission slot without blocking. False means every slot is
+// taken (the caller sheds the upload with 429) or the server is draining.
+// The read lock spans the draining check and the wait-group add, so Close
+// never misses an admitted upload.
 func (s *Server) admit() bool {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -489,34 +396,32 @@ func (s *Server) admit() bool {
 	select {
 	case s.slots <- struct{}{}:
 		s.wg.Add(1)
+		s.mQueueDepth.Add(1)
 		return true
 	default:
 		return false
 	}
 }
 
-// process runs one upload end to end: stream-decode, hash, cache lookup,
-// analyze, publish.
-func (s *Server) process(j *job) {
-	s.mQueueDepth.Set(int64(len(s.queue)))
-	s.mWorkersBusy.Add(1)
-	defer s.mWorkersBusy.Add(-1)
-	if !j.enqueuedAt.IsZero() {
-		j.stats.QueueWait = time.Since(j.enqueuedAt)
-		s.stageObserve("queue.wait", j.stats.QueueWait)
-	}
-	j.qspan.End()
+// release returns an admitted upload's slot.
+func (s *Server) release() {
+	s.mQueueDepth.Add(-1)
+	<-s.slots
+	s.wg.Done()
+}
+
+// process runs one admitted upload end to end on the caller's goroutine:
+// stream-decode, hash, cache lookup, analyze, publish.
+func (s *Server) process(j *job) jobResult {
 	if s.processHook != nil {
 		s.processHook(j)
 	}
-	if j.ctx != nil && j.ctx.Err() != nil {
-		// The upload's deadline passed while it sat in the queue (or the
-		// client disconnected); skip the work entirely. The handler is
-		// still waiting on done and relays the 503.
+	if j.ctx.Err() != nil {
+		// The upload's deadline passed (or the client disconnected) before
+		// processing began; skip the work entirely.
 		s.reg.Counter("serve_jobs_cancelled", "kind", j.kind).Inc()
 		s.reg.Counter("serve_upload_rejected", "reason", "timeout").Inc()
-		j.done <- jobResult{status: http.StatusServiceUnavailable, body: s.errEnvelope("upload cancelled", s.cfg.RetryAfter)}
-		return
+		return jobResult{status: http.StatusServiceUnavailable, body: s.errEnvelope("upload cancelled", s.cfg.RetryAfter)}
 	}
 	var res jobResult
 	switch j.kind {
@@ -526,17 +431,18 @@ func (s *Server) process(j *job) {
 		res = s.processInspector(j)
 	}
 	s.reg.Counter("serve_jobs_done", "kind", j.kind).Inc()
-	j.done <- res
+	return res
 }
 
 // processCapture streams a libpcap body: records decode one at a time with
 // bounded per-record allocation while the raw bytes feed the content hash.
 // A malformed or truncated body is a 400; a body over MaxUploadBytes is a
-// 413 (the handler wrapped it in http.MaxBytesReader). On a cache hit the
-// analysis stage is skipped and the cached report served. The cache key
-// mixes the household ID into the content hash: the report embeds the ID
-// and a hit skips state accumulation, so byte-identical captures from two
-// households must be distinct entries.
+// 413 (the handler wrapped it in http.MaxBytesReader). The report is a pure
+// function of the household ID and the body, so the result cache is only a
+// memo: on a hit the analysis stage is skipped and the same bytes served.
+// The cache key mixes the household ID into the content hash because the
+// report embeds the ID: byte-identical captures from two households must be
+// distinct entries.
 func (s *Server) processCapture(j *job) jobResult {
 	h := sha256.New()
 	h.Write([]byte(j.household))
@@ -582,7 +488,7 @@ func (s *Server) processCapture(j *job) jobResult {
 	}
 	aStart := time.Now()
 	_, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
-	body = s.analyzeCapture(j.household, records)
+	body = analyzeCapture(j.household, records)
 	aspan.End()
 	j.stats.Analysis = time.Since(aStart)
 	s.stageObserve("analysis", j.stats.Analysis)
@@ -679,8 +585,7 @@ func (s *Server) uploadError(err error, kind string) jobResult {
 	return jobResult{status: http.StatusBadRequest, body: s.errEnvelope(fmt.Sprintf("malformed %s upload: %v", kind, err), 0)}
 }
 
-// captureReport is the JSON answer to a capture upload (and the capture
-// half of the household report).
+// captureReport is the JSON answer to a capture upload.
 type captureReport struct {
 	Household   string         `json:"household"`
 	Frames      int            `json:"frames"`
@@ -691,9 +596,9 @@ type captureReport struct {
 }
 
 // analyzeCapture decodes the records once (the same decode-once index the
-// offline engine uses), derives the per-household summary, folds it into
-// the household state, and renders the upload report.
-func (s *Server) analyzeCapture(household string, records []pcap.Record) []byte {
+// offline engine uses) and renders the upload report. It touches no server
+// state: a capture's answer depends on nothing but its own upload.
+func analyzeCapture(household string, records []pcap.Record) []byte {
 	idx := pcap.NewIndex(records, 1)
 	protocols := make(map[string]int, 4)
 	for _, name := range idx.Protocols() {
@@ -714,33 +619,14 @@ func (s *Server) analyzeCapture(household string, records []pcap.Record) []byte 
 			}
 		}
 	}
-	rep := captureReport{
+	return mustJSON(captureReport{
 		Household:   household,
 		Frames:      idx.Len(),
 		LocalFrames: len(idx.Local()),
 		Protocols:   protocols,
 		Sources:     len(sources),
 		ExposedAt:   exposed,
-	}
-
-	sh := s.shardFor(household)
-	sh.mu.Lock()
-	st := sh.household(household)
-	st.captures++
-	st.frames += rep.Frames
-	st.localFrames += rep.LocalFrames
-	for k, v := range protocols {
-		st.protocols[k] += v
-	}
-	for src := range sources {
-		st.sources[src] = true
-	}
-	if exposed > st.exposed {
-		st.exposed = exposed
-	}
-	sh.mu.Unlock()
-
-	return mustJSON(rep)
+	})
 }
 
 // ingest folds an uploaded batch into the fleet (fold.go), foldChunk
@@ -910,16 +796,11 @@ func (s *Server) RunFleetArtifact(ctx context.Context, name string) ([]byte, err
 // device inventory.
 var ErrOfflineArtifact = errors.New("artifact not computed from uploads")
 
-// householdReport is the JSON answer to GET /v1/households/{id}/report.
+// householdReport is the JSON answer to GET /v1/households/{id}/report: a
+// summary of the household's installed inspector record.
 type householdReport struct {
-	Household   string            `json:"household"`
-	Captures    int               `json:"captures"`
-	Frames      int               `json:"frames"`
-	LocalFrames int               `json:"local_frames"`
-	Protocols   map[string]int    `json:"protocols"`
-	Sources     int               `json:"sources"`
-	ExposedAt   int               `json:"exposed_cells"`
-	Inspector   *inspectorSummary `json:"inspector,omitempty"`
+	Household string            `json:"household"`
+	Inspector *inspectorSummary `json:"inspector"`
 }
 
 type inspectorSummary struct {
@@ -928,67 +809,49 @@ type inspectorSummary struct {
 	Identified  int            `json:"identified_vendors"`
 }
 
-// report renders a household's accumulated state, or ok=false if the
-// household has never uploaded.
+// report renders a household's installed inspector record, or ok=false if
+// the household has none.
 func (s *Server) report(id string) ([]byte, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	st, ok := sh.households[id]
-	if !ok {
-		sh.mu.Unlock()
+	var hh *inspector.Household
+	if st, ok := sh.households[id]; ok {
+		hh = st.inspector
+	}
+	sh.mu.Unlock()
+	if hh == nil {
 		return nil, false
 	}
-	rep := householdReport{
-		Household:   id,
-		Captures:    st.captures,
-		Frames:      st.frames,
-		LocalFrames: st.localFrames,
-		Protocols:   make(map[string]int, len(st.protocols)),
-		Sources:     len(st.sources),
-		ExposedAt:   st.exposed,
-	}
-	for k, v := range st.protocols {
-		rep.Protocols[k] = v
-	}
-	hh := st.inspector
-	sh.mu.Unlock()
 
-	if hh != nil {
-		ds := &inspector.Dataset{Households: []*inspector.Household{hh}}
-		ids := analysis.ExtractIdentifiers(ds, 1)
-		sum := &inspectorSummary{Devices: len(hh.Devices), Identifiers: map[string]int{}}
-		for _, d := range hh.Devices {
-			for typ, vals := range ids.Of(d) {
-				sum.Identifiers[typ.String()] += len(vals)
-			}
-			if inspector.Identify(d).Vendor != "unknown" {
-				sum.Identified++
-			}
+	ds := &inspector.Dataset{Households: []*inspector.Household{hh}}
+	ids := analysis.ExtractIdentifiers(ds, 1)
+	sum := &inspectorSummary{Devices: len(hh.Devices), Identifiers: map[string]int{}}
+	for _, d := range hh.Devices {
+		for typ, vals := range ids.Of(d) {
+			sum.Identifiers[typ.String()] += len(vals)
 		}
-		rep.Inspector = sum
+		if inspector.Identify(d).Vendor != "unknown" {
+			sum.Identified++
+		}
 	}
-	return mustJSON(rep), true
+	return mustJSON(householdReport{Household: id, Inspector: sum}), true
 }
 
 // fleetSummary is the JSON answer to GET /v1/fleet.
 type fleetSummary struct {
-	Households          int    `json:"households"`
-	InspectorHouseholds int    `json:"inspector_households"`
-	Devices             int    `json:"devices"`
-	Frames              int    `json:"frames"`
-	Version             uint64 `json:"version"`
+	Households int    `json:"households"`
+	Devices    int    `json:"devices"`
+	Version    uint64 `json:"version"`
 }
 
-// fleet summarizes everything ingested so far.
+// fleet summarizes the households with an installed inspector record.
 func (s *Server) fleet() []byte {
 	sum := fleetSummary{Version: s.fleetVersion.Load()}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sum.Households += len(sh.households)
 		for _, st := range sh.households {
-			sum.Frames += st.frames
 			if st.inspector != nil {
-				sum.InspectorHouseholds++
+				sum.Households++
 				sum.Devices += len(st.inspector.Devices)
 			}
 		}
@@ -1008,15 +871,15 @@ func mustJSON(v interface{}) []byte {
 // errEnvelope renders the one error payload shape every 4xx/5xx on the v1
 // surface carries: the message, a machine-usable retry hint (0 = retrying
 // cannot help: client bugs, unknown names, oversized bodies), and the
-// admission pressure at response time, so client logs always carry queue
-// state without per-status parsing.
+// admission pressure at response time — uploads admitted and the admission
+// bound — so client logs always carry it without per-status parsing.
 func (s *Server) errEnvelope(msg string, retryAfter time.Duration) []byte {
 	return mustJSON(struct {
 		Error         string `json:"error"`
 		RetryAfterMS  int64  `json:"retry_after_ms"`
 		QueueDepth    int    `json:"queue_depth"`
 		QueueCapacity int    `json:"queue_capacity"`
-	}{msg, retryAfter.Milliseconds(), len(s.queue), s.cfg.QueueCapacity})
+	}{msg, retryAfter.Milliseconds(), len(s.slots), cap(s.slots)})
 }
 
 // logUpload emits the one structured line per upload: who, what, how long
@@ -1032,7 +895,6 @@ func (s *Server) logUpload(kind, household string, status int, st uploadStats, c
 		"status", status,
 		"bytes", st.Bytes,
 		"total_ms", ms(total),
-		"queue_wait_ms", ms(st.QueueWait),
 		"body_read_ms", ms(st.BodyRead),
 		"decode_ms", ms(st.Decode),
 		"analysis_ms", ms(st.Analysis),
@@ -1042,6 +904,3 @@ func (s *Server) logUpload(kind, household string, status int, st uploadStats, c
 		"queue_depth_admit", admitDepth,
 	)
 }
-
-// defaultWorkers mirrors the engine convention: unset means one per CPU.
-func defaultWorkers() int { return runtime.NumCPU() }

@@ -135,46 +135,62 @@ func TestUploadOversized(t *testing.T) {
 	}
 }
 
-// TestQueueFullBackpressure: with the single worker gated and the
-// one-deep queue occupied, the next upload is shed with 429 + Retry-After
-// before any of its body is consumed. Opening the gate lets the accepted
-// uploads finish with 200.
-func TestQueueFullBackpressure(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueCapacity: 1, RetryAfter: 3 * time.Second})
+// holdTwoUploads fills both admission slots of a Workers 1, QueueCapacity 1
+// server with capture uploads gated inside processing, and returns once both
+// are processing at once: neither waits for the other. release opens the
+// gate; finish waits for both uploads and returns their status codes.
+func holdTwoUploads(t *testing.T, s *Server, path string, hs []*inspector.Household) (release func(), finish func() []int) {
+	t.Helper()
 	gate, release := testGate(t)
 	entered := make(chan struct{}, 8)
 	s.processHook = func(*job) {
 		entered <- struct{}{}
 		<-gate
 	}
-
-	ds := inspector.Generate(3, 3)
 	var wg sync.WaitGroup
 	codes := make([]int, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := do(s, "POST", "/v1/households/hq/capture", capturePCAP(t, ds.Households[i]))
-			codes[i] = w.Code
+			codes[i] = do(s, "POST", path, capturePCAP(t, hs[i])).Code
 		}(i)
-		if i == 0 {
-			<-entered // worker now holds upload 0; upload 1 will sit in the queue
-		} else {
-			waitFor(t, func() bool { return len(s.queue) == 1 })
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("upload %d never started processing: it is waiting behind another upload", i)
 		}
 	}
+	return release, func() []int {
+		wg.Wait()
+		return codes
+	}
+}
 
-	// Worker busy + queue full: the third upload must bounce immediately.
-	w := do(s, "POST", "/v1/households/hq/capture", capturePCAP(t, ds.Households[2]))
+// TestQueueFullBackpressure: with both admission slots held by running
+// uploads, the next upload is shed with 429 + Retry-After and the error
+// envelope before any of its body is consumed. Opening the gate lets the
+// admitted uploads finish with 200.
+func TestQueueFullBackpressure(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCapacity: 1, RetryAfter: 3 * time.Second})
+	ds := inspector.Generate(3, 3)
+	release, finish := holdTwoUploads(t, s, "/v1/households/hq/capture", ds.Households)
+
+	// Both slots taken: the third upload must bounce without being read.
+	body := bytes.NewReader(capturePCAP(t, ds.Households[2]))
+	w := httptest.NewRecorder()
+	s.Mux().ServeHTTP(w, httptest.NewRequest("POST", "/v1/households/hq/capture", body))
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", w.Code)
+	}
+	if body.Len() != int(body.Size()) {
+		t.Fatalf("shed upload had %d of %d body bytes consumed", int(body.Size())-body.Len(), body.Size())
 	}
 	if ra := w.Header().Get("Retry-After"); ra != "3" {
 		t.Fatalf("Retry-After %q, want \"3\"", ra)
 	}
 	// The 429 body is the unified error envelope: message, machine-usable
-	// retry hint, and admission pressure.
+	// retry hint, and admission pressure (uploads admitted, admission bound).
 	var shed struct {
 		Error         string `json:"error"`
 		RetryAfterMS  int64  `json:"retry_after_ms"`
@@ -184,8 +200,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &shed); err != nil {
 		t.Fatalf("429 body not JSON: %v", err)
 	}
-	if shed.Error == "" || shed.QueueDepth != 1 || shed.QueueCapacity != 1 {
-		t.Fatalf("429 body missing queue state: %+v", shed)
+	if shed.Error == "" || shed.QueueDepth != 2 || shed.QueueCapacity != 2 {
+		t.Fatalf("429 body missing admission state: %+v", shed)
 	}
 	if shed.RetryAfterMS != 3000 {
 		t.Fatalf("retry_after_ms %d, want 3000", shed.RetryAfterMS)
@@ -198,42 +214,22 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 
 	release()
-	wg.Wait()
-	for i, code := range codes {
+	for i, code := range finish() {
 		if code != http.StatusOK {
-			t.Fatalf("accepted upload %d finished %d, want 200", i, code)
+			t.Fatalf("admitted upload %d finished %d, want 200", i, code)
 		}
 	}
 }
 
-// TestInlineAdmission: an Inline server runs each upload on its request's
-// own goroutine. With one worker and a one-deep queue, two uploads are
-// processed at once (neither waits for a worker), the third is shed with
-// 429, and Close waits for the admitted uploads to finish.
+// TestInlineAdmission: every admitted upload runs inline, on its own
+// request goroutine. With Workers 1 and QueueCapacity 1 two uploads are
+// processed at once, the third is shed with 429, Close waits for the
+// admitted uploads to finish, and both end 200.
 func TestInlineAdmission(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueCapacity: 1, Inline: true})
-	gate, release := testGate(t)
-	entered := make(chan struct{}, 8)
-	s.processHook = func(*job) {
-		entered <- struct{}{}
-		<-gate
-	}
-
+	s := newTestServer(t, Config{Workers: 1, QueueCapacity: 1})
 	ds := inspector.Generate(3, 3)
-	var wg sync.WaitGroup
-	codes := make([]int, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i] = do(s, "POST", "/v1/households/hi/capture", capturePCAP(t, ds.Households[i])).Code
-		}(i)
-		select {
-		case <-entered:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("upload %d never started processing: it is waiting for a worker", i)
-		}
-	}
+	release, finish := holdTwoUploads(t, s, "/v1/households/hi/capture", ds.Households)
+
 	if w := do(s, "POST", "/v1/households/hi/capture", capturePCAP(t, ds.Households[2])); w.Code != http.StatusTooManyRequests {
 		t.Fatalf("third upload status %d, want 429", w.Code)
 	}
@@ -250,7 +246,7 @@ func TestInlineAdmission(t *testing.T) {
 	default:
 	}
 	release()
-	wg.Wait()
+	codes := finish()
 	<-closed
 	for i, code := range codes {
 		if code != http.StatusOK {
@@ -334,22 +330,15 @@ func TestCacheHitOnDuplicateUpload(t *testing.T) {
 		t.Fatalf("cache hit counter %d, want 1", s.reg.CounterValue(obs.Key("serve_cache", "result", "hit")))
 	}
 
-	// The cache hit must not have double-counted the household's captures.
-	rep := do(s, "GET", "/v1/households/hc/report", nil)
-	var r struct {
-		Captures int `json:"captures"`
-	}
-	if err := json.Unmarshal(rep.Body.Bytes(), &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.Captures != 1 {
-		t.Fatalf("captures %d after duplicate upload, want 1", r.Captures)
+	// Captures leave no household state, hit or miss.
+	if rep := do(s, "GET", "/v1/households/hc/report", nil); rep.Code != http.StatusNotFound {
+		t.Fatalf("report after capture-only uploads: %d, want 404", rep.Code)
 	}
 }
 
 // TestCacheIsPerHousehold: byte-identical capture bodies uploaded by two
 // different households must not share a cache entry — each household gets a
-// report naming itself, accumulates its own state, and counts in the fleet.
+// reply naming itself, and neither leaves state behind.
 func TestCacheIsPerHousehold(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	body := capturePCAP(t, inspector.Generate(9, 1).Households[0])
@@ -372,29 +361,19 @@ func TestCacheIsPerHousehold(t *testing.T) {
 		}
 	}
 
-	// Both households must exist with accumulated state…
+	// Captures are stateless: neither household has a report, and the
+	// fleet counts no households.
 	for _, id := range []string{"ha", "hb"} {
-		rep := do(s, "GET", "/v1/households/"+id+"/report", nil)
-		if rep.Code != http.StatusOK {
-			t.Fatalf("%s report: %d, want 200", id, rep.Code)
-		}
-		var r struct {
-			Captures int `json:"captures"`
-		}
-		if err := json.Unmarshal(rep.Body.Bytes(), &r); err != nil {
-			t.Fatal(err)
-		}
-		if r.Captures != 1 {
-			t.Fatalf("%s captures %d, want 1", id, r.Captures)
+		if rep := do(s, "GET", "/v1/households/"+id+"/report", nil); rep.Code != http.StatusNotFound {
+			t.Fatalf("%s report: %d, want 404", id, rep.Code)
 		}
 	}
-	// …and the fleet must count two households, not one.
 	var f fleetSummary
 	if err := json.Unmarshal(do(s, "GET", "/v1/fleet", nil).Body.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Households != 2 {
-		t.Fatalf("fleet households %d, want 2", f.Households)
+	if f.Households != 0 {
+		t.Fatalf("fleet households %d, want 0", f.Households)
 	}
 
 	// Same household re-uploading the same bytes still hits the cache.
@@ -403,9 +382,44 @@ func TestCacheIsPerHousehold(t *testing.T) {
 	}
 }
 
-// TestTimeoutAbandonsUpload: when the request deadline passes while the job
-// is held before processing, the handler still waits for the worker's
-// verdict (never abandoning a body the worker may read) and relays its 503.
+// TestCaptureReportIndependentOfCache: a capture's reply, the household
+// report and the fleet summary are the same bytes whether the result cache
+// retains the reply or is too small to. Household h2 has an inspector record;
+// h1's capture fills a one-entry cache, so h2's re-posted capture misses
+// there and hits under the default size.
+func TestCaptureReportIndependentOfCache(t *testing.T) {
+	ds := inspector.Generate(16, 2)
+	h1, h2 := ds.Households[0], ds.Households[1]
+	run := func(cacheEntries int) []string {
+		s := newTestServer(t, Config{Workers: 1, CacheEntries: cacheEntries})
+		if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, h2)); w.Code != http.StatusOK {
+			t.Fatalf("wire upload: %d", w.Code)
+		}
+		var out []string
+		for _, h := range []*inspector.Household{h1, h2, h2} {
+			w := do(s, "POST", "/v1/households/"+h.ID+"/capture", capturePCAP(t, h))
+			if w.Code != http.StatusOK {
+				t.Fatalf("capture %s: %d %s", h.ID, w.Code, w.Body.String())
+			}
+			out = append(out, w.Body.String())
+		}
+		for _, path := range []string{"/v1/households/" + h1.ID + "/report", "/v1/households/" + h2.ID + "/report", "/v1/fleet"} {
+			w := do(s, "GET", path, nil)
+			out = append(out, fmt.Sprintf("%s %d %s", path, w.Code, w.Body.String()))
+		}
+		return out
+	}
+	full, tiny := run(0), run(1)
+	for i := range full {
+		if full[i] != tiny[i] {
+			t.Fatalf("answer %d depends on the result cache:\ndefault cache: %s\none entry:     %s", i, full[i], tiny[i])
+		}
+	}
+}
+
+// TestTimeoutAbandonsUpload: when the request deadline passes while an
+// admitted upload is held before processing, it is answered 503 without
+// being processed.
 func TestTimeoutAbandonsUpload(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, RequestTimeout: 50 * time.Millisecond})
 	s.processHook = func(j *job) {
@@ -425,7 +439,7 @@ func TestTimeoutAbandonsUpload(t *testing.T) {
 	}
 }
 
-// TestCtxReaderAborts: the worker's body stream fails with the context error
+// TestCtxReaderAborts: an upload's body stream fails with the context error
 // once the request is cancelled, so a mid-stream timeout ends the read loop
 // promptly instead of racing connection teardown.
 func TestCtxReaderAborts(t *testing.T) {
@@ -442,7 +456,7 @@ func TestCtxReaderAborts(t *testing.T) {
 }
 
 // TestGracefulDrain: draining finishes the gated in-flight upload (200)
-// while refusing new ones (503), and Close returns once the queue is empty.
+// while refusing new ones (503), and Close returns once it has finished.
 func TestGracefulDrain(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCapacity: 4, RequestTimeout: 10 * time.Second})
 	gate, release := testGate(t)
@@ -476,7 +490,7 @@ func TestGracefulDrain(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not finish the drained queue")
+		t.Fatal("Close did not finish the admitted upload")
 	}
 	<-done
 	if inflight.Code != http.StatusOK {
@@ -597,8 +611,9 @@ func TestArtifactGating(t *testing.T) {
 	}
 }
 
-// TestReportAndFleetEndpoints: uploads accumulate into the household report
-// and the fleet summary; unknown households 404.
+// TestReportAndFleetEndpoints: an inspector upload makes the household
+// report and counts in the fleet summary; a capture alone does neither, and
+// unknown households 404.
 func TestReportAndFleetEndpoints(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	if w := do(s, "GET", "/v1/households/ghost/report", nil); w.Code != http.StatusNotFound {
@@ -610,6 +625,9 @@ func TestReportAndFleetEndpoints(t *testing.T) {
 	if w := do(s, "POST", fmt.Sprintf("/v1/households/%s/capture", h.ID), capturePCAP(t, h)); w.Code != http.StatusOK {
 		t.Fatalf("capture upload: %d %s", w.Code, w.Body.String())
 	}
+	if w := do(s, "GET", fmt.Sprintf("/v1/households/%s/report", h.ID), nil); w.Code != http.StatusNotFound {
+		t.Fatalf("report after a capture alone: %d, want 404", w.Code)
+	}
 	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, h)); w.Code != http.StatusOK {
 		t.Fatalf("wire upload: %d", w.Code)
 	}
@@ -619,7 +637,7 @@ func TestReportAndFleetEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rep.Body.Bytes(), &r); err != nil {
 		t.Fatal(err)
 	}
-	if r.Captures != 1 || r.Frames == 0 || r.Inspector == nil {
+	if r.Household != h.ID || r.Inspector == nil {
 		t.Fatalf("report missing data: %+v", r)
 	}
 	if r.Inspector.Devices != len(h.Devices) {
@@ -631,7 +649,7 @@ func TestReportAndFleetEndpoints(t *testing.T) {
 	if err := json.Unmarshal(fl.Body.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Households != 1 || f.InspectorHouseholds != 1 || f.Devices != len(h.Devices) {
+	if f.Households != 1 || f.Devices != len(h.Devices) {
 		t.Fatalf("fleet summary wrong: %+v", f)
 	}
 }
@@ -654,9 +672,8 @@ func TestDebugEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE serve_uploads counter",
 		"# TYPE serve_stage_ms histogram",
-		`serve_stage_ms_bucket{le="+Inf",stage="queue.wait"}`,
+		`serve_stage_ms_bucket{le="+Inf",stage="body.read"}`,
 		"serve_queue_depth",
-		"serve_workers_busy",
 		`serve_responses{code="200"}`,
 	} {
 		if !strings.Contains(m.Body.String(), want) {

@@ -62,7 +62,7 @@ func (s *Server) shardFor(id string) *fleetShard {
 func (sh *fleetShard) household(id string) *householdState {
 	st, ok := sh.households[id]
 	if !ok {
-		st = &householdState{protocols: make(map[string]int), sources: make(map[string]bool)}
+		st = &householdState{}
 		sh.households[id] = st
 	}
 	return st

@@ -204,7 +204,7 @@ type chaosTally struct {
 func runInSimServe(t *testing.T, ds *inspector.Dataset, workers, clients int) []byte {
 	t.Helper()
 	f := newFix(1)
-	startInSimServe(t, f, serve.Config{Workers: workers, QueueCapacity: len(ds.Households), Inline: true})
+	startInSimServe(t, f, serve.Config{Workers: workers, QueueCapacity: len(ds.Households)})
 
 	var remaining atomic.Int32
 	remaining.Store(int32(clients))
@@ -355,7 +355,7 @@ func runChaosScenario(t *testing.T, seed int64, ds *inspector.Dataset) string {
 		},
 	}
 	eng := chaos.New(f.sched, f.ln, plan)
-	s := startInSimServe(t, f, serve.Config{Workers: 2, QueueCapacity: 4, RetryAfter: 500 * time.Millisecond, Inline: true})
+	s := startInSimServe(t, f, serve.Config{Workers: 2, QueueCapacity: 4, RetryAfter: 500 * time.Millisecond})
 	f.a.DialTimeout = 2 * time.Second
 
 	var tally chaosTally

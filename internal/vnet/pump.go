@@ -49,10 +49,10 @@
 // on something other than the pump — instead of deadlocking. Work handed
 // across a plain channel and waited on (a worker pool) is such a wait: the
 // waiter keeps its grant while the worker runs ungranted, so deterministic
-// in-sim code runs that work on the granted goroutine itself
-// (serve.Config.Inline for iotserve). Content-level results — served
-// artifacts, response bodies — are deterministic regardless, because the
-// serving pipeline's outputs don't depend on segment timing.
+// in-sim code runs that work on the granted goroutine itself — iotserve
+// processes every upload on its request goroutine. Content-level results —
+// served artifacts, response bodies — are deterministic regardless, because
+// the serving pipeline's outputs don't depend on segment timing.
 package vnet
 
 import (
