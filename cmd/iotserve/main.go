@@ -35,8 +35,8 @@
 // Usage:
 //
 //	iotserve [-addr :8080] [-workers N] [-queue 64] [-max-upload 67108864]
-//	         [-timeout 30s] [-retry-after 1s] [-cache 4096]
-//	         [-log-format text|json] [-trace=true] [-flight 256]
+//	         [-timeout 30s] [-retry-after 1s] [-cache 4096] [-drain-timeout 1m]
+//	         [-log-format text|json|none] [-trace=true] [-flight 256]
 //	         [-data-dir DIR] [-shards N] [-checkpoint-every 4096]
 //	         [-wal-sync group|always|none] [-selfcheck-every N]
 //	iotserve -selftest    # serve an in-sim fleet over the virtual LAN
@@ -63,7 +63,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "analysis workers (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "records the fold prepares at once; with -queue, also the admission bound (0 = one per CPU)")
 	queue := flag.Int("queue", 64, "uploads admitted beyond -workers (429 past workers+queue in flight)")
 	maxUpload := flag.Int64("max-upload", 64<<20, "maximum upload body bytes (413 beyond)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-upload budget for streaming the body")

@@ -152,15 +152,15 @@ func EntropyTable(ds *inspector.Dataset) []EntropyRow {
 }
 
 // EntropyTableWith computes Table 2 reusing a precomputed identifier
-// extraction (nil extracts inline). It is defined as the single-partial
-// merge — the same aggregation path the sharded serving layer uses — so a
-// whole-corpus pass and a merged partition are byte-identical by
-// construction (see partial.go). Per-identifier-type entropy over all
-// households exposing that type lands in the combination rows as the sum of
-// their types' entropies (the paper's Ent column is additive: 12.3 ≈ 3.4 +
-// 8.9).
+// extraction (nil extracts inline). It folds the corpus into one partial
+// and renders it with Rows — the same aggregation path the sharded serving
+// layer uses — so a whole-corpus pass and a merged partition are
+// byte-identical by construction (see partial.go). Per-identifier-type
+// entropy over all households exposing that type lands in the combination
+// rows as the sum of their types' entropies (the paper's Ent column is
+// additive: 12.3 ≈ 3.4 + 8.9).
 func EntropyTableWith(ds *inspector.Dataset, ids *ExtractedIdentifiers) []EntropyRow {
-	return MergeEntropy([]*EntropyPartial{EntropyPartialOf(ds.Households, ids)})
+	return EntropyPartialOf(ds.Households, ids).Rows()
 }
 
 // shannon computes H = Σ p·log2(1/p) over the fingerprint distribution.

@@ -100,11 +100,11 @@ func MitigationTable(ds *inspector.Dataset) []ReidentificationResult {
 
 // MitigationTableWith sweeps the lattice reusing a precomputed identifier
 // extraction — one extraction pass instead of one per (regime, session).
-// Defined as the single-partial merge (partial.go), the same path the
-// sharded serving layer takes, so partitioned and whole-corpus sweeps are
-// byte-identical by construction.
+// It folds the corpus into one partial and renders it with Rows
+// (partial.go), the same path the sharded serving layer takes, so
+// partitioned and whole-corpus sweeps are byte-identical by construction.
 func MitigationTableWith(ds *inspector.Dataset, ids *ExtractedIdentifiers) []ReidentificationResult {
-	return MergeMitigations([]*MitigationPartial{MitigationPartialOf(ds.Households, ids)})
+	return MitigationPartialOf(ds.Households, ids).Rows()
 }
 
 // RenderMitigationTable prints the sweep.

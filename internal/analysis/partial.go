@@ -36,9 +36,11 @@ import (
 // a structural invariant violation, so Sub panics rather than serving
 // silently wrong aggregates.
 //
-// The whole-corpus entry points (EntropyTableWith, MitigationTableWith) are
-// defined as a single-partial merge, so there is exactly one aggregation
-// code path and the equivalence is structural, not aspirational.
+// The whole-corpus entry points (EntropyTableWith, MitigationTableWith)
+// fold the corpus into one partial and render it with Rows, the same call
+// the serving layer makes on its merged shards, so there is exactly one
+// aggregation code path and the equivalence is structural, not
+// aspirational.
 
 // addCounts folds the src multiset into dst.
 func addCounts(dst, src map[string]int) {
@@ -190,8 +192,8 @@ func (p *EntropyPartial) Sub(q *EntropyPartial) {
 	}
 }
 
-// Clone deep-copies p — the serving layer snapshots its live aggregates
-// under a lock and renders the copy outside it.
+// Clone deep-copies p: the copy shares no mutable state with p, so later
+// Add or Sub calls on either leave the other unchanged.
 func (p *EntropyPartial) Clone() *EntropyPartial {
 	c := NewEntropyPartial()
 	for key, combo := range p.combos {
@@ -262,11 +264,11 @@ func EntropyPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers) *En
 	return p
 }
 
-// rows derives the final Table 2 rows from the partial's counts. Entropy and
+// Rows derives the final Table 2 rows from the partial's counts. Entropy and
 // uniqueness come from the merged integers only, so any partition of the
 // same corpus — and any Add/Sub history reaching the same counts — yields
 // byte-identical rows.
-func (p *EntropyPartial) rows() []EntropyRow {
+func (p *EntropyPartial) Rows() []EntropyRow {
 	typeEntropy := map[IdentifierType]float64{}
 	for t, counts := range p.typeValues {
 		typeEntropy[t] = shannon(counts, p.typeHouseholds[t])
@@ -316,7 +318,7 @@ func MergeEntropy(parts []*EntropyPartial) []EntropyRow {
 		}
 		m.Add(p)
 	}
-	return m.rows()
+	return m.Rows()
 }
 
 // mitigationRegimes is the §7 sweep order — shared by the batch table, the
@@ -436,7 +438,7 @@ func (p *MitigationPartial) Sub(q *MitigationPartial) {
 	}
 }
 
-// Clone deep-copies p.
+// Clone deep-copies p, with the same independence as EntropyPartial.Clone.
 func (p *MitigationPartial) Clone() *MitigationPartial {
 	c := NewMitigationPartial()
 	for ri := range p.regimes {
@@ -450,12 +452,12 @@ func (p *MitigationPartial) Clone() *MitigationPartial {
 	return c
 }
 
-// rows derives the final sweep rows, in mitigationRegimes order. A session-2
+// Rows derives the final sweep rows, in mitigationRegimes order. A session-2
 // holder is re-identified when its fingerprint's session-1 claims reduce to
 // a single claim by a single household — the multiset total, not the map
 // width, so duplicate claims across or within subsets break uniqueness
 // exactly as the batch analysis defines.
-func (p *MitigationPartial) rows() []ReidentificationResult {
+func (p *MitigationPartial) Rows() []ReidentificationResult {
 	out := make([]ReidentificationResult, len(mitigationRegimes))
 	for ri, m := range mitigationRegimes {
 		rp := p.regimes[ri]
@@ -498,7 +500,7 @@ func MergeMitigations(parts []*MitigationPartial) []ReidentificationResult {
 		}
 		m.Add(p)
 	}
-	return m.rows()
+	return m.Rows()
 }
 
 // HouseholdPartial bundles one household's singleton contributions to every

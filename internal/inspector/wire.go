@@ -132,8 +132,7 @@ func wireSizeHint(h *Household) int {
 // analysis contribution. The wire encoding is deterministic, so two records
 // with equal hashes produce identical singleton partials; the serving layer
 // uses this to make refolds idempotent: re-ingesting an unchanged household
-// skips the retract/fold and the shard version bump, keeping warm caches
-// warm.
+// skips the retract/fold and leaves the fleet version unchanged.
 func (h *Household) ContentHash() [sha256.Size]byte {
 	return sha256.Sum256(h.WireRecord())
 }

@@ -94,15 +94,14 @@ const DefaultMaxRecordBytes = 1 << 20
 // Reader streams records out of a libpcap stream one at a time, so callers
 // — most importantly the iotserve upload path — never hold a whole capture
 // body in memory at once. Per-record allocation is bounded: Next allocates
-// exactly the record's captured length, and declared lengths above the
-// configured maximum are rejected before allocating.
+// exactly the record's captured length, and declared lengths above
+// DefaultMaxRecordBytes are rejected before allocating.
 //
 // Reader errors are sticky: after any error (including io.EOF) every later
 // Next call returns the same error.
 type Reader struct {
-	r         io.Reader
-	maxRecord uint32
-	err       error
+	r   io.Reader
+	err error
 }
 
 // NewReader validates the 24-byte global header (magic, link type) and
@@ -119,16 +118,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if lt := binary.LittleEndian.Uint32(hdr[20:24]); lt != linkEN10MB {
 		return nil, fmt.Errorf("pcap: unsupported link type %d", lt)
 	}
-	return &Reader{r: r, maxRecord: DefaultMaxRecordBytes}, nil
-}
-
-// SetMaxRecordBytes tightens (or loosens) the per-record capture-length
-// bound. Zero restores the default.
-func (rd *Reader) SetMaxRecordBytes(n uint32) {
-	if n == 0 {
-		n = DefaultMaxRecordBytes
-	}
-	rd.maxRecord = n
+	return &Reader{r: r}, nil
 }
 
 // Next returns the next record, or io.EOF cleanly at end of stream. A
@@ -150,7 +140,7 @@ func (rd *Reader) Next() (Record, error) {
 	sec := binary.LittleEndian.Uint32(rec[0:4])
 	usec := binary.LittleEndian.Uint32(rec[4:8])
 	capLen := binary.LittleEndian.Uint32(rec[8:12])
-	if capLen > rd.maxRecord {
+	if capLen > DefaultMaxRecordBytes {
 		rd.err = fmt.Errorf("pcap: implausible capture length %d", capLen)
 		return Record{}, rd.err
 	}

@@ -150,28 +150,30 @@ func TestReaderStickyError(t *testing.T) {
 	}
 }
 
-// TestReaderMaxRecordBytes: the per-record bound is enforced before
-// allocation and is adjustable.
+// TestReaderMaxRecordBytes: the per-record bound is DefaultMaxRecordBytes,
+// inclusive — a record of exactly that size reads back, and one byte more
+// is rejected as implausible before its body is allocated.
 func TestReaderMaxRecordBytes(t *testing.T) {
-	records := []Record{{Data: bytes.Repeat([]byte{0xab}, 4096)}}
-	var buf bytes.Buffer
-	if err := WriteFile(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd.SetMaxRecordBytes(1024)
-	if _, err := rd.Next(); err == nil {
-		t.Fatal("4096-byte record accepted under a 1024-byte bound")
-	}
-	rd2, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd2.SetMaxRecordBytes(0) // restore default
-	if _, err := rd2.Next(); err != nil {
-		t.Fatalf("default bound rejected a 4 KiB record: %v", err)
+	for _, c := range []struct {
+		size int
+		ok   bool
+	}{{DefaultMaxRecordBytes, true}, {DefaultMaxRecordBytes + 1, false}} {
+		var buf bytes.Buffer
+		if err := WriteFile(&buf, []Record{{Data: bytes.Repeat([]byte{0xab}, c.size)}}); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := rd.Next()
+		switch {
+		case c.ok && err != nil:
+			t.Fatalf("%d-byte record rejected: %v", c.size, err)
+		case c.ok && len(rec.Data) != c.size:
+			t.Fatalf("%d-byte record read back as %d bytes", c.size, len(rec.Data))
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "implausible")):
+			t.Fatalf("%d-byte record: want implausible-length error, got %v", c.size, err)
+		}
 	}
 }

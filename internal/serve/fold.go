@@ -79,31 +79,32 @@ func (s *Server) extract(p prepared) prepared {
 // household.
 //
 // Returns false when p's hash matches the installed record: the refold is
-// idempotent — no retract, no fold, no version bump.
+// idempotent — no retract, no fold. A household gets its entry when its
+// first record is installed, never before.
 func (s *Server) apply(p *prepared) bool {
 	sh := s.shardFor(p.hh.ID)
 	var prev *inspector.Household
 	var retract *analysis.HouseholdPartial
 	for {
 		sh.mu.Lock()
-		st := sh.household(p.hh.ID)
-		if st.inspector != nil && st.contribHash == p.hash {
-			sh.mu.Unlock()
-			return false
+		var installed *inspector.Household
+		if st, ok := sh.households[p.hh.ID]; ok {
+			if st.contribHash == p.hash {
+				sh.mu.Unlock()
+				return false
+			}
+			installed = st.inspector
 		}
-		if st.inspector == prev && p.contrib != nil {
-			if prev == nil {
-				sh.inspectorN++
-			} else {
+		if installed == prev && p.contrib != nil {
+			if prev != nil {
 				sh.subContrib(retract)
 			}
 			sh.addContrib(p.contrib)
-			st.inspector, st.contribHash = p.hh, p.hash
-			sh.version++
+			sh.households[p.hh.ID] = &householdState{inspector: p.hh, contribHash: p.hash}
 			sh.mu.Unlock()
 			return true
 		}
-		prev = st.inspector
+		prev = installed
 		sh.mu.Unlock()
 		if p.contrib == nil {
 			p.contrib = analysis.HouseholdPartialOf(p.hh)

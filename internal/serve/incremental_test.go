@@ -82,8 +82,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			ingestFleet(t, s, ds.Households)
 
 			// Step 2: idempotent re-upload. A batch carrying unchanged
-			// households must fold nothing: no shard version moves, the
-			// artifact memo stays warm.
+			// households must fold nothing: the fleet version stays put.
 			check := func(step string, expect []*inspector.Household) {
 				t.Helper()
 				b := bodies{}
@@ -165,11 +164,12 @@ func TestRepostReplacesNewerRecord(t *testing.T) {
 }
 
 // TestArtifactReadsDuringIngest hammers artifact reads while writers keep
-// re-uploading changing household contents — the -race proof that the
-// version-vector memo never serves a body mixing shard states under a label
-// a later read would trust, and that the live fold keeps aggregates exact
-// under full contention. The final served bytes must equal the offline Study
-// over the deterministic final contents.
+// re-uploading changing household contents — the -race proof that a read,
+// which adds each shard's live aggregate into its own partial under that
+// shard's lock, never races the fold that retracts and adds households in
+// the same aggregate, and that the live fold keeps aggregates exact under
+// full contention. The final served bytes must equal the offline Study over
+// the deterministic final contents.
 func TestArtifactReadsDuringIngest(t *testing.T) {
 	const writers, perWriter, rounds = 4, 6, 5
 	base := inspector.Generate(61, writers*perWriter)

@@ -15,11 +15,11 @@
 // Each fleet artifact has one write path and one read path. Every inspector
 // record enters fleet state through the fold (fold.go), which keeps live
 // partial aggregates per shard; every served artifact (Table 2 and the §7
-// mitigation sweep) merges those aggregates (shard.go) and is
-// byte-identical to the offline Study pipeline for the same household set —
-// concurrency never changes output bytes. Fleet state is sharded by
-// household-ID hash: each shard locks independently, so an upload touches
-// one shard's aggregates and leaves the others' read clones warm. With
+// mitigation sweep) folds those aggregates into one partial (shard.go) and
+// is byte-identical to the offline Study pipeline for the same household
+// set — concurrency never changes output bytes. Fleet state is sharded by
+// household-ID hash: each shard locks independently, so an upload locks one
+// shard and a read locks one shard at a time, for one Add. With
 // Config.DataDir set the service is durable (durable.go): ingests are
 // written ahead to a checksummed log before acknowledgement, shards are
 // checkpointed periodically, and Open replays checkpoint + WAL on boot.
@@ -62,10 +62,9 @@ type Config struct {
 	// own goroutine; the next one answers 429. That bound also bounds decode
 	// memory: (Workers+QueueCapacity) × MaxUploadBytes.
 	QueueCapacity int
-	// MaxUploadBytes bounds one upload body (413 beyond it).
+	// MaxUploadBytes bounds one upload body (413 beyond it). One pcap
+	// record is bounded by pcap.DefaultMaxRecordBytes (400 beyond it).
 	MaxUploadBytes int64
-	// MaxRecordBytes bounds one pcap record's captured length (400 beyond).
-	MaxRecordBytes uint32
 	// RequestTimeout bounds body streaming for one upload. On expiry the
 	// upload is abandoned with 503; analysis of a fully-streamed body is
 	// never interrupted mid-flight.
@@ -89,7 +88,7 @@ type Config struct {
 	// admitted when it arrived. Nil means no request logging.
 	Logger *slog.Logger
 	// Shards splits fleet state by household-ID hash into independently
-	// locked shards with independently cached partial aggregates (< 1 = 1).
+	// locked shards, each keeping live partial aggregates (< 1 = 1).
 	// Artifact bytes are identical for any shard count.
 	Shards int
 	// DataDir, when set, makes inspector ingestion durable: a write-ahead
@@ -126,9 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxUploadBytes <= 0 {
 		c.MaxUploadBytes = 64 << 20
 	}
-	if c.MaxRecordBytes == 0 {
-		c.MaxRecordBytes = pcap.DefaultMaxRecordBytes
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -145,12 +141,14 @@ func (c Config) withDefaults() Config {
 }
 
 // householdState is one household's ingested data: its crowdsourced
-// inspector record, replaced whole per upload. Captures leave no state.
+// inspector record. It exists only once a record is installed, and an
+// upload that changes the record replaces it whole rather than mutating
+// it, so a reader may keep it past the shard lock. Captures leave no
+// state.
 type householdState struct {
 	inspector *inspector.Household
 	// contribHash is the wire content hash of the installed inspector
-	// record — the idempotence key for refolds (fold.go apply). Zero when
-	// no record is installed.
+	// record — the idempotence key for refolds (fold.go apply).
 	contribHash [sha256.Size]byte
 }
 
@@ -244,10 +242,9 @@ type Server struct {
 	shards       []*fleetShard
 	fleetVersion atomic.Uint64
 
-	// mu guards the capture result cache and the merged-artifact memo.
-	mu        sync.Mutex
-	cache     map[[sha256.Size]byte][]byte
-	fleetMemo map[string]fleetEntry
+	// mu guards the capture result cache.
+	mu    sync.Mutex
+	cache map[[sha256.Size]byte][]byte
 
 	// Durability (durable.go). wal is nil without Config.DataDir. ckptGate
 	// orders ingest (read lock across WAL append + state apply) against
@@ -296,13 +293,6 @@ var uploadStages = []string{
 // usually far under 1ms.
 var stageBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
-// fleetEntry is one memoized merged-artifact body, labeled with the
-// per-shard version vector the building sweep observed.
-type fleetEntry struct {
-	shardVers []uint64
-	body      []byte
-}
-
 // New builds an in-memory server. For durable configurations (DataDir set)
 // prefer Open, which surfaces recovery errors; New panics on them.
 func New(cfg Config) *Server {
@@ -321,12 +311,11 @@ func newServer(cfg Config) *Server {
 		workers = runtime.NumCPU() // the engine's convention for unset
 	}
 	s := &Server{
-		cfg:       cfg,
-		reg:       obs.NewRegistry(),
-		slots:     make(chan struct{}, workers+cfg.QueueCapacity),
-		shards:    newShards(cfg.Shards),
-		cache:     make(map[[sha256.Size]byte][]byte),
-		fleetMemo: make(map[string]fleetEntry),
+		cfg:    cfg,
+		reg:    obs.NewRegistry(),
+		slots:  make(chan struct{}, workers+cfg.QueueCapacity),
+		shards: newShards(cfg.Shards),
+		cache:  make(map[[sha256.Size]byte][]byte),
 	}
 	s.reg.Gauge("serve_shards").Set(int64(cfg.Shards))
 	s.mQueueDepth = s.reg.Gauge("serve_queue_depth")
@@ -466,7 +455,6 @@ func (s *Server) processCapture(j *job) jobResult {
 		endDecode(0)
 		return s.uploadError(err, "capture")
 	}
-	rd.SetMaxRecordBytes(s.cfg.MaxRecordBytes)
 	var records []pcap.Record
 	for {
 		rec, err := rd.Next()
@@ -636,8 +624,8 @@ func analyzeCapture(household string, records []pcap.Record) []byte {
 // append+apply pair atomic with respect to checkpoint compaction (see
 // checkpoint). The ack is backed by the log. A WAL error stops the batch:
 // earlier chunks stay logged and applied, the client gets a 500, and its
-// retry re-applies idempotently. Only touched shards' versions move, and
-// the fleet version moves only if something actually changed.
+// retry re-applies idempotently. The fleet version moves only if something
+// actually changed.
 func (s *Server) ingest(j *job, hhs []*inspector.Household) error {
 	folded := 0
 	var err error
@@ -741,17 +729,14 @@ type artifactReport struct {
 }
 
 // RunFleetArtifact serves a registry artifact over every ingested household
-// by merging the shards' live partial aggregates (shard.go). Only the
-// artifacts computed from uploads run; every other one — the lab's
-// pipelines, and the static device inventory of table3 — returns
-// ErrOfflineArtifact. Bodies are memoized under the per-shard version
-// vector the merge observed (hit/miss metrics under serve_fleet_cache): the
-// vector is read alongside each shard's partial, so a racing ingest can
-// never get a mixed-state body memoized under a label a later read would
-// trust. For a fixed household set the bytes equal the offline Study
-// pipeline's regardless of upload concurrency, shard count or worker count.
-// ctx carries the request's span for tracing (use context.Background()
-// outside a request).
+// by folding the shards' live partial aggregates into one partial and
+// rendering it (shard.go). Only the artifacts computed from uploads run;
+// every other one — the lab's pipelines, and the static device inventory of
+// table3 — returns ErrOfflineArtifact. Nothing is memoized: every read
+// folds the fleet's current state. For a fixed household set the bytes
+// equal the offline Study pipeline's regardless of upload concurrency,
+// shard count or worker count. ctx carries the request's span for tracing
+// (use context.Background() outside a request).
 func (s *Server) RunFleetArtifact(ctx context.Context, name string) ([]byte, error) {
 	a, ok := iotlan.ArtifactByName(name)
 	if !ok {
@@ -761,21 +746,12 @@ func (s *Server) RunFleetArtifact(ctx context.Context, name string) ([]byte, err
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrOfflineArtifact, a.Name)
 	}
-	s.mu.Lock()
-	memo, ok := s.fleetMemo[a.Name]
-	s.mu.Unlock()
-	if ok && s.shardVersionsMatch(memo.shardVers) {
-		s.reg.Counter("serve_fleet_cache", "result", "hit").Inc()
-		return memo.body, nil
-	}
-	s.reg.Counter("serve_fleet_cache", "result", "miss").Inc()
-
 	bStart := time.Now()
 	_, bspan := s.spans.StartSpan(ctx, "serve", "artifact.build", "artifact", a.Name)
-	res, households, vers := fa.build(s, a.Name)
+	res, households := fa.build(s)
 	bspan.End()
 	s.stageObserve("artifact.build", time.Since(bStart))
-	body := mustJSON(artifactReport{
+	return mustJSON(artifactReport{
 		Name:       a.Name,
 		PaperRef:   a.PaperRef,
 		Kind:       a.Kind,
@@ -783,11 +759,7 @@ func (s *Server) RunFleetArtifact(ctx context.Context, name string) ([]byte, err
 		ID:         res.ID,
 		Rendered:   res.Rendered,
 		Metrics:    res.Metrics,
-	})
-	s.mu.Lock()
-	s.fleetMemo[a.Name] = fleetEntry{shardVers: vers, body: body}
-	s.mu.Unlock()
-	return body, nil
+	}), nil
 }
 
 // ErrOfflineArtifact marks registry artifacts the service does not compute
@@ -814,14 +786,12 @@ type inspectorSummary struct {
 func (s *Server) report(id string) ([]byte, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	var hh *inspector.Household
-	if st, ok := sh.households[id]; ok {
-		hh = st.inspector
-	}
+	st, ok := sh.households[id]
 	sh.mu.Unlock()
-	if hh == nil {
+	if !ok {
 		return nil, false
 	}
+	hh := st.inspector
 
 	ds := &inspector.Dataset{Households: []*inspector.Household{hh}}
 	ids := analysis.ExtractIdentifiers(ds, 1)
@@ -849,11 +819,9 @@ func (s *Server) fleet() []byte {
 	sum := fleetSummary{Version: s.fleetVersion.Load()}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		sum.Households += len(sh.households)
 		for _, st := range sh.households {
-			if st.inspector != nil {
-				sum.Households++
-				sum.Devices += len(st.inspector.Devices)
-			}
+			sum.Devices += len(st.inspector.Devices)
 		}
 		sh.mu.Unlock()
 	}

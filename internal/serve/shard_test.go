@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -59,8 +60,6 @@ var deterministicCounters = []string{
 	obs.Key("serve_jobs_done", "kind", "inspector"),
 	obs.Key("serve_cache", "result", "hit"),
 	obs.Key("serve_cache", "result", "miss"),
-	obs.Key("serve_fleet_cache", "result", "hit"),
-	obs.Key("serve_fleet_cache", "result", "miss"),
 	obs.Key("serve_responses", "code", "200"),
 	"serve_upload_frames",
 }
@@ -165,63 +164,62 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
-// TestShardPartialInvalidation: an upload into one shard invalidates only
-// that shard's cached partial — the others answer the next artifact read
-// from cache. This is the read-time-merge memoization contract.
+// TestShardPartialInvalidation: a read reflects the fleet as it is at the
+// read. After one household changes, the next table2 read differs from the
+// one before it, and both artifacts equal the offline Study over the
+// changed fleet.
 func TestShardPartialInvalidation(t *testing.T) {
 	const households = 32
 	ds := inspector.Generate(33, households)
 	s := newTestServer(t, Config{Workers: 2, Shards: 8, QueueCapacity: households})
 	ingestFleet(t, s, ds.Households)
+	before := fetchArtifact(t, s, "table2")
 
-	fetchArtifact(t, s, "table2") // warm every shard partial
-	missesAfterWarm := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "miss"))
-	if missesAfterWarm != 8 {
-		t.Fatalf("warm pass computed %d partials, want 8", missesAfterWarm)
-	}
-
-	// Re-upload one household with changed contents: exactly one shard
-	// moves.
+	// Re-upload one household with changed contents.
 	hh := ds.Households[0]
-	clone := *hh
-	clone.Devices = hh.Devices[:len(hh.Devices)-1]
-	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, &clone)); w.Code != http.StatusOK {
+	changed := &inspector.Household{ID: hh.ID, Devices: hh.Devices[:len(hh.Devices)-1]}
+	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, changed)); w.Code != http.StatusOK {
 		t.Fatalf("re-upload: %d", w.Code)
 	}
-	fetchArtifact(t, s, "table2")
-	misses := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "miss"))
-	hits := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "hit"))
-	if misses != missesAfterWarm+1 {
-		t.Fatalf("recompute touched %d shards, want 1 (misses %d -> %d)",
-			misses-missesAfterWarm, missesAfterWarm, misses)
+	fleet := append([]*inspector.Household{}, ds.Households...)
+	fleet[0] = changed
+	after := fetchArtifact(t, s, "table2")
+	if bytes.Equal(before, after) {
+		t.Fatal("table2 read after a household changed served the bytes from before the change")
 	}
-	if hits != 7 {
-		t.Fatalf("warm shards answered %d hits, want 7", hits)
-	}
+	assertServedEqualsOffline(t, after, fleet, "table2", "after change")
+	assertServedEqualsOffline(t, fetchArtifact(t, s, "mitigations"), fleet, "mitigations", "after change")
 }
 
-// BenchmarkFleetArtifactRead times one table2 read over 8 shards and 2000
-// households with every shard stale, as under a writer that keeps touching
-// the whole fleet: the memo and every shard's cached clone miss, so each
-// read clones, merges and renders all eight live aggregates.
+// BenchmarkFleetArtifactRead times one read of each fleet artifact over 8
+// shards at two fleet sizes. Nothing is cached between reads: every read
+// folds all eight live aggregates into one partial and renders it, as a
+// read under a writer churning the whole fleet does.
 func BenchmarkFleetArtifactRead(b *testing.B) {
-	s := New(Config{Shards: 8})
-	b.Cleanup(s.Close)
-	body := wireBody(b, inspector.Generate(5, 2000).Households...)
-	if w := do(s, "POST", "/v1/ingest/inspector", body); w.Code != http.StatusOK {
-		b.Fatalf("ingest: %d %s", w.Code, w.Body.String())
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, sh := range s.shards { // what a write to each shard does to reads
-			sh.mu.Lock()
-			sh.version++
-			sh.mu.Unlock()
-		}
-		if _, err := s.RunFleetArtifact(ctx, "table2"); err != nil {
-			b.Fatal(err)
-		}
+	for _, households := range []int{2000, 16000} {
+		b.Run(fmt.Sprintf("households=%d", households), func(b *testing.B) {
+			s := New(Config{Shards: 8})
+			b.Cleanup(s.Close)
+			fleet := inspector.Generate(5, households).Households
+			// 1,000 households per body: 16,000 in one body would exceed
+			// the default 64 MiB upload limit.
+			for lo := 0; lo < len(fleet); lo += 1000 {
+				body := wireBody(b, fleet[lo:min(lo+1000, len(fleet))]...)
+				if w := do(s, "POST", "/v1/ingest/inspector", body); w.Code != http.StatusOK {
+					b.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+				}
+			}
+			for _, name := range []string{"table2", "mitigations"} {
+				b.Run(name, func(b *testing.B) {
+					ctx := context.Background()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := s.RunFleetArtifact(ctx, name); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
 	}
 }
