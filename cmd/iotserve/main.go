@@ -38,7 +38,7 @@
 //	         [-timeout 30s] [-retry-after 1s] [-cache 4096] [-drain-timeout 1m]
 //	         [-log-format text|json|none] [-trace=true] [-flight 256]
 //	         [-data-dir DIR] [-shards N] [-checkpoint-every 4096]
-//	         [-wal-sync group|always|none] [-selfcheck-every N]
+//	         [-wal-sync group|none] [-selfcheck-every N]
 //	iotserve -selftest    # serve an in-sim fleet over the virtual LAN
 //	                      # (internal/vnet), verify artifacts, exit — no
 //	                      # sockets, ports, or network privileges needed
@@ -77,7 +77,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable state directory: WAL + checkpoints (empty = in-memory only)")
 	shards := flag.Int("shards", 8, "fleet state shards (artifact bytes are shard-count invariant)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "checkpoint after this many WAL records (0 = only on shutdown)")
-	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (coalesced, default), always (per record), none (page cache only)")
+	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (fsync before each ack, coalesced across uploads; default) or none (page cache only)")
 	selfCheckEvery := flag.Int("selfcheck-every", 0, "shadow-batch self-check after this many folds: recompute every shard from scratch and compare to the live aggregates (0 = never)")
 	flag.Parse()
 

@@ -23,18 +23,19 @@ import (
 //
 // The partials are also *retractable*: every aggregate is an integer count
 // or a refcounted multiset (map[string]int — "distinct products" renders as
-// the key count, but each key remembers how many devices contribute it), so
-// Sub is the exact inverse of Add. Keys are deleted the moment their
-// refcount reaches zero, which makes the algebra cancellative: folding a
-// household in and retracting it restores the previous state *structurally*,
-// not just observationally — a partial built by any sequence of Add/Sub
-// calls is identical to one batch-built over the surviving households. The
-// serving layer leans on this to keep a live merged partial per fleet shard,
-// updated in O(one household) at ingest (fold the previous contribution out,
-// the new one in) instead of recomputing the shard on read. A refcount
-// underflow means a caller retracted a contribution that was never added —
-// a structural invariant violation, so Sub panics rather than serving
-// silently wrong aggregates.
+// the key count, but each key remembers how many devices contribute it; the
+// §7 sweep counts households per fingerprint), and both analyses fold them
+// with addCounts and subCounts, so Sub is the exact inverse of Add. Keys are
+// deleted the moment their refcount reaches zero, which makes the algebra
+// cancellative: folding a household in and retracting it restores the
+// previous state *structurally*, not just observationally — a partial built
+// by any sequence of Add/Sub calls is identical to one batch-built over the
+// surviving households. The serving layer leans on this to keep a live
+// merged partial per fleet shard, updated in O(one household) at ingest
+// (fold the previous contribution out, the new one in) instead of
+// recomputing the shard on read. A refcount underflow means a caller
+// retracted a contribution that was never added — a structural invariant
+// violation, so Sub panics rather than serving silently wrong aggregates.
 //
 // The whole-corpus entry points (EntropyTableWith, MitigationTableWith)
 // fold the corpus into one partial and render it with Rows, the same call
@@ -333,20 +334,22 @@ var mitigationRegimes = []Mitigation{
 }
 
 // regimePartial is one mitigation regime's contribution from a household
-// subset: per-fingerprint owner multisets for each observation session.
-// s1[fp] records which households claimed fp in session 1 and how often —
-// re-identification through fp is possible only while exactly one household
-// holds exactly one claim. s2[fp] counts session-2 holders the same way.
-// The nested counts make the partial retractable: removing a household's
-// claims decrements, and a fingerprint row disappears when its last claim
-// does.
+// subset, as three fingerprint multisets: s1[fp], s2[fp] and both[fp] count
+// the households whose session-1, session-2, or both-session fingerprint is
+// fp. fp re-identifies its both[fp] households exactly when s1[fp] == 1,
+// that is when no other household claimed it in session 1.
 type regimePartial struct {
-	s1 map[string]map[string]int
-	s2 map[string]map[string]int
+	s1, s2, both map[string]int
 }
 
 // MitigationPartial is the mergeable, retractable §7 sweep contribution of
 // a household subset, one regimePartial per mitigationRegimes entry.
+//
+// The counts carry no household identities, so they are exact only when a
+// merge folds a disjoint household cover with one record per household ID.
+// Every caller meets this: the serving layer keys fleet state by household
+// ID and retracts a record before folding in its replacement, and a
+// generated corpus has unique IDs.
 type MitigationPartial struct {
 	regimes []regimePartial
 }
@@ -356,22 +359,9 @@ type MitigationPartial struct {
 func NewMitigationPartial() *MitigationPartial {
 	p := &MitigationPartial{regimes: make([]regimePartial, len(mitigationRegimes))}
 	for i := range p.regimes {
-		p.regimes[i] = regimePartial{
-			s1: map[string]map[string]int{},
-			s2: map[string]map[string]int{},
-		}
+		p.regimes[i] = regimePartial{s1: map[string]int{}, s2: map[string]int{}, both: map[string]int{}}
 	}
 	return p
-}
-
-// addClaim records one household's fingerprint claim in an owner multiset.
-func addClaim(m map[string]map[string]int, fp, owner string) {
-	owners, ok := m[fp]
-	if !ok {
-		owners = map[string]int{}
-		m[fp] = owners
-	}
-	owners[owner]++
 }
 
 // MitigationPartialOf computes both observation sessions' fingerprints for
@@ -382,11 +372,15 @@ func MitigationPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers) 
 	for ri, m := range mitigationRegimes {
 		rp := p.regimes[ri]
 		for _, h := range hhs {
-			if fp := fingerprint(h, ids, m, 1); fp != "" {
-				addClaim(rp.s1, fp, h.ID)
+			fp1 := fingerprint(h, ids, m, 1)
+			if fp1 != "" {
+				rp.s1[fp1]++
 			}
-			if fp := fingerprint(h, ids, m, 2); fp != "" {
-				addClaim(rp.s2, fp, h.ID)
+			if fp2 := fingerprint(h, ids, m, 2); fp2 != "" {
+				rp.s2[fp2]++
+				if fp2 == fp1 {
+					rp.both[fp2]++
+				}
 			}
 		}
 	}
@@ -395,96 +389,54 @@ func MitigationPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers) 
 
 // Add folds q into p.
 func (p *MitigationPartial) Add(q *MitigationPartial) {
-	for ri := range p.regimes {
-		qr := q.regimes[ri]
+	for ri, qr := range q.regimes {
 		pr := p.regimes[ri]
-		for fp, owners := range qr.s1 {
-			dst, ok := pr.s1[fp]
-			if !ok {
-				dst = map[string]int{}
-				pr.s1[fp] = dst
-			}
-			addCounts(dst, owners)
-		}
-		for fp, owners := range qr.s2 {
-			dst, ok := pr.s2[fp]
-			if !ok {
-				dst = map[string]int{}
-				pr.s2[fp] = dst
-			}
-			addCounts(dst, owners)
-		}
+		addCounts(pr.s1, qr.s1)
+		addCounts(pr.s2, qr.s2)
+		addCounts(pr.both, qr.both)
 	}
 }
 
 // Sub retracts a previously added q from p, with the same delete-at-zero /
 // panic-on-underflow contract as EntropyPartial.Sub.
 func (p *MitigationPartial) Sub(q *MitigationPartial) {
-	subClaims := func(dst, src map[string]map[string]int) {
-		for fp, owners := range src {
-			d, ok := dst[fp]
-			if !ok {
-				panic("analysis: MitigationPartial.Sub of a fingerprint never added")
-			}
-			subCounts(d, owners)
-			if len(d) == 0 {
-				delete(dst, fp)
-			}
-		}
-	}
-	for ri := range p.regimes {
-		subClaims(p.regimes[ri].s1, q.regimes[ri].s1)
-		subClaims(p.regimes[ri].s2, q.regimes[ri].s2)
+	for ri, qr := range q.regimes {
+		pr := p.regimes[ri]
+		subCounts(pr.s1, qr.s1)
+		subCounts(pr.s2, qr.s2)
+		subCounts(pr.both, qr.both)
 	}
 }
 
 // Clone deep-copies p, with the same independence as EntropyPartial.Clone.
 func (p *MitigationPartial) Clone() *MitigationPartial {
-	c := NewMitigationPartial()
-	for ri := range p.regimes {
-		for fp, owners := range p.regimes[ri].s1 {
-			c.regimes[ri].s1[fp] = cloneCounts(owners)
-		}
-		for fp, owners := range p.regimes[ri].s2 {
-			c.regimes[ri].s2[fp] = cloneCounts(owners)
-		}
+	c := &MitigationPartial{regimes: make([]regimePartial, len(p.regimes))}
+	for ri, r := range p.regimes {
+		c.regimes[ri] = regimePartial{s1: cloneCounts(r.s1), s2: cloneCounts(r.s2), both: cloneCounts(r.both)}
 	}
 	return c
 }
 
-// Rows derives the final sweep rows, in mitigationRegimes order. A session-2
-// holder is re-identified when its fingerprint's session-1 claims reduce to
-// a single claim by a single household — the multiset total, not the map
-// width, so duplicate claims across or within subsets break uniqueness
-// exactly as the batch analysis defines.
+// Rows derives the final sweep rows, in mitigationRegimes order. Each
+// regime's session-2 multiset is both the household count and the
+// anonymity-set histogram whose entropy the row reports.
 func (p *MitigationPartial) Rows() []ReidentificationResult {
 	out := make([]ReidentificationResult, len(mitigationRegimes))
 	for ri, m := range mitigationRegimes {
 		rp := p.regimes[ri]
 		res := ReidentificationResult{Mitigation: m}
-		counts := map[string]int{}
-		for fp, owners := range rp.s2 {
-			holders := 0
-			for _, n := range owners {
-				holders += n
-			}
-			res.Households += holders
-			counts[fp] += holders
-			if s1owners, ok := rp.s1[fp]; ok {
-				claims, claimant := 0, ""
-				for owner, n := range s1owners {
-					claims += n
-					claimant = owner
-				}
-				if claims == 1 {
-					res.Reidentified += owners[claimant]
-				}
+		for _, n := range rp.s2 {
+			res.Households += n
+		}
+		for fp, n := range rp.both {
+			if rp.s1[fp] == 1 {
+				res.Reidentified += n
 			}
 		}
 		if res.Households > 0 {
 			res.ReidRate = float64(res.Reidentified) / float64(res.Households)
 		}
-		res.EntropyBits = shannon(counts, res.Households)
+		res.EntropyBits = shannon(rp.s2, res.Households)
 		out[ri] = res
 	}
 	return out

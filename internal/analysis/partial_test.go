@@ -278,3 +278,31 @@ func BenchmarkHouseholdPartialOf(b *testing.B) {
 }
 
 var partialSink *HouseholdPartial
+
+// BenchmarkPartialAddSub is the live fold's aggregate arithmetic for one
+// re-upload: a household's singleton partial added to a 2,000-household
+// aggregate with Add and retracted again with Sub.
+func BenchmarkPartialAddSub(b *testing.B) {
+	ds := inspector.Generate(1, 2001)
+	fleet := ds.Households[:2000]
+	ids := ExtractIdentifiers(&inspector.Dataset{Households: fleet}, 1)
+	one := HouseholdPartialOf(ds.Households[2000])
+	b.Run("table2", func(b *testing.B) {
+		agg := EntropyPartialOf(fleet, ids)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			agg.Add(one.Entropy)
+			agg.Sub(one.Entropy)
+		}
+	})
+	b.Run("mitigations", func(b *testing.B) {
+		agg := MitigationPartialOf(fleet, ids)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			agg.Add(one.Mitigations)
+			agg.Sub(one.Mitigations)
+		}
+	})
+}

@@ -122,11 +122,12 @@ func isPeriodic(times []time.Time) (bool, time.Duration) {
 	for i := range bins {
 		bins[i] -= mean
 	}
+	// spec holds the bins below Nyquist (k < n/2) of an n-point transform.
 	spec := dft(bins)
 	// Find the dominant non-DC frequency.
 	bestK, bestP := 0, 0.0
 	totalP := 0.0
-	for k := 1; k < len(spec)/2; k++ {
+	for k := 1; k < len(spec); k++ {
 		p := cmplx.Abs(spec[k])
 		totalP += p
 		if p > bestP {
@@ -136,35 +137,40 @@ func isPeriodic(times []time.Time) (bool, time.Duration) {
 	if bestK == 0 || totalP == 0 {
 		return intervalTest(times)
 	}
+	energy := 0.0 // Σx², the autocorrelation's normalizer
+	for _, b := range bins {
+		energy += b * b
+	}
 	// Spectral concentration: the peak must stand out.
-	if bestP >= 2.5*totalP/float64(len(spec)/2) {
+	if bestP >= 2.5*totalP/float64(len(spec)) {
 		period := time.Duration(float64(nBins) / float64(bestK) * float64(binWidth))
 		// Confirm with the autocorrelation at the implied lag (±1 bin to
 		// absorb jitter-induced smearing).
 		lag := int(period / binWidth)
 		for _, l := range []int{lag, lag - 1, lag + 1} {
-			if l >= 1 && l < nBins/2 && autocorr(bins, l) > 0.25 {
+			if l >= 1 && l < nBins/2 && autocorr(bins, energy, l) > 0.25 {
 				return true, period
 			}
 		}
 	}
 	// Autocorrelation scan: jittered timers smear the spectrum but keep a
 	// clear self-similarity peak.
-	if lag, r := bestAutocorr(bins); r > 0.35 && lag >= 2 {
+	if lag, r := bestAutocorr(bins, energy); r > 0.35 && lag >= 2 {
 		return true, time.Duration(lag) * binWidth
 	}
 	return intervalTest(times)
 }
 
-// bestAutocorr scans lags for the strongest self-similarity.
-func bestAutocorr(bins []float64) (int, float64) {
+// bestAutocorr scans lags for the strongest self-similarity; energy is
+// Σbins².
+func bestAutocorr(bins []float64, energy float64) (int, float64) {
 	bestLag, best := 0, 0.0
 	max := len(bins) / 3
 	if max > 720 { // cap the scan at one-hour lags
 		max = 720
 	}
 	for lag := 2; lag < max; lag++ {
-		if r := autocorr(bins, lag); r > best {
+		if r := autocorr(bins, energy, lag); r > best {
 			best, bestLag = r, lag
 		}
 	}
@@ -205,9 +211,10 @@ func intervalTest(times []time.Time) (bool, time.Duration) {
 	return false, 0
 }
 
-// dft is a direct discrete Fourier transform; n is at most 2^14 so O(n²) on
-// the reduced bins is acceptable for the analysis sizes here. For large n
-// it decimates first.
+// dft is a direct discrete Fourier transform returning the bins k < n/2 —
+// all a real input's spectrum holds below Nyquist — where n is the
+// transform length. For large inputs it decimates first, so n ≤ 2048 and
+// the O(n²) sum stays cheap.
 func dft(x []float64) []complex128 {
 	n := len(x)
 	if n > 2048 {
@@ -224,34 +231,33 @@ func dft(x []float64) []complex128 {
 		x = reduced
 		n = len(x)
 	}
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
+	out := make([]complex128, n/2)
+	for k := range out {
+		var re, im float64
 		for t := 0; t < n; t++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += complex(x[t], 0) * cmplx.Exp(complex(0, angle))
+			// x[t]·e^(iθ), with e^(iθ) = cos θ + i·sin θ exactly as
+			// cmplx.Exp computes it. The conversions round each product
+			// before the sum, so no fused multiply-add changes a bit.
+			s, c := math.Sincos(-2 * math.Pi * float64(k) * float64(t) / float64(n))
+			re += float64(x[t] * c)
+			im += float64(x[t] * s)
 		}
-		out[k] = sum
+		out[k] = complex(re, im)
 	}
 	return out
 }
 
-// autocorr computes the normalized autocorrelation of x at lag.
-func autocorr(x []float64, lag int) float64 {
-	if lag >= len(x) {
+// autocorr computes the autocorrelation of x at lag, normalized by
+// energy = Σx².
+func autocorr(x []float64, energy float64, lag int) float64 {
+	if lag >= len(x) || energy == 0 {
 		return 0
 	}
-	var num, den float64
+	var num float64
 	for i := 0; i+lag < len(x); i++ {
 		num += x[i] * x[i+lag]
 	}
-	for _, v := range x {
-		den += v * v
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
+	return num / energy
 }
 
 // PeriodicitySummary reports Appendix D.1's headline numbers: the fraction

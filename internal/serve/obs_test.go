@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"iotlan/internal/inspector"
 	"iotlan/internal/obs"
@@ -104,6 +108,68 @@ func TestStageHistogramsPopulated(t *testing.T) {
 	}
 	if s.mInflight.Value() != 0 {
 		t.Fatalf("in-flight bytes gauge %d at rest, want 0", s.mInflight.Value())
+	}
+}
+
+// slowBody blocks at least a millisecond in every Read, so time blocked in
+// Read dwarfs the microsecond rounding between a span and its histogram.
+type slowBody struct{ r io.Reader }
+
+func (b slowBody) Read(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return b.r.Read(p)
+}
+
+// TestDecodeSpansMatchStageHistograms: the body.read and decode spans in
+// the flight recorder carry the durations their serve_stage_ms histograms
+// observe, so a trace and /metrics attribute an upload's time the same
+// way. Decode excludes the time blocked in Read; spans round down to whole
+// microseconds, hence one microsecond of slack per sample.
+func TestDecodeSpansMatchStageHistograms(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ds := inspector.Generate(14, 2)
+	h := ds.Households[0]
+	for path, body := range map[string][]byte{
+		fmt.Sprintf("/v1/households/%s/capture", h.ID): capturePCAP(t, h),
+		"/v1/ingest/inspector":                         wireBody(t, ds.Households...),
+	} {
+		w := httptest.NewRecorder()
+		s.Mux().ServeHTTP(w, httptest.NewRequest("POST", path, slowBody{bytes.NewReader(body)}))
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d", path, w.Code)
+		}
+	}
+
+	spanUS := map[string]int64{}
+	for _, rt := range s.FlightRecorder().Traces() {
+		for _, sp := range rt.Spans {
+			spanUS[sp.Name] += sp.Dur
+		}
+	}
+	samples, _, err := obs.ParsePrometheus(do(s, "GET", "/metrics", nil).Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"body.read", "pcap.decode", "inspector.decode"} {
+		var sumMS, count float64
+		for _, smp := range samples {
+			if smp.Labels["stage"] != stage {
+				continue
+			}
+			switch smp.Name {
+			case "serve_stage_ms_sum":
+				sumMS = smp.Value
+			case "serve_stage_ms_count":
+				count = smp.Value
+			}
+		}
+		if count == 0 {
+			t.Fatalf("stage %q: no histogram samples", stage)
+		}
+		if diff := math.Abs(1000*sumMS - float64(spanUS[stage])); diff > count {
+			t.Errorf("stage %q: spans sum to %d µs, histogram to %.3f µs over %.0f samples",
+				stage, spanUS[stage], 1000*sumMS, count)
+		}
 	}
 }
 

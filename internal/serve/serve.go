@@ -202,11 +202,35 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 // time spent blocked in Read (the body.read stage — reads interleave with
 // record decoding, so the cost accumulates rather than brackets), plus a
 // live in-flight-bytes gauge. The caller releases the gauge when done.
+// start and spanStart mark the start of the read+decode loop on the wall
+// and span clocks.
 type meterReader struct {
-	r        io.Reader
-	inflight *obs.Gauge
-	n        int64
-	dur      time.Duration
+	r         io.Reader
+	inflight  *obs.Gauge
+	n         int64
+	dur       time.Duration
+	start     time.Time
+	spanStart int64
+}
+
+// meter wraps j's body in a meterReader and starts its read+decode loop.
+func (s *Server) meter(j *job) *meterReader {
+	return &meterReader{r: j.body, inflight: s.mInflight, start: time.Now(), spanStart: s.spans.Now()}
+}
+
+// endDecode closes the read+decode loop metered by mr, whose decoder
+// produced n units (records or households). The body.read stage is the
+// time blocked in Read and the decode stage is the rest of the loop; each
+// span gets the same duration its histogram observes.
+func (s *Server) endDecode(j *job, mr *meterReader, stage, unit string, n int) {
+	j.stats.Bytes, j.stats.BodyRead = mr.n, mr.dur
+	j.stats.Decode = time.Since(mr.start) - mr.dur
+	s.stageObserve("body.read", j.stats.BodyRead)
+	s.stageObserve(stage, j.stats.Decode)
+	s.spans.RecordSpan(j.ctx, "serve", "body.read", mr.spanStart, j.stats.BodyRead.Microseconds(),
+		"bytes", strconv.FormatInt(mr.n, 10))
+	s.spans.RecordSpan(j.ctx, "serve", stage, mr.spanStart, j.stats.Decode.Microseconds(),
+		unit, strconv.Itoa(n))
 }
 
 func (m *meterReader) Read(p []byte) (int, error) {
@@ -436,23 +460,11 @@ func (s *Server) processCapture(j *job) jobResult {
 	h := sha256.New()
 	h.Write([]byte(j.household))
 	h.Write([]byte{0}) // separator: the ID can never bleed into body bytes
-	mr := &meterReader{r: j.body, inflight: s.mInflight}
+	mr := s.meter(j)
 	defer func() { s.mInflight.Add(-mr.n) }()
-	decodeStart, spanStart := time.Now(), s.spans.Now()
-	endDecode := func(records int) {
-		loop := time.Since(decodeStart)
-		j.stats.Bytes, j.stats.BodyRead = mr.n, mr.dur
-		j.stats.Decode = loop - mr.dur
-		s.stageObserve("body.read", j.stats.BodyRead)
-		s.stageObserve("pcap.decode", j.stats.Decode)
-		s.spans.RecordSpan(j.ctx, "serve", "body.read", spanStart, mr.dur.Microseconds(),
-			"bytes", strconv.FormatInt(mr.n, 10))
-		s.spans.RecordSpan(j.ctx, "serve", "pcap.decode", spanStart, loop.Microseconds(),
-			"records", strconv.Itoa(records))
-	}
 	rd, err := pcap.NewReader(io.TeeReader(mr, h))
 	if err != nil {
-		endDecode(0)
+		s.endDecode(j, mr, "pcap.decode", "records", 0)
 		return s.uploadError(err, "capture")
 	}
 	var records []pcap.Record
@@ -462,12 +474,12 @@ func (s *Server) processCapture(j *job) jobResult {
 			break
 		}
 		if err != nil {
-			endDecode(len(records))
+			s.endDecode(j, mr, "pcap.decode", "records", len(records))
 			return s.uploadError(err, "capture")
 		}
 		records = append(records, rec)
 	}
-	endDecode(len(records))
+	s.endDecode(j, mr, "pcap.decode", "records", len(records))
 	var digest [sha256.Size]byte
 	h.Sum(digest[:0])
 	body, hit := s.timedCacheGet(j, digest)
@@ -507,20 +519,8 @@ func (s *Server) timedCacheGet(j *job, digest [sha256.Size]byte) ([]byte, bool) 
 // re-posted batch is applied idempotently — including over a newer upload
 // of the same household, which an answer from the cache would have kept.
 func (s *Server) processInspector(j *job) jobResult {
-	mr := &meterReader{r: j.body, inflight: s.mInflight}
+	mr := s.meter(j)
 	defer func() { s.mInflight.Add(-mr.n) }()
-	decodeStart, spanStart := time.Now(), s.spans.Now()
-	endDecode := func(households int) {
-		loop := time.Since(decodeStart)
-		j.stats.Bytes, j.stats.BodyRead = mr.n, mr.dur
-		j.stats.Decode = loop - mr.dur
-		s.stageObserve("body.read", j.stats.BodyRead)
-		s.stageObserve("inspector.decode", j.stats.Decode)
-		s.spans.RecordSpan(j.ctx, "serve", "body.read", spanStart, mr.dur.Microseconds(),
-			"bytes", strconv.FormatInt(mr.n, 10))
-		s.spans.RecordSpan(j.ctx, "serve", "inspector.decode", spanStart, loop.Microseconds(),
-			"households", strconv.Itoa(households))
-	}
 	dec := inspector.NewWireDecoder(mr)
 	var hhs []*inspector.Household
 	for {
@@ -529,12 +529,12 @@ func (s *Server) processInspector(j *job) jobResult {
 			break
 		}
 		if err != nil {
-			endDecode(len(hhs))
+			s.endDecode(j, mr, "inspector.decode", "households", len(hhs))
 			return s.uploadError(err, "inspector")
 		}
 		hhs = append(hhs, hh)
 	}
-	endDecode(len(hhs))
+	s.endDecode(j, mr, "inspector.decode", "households", len(hhs))
 	aStart := time.Now()
 	_, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
 	if err := s.ingest(j, hhs); err != nil {

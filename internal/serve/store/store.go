@@ -17,8 +17,7 @@
 // (a write(2)) before returning, so an acknowledged record survives process
 // death — SIGKILL included — even in SyncNone mode. SyncGroup (the default)
 // additionally fsyncs before Append returns, coalescing concurrent appends
-// into one fsync (group commit), surviving machine crashes; SyncAlways
-// fsyncs per record.
+// into one fsync (group commit), surviving machine crashes.
 package store
 
 import (

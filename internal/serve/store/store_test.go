@@ -246,14 +246,16 @@ func TestGroupCommitConcurrentAppend(t *testing.T) {
 }
 
 func TestParseSyncMode(t *testing.T) {
-	for s, want := range map[string]SyncMode{"": SyncGroup, "group": SyncGroup, "always": SyncAlways, "none": SyncNone} {
+	for s, want := range map[string]SyncMode{"": SyncGroup, "group": SyncGroup, "none": SyncNone} {
 		got, err := ParseSyncMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseSyncMode("bogus"); err == nil {
-		t.Fatal("ParseSyncMode(bogus) accepted")
+	for _, s := range []string{"always", "bogus"} {
+		if _, err := ParseSyncMode(s); err == nil {
+			t.Fatalf("ParseSyncMode(%q) accepted", s)
+		}
 	}
 }
 

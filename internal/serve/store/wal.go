@@ -14,31 +14,27 @@ import (
 // SyncMode selects how durable an Append is when it returns.
 type SyncMode int
 
-// Sync modes. All of them write(2) the record before Append returns, so an
-// acknowledged record survives SIGKILL; the modes differ only in fsync
+// Sync modes. Both write(2) the record before Append returns, so an
+// acknowledged record survives SIGKILL; they differ only in fsync
 // behaviour, i.e. machine-crash durability.
 const (
 	// SyncGroup fsyncs before Append returns, coalescing concurrent
 	// appends into one fsync (group commit). The default.
 	SyncGroup SyncMode = iota
-	// SyncAlways fsyncs inline on every Append.
-	SyncAlways
 	// SyncNone never fsyncs on Append (only on Rotate/Close). Fastest;
 	// survives process death but not power loss.
 	SyncNone
 )
 
-// ParseSyncMode maps a flag value ("group", "always", "none") to a mode.
+// ParseSyncMode maps a flag value ("group", "none") to a mode.
 func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
 	case "group", "":
 		return SyncGroup, nil
-	case "always":
-		return SyncAlways, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("store: unknown sync mode %q (want group, always or none)", s)
+	return 0, fmt.Errorf("store: unknown sync mode %q (want group or none)", s)
 }
 
 // SegmentName renders a WAL segment filename; segments sort lexically in
@@ -150,7 +146,7 @@ func (l *Log) Segment() int {
 }
 
 // Append writes one record. When it returns nil the record has reached the
-// kernel (all modes) and — in group/always modes — stable storage.
+// kernel (both modes) and — in group mode — stable storage.
 func (l *Log) Append(payload []byte) error {
 	l.mu.Lock()
 	if l.closed {
@@ -161,16 +157,12 @@ func (l *Log) Append(payload []byte) error {
 	_, err := l.f.Write(l.scratch)
 	l.writeSeq++
 	seq := l.writeSeq
-	f := l.f
 	l.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	switch l.mode {
-	case SyncNone:
+	if l.mode == SyncNone {
 		return nil
-	case SyncAlways:
-		return f.Sync()
 	}
 	// Group commit: nudge the flusher, wait until an fsync covers seq.
 	select {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"iotlan/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -24,17 +27,31 @@ const telemetryGolden = "testdata/telemetry_subset_seed1.json"
 // drops or adds packets the analyses never look at; the frame, event, TCP
 // segment and device-message counters cannot. Regenerate with -update only
 // for a change that is meant to alter simulated traffic.
+//
+// The same study runs a second time with a virtual-time tracer attached,
+// and its snapshot must be byte-identical: tracing is observational. The
+// golden (and -update) holds the untraced run.
 func TestTelemetrySnapshotGolden(t *testing.T) {
-	s := New(1,
-		WithLabProfiles(residentProfiles()),
-		WithIdleDuration(10*time.Minute),
-		WithInteractions(24),
-		WithApps(6),
-	)
-	s.RunPassive()
-	s.RunVulnScans()
-	s.RunApps()
-	got := s.Lab.Telemetry().Registry.Snapshot()
+	run := func(opts ...Option) []byte {
+		s := New(1, append([]Option{
+			WithLabProfiles(residentProfiles()),
+			WithIdleDuration(10 * time.Minute),
+			WithInteractions(24),
+			WithApps(6),
+		}, opts...)...)
+		s.RunPassive()
+		s.RunVulnScans()
+		s.RunApps()
+		return s.Lab.Telemetry().Registry.Snapshot()
+	}
+	got := run()
+	tracer := obs.NewTracer(io.Discard, obs.FormatChrome)
+	if traced := run(WithTrace(tracer)); !bytes.Equal(traced, got) {
+		t.Fatal("registry snapshot differs with a tracer attached")
+	}
+	if tracer.Events() == 0 {
+		t.Fatal("the attached tracer recorded no events")
+	}
 
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(telemetryGolden), 0o755); err != nil {
