@@ -30,13 +30,13 @@
 // wall-clock phase profile) as JSON. -trace streams the virtual-time event
 // trace: a .jsonl suffix selects JSON-lines, anything else the Chrome
 // trace_event format (load in chrome://tracing or Perfetto). -http mounts
-// the shared operational surface from internal/serve — /metrics, /healthz,
-// expvar (/debug/vars, including live metrics), and pprof (/debug/pprof/) —
-// while the run executes; opt-in, nothing listens by default.
+// the shared operational surface from internal/serve while the run
+// executes — the lab's live metrics at /metrics, /healthz, expvar's Go
+// runtime state (/debug/vars), and pprof (/debug/pprof/); opt-in, nothing
+// listens by default.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -72,7 +72,7 @@ func main() {
 	exportDir := flag.String("export", "", "also export datasets (scans, findings, exfiltration, …) as JSON into this directory")
 	metricsFile := flag.String("metrics", "", "write the telemetry report (metrics + phase profile) as JSON to this file (\"-\" for stdout)")
 	traceFile := flag.String("trace", "", "stream the virtual-time event trace to this file (.jsonl → JSON lines, else Chrome trace_event)")
-	httpAddr := flag.String("http", "", "serve expvar and pprof on this address (e.g. localhost:6060) while the run executes")
+	httpAddr := flag.String("http", "", "serve live /metrics, expvar and pprof on this address (e.g. localhost:6060) while the run executes")
 	flag.Parse()
 
 	if *list {
@@ -120,12 +120,6 @@ func main() {
 		// One shared operational surface with iotserve: /metrics, /healthz,
 		// expvar, pprof — behind an http.Server with real timeouts instead
 		// of the unbounded zero-valued default.
-		expvar.Publish("iotlan_metrics", expvar.Func(func() interface{} {
-			if s.Lab == nil {
-				return nil
-			}
-			return s.Lab.Telemetry().Registry.SnapshotMap()
-		}))
 		mux := serve.DebugMux(serve.MetricsSource{Name: "lab", Lazy: func() *obs.Registry {
 			if s.Lab == nil {
 				return nil

@@ -52,7 +52,7 @@ type serveProc struct {
 func startServe(t *testing.T, bin string, args ...string) *serveProc {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{
-		"-addr", "127.0.0.1:0", "-log-format", "none", "-trace=false",
+		"-addr", "127.0.0.1:0", "-log-format", "none",
 	}, args...)...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()

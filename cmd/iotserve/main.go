@@ -18,9 +18,11 @@
 // before its body is read. Capture reports are stateless and memoized by
 // content hash. SIGINT/SIGTERM drains gracefully: admitted uploads finish,
 // new uploads get 503, then the listener shuts down.
-// SIGQUIT dumps the flight recorder (recent + slowest + errored request
-// traces) as Chrome trace JSON to a file and keeps serving — the in-flight
-// incident snapshot.
+// Every upload is traced as one root span with a child span per stage; its
+// stage histograms on /metrics, its request-log line and the flight
+// recorder's copy all derive from that trace. SIGQUIT dumps the flight
+// recorder (recent + slowest + errored request traces) as Chrome trace JSON
+// to a file and keeps serving — the in-flight incident snapshot.
 //
 // With -data-dir set the service is durable: every acknowledged inspector
 // ingest is written to a checksummed write-ahead log before fleet state
@@ -36,9 +38,8 @@
 //
 //	iotserve [-addr :8080] [-workers N] [-queue 64] [-max-upload 67108864]
 //	         [-timeout 30s] [-retry-after 1s] [-cache 4096] [-drain-timeout 1m]
-//	         [-log-format text|json|none] [-trace=true] [-flight 256]
-//	         [-data-dir DIR] [-shards N] [-checkpoint-every 4096]
-//	         [-wal-sync group|none] [-selfcheck-every N]
+//	         [-log-format text|json|none] [-data-dir DIR] [-shards N]
+//	         [-checkpoint-every 4096] [-wal-sync group|none] [-selfcheck-every N]
 //	iotserve -selftest    # serve an in-sim fleet over the virtual LAN
 //	                      # (internal/vnet), verify artifacts, exit — no
 //	                      # sockets, ports, or network privileges needed
@@ -71,8 +72,6 @@ func main() {
 	cache := flag.Int("cache", 4096, "content-hash cache entries for capture reports")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget on SIGTERM")
 	logFormat := flag.String("log-format", "text", "structured request log format: text, json, or none")
-	trace := flag.Bool("trace", true, "record per-upload spans into the flight recorder")
-	flight := flag.Int("flight", 0, "flight recorder capacity: recent traces retained (0 = default)")
 	selftest := flag.Bool("selftest", false, "serve an in-sim fleet over the virtual LAN (no sockets), verify artifacts, and exit")
 	dataDir := flag.String("data-dir", "", "durable state directory: WAL + checkpoints (empty = in-memory only)")
 	shards := flag.Int("shards", 8, "fleet state shards (artifact bytes are shard-count invariant)")
@@ -107,20 +106,18 @@ func main() {
 		os.Exit(2)
 	}
 	s, err := serve.Open(serve.Config{
-		Workers:            *workers,
-		QueueCapacity:      *queue,
-		MaxUploadBytes:     *maxUpload,
-		RequestTimeout:     *timeout,
-		RetryAfter:         *retryAfter,
-		CacheEntries:       *cache,
-		DisableTracing:     !*trace,
-		FlightRecorderSize: *flight,
-		Logger:             logger,
-		DataDir:            *dataDir,
-		Shards:             *shards,
-		CheckpointEvery:    *checkpointEvery,
-		WALSync:            syncMode,
-		SelfCheckEvery:     *selfCheckEvery,
+		Workers:         *workers,
+		QueueCapacity:   *queue,
+		MaxUploadBytes:  *maxUpload,
+		RequestTimeout:  *timeout,
+		RetryAfter:      *retryAfter,
+		CacheEntries:    *cache,
+		Logger:          logger,
+		DataDir:         *dataDir,
+		Shards:          *shards,
+		CheckpointEvery: *checkpointEvery,
+		WALSync:         syncMode,
+		SelfCheckEvery:  *selfCheckEvery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iotserve:", err)
@@ -141,24 +138,23 @@ func main() {
 	// SIGQUIT is the incident hook: snapshot the flight recorder to a file
 	// and keep serving. (signal.Notify disarms the runtime's default
 	// stack-dump-and-exit handling for it.)
-	if fr := s.FlightRecorder(); fr != nil {
-		quitc := make(chan os.Signal, 1)
-		signal.Notify(quitc, syscall.SIGQUIT)
-		go func() {
-			for range quitc {
-				path := filepath.Join(os.TempDir(),
-					fmt.Sprintf("iotserve-flight-%d.json", time.Now().UnixNano()))
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "iotserve: flight dump:", err)
-					continue
-				}
-				fr.Dump(f)
-				f.Close()
-				fmt.Printf("iotserve: SIGQUIT — dumped %d request traces to %s\n", fr.Total(), path)
+	quitc := make(chan os.Signal, 1)
+	signal.Notify(quitc, syscall.SIGQUIT)
+	go func() {
+		fr := s.FlightRecorder()
+		for range quitc {
+			path := filepath.Join(os.TempDir(),
+				fmt.Sprintf("iotserve-flight-%d.json", time.Now().UnixNano()))
+			f, err := os.Create(path)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "iotserve: flight dump:", err)
+				continue
 			}
-		}()
-	}
+			fr.Dump(f)
+			f.Close()
+			fmt.Printf("iotserve: SIGQUIT — dumped %d request traces to %s\n", fr.Total(), path)
+		}
+	}()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -129,17 +129,7 @@ func (fr *FlightRecorder) Dump(w io.Writer) error {
 	t := NewTracer(w, FormatChrome)
 	for _, rt := range fr.Traces() {
 		for _, d := range rt.Spans {
-			args := []string{"trace", formatUint(d.TraceID), "span", formatUint(d.SpanID)}
-			if d.ParentID != 0 {
-				args = append(args, "parent", formatUint(d.ParentID))
-			}
-			if d.Err {
-				args = append(args, "err", "true")
-			}
-			for _, k := range sortedKeys(d.Attrs) {
-				args = append(args, k, d.Attrs[k])
-			}
-			t.SpanOn(int(d.TraceID), d.Start, d.Dur, d.Cat, d.Name, args...)
+			writeSpan(t, d)
 		}
 	}
 	return t.Close()

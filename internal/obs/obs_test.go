@@ -98,7 +98,7 @@ func TestTracerJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, FormatJSONL)
 	tr.Event(1500, "lan", "deliver", "ethertype", "ipv4")
-	tr.Span(2000, 300, "tcp", "handshake")
+	tr.SpanOn(0, 2000, 300, "tcp", "handshake")
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTracerChromeFormat(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, FormatChrome)
 	tr.Event(10, "sim", "dispatch")
-	tr.Span(20, 5, "study", "passive")
+	tr.SpanOn(0, 20, 5, "study", "passive")
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,8 @@ func TestTracerChromeFormat(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Event(1, "sim", "dispatch")
-	tr.Span(1, 1, "sim", "run")
-	if tr.Events() != 0 || tr.Close() != nil || tr.Err() != nil {
+	tr.SpanOn(0, 1, 1, "sim", "run")
+	if tr.Events() != 0 || tr.Close() != nil {
 		t.Fatal("nil tracer misbehaved")
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -244,6 +245,59 @@ func TestPromHistogramQuantileEdgeCases(t *testing.T) {
 			if diff := got - want; diff < -1e-9 || diff > 1e-9 {
 				t.Errorf("%s q=%v: parsed-bucket quantile %v != live histogram quantile %v", tc.name, q, got, want)
 			}
+		}
+	}
+}
+
+// BenchmarkWritePrometheus times one /metrics scrape of a registry shaped
+// like iotserve's: eight stage histograms and the latency histogram on a
+// 22-bound 1-2-5 layout, a few dozen labeled counters and the gauges, all
+// populated, written to io.Discard.
+func BenchmarkWritePrometheus(b *testing.B) {
+	var bounds []float64
+	for decade := 0.001; decade < 10000; decade *= 10 {
+		bounds = append(bounds, decade, 2*decade, 5*decade)
+	}
+	bounds = append(bounds, 10000)
+	r := NewRegistry()
+	hists := []*Histogram{r.Histogram("serve_latency_ms", bounds)}
+	for _, stage := range []string{"body.read", "pcap.decode", "inspector.decode", "analysis",
+		"cache.lookup", "artifact.build", "wal.append", "unattributed"} {
+		hists = append(hists, r.Histogram("serve_stage_ms", bounds, "stage", stage))
+	}
+	for i, h := range hists {
+		for v := 0.001; v < 5000; v *= 1.7 {
+			h.Observe(v * float64(i+1))
+		}
+	}
+	for _, kind := range []string{"capture", "inspector"} {
+		r.Counter("serve_uploads", "kind", kind).Add(1000)
+		r.Counter("serve_jobs_done", "kind", kind).Add(1000)
+		r.Counter("serve_jobs_cancelled", "kind", kind).Add(3)
+	}
+	for _, code := range []string{"200", "400", "404", "409", "413", "429", "500", "503"} {
+		r.Counter("serve_responses", "code", code).Add(17)
+	}
+	for _, reason := range []string{"draining", "queue_full", "timeout", "oversized", "malformed", "wal"} {
+		r.Counter("serve_upload_rejected", "reason", reason).Add(5)
+	}
+	for _, result := range []string{"hit", "miss"} {
+		r.Counter("serve_cache", "result", result).Add(400)
+		r.Counter("serve_refold", "result", result).Add(400)
+		r.Counter("serve_selfcheck", "result", result).Add(2)
+	}
+	for _, name := range []string{"serve_upload_frames", "serve_cache_full", "serve_wal_appends",
+		"serve_checkpoints", "serve_wal_replay_records", "serve_wal_replay_truncated"} {
+		r.Counter(name).Add(99)
+	}
+	for _, name := range []string{"serve_shards", "serve_queue_depth", "serve_inflight_bytes"} {
+		r.Gauge(name).Set(8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

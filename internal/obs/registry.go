@@ -292,6 +292,3 @@ func (r *Registry) Snapshot() []byte {
 	}
 	return append(b, '\n')
 }
-
-// SnapshotMap returns the registry as a plain value for expvar publishing.
-func (r *Registry) SnapshotMap() interface{} { return r.snapshotData() }

@@ -237,14 +237,21 @@ func (sp *Span) collect(d SpanData) {
 	sp.mu.Unlock()
 }
 
-// emit streams one completed span through the configured Tracer, tagging
-// trace/span/parent IDs as args so the JSONL and Chrome forms keep the
-// links. Non-root spans wait for their root (see End), so a request's spans
-// land contiguously.
+// emit streams one completed span through the configured Tracer. Non-root
+// spans wait for their root (see End), so a request's spans land
+// contiguously.
 func (st *SpanTracer) emit(d SpanData) {
-	if st.out == nil {
-		return
+	if st.out != nil {
+		writeSpan(st.out, d)
 	}
+}
+
+// writeSpan encodes one span record on t: one lane per trace, with the
+// trace/span/parent IDs and the error mark as args beside the attributes, so
+// the JSONL and Chrome forms keep the links. The streamed output and the
+// flight recorder's dump both encode spans here. Args are keyed by name on
+// the way out, so their order does not matter.
+func writeSpan(t *Tracer, d SpanData) {
 	args := make([]string, 0, 2*(len(d.Attrs)+4))
 	args = append(args, "trace", formatUint(d.TraceID), "span", formatUint(d.SpanID))
 	if d.ParentID != 0 {
@@ -256,7 +263,7 @@ func (st *SpanTracer) emit(d SpanData) {
 	for k, v := range d.Attrs {
 		args = append(args, k, v)
 	}
-	st.out.SpanOn(int(d.TraceID), d.Start, d.Dur, d.Cat, d.Name, args...)
+	t.SpanOn(int(d.TraceID), d.Start, d.Dur, d.Cat, d.Name, args...)
 }
 
 func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }

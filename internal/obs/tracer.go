@@ -74,12 +74,6 @@ func (t *Tracer) Event(ts int64, cat, name string, args ...string) {
 	t.emit(TraceEvent{TS: ts, Cat: cat, Name: name, Args: argMap(args)})
 }
 
-// Span records a completed interval of dur virtual microseconds starting at
-// ts.
-func (t *Tracer) Span(ts, dur int64, cat, name string, args ...string) {
-	t.emit(TraceEvent{TS: ts, Dur: dur, Cat: cat, Name: name, Args: argMap(args)})
-}
-
 // SpanOn records a completed interval on a specific track: concurrent
 // requests each get their own Chrome lane instead of stacking on tid 1.
 func (t *Tracer) SpanOn(tid int, ts, dur int64, cat, name string, args ...string) {
@@ -170,16 +164,6 @@ func (t *Tracer) Close() error {
 	if t.format == FormatChrome && t.err == nil {
 		_, t.err = io.WriteString(t.w, "\n]\n")
 	}
-	return t.err
-}
-
-// Err returns the first write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.err
 }
 

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
 	"expvar"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"iotlan/internal/obs"
@@ -16,18 +14,18 @@ import (
 // (replacing its earlier ad-hoc DefaultServeMux listener, which had no
 // read/write timeouts and a second HTTP surface of its own):
 //
-//	/metrics               Prometheus text exposition (version 0.0.4)
-//	/debug/metrics.json    labeled obs registries as deterministic JSON
+//	/metrics               Prometheus text exposition (version 0.0.4):
+//	                       the one rendering of every registry
 //	/debug/flightrecorder  recent + slowest + errored request traces
 //	                       as Chrome trace JSON (server muxes only)
 //	/healthz               liveness + drain state
-//	/debug/vars            expvar (Go runtime counters + registries)
+//	/debug/vars            expvar (Go runtime state: memstats, cmdline)
 //	/debug/pprof           CPU/heap/goroutine profiles
 
 // MetricsSource names one obs registry for /metrics. Registry covers the
 // common case; Lazy defers resolution to request time for registries that
 // do not exist yet when the mux is built (iotrepro's lab telemetry is only
-// created once the run starts). A source resolving to nil renders as null.
+// created once the run starts). A source resolving to nil renders nothing.
 type MetricsSource struct {
 	Name     string
 	Registry *obs.Registry
@@ -58,19 +56,10 @@ func RegisterDebug(mux *http.ServeMux, s *Server, extra ...MetricsSource) {
 	registerDebug(mux, s, extra...)
 }
 
-var expvarPublish sync.Once
-
 func registerDebug(mux *http.ServeMux, s *Server, extra ...MetricsSource) {
 	sources := append([]MetricsSource(nil), extra...)
 	if s != nil {
 		sources = append([]MetricsSource{{Name: "serve", Registry: s.reg}}, sources...)
-		// expvar registration is process-global and panics on duplicates;
-		// publish the first server only.
-		expvarPublish.Do(func() {
-			expvar.Publish("iotlan_serve_metrics", expvar.Func(func() interface{} {
-				return s.reg.SnapshotMap()
-			}))
-		})
 	}
 
 	// /metrics is Prometheus text exposition — what a scraper expects.
@@ -86,41 +75,11 @@ func registerDebug(mux *http.ServeMux, s *Server, extra ...MetricsSource) {
 		}
 	})
 
-	// The pre-Prometheus JSON rendering stays for humans and scripts that
-	// want the registries as one structured document.
-	mux.HandleFunc("GET /debug/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		out := make(map[string]json.RawMessage, len(sources)+1)
-		for _, src := range sources {
-			if reg := src.resolve(); reg != nil {
-				out[src.Name] = json.RawMessage(reg.Snapshot())
-			} else {
-				out[src.Name] = json.RawMessage("null")
-			}
-		}
-		if s != nil {
-			// Interpolated upload-latency quantiles, derived from the
-			// histogram buckets so operators don't have to.
-			out["serve_latency_quantiles_ms"] = mustJSON(map[string]float64{
-				"p50": s.mLatency.Quantile(0.50),
-				"p95": s.mLatency.Quantile(0.95),
-				"p99": s.mLatency.Quantile(0.99),
-			})
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-	})
-
 	if s != nil {
 		// The flight recorder dump: Chrome trace JSON of the retained
 		// request traces — load into chrome://tracing or Perfetto during
 		// (or after) an incident.
 		mux.HandleFunc("GET /debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
-			if s.flight == nil {
-				writeJSON(w, http.StatusNotFound, s.errEnvelope("tracing disabled", 0))
-				return
-			}
 			w.Header().Set("Content-Type", "application/json")
 			s.flight.Dump(w)
 		})

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"iotlan/internal/obs"
 )
 
 // Mux returns the service's HTTP surface:
@@ -17,8 +19,8 @@ import (
 //	GET  /v1/fleet                     fleet summary
 //
 // plus the operational endpoints from RegisterDebug (/metrics as Prometheus
-// text exposition, /debug/metrics.json, /debug/flightrecorder, /healthz,
-// /debug/vars, /debug/pprof/*) — one HTTP surface for data and ops.
+// text exposition, /debug/flightrecorder, /healthz, /debug/vars,
+// /debug/pprof/*) — one HTTP surface for data and ops.
 func (s *Server) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/households/{id}/capture", s.handleUpload("capture"))
@@ -33,35 +35,29 @@ func (s *Server) Mux() *http.ServeMux {
 // handleUpload is the shared ingestion front end: admission first (the
 // slot check happens before a single body byte is consumed), then the
 // upload is processed on this request goroutine and its verdict written.
-// Every upload records an `upload` root span (when tracing is on) with the
-// stage spans as children, and leaves one structured log line.
+// Every upload, shed or admitted, is one `upload` root span with the stage
+// spans as children. The root ends after the response, and the trace sink
+// (trace.go) derives the upload's metrics and log line from its trace.
 func (s *Server) handleUpload(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		household := r.PathValue("id")
 		if kind == "capture" && household == "" {
 			s.respond(w, http.StatusBadRequest, s.errEnvelope("missing household id", 0))
 			return
 		}
+		ctx, root := s.spans.StartSpan(r.Context(), "serve", "upload",
+			"kind", kind, "household", household, "queue_depth_admit", strconv.Itoa(len(s.slots)))
 		if s.draining.Load() {
-			s.reg.Counter("serve_upload_rejected", "reason", "draining").Inc()
-			s.respond(w, http.StatusServiceUnavailable, s.errEnvelope("server draining", s.cfg.RetryAfter))
-			s.logUpload(kind, household, http.StatusServiceUnavailable, uploadStats{}, "none", len(s.slots), time.Since(start))
+			s.shed(w, root, "draining", http.StatusServiceUnavailable,
+				s.errEnvelope("server draining", s.cfg.RetryAfter))
 			return
 		}
-		admitDepth := len(s.slots)
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
-		ctx, root := s.spans.StartSpan(ctx, "serve", "upload",
-			"kind", kind, "household", household, "queue_depth_admit", strconv.Itoa(admitDepth))
 		if !s.admit() {
-			s.reg.Counter("serve_upload_rejected", "reason", "queue_full").Inc()
-			root.SetAttr("status", "429")
-			root.End()
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-			s.respond(w, http.StatusTooManyRequests,
+			s.shed(w, root, "queue_full", http.StatusTooManyRequests,
 				s.errEnvelope("ingestion queue full, retry later", s.cfg.RetryAfter))
-			s.logUpload(kind, household, http.StatusTooManyRequests, uploadStats{}, "none", admitDepth, time.Since(start))
 			return
 		}
 		defer s.release()
@@ -74,21 +70,27 @@ func (s *Server) handleUpload(kind string) http.HandlerFunc {
 		// A timeout cancels ctx, which process observes before starting and
 		// ctxReader mid-stream, answering 503 promptly.
 		res := s.process(j)
-		cache := "none"
 		if res.cache != "" {
-			cache = res.cache
-			w.Header().Set("X-Cache", cache)
+			w.Header().Set("X-Cache", res.cache)
 		}
 		root.SetAttr("status", strconv.Itoa(res.status))
 		if res.status >= 500 {
 			root.Fail()
 		}
-		root.End()
-		total := time.Since(start)
-		s.mLatency.Observe(float64(total) / float64(time.Millisecond))
 		s.respond(w, res.status, res.body)
-		s.logUpload(kind, household, res.status, j.stats, cache, admitDepth, total)
+		root.End()
 	}
+}
+
+// shed refuses an upload that was never admitted, counting it under
+// serve_upload_rejected{reason}. Its root span carries the reason as
+// "shed", which keeps it out of serve_latency_ms.
+func (s *Server) shed(w http.ResponseWriter, root *obs.Span, reason string, status int, body []byte) {
+	s.reg.Counter("serve_upload_rejected", "reason", reason).Inc()
+	root.SetAttr("shed", reason)
+	root.SetAttr("status", strconv.Itoa(status))
+	s.respond(w, status, body)
+	root.End()
 }
 
 // handleReport serves a household's inspector record summary.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -173,27 +174,114 @@ func TestDecodeSpansMatchStageHistograms(t *testing.T) {
 	}
 }
 
-// TestTracingDisabled: DisableTracing removes spans and the flight
-// recorder (404) but keeps every metric flowing.
+// TestTracingDisabled: tracing cannot be disabled. A server built from a
+// zero Config has a flight recorder, /debug/flightrecorder serves the
+// upload's trace, and the stage histograms and /metrics are fed from it.
 func TestTracingDisabled(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, DisableTracing: true})
+	s := New(Config{})
+	t.Cleanup(s.Close)
 	h := inspector.Generate(13, 1).Households[0]
 	if w := do(s, "POST", fmt.Sprintf("/v1/households/%s/capture", h.ID), capturePCAP(t, h)); w.Code != http.StatusOK {
 		t.Fatalf("upload: %d", w.Code)
 	}
-	if s.FlightRecorder() != nil {
-		t.Fatal("flight recorder exists with tracing disabled")
+	if s.FlightRecorder() == nil || s.FlightRecorder().Total() != 1 {
+		t.Fatal("zero Config server did not record the upload's trace")
 	}
-	if w := do(s, "GET", "/debug/flightrecorder", nil); w.Code != http.StatusNotFound {
-		t.Fatalf("/debug/flightrecorder with tracing off: %d, want 404", w.Code)
+	w := do(s, "GET", "/debug/flightrecorder", nil)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"name":"upload"`) {
+		t.Fatalf("/debug/flightrecorder: %d %s", w.Code, w.Body.String())
 	}
-	// Metrics are independent of tracing.
 	if s.stageHist["analysis"].Count() == 0 {
-		t.Fatal("stage histograms stopped with tracing off")
+		t.Fatal("stage histograms not fed from the trace")
 	}
 	m := do(s, "GET", "/metrics", nil)
-	if !strings.Contains(m.Body.String(), "serve_stage_ms_bucket") {
-		t.Fatal("/metrics lost stage histograms with tracing off")
+	if !strings.Contains(m.Body.String(), `serve_stage_ms_count{stage="analysis"} 1`) {
+		t.Fatalf("/metrics lost stage histograms:\n%s", m.Body.String())
+	}
+}
+
+// TestUploadTraceNests: an upload's trace is a tree of intervals. After a
+// durable wire upload and a capture upload, every span lies within its
+// parent, the root's direct children do not overlap (body.read and the
+// decode span tile their loop), and each wal.append sits under analysis.
+// The unattributed stage histogram holds what the children leave of each
+// root.
+func TestUploadTraceNests(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir()})
+	ds := inspector.Generate(16, 3)
+	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, ds.Households...)); w.Code != http.StatusOK {
+		t.Fatalf("wire upload: %d", w.Code)
+	}
+	h := ds.Households[0]
+	if w := do(s, "POST", fmt.Sprintf("/v1/households/%s/capture", h.ID), capturePCAP(t, h)); w.Code != http.StatusOK {
+		t.Fatalf("capture upload: %d", w.Code)
+	}
+
+	traces := s.FlightRecorder().Traces()
+	if len(traces) != 2 {
+		t.Fatalf("flight recorder holds %d traces, want 2", len(traces))
+	}
+	var residualUS int64
+	walSpans := 0
+	for _, rt := range traces {
+		root := rt.Root()
+		byID := map[uint64]obs.SpanData{}
+		for _, sp := range rt.Spans {
+			byID[sp.SpanID] = sp
+		}
+		var children []obs.SpanData
+		for _, sp := range rt.Spans[1:] {
+			parent, ok := byID[sp.ParentID]
+			if !ok {
+				t.Fatalf("span %s has no parent in its trace: %+v", sp.Name, sp)
+			}
+			if sp.Start < parent.Start || sp.Start+sp.Dur > parent.Start+parent.Dur {
+				t.Errorf("span %s [%d,+%d] outside its parent %s [%d,+%d]",
+					sp.Name, sp.Start, sp.Dur, parent.Name, parent.Start, parent.Dur)
+			}
+			if sp.Name == "wal.append" {
+				walSpans++
+				if parent.Name != "analysis" {
+					t.Errorf("wal.append's parent is %s, want analysis", parent.Name)
+				}
+			}
+			if sp.ParentID == root.SpanID {
+				children = append(children, sp)
+			}
+		}
+		sort.Slice(children, func(i, j int) bool { return children[i].Start < children[j].Start })
+		childUS := int64(0)
+		for i, c := range children {
+			childUS += c.Dur
+			if i > 0 && c.Start < children[i-1].Start+children[i-1].Dur {
+				t.Errorf("root children %s and %s overlap: %+v, %+v", children[i-1].Name, c.Name, children[i-1], c)
+			}
+		}
+		residualUS += root.Dur - childUS
+	}
+	if walSpans == 0 {
+		t.Fatal("durable wire upload recorded no wal.append span")
+	}
+
+	samples, _, err := obs.ParsePrometheus(do(s, "GET", "/metrics", nil).Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sumMS, count float64
+	for _, smp := range samples {
+		if smp.Labels["stage"] != "unattributed" {
+			continue
+		}
+		switch smp.Name {
+		case "serve_stage_ms_sum":
+			sumMS = smp.Value
+		case "serve_stage_ms_count":
+			count = smp.Value
+		}
+	}
+	if count != 2 || math.Abs(1000*sumMS-float64(residualUS)) > 0.5 {
+		t.Fatalf("unattributed histogram: %.0f samples summing to %.3f µs, want 2 summing to %d µs",
+			count, 1000*sumMS, residualUS)
 	}
 }
 

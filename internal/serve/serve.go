@@ -75,17 +75,10 @@ type Config struct {
 	// capacity new reports are served but not retained. A capture's answer
 	// is the same bytes either way.
 	CacheEntries int
-	// DisableTracing turns off per-request spans and the flight recorder.
-	// Tracing is observational only — artifact bytes are identical either
-	// way (TestTracingDoesNotChangeArtifacts) — so the default is on.
-	DisableTracing bool
-	// FlightRecorderSize bounds the ring of recent request traces kept for
-	// postmortems (0 = obs.DefaultFlightRecent). Ignored when tracing is
-	// disabled.
-	FlightRecorderSize int
-	// Logger, when set, gets one structured line per upload: household,
-	// route, bytes, stage timings, status, cache verdict, uploads already
-	// admitted when it arrived. Nil means no request logging.
+	// Logger, when set, gets one structured line per upload, read off its
+	// trace: household, route, bytes, stage timings, status, cache verdict,
+	// uploads already admitted when it arrived. Nil means no request
+	// logging.
 	Logger *slog.Logger
 	// Shards splits fleet state by household-ID hash into independently
 	// locked shards, each keeping live partial aggregates (< 1 = 1).
@@ -160,18 +153,6 @@ type job struct {
 	household string
 	body      io.Reader
 	ctx       context.Context // request ctx, carrying the upload root span
-	stats     uploadStats
-}
-
-// uploadStats is the per-stage accounting one upload leaves behind for the
-// structured request log.
-type uploadStats struct {
-	Bytes       int64
-	BodyRead    time.Duration
-	Decode      time.Duration
-	Analysis    time.Duration
-	CacheLookup time.Duration
-	WALAppend   time.Duration
 }
 
 // jobResult is what the handler writes back to the client. cache is the
@@ -202,34 +183,29 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 // time spent blocked in Read (the body.read stage — reads interleave with
 // record decoding, so the cost accumulates rather than brackets), plus a
 // live in-flight-bytes gauge. The caller releases the gauge when done.
-// start and spanStart mark the start of the read+decode loop on the wall
-// and span clocks.
+// start marks the start of the read+decode loop on the span clock.
 type meterReader struct {
-	r         io.Reader
-	inflight  *obs.Gauge
-	n         int64
-	dur       time.Duration
-	start     time.Time
-	spanStart int64
+	r        io.Reader
+	inflight *obs.Gauge
+	n        int64
+	dur      time.Duration
+	start    int64
 }
 
 // meter wraps j's body in a meterReader and starts its read+decode loop.
 func (s *Server) meter(j *job) *meterReader {
-	return &meterReader{r: j.body, inflight: s.mInflight, start: time.Now(), spanStart: s.spans.Now()}
+	return &meterReader{r: j.body, inflight: s.mInflight, start: s.spans.Now()}
 }
 
 // endDecode closes the read+decode loop metered by mr, whose decoder
-// produced n units (records or households). The body.read stage is the
-// time blocked in Read and the decode stage is the rest of the loop; each
-// span gets the same duration its histogram observes.
+// produced n units (records or households), as two spans that tile the
+// loop: body.read, the time blocked in Read, from the loop's start, then
+// the decode stage, the rest of the loop, from where body.read ends.
 func (s *Server) endDecode(j *job, mr *meterReader, stage, unit string, n int) {
-	j.stats.Bytes, j.stats.BodyRead = mr.n, mr.dur
-	j.stats.Decode = time.Since(mr.start) - mr.dur
-	s.stageObserve("body.read", j.stats.BodyRead)
-	s.stageObserve(stage, j.stats.Decode)
-	s.spans.RecordSpan(j.ctx, "serve", "body.read", mr.spanStart, j.stats.BodyRead.Microseconds(),
+	read := mr.dur.Microseconds()
+	s.spans.RecordSpan(j.ctx, "serve", "body.read", mr.start, read,
 		"bytes", strconv.FormatInt(mr.n, 10))
-	s.spans.RecordSpan(j.ctx, "serve", stage, mr.spanStart, j.stats.Decode.Microseconds(),
+	s.spans.RecordSpan(j.ctx, "serve", stage, mr.start+read, s.spans.Now()-mr.start-read,
 		unit, strconv.Itoa(n))
 }
 
@@ -286,8 +262,9 @@ type Server struct {
 	selfMu     sync.Mutex
 	foldsSince atomic.Int64
 
-	// spans/flight are the request-tracing surface; both nil when
-	// Config.DisableTracing is set (every call through them no-ops).
+	// spans times every request, once, as a trace of spans; its sink
+	// (trace.go) derives the stage histograms, mLatency, the request log
+	// and flight's copy from each finished trace.
 	spans  *obs.SpanTracer
 	flight *obs.FlightRecorder
 	logger *slog.Logger
@@ -303,19 +280,6 @@ type Server struct {
 	// scenarios.
 	processHook func(*job)
 }
-
-// uploadStages are the per-upload pipeline stages, each with its own
-// serve_stage_ms{stage=...} histogram — the direct answer to "where did
-// the p99 go".
-var uploadStages = []string{
-	"body.read", "pcap.decode", "inspector.decode",
-	"analysis", "cache.lookup", "artifact.build", "wal.append",
-}
-
-// stageBounds are millisecond bucket bounds for the stage histograms; the
-// sub-millisecond buckets matter because body reads and cache lookups are
-// usually far under 1ms.
-var stageBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
 // New builds an in-memory server. For durable configurations (DataDir set)
 // prefer Open, which surfaces recovery errors; New panics on them.
@@ -344,17 +308,14 @@ func newServer(cfg Config) *Server {
 	s.reg.Gauge("serve_shards").Set(int64(cfg.Shards))
 	s.mQueueDepth = s.reg.Gauge("serve_queue_depth")
 	s.mInflight = s.reg.Gauge("serve_inflight_bytes")
-	s.mLatency = s.reg.Histogram("serve_latency_ms",
-		[]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000})
+	s.mLatency = s.reg.Histogram("serve_latency_ms", msBounds)
 	s.stageHist = make(map[string]*obs.Histogram, len(uploadStages))
 	for _, stage := range uploadStages {
-		s.stageHist[stage] = s.reg.Histogram("serve_stage_ms", stageBounds, "stage", stage)
+		s.stageHist[stage] = s.reg.Histogram("serve_stage_ms", msBounds, "stage", stage)
 	}
-	if !cfg.DisableTracing {
-		s.spans = obs.NewSpanTracer(obs.WallClock)
-		s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize, 0)
-		s.spans.SetSink(s.flight)
-	}
+	s.spans = obs.NewSpanTracer(obs.WallClock)
+	s.flight = obs.NewFlightRecorder(0, 0)
+	s.spans.SetSink(traceSink{s})
 	s.logger = cfg.Logger
 	return s
 }
@@ -365,15 +326,9 @@ func newServer(cfg Config) *Server {
 // deterministic across runs.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// FlightRecorder exposes the retained request traces (nil when tracing is
-// disabled) — served at /debug/flightrecorder and dumped on SIGQUIT by
-// cmd/iotserve.
+// FlightRecorder exposes the retained request traces — served at
+// /debug/flightrecorder and dumped on SIGQUIT by cmd/iotserve.
 func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flight }
-
-// stageObserve feeds one stage's latency histogram.
-func (s *Server) stageObserve(stage string, d time.Duration) {
-	s.stageHist[stage].Observe(float64(d) / float64(time.Millisecond))
-}
 
 // Drain marks the server as draining: new uploads are refused with 503
 // while admitted ones run to completion. Safe to call more than once.
@@ -482,35 +437,20 @@ func (s *Server) processCapture(j *job) jobResult {
 	s.endDecode(j, mr, "pcap.decode", "records", len(records))
 	var digest [sha256.Size]byte
 	h.Sum(digest[:0])
-	body, hit := s.timedCacheGet(j, digest)
-	if hit {
-		return jobResult{status: http.StatusOK, body: body, cache: "hit"}
+	_, lookup := s.spans.StartSpan(j.ctx, "serve", "cache.lookup")
+	body, verdict := s.cacheGet(digest)
+	lookup.SetAttr("result", verdict)
+	lookup.End()
+	if verdict == "hit" {
+		return jobResult{status: http.StatusOK, body: body, cache: verdict}
 	}
-	aStart := time.Now()
 	_, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
 	body = analyzeCapture(j.household, records)
 	aspan.End()
-	j.stats.Analysis = time.Since(aStart)
-	s.stageObserve("analysis", j.stats.Analysis)
 	s.cachePut(digest, body)
 	s.reg.Counter("serve_uploads", "kind", "capture").Inc()
 	s.reg.Counter("serve_upload_frames").Add(uint64(len(records)))
-	return jobResult{status: http.StatusOK, body: body, cache: "miss"}
-}
-
-// timedCacheGet is cacheGet with the cache.lookup stage accounted.
-func (s *Server) timedCacheGet(j *job, digest [sha256.Size]byte) ([]byte, bool) {
-	cStart, cSpan := time.Now(), s.spans.Now()
-	body, ok := s.cacheGet(digest)
-	j.stats.CacheLookup = time.Since(cStart)
-	s.stageObserve("cache.lookup", j.stats.CacheLookup)
-	verdict := "miss"
-	if ok {
-		verdict = "hit"
-	}
-	s.spans.RecordSpan(j.ctx, "serve", "cache.lookup", cSpan, j.stats.CacheLookup.Microseconds(),
-		"result", verdict)
-	return body, ok
+	return jobResult{status: http.StatusOK, body: body, cache: verdict}
 }
 
 // processInspector streams a JSONL wire-format body, replacing each
@@ -535,9 +475,8 @@ func (s *Server) processInspector(j *job) jobResult {
 		hhs = append(hhs, hh)
 	}
 	s.endDecode(j, mr, "inspector.decode", "households", len(hhs))
-	aStart := time.Now()
-	_, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
-	if err := s.ingest(j, hhs); err != nil {
+	actx, aspan := s.spans.StartSpan(j.ctx, "serve", "analysis")
+	if err := s.ingest(actx, hhs); err != nil {
 		aspan.Fail()
 		aspan.End()
 		s.reg.Counter("serve_upload_rejected", "reason", "wal").Inc()
@@ -547,8 +486,6 @@ func (s *Server) processInspector(j *job) jobResult {
 	s.maybeCheckpoint()
 	s.maybeSelfCheck()
 	aspan.End()
-	j.stats.Analysis = time.Since(aStart)
-	s.stageObserve("analysis", j.stats.Analysis)
 	s.reg.Counter("serve_uploads", "kind", "inspector").Inc()
 	return jobResult{status: http.StatusOK, body: ingestReply(hhs)}
 }
@@ -625,8 +562,9 @@ func analyzeCapture(household string, records []pcap.Record) []byte {
 // checkpoint). The ack is backed by the log. A WAL error stops the batch:
 // earlier chunks stay logged and applied, the client gets a 500, and its
 // retry re-applies idempotently. The fleet version moves only if something
-// actually changed.
-func (s *Server) ingest(j *job, hhs []*inspector.Household) error {
+// actually changed. Each chunk's append+apply is a wal.append span under
+// ctx's, the upload's analysis span.
+func (s *Server) ingest(ctx context.Context, hhs []*inspector.Household) error {
 	folded := 0
 	var err error
 	for lo := 0; lo < len(hhs) && err == nil; lo += foldChunk {
@@ -637,19 +575,14 @@ func (s *Server) ingest(j *job, hhs []*inspector.Household) error {
 			folded += s.applyUploads(ps)
 			continue
 		}
-		wStart, wspan := time.Now(), s.spans.Now()
+		// The span includes the apply; fsync dominates it.
+		_, wspan := s.spans.StartSpan(ctx, "serve", "wal.append", "households", strconv.Itoa(len(ps)))
 		s.ckptGate.RLock()
 		if err = s.walAppend(ps); err == nil {
 			folded += s.applyUploads(ps)
 		}
 		s.ckptGate.RUnlock()
-		d := time.Since(wStart) // includes the apply; dominated by fsync
-		j.stats.WALAppend += d
-		s.spans.RecordSpan(j.ctx, "serve", "wal.append", wspan, d.Microseconds(),
-			"households", strconv.Itoa(len(ps)))
-	}
-	if s.wal != nil {
-		s.stageObserve("wal.append", j.stats.WALAppend)
+		wspan.End()
 	}
 	if folded > 0 {
 		s.fleetVersion.Add(1)
@@ -690,17 +623,18 @@ func ingestReply(hhs []*inspector.Household) []byte {
 	}{ids, devices})
 }
 
-// cacheGet looks a digest up in the bounded result cache.
-func (s *Server) cacheGet(digest [sha256.Size]byte) ([]byte, bool) {
+// cacheGet looks a digest up in the bounded result cache and returns the
+// verdict, "hit" or "miss", counted under serve_cache{result}.
+func (s *Server) cacheGet(digest [sha256.Size]byte) ([]byte, string) {
 	s.mu.Lock()
 	body, ok := s.cache[digest]
 	s.mu.Unlock()
+	verdict := "miss"
 	if ok {
-		s.reg.Counter("serve_cache", "result", "hit").Inc()
-		return body, true
+		verdict = "hit"
 	}
-	s.reg.Counter("serve_cache", "result", "miss").Inc()
-	return nil, false
+	s.reg.Counter("serve_cache", "result", verdict).Inc()
+	return body, verdict
 }
 
 // cachePut stores a result unless the cache is at capacity (new results are
@@ -746,11 +680,9 @@ func (s *Server) RunFleetArtifact(ctx context.Context, name string) ([]byte, err
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrOfflineArtifact, a.Name)
 	}
-	bStart := time.Now()
 	_, bspan := s.spans.StartSpan(ctx, "serve", "artifact.build", "artifact", a.Name)
 	res, households := fa.build(s)
 	bspan.End()
-	s.stageObserve("artifact.build", time.Since(bStart))
 	return mustJSON(artifactReport{
 		Name:       a.Name,
 		PaperRef:   a.PaperRef,
@@ -848,27 +780,4 @@ func (s *Server) errEnvelope(msg string, retryAfter time.Duration) []byte {
 		QueueDepth    int    `json:"queue_depth"`
 		QueueCapacity int    `json:"queue_capacity"`
 	}{msg, retryAfter.Milliseconds(), len(s.slots), cap(s.slots)})
-}
-
-// logUpload emits the one structured line per upload: who, what, how long
-// in each stage, and under what admission pressure.
-func (s *Server) logUpload(kind, household string, status int, st uploadStats, cache string, admitDepth int, total time.Duration) {
-	if s.logger == nil {
-		return
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	s.logger.Info("upload",
-		"kind", kind,
-		"household", household,
-		"status", status,
-		"bytes", st.Bytes,
-		"total_ms", ms(total),
-		"body_read_ms", ms(st.BodyRead),
-		"decode_ms", ms(st.Decode),
-		"analysis_ms", ms(st.Analysis),
-		"cache_lookup_ms", ms(st.CacheLookup),
-		"wal_ms", ms(st.WALAppend),
-		"cache", cache,
-		"queue_depth_admit", admitDepth,
-	)
 }

@@ -358,3 +358,30 @@ func TestLatestCheckpointEmpty(t *testing.T) {
 		t.Fatalf("missing dir: ok=%v err=%v", ok, err)
 	}
 }
+
+// BenchmarkAppend times one WAL append of an 8 KB payload in each sync
+// mode: group waits for an fsync covering the record, none stops at
+// write(2).
+func BenchmarkAppend(b *testing.B) {
+	payload := bytes.Repeat([]byte{'x'}, 8<<10)
+	for _, mode := range []struct {
+		name string
+		mode SyncMode
+	}{{"group", SyncGroup}, {"none", SyncNone}} {
+		b.Run(mode.name, func(b *testing.B) {
+			l, err := OpenLog(b.TempDir(), mode.mode)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := l.Append(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
