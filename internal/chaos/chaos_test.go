@@ -16,7 +16,7 @@ type stubNode struct {
 }
 
 func (n *stubNode) MAC() netx.MAC            { return n.mac }
-func (n *stubNode) HandleFrame(frame []byte) { n.frames = append(n.frames, frame) }
+func (n *stubNode) HandleFrame(f *lan.Frame) { n.frames = append(n.frames, f.Data) }
 
 func frame(t *testing.T, src, dst netx.MAC) []byte {
 	t.Helper()
@@ -127,9 +127,9 @@ type hookNode struct {
 	at    *time.Time
 }
 
-func (h *hookNode) HandleFrame(frame []byte) {
+func (h *hookNode) HandleFrame(f *lan.Frame) {
 	*h.at = h.sched.Now()
-	h.stubNode.HandleFrame(frame)
+	h.stubNode.HandleFrame(f)
 }
 
 func TestPartitionBlocksCrossTrafficOnlyDuringWindow(t *testing.T) {

@@ -21,7 +21,7 @@ import (
 type sinkNode struct{ mac netx.MAC }
 
 func (n *sinkNode) MAC() netx.MAC        { return n.mac }
-func (n *sinkNode) HandleFrame(_ []byte) {}
+func (n *sinkNode) HandleFrame(_ *Frame) {}
 
 func mkFrame(tb testing.TB, src, dst netx.MAC) []byte {
 	tb.Helper()

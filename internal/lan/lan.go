@@ -18,13 +18,31 @@ type Node interface {
 	// Attach (no flooding-based learning is modelled).
 	MAC() netx.MAC
 	// HandleFrame delivers a frame addressed to (or multicast past) the node.
-	// It runs in simulation-event context. The frame is network-owned (see
-	// the Send ownership contract); receivers must not modify it.
-	// Receivers should dispatch on headers before decoding bodies, and any
-	// decoded form they build per delivery (stack.Host's *layers.Packet) is
-	// scratch valid only until HandleFrame returns; the frame bytes are what
-	// may be retained.
-	HandleFrame(frame []byte)
+	// It runs in simulation-event context. The network decodes each delivery
+	// event's frame once and hands every receiver of the event the same
+	// *Frame: it is read-only, and valid only until HandleFrame returns,
+	// after which the network reuses it for a later event. Copy what must be
+	// kept. The frame bytes (f.Data) and slices of them are never reused
+	// (see the Send ownership contract), so those may be retained.
+	HandleFrame(f *Frame)
+}
+
+// Frame is a frame as one delivery event hands it to its receivers: the
+// bytes decoded once (Packet.Data holds them) and one memo slot. A multicast
+// fan-out shares one Frame among all its receivers; a unicast or impaired
+// delivery has its own.
+type Frame struct {
+	layers.Packet
+	// Memo holds one value derived from the frame by the first receiver
+	// that needs it, for the event's later receivers to reuse (see
+	// stack.ParseShared). It is the only field a receiver may set.
+	Memo any
+}
+
+// DecodeInto parses frame into f and clears the memo slot.
+func (f *Frame) DecodeInto(frame []byte) {
+	f.Packet.DecodeInto(frame)
+	f.Memo = nil
 }
 
 // TapFunc observes every frame on the network, like tcpdump on the AP. The
@@ -86,18 +104,20 @@ type Network struct {
 	// captures. Off by default — it costs one hash pass per frame.
 	CheckFrameOwnership bool
 
-	nodes map[netx.MAC]Node
-	order []netx.MAC // deterministic multicast fan-out order
-	taps  []TapFunc
+	// stations is the station table. A MAC keeps its slot for the network's
+	// life, across Detach and re-Attach, so an in-flight delivery names its
+	// recipient by slot and reaches whichever node holds the MAC when it
+	// fires; a detached slot's node is nil.
+	stations []station
+	slots    map[netx.MAC]int32
+	order    []int32 // attached slots: the deterministic multicast fan-out order
+	taps     []TapFunc
 
 	// freeDeliveries / freeFanouts pool the per-delivery structs scheduled
 	// on the simulator, so the steady-state send path allocates nothing.
 	// The sim is single-threaded; plain slices suffice.
 	freeDeliveries []*delivery
 	freeFanouts    []*fanout
-
-	// FramesDelivered counts deliveries (multicast counts once per receiver).
-	FramesDelivered uint64
 
 	cDelivered *obs.Counter
 	cDropped   map[string]*obs.Counter
@@ -112,7 +132,7 @@ func New(sched *sim.Scheduler) *Network {
 	return &Network{
 		Sched:      sched,
 		Latency:    250 * time.Microsecond,
-		nodes:      make(map[netx.MAC]Node),
+		slots:      make(map[netx.MAC]int32),
 		cDelivered: reg.Counter("lan_frames_delivered"),
 		cDropped: map[string]*obs.Counter{
 			DropUndecodable:    reg.Counter("lan_frames_dropped", "reason", DropUndecodable),
@@ -196,24 +216,37 @@ func (n *Network) FramesDropped() uint64 {
 	return sum
 }
 
+// station is one slot of the station table.
+type station struct {
+	mac  netx.MAC
+	node Node // nil while detached
+}
+
 // Attach connects a node. Attaching an already-present MAC replaces the node
 // (a device rejoining after reboot).
 func (n *Network) Attach(node Node) {
 	mac := node.MAC()
-	if _, exists := n.nodes[mac]; !exists {
-		n.order = append(n.order, mac)
+	slot, ok := n.slots[mac]
+	if !ok {
+		slot = int32(len(n.stations))
+		n.slots[mac] = slot
+		n.stations = append(n.stations, station{mac: mac})
 	}
-	n.nodes[mac] = node
+	if n.stations[slot].node == nil {
+		n.order = append(n.order, slot)
+	}
+	n.stations[slot].node = node
 }
 
 // Detach removes the node with the given MAC (phone leaving the house).
 func (n *Network) Detach(mac netx.MAC) {
-	if _, ok := n.nodes[mac]; !ok {
+	slot, ok := n.slots[mac]
+	if !ok || n.stations[slot].node == nil {
 		return
 	}
-	delete(n.nodes, mac)
-	for i, m := range n.order {
-		if m == mac {
+	n.stations[slot].node = nil
+	for i, s := range n.order {
+		if s == slot {
 			n.order = append(n.order[:i], n.order[i+1:]...)
 			break
 		}
@@ -224,59 +257,82 @@ func (n *Network) Detach(mac netx.MAC) {
 func (n *Network) Tap(fn TapFunc) { n.taps = append(n.taps, fn) }
 
 // NodeCount reports attached nodes.
-func (n *Network) NodeCount() int { return len(n.nodes) }
+func (n *Network) NodeCount() int { return len(n.order) }
 
 // delivery is one pooled in-flight unicast (or per-receiver impaired)
 // delivery event. It implements sim.Runner so scheduling it allocates no
 // closure; Fire returns the struct to the network's pool.
 type delivery struct {
 	net   *Network
-	dst   netx.MAC
+	slot  int32
 	frame []byte
 	check uint64 // send-time frame checksum; 0 when ownership checks are off
+	f     Frame  // the receiver's decode, made when the event fires
 }
 
 // Fire implements sim.Runner.
 func (d *delivery) Fire() {
 	n := d.net
 	n.verifyOwnership(d.frame, d.check)
-	n.deliverNow(d.dst, d.frame)
+	if node := n.receiver(d.slot); node != nil {
+		d.f.DecodeInto(d.frame)
+		n.cDelivered.Inc()
+		node.HandleFrame(&d.f)
+	}
 	*d = delivery{}
 	n.freeDeliveries = append(n.freeDeliveries, d)
 }
 
 // fanout is one pooled multicast delivery event: a single scheduler event
-// that hands the frame to every send-time recipient, keeping the event queue
-// small on busy discovery traffic. The recipients slice keeps its capacity
-// across reuses.
+// that decodes the frame once and hands it to every send-time recipient,
+// keeping the event queue small on busy discovery traffic. The recipients
+// slice keeps its capacity across reuses.
 type fanout struct {
 	net        *Network
-	recipients []netx.MAC
+	recipients []int32 // station slots
 	frame      []byte
 	check      uint64
+	f          Frame // the one decode every recipient shares
 }
 
 // Fire implements sim.Runner.
 func (f *fanout) Fire() {
 	n := f.net
 	n.verifyOwnership(f.frame, f.check)
-	for _, mac := range f.recipients {
-		n.deliverNow(mac, f.frame)
+	f.f.DecodeInto(f.frame)
+	var delivered uint64
+	for _, slot := range f.recipients {
+		if node := n.receiver(slot); node != nil {
+			delivered++
+			node.HandleFrame(&f.f)
+		}
 	}
+	n.cDelivered.Add(delivered)
 	f.recipients = f.recipients[:0]
-	f.frame, f.check = nil, 0
+	f.frame, f.check, f.f = nil, 0, Frame{} // a pooled fanout holds no frame or memo
 	n.freeFanouts = append(n.freeFanouts, f)
 }
 
-func (n *Network) getDelivery(dst netx.MAC, frame []byte, check uint64) *delivery {
+// receiver returns the node now holding slot, or nil after counting a
+// detached drop when the station left the network while the frame was in
+// flight.
+func (n *Network) receiver(slot int32) Node {
+	node := n.stations[slot].node
+	if node == nil {
+		n.drop(DropDetached)
+	}
+	return node
+}
+
+func (n *Network) getDelivery(slot int32, frame []byte, check uint64) *delivery {
 	if l := len(n.freeDeliveries); l > 0 {
 		d := n.freeDeliveries[l-1]
 		n.freeDeliveries[l-1] = nil
 		n.freeDeliveries = n.freeDeliveries[:l-1]
-		*d = delivery{net: n, dst: dst, frame: frame, check: check}
+		d.net, d.slot, d.frame, d.check = n, slot, frame, check
 		return d
 	}
-	return &delivery{net: n, dst: dst, frame: frame, check: check}
+	return &delivery{net: n, slot: slot, frame: frame, check: check}
 }
 
 func (n *Network) getFanout(frame []byte, check uint64) *fanout {
@@ -341,7 +397,7 @@ func (n *Network) Send(frame []byte) {
 	}
 	if multicast { // broadcast has the group bit set too
 		// Station membership is snapshotted at send time (the frame is "in
-		// the air"); each receiver is looked up again at delivery so a
+		// the air"); each receiver's slot is read again at delivery so a
 		// station that detached in flight counts as a drop, not a delivery.
 		src := eth.Src
 		if n.Impair == nil {
@@ -349,23 +405,23 @@ func (n *Network) Send(frame []byte) {
 			// hear a multicast frame at the same instant, and batching keeps
 			// the event queue small on busy discovery traffic.
 			f := n.getFanout(frame, check)
-			for _, mac := range n.order {
-				if mac != src {
-					f.recipients = append(f.recipients, mac)
+			for _, slot := range n.order {
+				if n.stations[slot].mac != src {
+					f.recipients = append(f.recipients, slot)
 				}
 			}
 			n.Sched.AfterRunner("lan", n.Latency, f)
 			return
 		}
-		for _, mac := range n.order {
-			if mac != src {
-				n.scheduleDelivery(src, mac, true, frame, check)
+		for _, slot := range n.order {
+			if n.stations[slot].mac != src {
+				n.scheduleDelivery(src, slot, true, frame, check)
 			}
 		}
 		return
 	}
-	if _, ok := n.nodes[eth.Dst]; ok {
-		n.scheduleDelivery(eth.Src, eth.Dst, false, frame, check)
+	if slot, ok := n.slots[eth.Dst]; ok && n.stations[slot].node != nil {
+		n.scheduleDelivery(eth.Src, slot, false, frame, check)
 		return
 	}
 	// Unknown unicast destinations are dropped: the switch has a complete
@@ -374,13 +430,14 @@ func (n *Network) Send(frame []byte) {
 }
 
 // scheduleDelivery applies the impairment verdict (if any) for one receiver
-// and schedules the pooled delivery event(s).
-func (n *Network) scheduleDelivery(src, dst netx.MAC, multicast bool, frame []byte, check uint64) {
+// and schedules the pooled delivery event(s). Each copy decodes the frame
+// when it fires.
+func (n *Network) scheduleDelivery(src netx.MAC, slot int32, multicast bool, frame []byte, check uint64) {
 	delay := n.Latency
 	copies := 1
 	gap := time.Duration(0)
 	if n.Impair != nil {
-		v := n.Impair(src, dst, multicast, frame)
+		v := n.Impair(src, n.stations[slot].mac, multicast, frame)
 		if v.Drop {
 			reason := v.Reason
 			if reason == "" {
@@ -395,20 +452,6 @@ func (n *Network) scheduleDelivery(src, dst netx.MAC, multicast bool, frame []by
 	}
 	for i := 0; i < copies; i++ {
 		at := delay + time.Duration(i)*gap
-		n.Sched.AfterRunner("lan", at, n.getDelivery(dst, frame, check))
+		n.Sched.AfterRunner("lan", at, n.getDelivery(slot, frame, check))
 	}
-}
-
-// deliverNow hands a frame to the station currently owning dst, or counts a
-// detached drop when the station left the network while the frame was in
-// flight.
-func (n *Network) deliverNow(dst netx.MAC, frame []byte) {
-	node, ok := n.nodes[dst]
-	if !ok {
-		n.drop(DropDetached)
-		return
-	}
-	n.FramesDelivered++
-	n.cDelivered.Inc()
-	node.HandleFrame(frame)
 }

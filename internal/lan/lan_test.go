@@ -9,14 +9,14 @@ import (
 	"iotlan/internal/sim"
 )
 
-// stubNode records frames it receives.
+// stubNode records the bytes of the frames it receives.
 type stubNode struct {
 	mac    netx.MAC
 	frames [][]byte
 }
 
-func (n *stubNode) MAC() netx.MAC            { return n.mac }
-func (n *stubNode) HandleFrame(frame []byte) { n.frames = append(n.frames, frame) }
+func (n *stubNode) MAC() netx.MAC        { return n.mac }
+func (n *stubNode) HandleFrame(f *Frame) { n.frames = append(n.frames, f.Data) }
 
 func frame(t *testing.T, src, dst netx.MAC) []byte {
 	t.Helper()
@@ -80,7 +80,7 @@ func TestUnknownUnicastDropped(t *testing.T) {
 	s, n, a, _, _ := setup()
 	n.Send(frame(t, a.mac, netx.MAC{0xde, 0xad, 0, 0, 0, 1}))
 	s.RunFor(time.Second)
-	if n.FramesDelivered != 0 {
+	if s.Telemetry.Registry.CounterValue("lan_frames_delivered") != 0 {
 		t.Fatal("frame delivered to nonexistent station")
 	}
 }
@@ -137,7 +137,7 @@ func TestGarbageFrameDropped(t *testing.T) {
 	s, n, _, _, _ := setup()
 	n.Send([]byte{1, 2, 3}) // unframeable
 	s.RunFor(time.Second)
-	if n.FramesDelivered != 0 {
+	if s.Telemetry.Registry.CounterValue("lan_frames_delivered") != 0 {
 		t.Fatal("garbage delivered")
 	}
 }
@@ -175,9 +175,6 @@ func TestFrameTypeAccounting(t *testing.T) {
 	// Deliveries: 1 unicast + 2 broadcast receivers.
 	if got := reg.CounterValue("lan_frames_delivered"); got != 3 {
 		t.Fatalf("delivered = %d, want 3", got)
-	}
-	if n.FramesDelivered != 3 {
-		t.Fatalf("FramesDelivered field = %d, want 3", n.FramesDelivered)
 	}
 }
 
@@ -227,9 +224,9 @@ type hookNode struct {
 	onFrame func()
 }
 
-func (h *hookNode) HandleFrame(frame []byte) {
+func (h *hookNode) HandleFrame(f *Frame) {
 	h.onFrame()
-	h.stubNode.HandleFrame(frame)
+	h.stubNode.HandleFrame(f)
 }
 
 // Regression: a unicast frame already in flight when its destination
@@ -245,8 +242,8 @@ func TestDetachWhileUnicastInFlight(t *testing.T) {
 	if got := s.Telemetry.Registry.CounterValue("lan_frames_dropped{reason=detached}"); got != 1 {
 		t.Fatalf("detached drops = %d, want 1", got)
 	}
-	if n.FramesDelivered != 0 {
-		t.Fatalf("FramesDelivered = %d, want 0", n.FramesDelivered)
+	if got := s.Telemetry.Registry.CounterValue("lan_frames_delivered"); got != 0 {
+		t.Fatalf("lan_frames_delivered = %d, want 0", got)
 	}
 }
 
@@ -289,5 +286,90 @@ func TestDetachWhileInFlightWithImpairment(t *testing.T) {
 	// Both the unicast and b's share of the broadcast count as detached.
 	if got := s.Telemetry.Registry.CounterValue("lan_frames_dropped{reason=detached}"); got != 2 {
 		t.Fatalf("detached drops = %d, want 2", got)
+	}
+}
+
+// A station that detaches and re-attaches under the same MAC while a
+// multicast frame is in flight gets the frame: the in-flight recipient is
+// the MAC's slot, and whichever node holds it at delivery receives.
+func TestReattachWhileMulticastInFlight(t *testing.T) {
+	s, n, a, b, c := setup()
+	sent := frame(t, a.mac, netx.Broadcast)
+	n.Send(sent)
+	n.Detach(c.mac)
+	c2 := &stubNode{mac: c.mac} // the rebooted station
+	n.Attach(c2)
+	s.RunFor(time.Second)
+	if len(b.frames) != 1 || len(c.frames) != 0 || len(c2.frames) != 1 {
+		t.Fatalf("deliveries b=%d old c=%d re-attached c=%d, want 1 0 1",
+			len(b.frames), len(c.frames), len(c2.frames))
+	}
+	if &c2.frames[0][0] != &sent[0] {
+		t.Fatal("re-attached station got other bytes than were sent")
+	}
+	reg := s.Telemetry.Registry
+	if got := reg.CounterValue("lan_frames_dropped{reason=detached}"); got != 0 {
+		t.Fatalf("detached drops = %d, want 0", got)
+	}
+	if got := reg.CounterValue("lan_frames_delivered"); got != 2 {
+		t.Fatalf("lan_frames_delivered = %d, want 2", got)
+	}
+}
+
+// memoNode records what it finds in the Frame it is handed — the pointer,
+// the decoded source MAC and the memo slot — and then leaves its own MAC in
+// the memo for the next receiver.
+type memoNode struct {
+	stubNode
+	got  *Frame
+	src  netx.MAC
+	memo any
+}
+
+func (n *memoNode) HandleFrame(f *Frame) {
+	n.got, n.src, n.memo = f, f.Eth.Src, f.Memo
+	f.Memo = n.mac
+	n.stubNode.HandleFrame(f)
+}
+
+// Every receiver of one multicast fan-out is handed the same decoded Frame,
+// decoded once: a memo one receiver leaves is there for the next, which a
+// second decode would have cleared. Impaired deliveries each decode their
+// own.
+func TestFanoutSharesOneDecode(t *testing.T) {
+	for _, impaired := range []bool{false, true} {
+		s := sim.NewScheduler(1)
+		n := New(s)
+		if impaired {
+			n.Impair = func(src, dst netx.MAC, multicast bool, frame []byte) Verdict { return Verdict{} }
+		}
+		nodes := make([]*memoNode, 5)
+		for i := range nodes {
+			nodes[i] = &memoNode{stubNode: stubNode{mac: netx.MAC{2, 0, 0, 0, 0, byte(i + 1)}}}
+			n.Attach(nodes[i])
+		}
+		sender, rx := nodes[0], nodes[1:]
+		sent := frame(t, sender.mac, netx.Broadcast)
+		n.Send(sent)
+		s.RunFor(time.Second)
+		for i, nd := range rx {
+			if len(nd.frames) != 1 || &nd.frames[0][0] != &sent[0] || nd.src != sender.mac {
+				t.Fatalf("impaired=%v: receiver %d got %d frames, decoded src %v", impaired, i, len(nd.frames), nd.src)
+			}
+			if impaired {
+				if nd.memo != nil {
+					t.Fatalf("impaired receiver %d shares a decode with another delivery", i)
+				}
+				continue
+			}
+			var want any
+			if i > 0 {
+				want = rx[i-1].mac
+			}
+			if nd.got != rx[0].got || nd.memo != want {
+				t.Fatalf("receiver %d: same Frame %v, memo %v, want %v — the fan-out decoded more than once",
+					i, nd.got == rx[0].got, nd.memo, want)
+			}
+		}
 	}
 }

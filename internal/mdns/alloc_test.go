@@ -7,13 +7,11 @@
 package mdns
 
 import (
-	"net/netip"
+	"fmt"
 	"testing"
 	"time"
 
-	"iotlan/internal/dnsmsg"
-	"iotlan/internal/layers"
-	"iotlan/internal/netx"
+	"iotlan/internal/lan"
 )
 
 // announcement is another station's unsolicited response — the bulk of what
@@ -35,36 +33,23 @@ func announcement(tb testing.TB) []byte {
 	return frame
 }
 
-// hueQuery is a multicast PTR query for the Hue service from 192.168.10.9.
-func hueQuery(tb testing.TB) []byte {
-	tb.Helper()
-	q := &dnsmsg.Message{Questions: []dnsmsg.Question{
-		{Name: "_hue._tcp.local", Type: dnsmsg.TypePTR, Class: dnsmsg.ClassIN},
-	}}
-	src := netip.MustParseAddr("192.168.10.9")
-	udp := &layers.UDP{SrcPort: Port, DstPort: Port}
-	udp.SetAddrs(src, netx.MDNSv4Group)
-	frame, err := layers.Serialize(
-		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 9}, Dst: netx.MulticastMAC(netx.MDNSv4Group), EtherType: layers.EtherTypeIPv4},
-		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: netx.MDNSv4Group},
-		udp,
-		layers.RawPayload(q.Marshal()))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return frame
-}
-
 // A responder handed a response must drop it on the header, before any
-// decode: zero allocations through the host's whole receive path.
+// decode of the DNS message: zero allocations through the host's whole
+// receive path, including the frame decode the network makes once per
+// delivery event.
 func TestResponderResponseAllocs(t *testing.T) {
 	e := newEnv()
 	h := e.host(23)
 	hueResponder(h)
 	frame := announcement(t)
-	h.HandleFrame(frame)
-	if avg := testing.AllocsPerRun(200, func() { h.HandleFrame(frame) }); avg != 0 {
-		t.Fatalf("HandleFrame(mDNS response) = %.2f allocs/op, want 0", avg)
+	var f lan.Frame
+	recv := func() {
+		f.DecodeInto(frame)
+		h.HandleFrame(&f)
+	}
+	recv()
+	if avg := testing.AllocsPerRun(200, recv); avg != 0 {
+		t.Fatalf("decode + HandleFrame(mDNS response) = %.2f allocs/op, want 0", avg)
 	}
 }
 
@@ -81,14 +66,41 @@ func BenchmarkResponderDatagram(b *testing.B) {
 			h := e.host(23)
 			hueResponder(h)
 			frame := c.frame(b)
-			h.HandleFrame(frame)
+			var f lan.Frame
+			f.DecodeInto(frame)
+			h.HandleFrame(&f)
 			e.sched.RunFor(time.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h.HandleFrame(frame)
+				f.DecodeInto(frame)
+				h.HandleFrame(&f)
 				e.sched.RunFor(time.Millisecond) // flush the answer, if any
 			}
 		})
+	}
+}
+
+// BenchmarkResponderFanout is one mDNS query as the lab carries it: each op
+// multicasts the query through lan.Network.Send to 95 hosts that each run a
+// responder for their own service type, then runs the clock until the one
+// matching responder's answer has reached every station.
+func BenchmarkResponderFanout(b *testing.B) {
+	e := newEnv()
+	hueResponder(e.host(10))
+	for i := 1; i < 95; i++ {
+		(&Responder{
+			Host:     e.host(byte(10 + i)),
+			Hostname: fmt.Sprintf("device-%d.local", i),
+			Services: []Service{{Instance: fmt.Sprintf("Device %d", i), Type: fmt.Sprintf("_svc%d._tcp.local", i), Port: 80}},
+		}).Start()
+	}
+	query := hueQuery(b)
+	e.sched.RunFor(time.Second) // the responders' group joins
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.net.Send(query)
+		e.sched.RunFor(time.Millisecond)
 	}
 }

@@ -74,7 +74,9 @@ func runResponder(payload []byte, oracle bool) (responderRun, bool) {
 		return run, false // payload too large to frame
 	}
 	run.frames = nil // drop the boot-time IGMP joins
-	host.HandleFrame(frame)
+	var lf lan.Frame
+	lf.DecodeInto(frame)
+	host.HandleFrame(&lf)
 	sched.RunFor(time.Second) // flush any scheduled response work
 	return run, true
 }

@@ -67,19 +67,21 @@ func (r *Responder) Stop() {
 
 // onDatagram answers queries. Most of what reaches port 5353 is other
 // stations' responses and announcements, which a responder ignores, so the
-// QR bit is read from the header before paying for a full decode.
+// QR bit is read from the header before paying for a full decode. A query
+// is multicast to every responder on the LAN; they share one decode of it.
 func (r *Responder) onDatagram(dg stack.Datagram) {
 	if !dnsmsg.IsQuery(dg.Payload) {
 		return
 	}
-	m, err := dnsmsg.Unmarshal(dg.Payload)
+	m, err := stack.ParseShared(dg, dnsmsg.Unmarshal)
 	if err != nil {
 		return
 	}
 	r.answer(m, dg)
 }
 
-// answer replies to a decoded query received as dg.
+// answer replies to a decoded query received as dg. m is shared with the
+// query's other receivers and is only read.
 func (r *Responder) answer(m *dnsmsg.Message, dg stack.Datagram) {
 	var answers, extra []dnsmsg.Record
 	unicastOK := false

@@ -1,6 +1,8 @@
 package mdns
 
 import (
+	"bytes"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"iotlan/internal/dnsmsg"
 	"iotlan/internal/lan"
+	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/sim"
 	"iotlan/internal/stack"
@@ -42,6 +45,26 @@ func hueResponder(h *stack.Host) *Responder {
 	}
 	r.Start()
 	return r
+}
+
+// hueQuery is a multicast PTR query for the Hue service from 192.168.10.9.
+func hueQuery(tb testing.TB) []byte {
+	tb.Helper()
+	q := &dnsmsg.Message{Questions: []dnsmsg.Question{
+		{Name: "_hue._tcp.local", Type: dnsmsg.TypePTR, Class: dnsmsg.ClassIN},
+	}}
+	src := netip.MustParseAddr("192.168.10.9")
+	udp := &layers.UDP{SrcPort: Port, DstPort: Port}
+	udp.SetAddrs(src, netx.MDNSv4Group)
+	frame, err := layers.Serialize(
+		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 9}, Dst: netx.MulticastMAC(netx.MDNSv4Group), EtherType: layers.EtherTypeIPv4},
+		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: netx.MDNSv4Group},
+		udp,
+		layers.RawPayload(q.Marshal()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
 }
 
 func TestQueryGetsMulticastResponse(t *testing.T) {
@@ -196,5 +219,58 @@ func TestHostnameAQuery(t *testing.T) {
 	e.sched.RunFor(time.Second)
 	if addr != hue.IPv4() {
 		t.Fatalf("A answer %v, want %v", addr, hue.IPv4())
+	}
+}
+
+// A query multicast to K responders on K hosts is parsed once: the parse
+// the first responder leaves in the frame's memo slot is the one every
+// later responder reads. The K answers are byte for byte those of K
+// separately decoded deliveries, each of which parses for itself.
+func TestQueryParsedOnceAcrossResponders(t *testing.T) {
+	const k = 8
+	run := func(deliver func(hosts []*stack.Host, query []byte)) [][]byte {
+		e := newEnv()
+		hosts := make([]*stack.Host, k)
+		for i := range hosts {
+			hosts[i] = e.host(byte(20 + i))
+			r := hueResponder(hosts[i])
+			r.Hostname = fmt.Sprintf("hue-%d.local", i)
+			r.Services[0].Instance = fmt.Sprintf("Philips Hue - %02X", i)
+		}
+		e.sched.RunFor(time.Second) // the responders' group joins
+		var answers [][]byte
+		e.net.Tap(func(_ time.Time, f []byte) { answers = append(answers, f) })
+		deliver(hosts, hueQuery(t))
+		e.sched.RunFor(time.Second)
+		return answers
+	}
+	shared := run(func(hosts []*stack.Host, query []byte) {
+		f := new(lan.Frame) // one delivery event: every receiver gets f
+		f.DecodeInto(query)
+		var first any
+		for i, h := range hosts {
+			h.HandleFrame(f)
+			if i == 0 {
+				first = f.Memo
+			}
+			if first == nil || f.Memo != first {
+				t.Fatalf("responder %d did not reuse the first responder's parse", i)
+			}
+		}
+	})
+	separate := run(func(hosts []*stack.Host, query []byte) {
+		for _, h := range hosts {
+			f := new(lan.Frame)
+			f.DecodeInto(query)
+			h.HandleFrame(f)
+		}
+	})
+	if len(shared) != k || len(separate) != k {
+		t.Fatalf("answers: shared %d, separate %d, want %d each", len(shared), len(separate), k)
+	}
+	for i := range shared {
+		if !bytes.Equal(shared[i], separate[i]) {
+			t.Fatalf("answer %d differs:\nshared   %x\nseparate %x", i, shared[i], separate[i])
+		}
 	}
 }

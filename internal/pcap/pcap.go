@@ -7,6 +7,7 @@ package pcap
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -176,49 +177,45 @@ func ReadFile(r io.Reader) ([]Record, error) {
 	}
 }
 
-// Capture accumulates frames at the AP tap, split per source MAC like the
-// MonIoTr testbed's per-device tcpdump files. All frames are also kept in
-// arrival order for whole-network analyses.
+// Capture accumulates frames at the AP tap in arrival order, for
+// whole-network analyses. SplitByMAC groups them per source MAC, like the
+// MonIoTr testbed's per-device tcpdump files.
 type Capture struct {
-	All   []Record
-	ByMAC map[netx.MAC][]Record
+	All []Record
 }
 
 // NewCapture returns an empty capture.
-func NewCapture() *Capture {
-	return &Capture{ByMAC: make(map[netx.MAC][]Record)}
-}
+func NewCapture() *Capture { return &Capture{} }
 
 // Add records a frame captured at t.
 func (c *Capture) Add(t time.Time, frame []byte) {
-	rec := Record{Time: t, Data: frame}
-	c.All = append(c.All, rec)
-	if len(frame) >= 14 {
-		var eth layers.Ethernet
-		if eth.DecodeFromBytes(frame) == nil {
-			c.ByMAC[eth.Src] = append(c.ByMAC[eth.Src], rec)
-		}
-	}
+	c.All = append(c.All, Record{Time: t, Data: frame})
 }
 
 // Len reports the total number of captured frames.
 func (c *Capture) Len() int { return len(c.All) }
 
-// MACs returns the source MACs observed, in stable (sorted) order.
-func (c *Capture) MACs() []netx.MAC {
-	macs := make([]netx.MAC, 0, len(c.ByMAC))
-	for m := range c.ByMAC {
+// SplitByMAC groups All by source MAC: macs lists the source MACs seen in
+// sorted order, and groups[i] holds the records macs[i] sent, in arrival
+// order. A frame too short for an Ethernet header belongs to no group.
+func (c *Capture) SplitByMAC() (macs []netx.MAC, groups [][]Record) {
+	byMAC := make(map[netx.MAC][]Record)
+	for _, r := range c.All {
+		var eth layers.Ethernet
+		if eth.DecodeFromBytes(r.Data) == nil {
+			byMAC[eth.Src] = append(byMAC[eth.Src], r)
+		}
+	}
+	macs = make([]netx.MAC, 0, len(byMAC))
+	for m := range byMAC {
 		macs = append(macs, m)
 	}
-	sort.Slice(macs, func(i, j int) bool {
-		for k := 0; k < 6; k++ {
-			if macs[i][k] != macs[j][k] {
-				return macs[i][k] < macs[j][k]
-			}
-		}
-		return false
-	})
-	return macs
+	sort.Slice(macs, func(i, j int) bool { return bytes.Compare(macs[i][:], macs[j][:]) < 0 })
+	groups = make([][]Record, len(macs))
+	for i, m := range macs {
+		groups[i] = byMAC[m]
+	}
+	return macs, groups
 }
 
 // FilterLocal returns the records passing the Appendix C.1 local-traffic

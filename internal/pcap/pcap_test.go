@@ -135,12 +135,15 @@ func TestCapturePerMAC(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if len(c.ByMAC[a]) != 2 || len(c.ByMAC[b]) != 1 {
-		t.Fatalf("per-MAC split wrong: a=%d b=%d", len(c.ByMAC[a]), len(c.ByMAC[b]))
-	}
-	macs := c.MACs()
+	macs, groups := c.SplitByMAC()
 	if len(macs) != 2 || macs[0] != a || macs[1] != b {
-		t.Fatalf("MACs() = %v", macs)
+		t.Fatalf("SplitByMAC MACs = %v", macs)
+	}
+	if len(groups[0]) != 2 || len(groups[1]) != 1 {
+		t.Fatalf("per-MAC split wrong: a=%d b=%d", len(groups[0]), len(groups[1]))
+	}
+	if !groups[0][0].Time.Equal(now) || !groups[0][1].Time.Equal(now.Add(2*time.Second)) {
+		t.Fatalf("a's records out of arrival order: %v, %v", groups[0][0].Time, groups[0][1].Time)
 	}
 }
 

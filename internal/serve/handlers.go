@@ -40,13 +40,19 @@ func (s *Server) Mux() *http.ServeMux {
 // (trace.go) derives the upload's metrics and log line from its trace.
 func (s *Server) handleUpload(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		// A capture names its household in the path; a wire batch carries
+		// its households in the body, and its inspector.decode span counts
+		// them.
 		household := r.PathValue("id")
-		if kind == "capture" && household == "" {
-			s.respond(w, http.StatusBadRequest, s.errEnvelope("missing household id", 0))
-			return
+		attrs := []string{"kind", kind, "queue_depth_admit", strconv.Itoa(len(s.slots))}
+		if kind == "capture" {
+			if household == "" {
+				s.respond(w, http.StatusBadRequest, s.errEnvelope("missing household id", 0))
+				return
+			}
+			attrs = append(attrs, "household", household)
 		}
-		ctx, root := s.spans.StartSpan(r.Context(), "serve", "upload",
-			"kind", kind, "household", household, "queue_depth_admit", strconv.Itoa(len(s.slots)))
+		ctx, root := s.spans.StartSpan(r.Context(), "serve", "upload", attrs...)
 		if s.draining.Load() {
 			s.shed(w, root, "draining", http.StatusServiceUnavailable,
 				s.errEnvelope("server draining", s.cfg.RetryAfter))

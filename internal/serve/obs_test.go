@@ -300,19 +300,23 @@ func TestStructuredRequestLog(t *testing.T) {
 		Workers: 1,
 		Logger:  slog.New(slog.NewJSONHandler(syncWriter, nil)),
 	})
-	h := inspector.Generate(14, 1).Households[0]
+	ds := inspector.Generate(14, 3)
+	h := ds.Households[0]
 	body := capturePCAP(t, h)
 	for i := 0; i < 2; i++ {
 		if w := do(s, "POST", fmt.Sprintf("/v1/households/%s/capture", h.ID), body); w.Code != http.StatusOK {
 			t.Fatalf("upload %d: %d", i, w.Code)
 		}
 	}
+	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, ds.Households...)); w.Code != http.StatusOK {
+		t.Fatalf("wire batch: %d", w.Code)
+	}
 
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	mu.Unlock()
-	if len(lines) != 2 {
-		t.Fatalf("log lines %d, want 2 (one per upload):\n%s", len(lines), strings.Join(lines, "\n"))
+	if len(lines) != 3 {
+		t.Fatalf("log lines %d, want 3 (one per upload):\n%s", len(lines), strings.Join(lines, "\n"))
 	}
 	type logLine struct {
 		Msg             string  `json:"msg"`
@@ -338,6 +342,18 @@ func TestStructuredRequestLog(t *testing.T) {
 	}
 	if second.Cache != "hit" {
 		t.Fatalf("second upload logged cache=%q, want hit", second.Cache)
+	}
+	// A wire batch names no household in its path: its line counts the
+	// households the batch carried instead of logging an empty one.
+	var batch map[string]any
+	if err := json.Unmarshal([]byte(lines[2]), &batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := batch["household"]; ok || batch["kind"] != "inspector" || batch["households"] != float64(len(ds.Households)) {
+		t.Fatalf("wire batch log line = %s, want kind=inspector, households=%d and no household", lines[2], len(ds.Households))
+	}
+	if first.Household == "" || strings.Contains(lines[0], `"households"`) {
+		t.Fatalf("capture log line = %s, want its household and no households count", lines[0])
 	}
 }
 

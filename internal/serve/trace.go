@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"log/slog"
 	"strconv"
 
 	"iotlan/internal/obs"
@@ -78,29 +79,37 @@ func (k traceSink) RecordTrace(rt obs.RequestTrace) {
 }
 
 // logUpload writes an upload's one structured line from its trace: who and
-// under what admission pressure from the root's attributes, bytes and the
-// cache verdict from the body.read and cache.lookup spans, and the time in
-// each stage from stageUS.
+// under what admission pressure from the root's attributes (a capture's
+// household) and the inspector.decode span (a wire batch's household
+// count), bytes and the cache verdict from the body.read and cache.lookup
+// spans, and the time in each stage from stageUS.
 func (s *Server) logUpload(rt obs.RequestTrace, stageUS map[string]int64) {
 	if s.logger == nil {
 		return
 	}
 	root := rt.Root()
 	var bytes int64
+	var households int
 	cache := "none"
 	for _, sp := range rt.Spans {
 		switch sp.Name {
 		case "body.read":
 			bytes, _ = strconv.ParseInt(sp.Attrs["bytes"], 10, 64)
+		case "inspector.decode":
+			households, _ = strconv.Atoi(sp.Attrs["households"])
 		case "cache.lookup":
 			cache = sp.Attrs["result"]
 		}
+	}
+	who := slog.String("household", root.Attrs["household"])
+	if root.Attrs["kind"] == "inspector" {
+		who = slog.Int("households", households)
 	}
 	status, _ := strconv.Atoi(root.Attrs["status"])
 	admitDepth, _ := strconv.Atoi(root.Attrs["queue_depth_admit"])
 	s.logger.Info("upload",
 		"kind", root.Attrs["kind"],
-		"household", root.Attrs["household"],
+		who,
 		"status", status,
 		"bytes", bytes,
 		"total_ms", ms(root.Dur),

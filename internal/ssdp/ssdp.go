@@ -205,11 +205,13 @@ func (r *Responder) Start() {
 
 func (r *Responder) onDatagram(dg stack.Datagram) {
 	// Only searches get an answer; the NOTIFYs and 200 OKs that make up
-	// most SSDP traffic are dropped on their start line, before Parse.
+	// most SSDP traffic are dropped on their start line, before Parse. An
+	// M-SEARCH is multicast to every responder on the LAN; they share one
+	// parse of it, which each only reads.
 	if kindOf(dg.Payload) != "M-SEARCH" {
 		return
 	}
-	m, err := Parse(dg.Payload)
+	m, err := stack.ParseShared(dg, Parse)
 	if err != nil {
 		return
 	}

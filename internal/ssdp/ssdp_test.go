@@ -1,6 +1,8 @@
 package ssdp
 
 import (
+	"bytes"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"iotlan/internal/lan"
+	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/sim"
 	"iotlan/internal/stack"
@@ -165,5 +168,83 @@ func TestDeviceDescriptionRoundTrip(t *testing.T) {
 	}
 	if len(got.Services) != 1 || got.Services[0].ControlURL != "/cm" {
 		t.Fatalf("services: %+v", got.Services)
+	}
+}
+
+// An M-SEARCH multicast to K responders is parsed once: the parse the first
+// responder leaves in the frame's memo slot is the one every later
+// responder reads. The LAN carries byte for byte what K separately decoded
+// deliveries, each parsing for itself, make it carry.
+func TestMSearchParsedOnceAcrossResponders(t *testing.T) {
+	const k = 5
+	phoneIP := netip.MustParseAddr("192.168.10.50")
+	udp := &layers.UDP{SrcPort: 40000, DstPort: Port}
+	udp.SetAddrs(phoneIP, netx.SSDPGroup)
+	search, err := layers.Serialize(
+		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 50}, Dst: netx.MulticastMAC(netx.SSDPGroup), EtherType: layers.EtherTypeIPv4},
+		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: phoneIP, Dst: netx.SSDPGroup},
+		udp,
+		layers.RawPayload(MSearch(TargetAll, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(deliver func(hosts []*stack.Host)) [][]byte {
+		sched := sim.NewScheduler(1)
+		network := lan.New(sched)
+		mk := func(last byte) *stack.Host {
+			h := stack.NewHost(network, netx.MAC{2, 0, 0, 0, 0, last}, stack.DefaultPolicy)
+			h.SetIPv4(netip.AddrFrom4([4]byte{192, 168, 10, last}))
+			return h
+		}
+		hosts := make([]*stack.Host, k)
+		for i := range hosts {
+			hosts[i] = mk(byte(30 + i))
+			(&Responder{Host: hosts[i], Ads: []Advertisement{{
+				UUID:   fmt.Sprintf("tv-%d", i),
+				Target: TargetDial, Location: fmt.Sprintf("http://192.168.10.%d:8060/dd.xml", 30+i),
+			}}}).Start()
+		}
+		mk(50) // the searcher, which answers the responders' ARP
+		sched.RunFor(time.Second)
+		var carried [][]byte
+		network.Tap(func(_ time.Time, f []byte) { carried = append(carried, f) })
+		deliver(hosts)
+		sched.RunFor(time.Second)
+		return carried
+	}
+	shared := run(func(hosts []*stack.Host) {
+		f := new(lan.Frame) // one delivery event: every receiver gets f
+		f.DecodeInto(search)
+		var first any
+		for i, h := range hosts {
+			h.HandleFrame(f)
+			if i == 0 {
+				first = f.Memo
+			}
+			if first == nil || f.Memo != first {
+				t.Fatalf("responder %d did not reuse the first responder's parse", i)
+			}
+		}
+	})
+	separate := run(func(hosts []*stack.Host) {
+		for _, h := range hosts {
+			f := new(lan.Frame)
+			f.DecodeInto(search)
+			h.HandleFrame(f)
+		}
+	})
+	answers := 0
+	for _, f := range shared {
+		if bytes.Contains(f, []byte("HTTP/1.1 200 OK")) {
+			answers++
+		}
+	}
+	if answers != k || len(shared) != len(separate) {
+		t.Fatalf("shared delivery: %d answers in %d frames; separate: %d frames", answers, len(shared), len(separate))
+	}
+	for i := range shared {
+		if !bytes.Equal(shared[i], separate[i]) {
+			t.Fatalf("frame %d differs:\nshared   %x\nseparate %x", i, shared[i], separate[i])
+		}
 	}
 }

@@ -90,20 +90,9 @@ type Host struct {
 	OnARPRequest func(sender netip.Addr, target netip.Addr)
 	// OnEcho is invoked when an echo request is answered.
 	OnEcho func(from netip.Addr)
-	// OnRawFrame, when set, sees every frame before normal dispatch. Used by
-	// promiscuous observers (ARP-spoofing inspector, instrumentation).
-	OnRawFrame func(frame []byte)
 
 	// onICMPIn lets the scanner observe ICMP responses to its probes.
 	onICMPIn func(*layers.Packet)
-
-	// rx is the receive path's decode scratch: HandleFrame decodes every
-	// delivery into it, so the *layers.Packet that handlers and the ICMP
-	// hook see is only valid for the duration of the call. rxBusy marks it
-	// in use; a nested HandleFrame on the same host decodes into a fresh
-	// Packet instead of clobbering the outer one.
-	rx     layers.Packet
-	rxBusy bool
 
 	// foreignARP tracks, per sender, the last broadcast who-has for an IP
 	// other than ours — the sweep detector behind RespondARPBroadcast.
@@ -207,39 +196,21 @@ func (h *Host) SendRaw(frame []byte) {
 	h.Net.Send(frame)
 }
 
-// HandleFrame implements lan.Node: the host's receive path. Receivers
-// dispatch on headers before decoding bodies: the frame is decoded into the
-// host's scratch Packet, so nothing a handler is handed (the *layers.Packet,
+// HandleFrame implements lan.Node: the host's receive path. f is the
+// network's one decode of the frame, shared read-only by every receiver of
+// the delivery event, so nothing a handler is handed (the *layers.Packet,
 // its layer structs) outlives the call — copy what must be kept. Payload
-// slices point into the frame itself, which the network never reuses.
-func (h *Host) HandleFrame(frame []byte) {
+// slices point into the frame bytes, which the network never reuses.
+func (h *Host) HandleFrame(f *lan.Frame) {
 	if h.down {
 		return
 	}
-	if h.OnRawFrame != nil {
-		h.OnRawFrame(frame)
-	}
-	// Fast path: drop IPv4 multicast for unjoined groups before the full
-	// decode — the dominant case on a discovery-chatty LAN.
-	if len(frame) >= 34 && frame[12] == 0x08 && frame[13] == 0x00 {
-		if b := frame[30]; b >= 224 && b <= 239 {
-			dst := netip.AddrFrom4([4]byte(frame[30:34]))
-			if !h.groups[dst] && dst != netx.AllNodesV4 && dst != netx.IGMPGroup {
-				return
-			}
-		}
-	}
-	if h.rxBusy {
-		h.dispatch(layers.Decode(frame))
-		return
-	}
-	h.rxBusy = true
-	h.rx.DecodeInto(frame)
-	h.dispatch(&h.rx)
-	h.rxBusy = false
+	h.dispatch(&f.Packet, &f.Memo)
 }
 
-func (h *Host) dispatch(p *layers.Packet) {
+// dispatch routes a decoded frame. memo is the delivery event's memo slot,
+// carried down to the datagram (see ParseShared).
+func (h *Host) dispatch(p *layers.Packet, memo *any) {
 	if p.Err != nil {
 		return
 	}
@@ -247,27 +218,28 @@ func (h *Host) dispatch(p *layers.Packet) {
 	case p.HasARP:
 		h.handleARP(&p.ARP, &p.Eth)
 	case p.HasIP4, p.HasIP6:
-		h.handleIP(p)
+		h.handleIP(p, memo)
 	}
 }
 
-func (h *Host) handleIP(p *layers.Packet) {
+func (h *Host) handleIP(p *layers.Packet, memo *any) {
 	dst := p.DstIP()
 	// Accept: our unicast, joined multicast groups, well-known all-nodes,
-	// broadcast.
+	// broadcast. Multicast, most of what a host hears and never a broadcast
+	// address, is tested before the subnet broadcast is computed.
 	switch {
 	case dst == h.ip4 || dst == h.ip6:
-	case dst == netx.Broadcast4 || (h.ip4.IsValid() && dst == netx.SubnetBroadcast(h.ip4)):
 	case dst.IsMulticast():
 		if !h.groups[dst] && dst != netx.AllNodesV4 && dst != netx.AllNodesV6 && !isNDPGroup(dst) {
 			return
 		}
+	case dst == netx.Broadcast4 || (h.ip4.IsValid() && dst == netx.SubnetBroadcast(h.ip4)):
 	default:
 		return
 	}
 	switch {
 	case p.HasUDP:
-		h.handleUDP(p)
+		h.handleUDP(p, memo)
 	case p.HasTCP:
 		h.handleTCP(p)
 	case p.HasICMP4:
@@ -535,5 +507,6 @@ func (h *Host) SendIPv4Proto(dst netip.Addr, proto uint8, payload []byte) {
 }
 
 // SetICMPHook registers an observer for inbound ICMP (scanner probes). The
-// Packet is the host's receive scratch, valid only during the call.
+// Packet is the network's shared decode, read-only and valid only during the
+// call.
 func (h *Host) SetICMPHook(fn func(*layers.Packet)) { h.onICMPIn = fn }

@@ -507,12 +507,13 @@ func (s *Study) WritePcaps(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, mac := range s.Lab.Capture.MACs() {
+	macs, groups := s.Lab.Capture.SplitByMAC()
+	for i, mac := range macs {
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s.pcap", macFileName(mac))))
 		if err != nil {
 			return err
 		}
-		err = pcap.WriteFile(f, s.Lab.Capture.ByMAC[mac])
+		err = pcap.WriteFile(f, groups[i])
 		f.Close()
 		if err != nil {
 			return err
