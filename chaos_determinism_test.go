@@ -2,6 +2,7 @@ package iotlan
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -53,11 +54,13 @@ func TestChaosByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		s.RunPassive()
 		s.RunInspector()
 	}
+	var results []Result
 	for _, name := range []string{"figure1", "figure2", "table1", "table4", "table5", "intervals", "periodicity", "chaos"} {
 		a, err := seq.RunArtifact(name)
 		if err != nil {
 			t.Fatalf("workers=1 %s: %v", name, err)
 		}
+		results = append(results, a)
 		b, err := par.RunArtifact(name)
 		if err != nil {
 			t.Fatalf("workers=4 %s: %v", name, err)
@@ -80,6 +83,7 @@ func TestChaosByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if string(seqDS) != string(parDS) {
 		t.Errorf("Inspector corpus differs under chaos")
 	}
+	checkArtifactGolden(t, fmt.Sprintf("chaos-%d", seed), results...)
 	seqSnap := string(seq.Lab.Telemetry().Registry.Snapshot())
 	parSnap := string(par.Lab.Telemetry().Registry.Snapshot())
 	if seqSnap != parSnap {

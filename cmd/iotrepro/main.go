@@ -26,10 +26,15 @@
 // updates). The "diurnal" artifact renders the resulting hour-of-day
 // structure. Composes with -chaos; same seed ⇒ byte-identical run.
 //
-// -metrics writes the telemetry report (deterministic metrics snapshot +
-// wall-clock phase profile) as JSON. -trace streams the virtual-time event
-// trace: a .jsonl suffix selects JSON-lines, anything else the Chrome
-// trace_event format (load in chrome://tracing or Perfetto). -http mounts
+// -metrics writes the lab's metrics registry snapshot as JSON; a seed
+// always writes the same bytes. -trace writes the simulation's trace: each
+// phase (passive, scans, vuln, apps, inspector) is a span on the lab's
+// virtual clock and each simulator event a zero-duration child of its
+// phase, so a seed always writes the same trace too. A .jsonl suffix
+// selects one span per JSON line, anything else the Chrome trace_event
+// format with one lane per phase (load in chrome://tracing or Perfetto).
+// Neither holds wall time; the benchmark's repro workload times each phase
+// and artifact (bench/README.md). -http mounts
 // the shared operational surface from internal/serve while the run
 // executes — the lab's live metrics at /metrics, /healthz, expvar's Go
 // runtime state (/debug/vars), and pprof (/debug/pprof/); opt-in, nothing
@@ -70,8 +75,8 @@ func main() {
 	only := flag.String("only", "", "deprecated alias for -artifact")
 	pcapDir := flag.String("pcap-dir", "", "also dump per-device pcaps into this directory")
 	exportDir := flag.String("export", "", "also export datasets (scans, findings, exfiltration, …) as JSON into this directory")
-	metricsFile := flag.String("metrics", "", "write the telemetry report (metrics + phase profile) as JSON to this file (\"-\" for stdout)")
-	traceFile := flag.String("trace", "", "stream the virtual-time event trace to this file (.jsonl → JSON lines, else Chrome trace_event)")
+	metricsFile := flag.String("metrics", "", "write the lab's metrics snapshot as JSON to this file (\"-\" for stdout)")
+	traceFile := flag.String("trace", "", "write the simulation trace, spans on the virtual clock, to this file (.jsonl → JSON lines, else Chrome trace_event)")
 	httpAddr := flag.String("http", "", "serve live /metrics, expvar and pprof on this address (e.g. localhost:6060) while the run executes")
 	flag.Parse()
 
@@ -181,22 +186,21 @@ func main() {
 		if err := s.Trace.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "trace:", err)
 		}
-		fmt.Printf("trace: %d events written to %s\n", s.Trace.Events(), *traceFile)
+		fmt.Printf("trace: %d spans written to %s\n", s.Trace.Events(), *traceFile)
 		traceOut.Close()
 	}
 	if *metricsFile != "" {
-		report := s.MetricsReport()
+		reg := obs.NewRegistry() // an artifact that needs no lab leaves it empty
+		if s.Lab != nil {
+			reg = s.Lab.Telemetry().Registry
+		}
 		if *metricsFile == "-" {
-			os.Stdout.Write(report)
-		} else if err := os.WriteFile(*metricsFile, report, 0o644); err != nil {
+			os.Stdout.Write(reg.Snapshot())
+		} else if err := os.WriteFile(*metricsFile, reg.Snapshot(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", err)
 			os.Exit(1)
 		} else {
-			series := 0
-			if s.Lab != nil {
-				series = s.Lab.Telemetry().Registry.SeriesCount()
-			}
-			fmt.Printf("metrics: %d series written to %s\n", series, *metricsFile)
+			fmt.Printf("metrics: %d series written to %s\n", reg.SeriesCount(), *metricsFile)
 		}
 	}
 	if s.Lab != nil {

@@ -3,6 +3,7 @@ package iotlan
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -61,6 +62,7 @@ func TestEverythingByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		if string(seqDS) != string(parDS) {
 			t.Errorf("seed %d: Inspector corpus differs between workers=1 and workers=4", seed)
 		}
+		checkArtifactGolden(t, fmt.Sprintf("everything-%d", seed), seqResults...)
 	}
 }
 

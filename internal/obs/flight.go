@@ -129,7 +129,7 @@ func (fr *FlightRecorder) Dump(w io.Writer) error {
 	t := NewTracer(w, FormatChrome)
 	for _, rt := range fr.Traces() {
 		for _, d := range rt.Spans {
-			writeSpan(t, d)
+			t.write(d)
 		}
 	}
 	return t.Close()

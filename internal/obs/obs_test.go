@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestKeyLabelOrderCanonical(t *testing.T) {
@@ -97,8 +96,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 func TestTracerJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, FormatJSONL)
-	tr.Event(1500, "lan", "deliver", "ethertype", "ipv4")
-	tr.SpanOn(0, 2000, 300, "tcp", "handshake")
+	tr.write(SpanData{TraceID: 1, SpanID: 1, Cat: "study", Name: "passive", Dur: 2000})
+	tr.write(SpanData{TraceID: 1, SpanID: 2, ParentID: 1, Cat: "lan", Name: "frame", Start: 1500,
+		Attrs: map[string]string{"ethertype": "ipv4"}})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestTracerJSONL(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("wrote %d lines, want 2", len(lines))
 	}
-	var ev TraceEvent
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
+	var d SpanData
+	if err := json.Unmarshal([]byte(lines[1]), &d); err != nil {
 		t.Fatal(err)
 	}
-	if ev.TS != 1500 || ev.Cat != "lan" || ev.Args["ethertype"] != "ipv4" {
-		t.Fatalf("bad event: %+v", ev)
+	if d.Start != 1500 || d.Cat != "lan" || d.TraceID != 1 || d.ParentID != 1 || d.Attrs["ethertype"] != "ipv4" {
+		t.Fatalf("bad span line: %+v", d)
 	}
 	if tr.Events() != 2 {
 		t.Fatalf("Events() = %d, want 2", tr.Events())
@@ -121,49 +121,38 @@ func TestTracerJSONL(t *testing.T) {
 func TestTracerChromeFormat(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, FormatChrome)
-	tr.Event(10, "sim", "dispatch")
-	tr.SpanOn(0, 20, 5, "study", "passive")
+	tr.write(SpanData{TraceID: 3, SpanID: 4, ParentID: 3, Cat: "sim", Name: "dispatch", Start: 10})
+	tr.write(SpanData{TraceID: 3, SpanID: 3, Cat: "study", Name: "passive", Start: 5, Dur: 20})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]interface{}
+	var events []struct {
+		Phase string            `json:"ph"`
+		Scope string            `json:"s"`
+		TID   uint64            `json:"tid"`
+		Args  map[string]string `json:"args"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("chrome trace is not a JSON array: %v\n%s", err, buf.String())
 	}
 	if len(events) != 2 {
 		t.Fatalf("chrome trace has %d events, want 2", len(events))
 	}
-	if events[0]["ph"] != "i" || events[1]["ph"] != "X" {
-		t.Fatalf("phases wrong: %v / %v", events[0]["ph"], events[1]["ph"])
+	if events[0].Phase != "i" || events[0].Scope != "t" || events[1].Phase != "X" {
+		t.Fatalf("phases wrong: %+v", events)
+	}
+	if events[0].TID != 3 || events[1].TID != 3 {
+		t.Fatalf("a trace's spans are not on one lane: %+v", events)
+	}
+	if a := events[0].Args; a["trace"] != "3" || a["span"] != "4" || a["parent"] != "3" {
+		t.Fatalf("child event lost its links: %v", a)
 	}
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Event(1, "sim", "dispatch")
-	tr.SpanOn(0, 1, 1, "sim", "run")
+	tr.write(SpanData{TraceID: 1, SpanID: 1, Cat: "sim", Name: "dispatch"})
 	if tr.Events() != 0 || tr.Close() != nil {
 		t.Fatal("nil tracer misbehaved")
-	}
-}
-
-func TestProfilerAggregatesCalls(t *testing.T) {
-	p := NewProfiler()
-	p.Add("passive", 100*time.Millisecond, 1000, 45*time.Minute)
-	p.Add("scans", 50*time.Millisecond, 200, 10*time.Minute)
-	p.Add("passive", 10*time.Millisecond, 0, 0) // idempotent re-entry
-	phases := p.Phases()
-	if len(phases) != 2 {
-		t.Fatalf("%d phases, want 2", len(phases))
-	}
-	if phases[0].Name != "passive" || phases[0].Calls != 2 || phases[0].Events != 1000 {
-		t.Fatalf("passive stats wrong: %+v", phases[0])
-	}
-	if phases[0].WallMS != 110 {
-		t.Fatalf("wall aggregation wrong: %v", phases[0].WallMS)
-	}
-	var parsed []PhaseStat
-	if err := json.Unmarshal(p.JSON(), &parsed); err != nil {
-		t.Fatalf("profile JSON invalid: %v", err)
 	}
 }

@@ -1,14 +1,14 @@
-// Package obs is the simulator's telemetry substrate: a labeled metrics
-// registry, a virtual-time event tracer, and a per-phase profiler. It is
+// Package obs is the telemetry substrate of the simulator and the serving
+// path: a labeled metrics registry and spans, the one trace record. It is
 // dependency-free (stdlib only) so every layer — sim kernel, L2 switch,
-// TCP/IP stack, device runtime, study pipeline — can report into one place
-// without import cycles.
+// TCP/IP stack, device runtime, study pipeline, iotserve — can report into
+// one place without import cycles.
 //
 // Determinism is a design constraint: every value the Registry holds is
 // derived from virtual-time activity, so two runs with the same seed produce
-// byte-identical Snapshot output. Wall-clock measurements live in the
-// Profiler, which is serialized separately and excluded from determinism
-// comparisons.
+// byte-identical Snapshot output. The simulator's spans run on its virtual
+// clock, so a seed always writes the same trace too; only iotserve's spans
+// read the wall clock (WallClock).
 package obs
 
 import (

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// This file is the request-tracing half of the telemetry substrate: spans
-// with parent/child links threaded through context.Context. The clock is
-// pluggable — the serving path uses wall-clock microseconds (WallClock),
-// the simulator can hand in its virtual clock — and completed spans reuse
-// the existing Tracer JSONL/Chrome encodings, so one viewer reads both.
+// Spans are the one trace record: parent/child links threaded through
+// context.Context, each span written once, when it ends, through a Tracer's
+// JSONL or Chrome encoding. The clock is pluggable — the serving path uses
+// wall-clock microseconds (WallClock), the simulator its virtual clock, so
+// a sim trace holds no wall time.
 //
 // Everything here is observational and nil-safe: a nil *SpanTracer or nil
 // *Span turns every call into a no-op, which is how "tracing disabled"
@@ -33,7 +33,8 @@ type SpanData struct {
 }
 
 // RequestTrace is one root span plus every descendant that ended before the
-// root did, assembled when the root ends. Spans[0] is always the root.
+// root did, assembled for the sink when the root ends. Spans[0] is always
+// the root.
 type RequestTrace struct {
 	Spans []SpanData
 }
@@ -48,9 +49,10 @@ type SpanSink interface {
 }
 
 // SpanTracer mints parent/child-linked spans on an arbitrary microsecond
-// clock. Out (optional) streams every completed span through the existing
-// Tracer encodings; Sink (optional) receives whole per-request traces.
-// Set Out/Sink before the first StartSpan; they are read concurrently after.
+// clock. The output (optional) gets every span once, when it ends; the
+// sink (optional) receives whole traces, so only with a sink set does a
+// root keep its children until it ends. Set both before the first
+// StartSpan; they are read concurrently after.
 type SpanTracer struct {
 	now  func() int64
 	out  *Tracer
@@ -63,7 +65,8 @@ func NewSpanTracer(now func() int64) *SpanTracer {
 	return &SpanTracer{now: now}
 }
 
-// SetOutput streams completed spans through t (JSONL or Chrome format).
+// SetOutput writes each span through t (JSONL or Chrome format) when it
+// ends.
 func (st *SpanTracer) SetOutput(t *Tracer) { st.out = t }
 
 // SetSink delivers completed request traces to sink.
@@ -92,8 +95,8 @@ type Span struct {
 	root *Span // the trace root; self for root spans
 	data SpanData
 
-	// Root-only fields: children from any goroutine append their completed
-	// records here until the root ends.
+	// Root-only fields: with a sink set, children from any goroutine append
+	// their completed records here until the root ends.
 	mu        sync.Mutex
 	collected []SpanData
 	ended     bool
@@ -150,12 +153,12 @@ func (st *SpanTracer) StartSpan(ctx context.Context, cat, name string, attrs ...
 // RecordSpan records an already-completed child span with explicit start
 // and duration (microseconds) — for stages whose cost accumulates across an
 // interleaved loop (e.g. body reads woven through record decoding) rather
-// than bracketing a contiguous interval.
+// than bracketing a contiguous interval, and for the simulator's
+// zero-duration events.
 func (st *SpanTracer) RecordSpan(ctx context.Context, cat, name string, start, dur int64, attrs ...string) {
 	if st == nil {
 		return
 	}
-	parent := SpanFromContext(ctx)
 	data := SpanData{
 		SpanID: st.ids.Add(1),
 		Cat:    cat,
@@ -164,14 +167,26 @@ func (st *SpanTracer) RecordSpan(ctx context.Context, cat, name string, start, d
 		Dur:    dur,
 		Attrs:  argMap(attrs),
 	}
-	if parent != nil {
-		data.TraceID = parent.data.TraceID
-		data.ParentID = parent.data.SpanID
-		parent.root.collect(data)
-	} else {
+	parent := SpanFromContext(ctx)
+	if parent == nil {
 		data.TraceID = data.SpanID
+		st.out.write(data)
+		return
 	}
-	st.emit(data)
+	data.TraceID = parent.data.TraceID
+	data.ParentID = parent.data.SpanID
+	st.finish(parent.root, data)
+}
+
+func argMap(args []string) map[string]string {
+	if len(args) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(args)/2)
+	for i := 0; i+1 < len(args); i += 2 {
+		m[args[i]] = args[i+1]
+	}
+	return m
 }
 
 // SetAttr attaches or replaces one attribute. Not safe to race with End on
@@ -195,75 +210,50 @@ func (sp *Span) Fail() {
 	sp.data.Err = true
 }
 
-// End completes the span and returns its duration in microseconds. Child
-// spans fold into their root; a root span assembles the whole RequestTrace
-// and hands it to the tracer's sink and output. End is idempotent-enough
-// for telemetry: a second End on a root is ignored.
+// End completes the span, writes it, and returns its duration in
+// microseconds. A root span hands the sink its whole RequestTrace. End is
+// idempotent-enough for telemetry: a second End on a root is ignored.
 func (sp *Span) End() int64 {
 	if sp == nil {
 		return 0
 	}
 	sp.data.Dur = sp.st.now() - sp.data.Start
-	if sp.root == sp {
-		sp.mu.Lock()
-		if sp.ended {
-			sp.mu.Unlock()
-			return sp.data.Dur
-		}
-		sp.ended = true
-		spans := make([]SpanData, 0, len(sp.collected)+1)
-		spans = append(spans, sp.data)
-		spans = append(spans, sp.collected...)
-		sp.mu.Unlock()
-		for _, d := range spans {
-			sp.st.emit(d)
-		}
-		if sp.st.sink != nil {
-			sp.st.sink.RecordTrace(RequestTrace{Spans: spans})
-		}
+	if sp.root != sp {
+		sp.st.finish(sp.root, sp.data)
 		return sp.data.Dur
 	}
-	sp.root.collect(sp.data)
+	sp.mu.Lock()
+	if sp.ended {
+		sp.mu.Unlock()
+		return sp.data.Dur
+	}
+	sp.ended = true
+	collected := sp.collected
+	sp.collected = nil
+	sp.mu.Unlock()
+	sp.st.out.write(sp.data)
+	if sp.st.sink != nil {
+		spans := make([]SpanData, 0, len(collected)+1)
+		spans = append(spans, sp.data)
+		spans = append(spans, collected...)
+		sp.st.sink.RecordTrace(RequestTrace{Spans: spans})
+	}
 	return sp.data.Dur
 }
 
-// collect appends a completed descendant's record to the root. A child
-// ending after its root is dropped — the trace already shipped.
-func (sp *Span) collect(d SpanData) {
-	sp.mu.Lock()
-	if !sp.ended {
-		sp.collected = append(sp.collected, d)
+// finish writes a completed descendant of root and, when a sink wants the
+// whole trace, files it with the root. A descendant ending after its root
+// is written but misses the trace, which already shipped.
+func (st *SpanTracer) finish(root *Span, d SpanData) {
+	st.out.write(d)
+	if st.sink == nil {
+		return
 	}
-	sp.mu.Unlock()
-}
-
-// emit streams one completed span through the configured Tracer. Non-root
-// spans wait for their root (see End), so a request's spans land
-// contiguously.
-func (st *SpanTracer) emit(d SpanData) {
-	if st.out != nil {
-		writeSpan(st.out, d)
+	root.mu.Lock()
+	if !root.ended {
+		root.collected = append(root.collected, d)
 	}
-}
-
-// writeSpan encodes one span record on t: one lane per trace, with the
-// trace/span/parent IDs and the error mark as args beside the attributes, so
-// the JSONL and Chrome forms keep the links. The streamed output and the
-// flight recorder's dump both encode spans here. Args are keyed by name on
-// the way out, so their order does not matter.
-func writeSpan(t *Tracer, d SpanData) {
-	args := make([]string, 0, 2*(len(d.Attrs)+4))
-	args = append(args, "trace", formatUint(d.TraceID), "span", formatUint(d.SpanID))
-	if d.ParentID != 0 {
-		args = append(args, "parent", formatUint(d.ParentID))
-	}
-	if d.Err {
-		args = append(args, "err", "true")
-	}
-	for k, v := range d.Attrs {
-		args = append(args, k, v)
-	}
-	t.SpanOn(int(d.TraceID), d.Start, d.Dur, d.Cat, d.Name, args...)
+	root.mu.Unlock()
 }
 
 func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }

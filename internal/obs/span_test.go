@@ -82,9 +82,9 @@ func TestSpanParentChildLinks(t *testing.T) {
 	}
 }
 
-// TestSpanTracerOutput: completed spans stream through the existing Tracer
-// encodings — JSONL one-object-per-line and a well-formed Chrome array —
-// with trace/span/parent links carried as args.
+// TestSpanTracerOutput: each span is written through the Tracer encodings
+// when it ends — JSONL one SpanData per line and a well-formed Chrome
+// array — with trace/span/parent links kept.
 func TestSpanTracerOutput(t *testing.T) {
 	runTrace := func(format TraceFormat) *bytes.Buffer {
 		var buf bytes.Buffer
@@ -110,18 +110,20 @@ func TestSpanTracerOutput(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("JSONL lines %d, want 2:\n%s", len(lines), jsonl)
 	}
-	var ev TraceEvent
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
+	byName := map[string]SpanData{}
+	for _, line := range lines {
+		var d SpanData
+		if err := json.Unmarshal([]byte(line), &d); err != nil {
+			t.Fatal(err)
+		}
+		byName[d.Name] = d
 	}
-	if ev.Name != "upload" || ev.Args["span"] == "" || ev.Args["trace"] == "" {
-		t.Fatalf("root event missing links: %+v", ev)
+	root, child := byName["upload"], byName["analysis"]
+	if root.SpanID == 0 || root.TraceID != root.SpanID || root.ParentID != 0 || root.Dur != 12 {
+		t.Fatalf("root span wrong: %+v", root)
 	}
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Name != "analysis" || ev.Args["parent"] == "" {
-		t.Fatalf("child event missing parent link: %+v", ev)
+	if child.TraceID != root.TraceID || child.ParentID != root.SpanID || child.Start != 5 || child.Dur != 4 {
+		t.Fatalf("child span wrong: %+v", child)
 	}
 
 	chrome := runTrace(FormatChrome)
@@ -215,6 +217,53 @@ func TestConcurrentSpanEmission(t *testing.T) {
 		}
 		if rt.Root().Name != "upload" {
 			t.Fatalf("trace root %q, want upload", rt.Root().Name)
+		}
+	}
+}
+
+// TestSpanWrittenOnce: with an output set, every span is written exactly
+// once, when it ends: a RecordSpan child of an open root too, whether or
+// not a sink collects the trace.
+func TestSpanWrittenOnce(t *testing.T) {
+	for _, withSink := range []bool{false, true} {
+		var buf bytes.Buffer
+		clk := &fakeClock{}
+		st := NewSpanTracer(clk.fn())
+		tr := NewTracer(&buf, FormatJSONL)
+		st.SetOutput(tr)
+		sink := &memSink{}
+		if withSink {
+			st.SetSink(sink)
+		}
+		ctx, root := st.StartSpan(context.Background(), "serve", "upload")
+		st.RecordSpan(ctx, "serve", "body.read", 0, 3)
+		_, child := st.StartSpan(ctx, "serve", "analysis")
+		clk.now = 5
+		child.End()
+		clk.now = 9
+		root.End()
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		written := map[string]int{}
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var rec struct {
+				Name string `json:"name"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			written[rec.Name]++
+		}
+		for _, name := range []string{"upload", "body.read", "analysis"} {
+			if written[name] != 1 {
+				t.Errorf("sink=%v: span %s written %d times, want 1", withSink, name, written[name])
+			}
+		}
+		if withSink {
+			if traces := sink.all(); len(traces) != 1 || len(traces[0].Spans) != 3 {
+				t.Errorf("sink got %+v, want one trace of 3 spans", traces)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"sync"
@@ -10,30 +11,19 @@ import (
 type TraceFormat int
 
 const (
-	// FormatJSONL writes one JSON object per line — easy to grep and stream.
+	// FormatJSONL writes one SpanData JSON object per line — easy to grep
+	// and stream.
 	FormatJSONL TraceFormat = iota
 	// FormatChrome writes the Chrome trace_event JSON array, loadable in
 	// chrome://tracing and Perfetto.
 	FormatChrome
 )
 
-// TraceEvent is one structured record on the virtual timeline.
-type TraceEvent struct {
-	// TS is virtual microseconds since the simulation epoch.
-	TS int64 `json:"ts"`
-	// Dur is the span length in virtual microseconds (0 for instants).
-	Dur int64 `json:"dur,omitempty"`
-	// Cat groups events by layer ("sim", "lan", "tcp", "dhcp", "proto").
-	Cat  string            `json:"cat"`
-	Name string            `json:"name"`
-	Args map[string]string `json:"args,omitempty"`
-	// TID separates concurrent tracks (Chrome renders one lane per tid);
-	// 0 means the default track.
-	TID int `json:"tid,omitempty"`
-}
-
-// chromeEvent is the trace_event wire form. Instants use ph "i" with global
-// scope; spans use ph "X" with a duration.
+// chromeEvent is the trace_event wire form of a span: ph "X" with a
+// duration, or an instant on its lane ("i", thread scope) for a
+// zero-duration span. Each trace is one lane (tid); the trace/span/parent
+// IDs and the error mark ride in args beside the attributes, so the links
+// survive. Args are a map, so they are written sorted by key.
 type chromeEvent struct {
 	Name  string            `json:"name"`
 	Cat   string            `json:"cat"`
@@ -41,18 +31,41 @@ type chromeEvent struct {
 	TS    int64             `json:"ts"`
 	Dur   int64             `json:"dur,omitempty"`
 	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
+	TID   uint64            `json:"tid"`
 	Scope string            `json:"s,omitempty"`
-	Args  map[string]string `json:"args,omitempty"`
+	Args  map[string]string `json:"args"`
 }
 
-// Tracer streams TraceEvents to a writer. All methods are nil-safe, so
-// instrumented code can call through an unset tracer for free.
+func chromeEventOf(d SpanData) chromeEvent {
+	args := make(map[string]string, len(d.Attrs)+4)
+	for k, v := range d.Attrs {
+		args[k] = v
+	}
+	args["trace"] = formatUint(d.TraceID)
+	args["span"] = formatUint(d.SpanID)
+	if d.ParentID != 0 {
+		args["parent"] = formatUint(d.ParentID)
+	}
+	if d.Err {
+		args["err"] = "true"
+	}
+	ev := chromeEvent{
+		Name: d.Name, Cat: d.Cat, Phase: "X", TS: d.Start, Dur: d.Dur,
+		PID: 1, TID: d.TraceID, Args: args,
+	}
+	if d.Dur == 0 {
+		ev.Phase, ev.Scope = "i", "t"
+	}
+	return ev
+}
+
+// Tracer encodes completed spans on a writer. All methods are nil-safe, so
+// a span tracer without an output writes nothing for free.
 type Tracer struct {
 	mu     sync.Mutex
 	w      io.Writer
 	format TraceFormat
-	wrote  bool // Chrome format: whether the opening bracket needs a comma
+	wrote  bool // Chrome format: whether the next record needs a comma
 	closed bool
 	err    error
 	events uint64
@@ -68,69 +81,31 @@ func NewTracer(w io.Writer, format TraceFormat) *Tracer {
 	return t
 }
 
-// Event records an instant at ts virtual microseconds. args alternate
-// key, value.
-func (t *Tracer) Event(ts int64, cat, name string, args ...string) {
-	t.emit(TraceEvent{TS: ts, Cat: cat, Name: name, Args: argMap(args)})
-}
-
-// SpanOn records a completed interval on a specific track: concurrent
-// requests each get their own Chrome lane instead of stacking on tid 1.
-func (t *Tracer) SpanOn(tid int, ts, dur int64, cat, name string, args ...string) {
-	t.emit(TraceEvent{TS: ts, Dur: dur, Cat: cat, Name: name, Args: argMap(args), TID: tid})
-}
-
-func argMap(args []string) map[string]string {
-	if len(args) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(args)/2)
-	for i := 0; i+1 < len(args); i += 2 {
-		m[args[i]] = args[i+1]
-	}
-	return m
-}
-
-func (t *Tracer) emit(ev TraceEvent) {
+// write encodes one completed span: the span tracer's output and the
+// flight recorder's dump both go through here.
+func (t *Tracer) write(d SpanData) {
 	if t == nil {
 		return
+	}
+	var line []byte
+	var err error
+	if t.format == FormatChrome {
+		line, err = json.Marshal(chromeEventOf(d))
+	} else {
+		line, err = json.Marshal(d)
+		line = append(line, '\n')
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed || t.err != nil {
 		return
 	}
-	var line []byte
-	var err error
-	switch t.format {
-	case FormatChrome:
-		tid := ev.TID
-		if tid == 0 {
-			tid = 1
-		}
-		ce := chromeEvent{
-			Name: ev.Name, Cat: ev.Cat, TS: ev.TS, Dur: ev.Dur,
-			PID: 1, TID: tid, Args: ev.Args,
-		}
-		if ev.Dur > 0 {
-			ce.Phase = "X"
-		} else {
-			ce.Phase = "i"
-			ce.Scope = "g"
-		}
-		line, err = json.Marshal(ce)
-		if err == nil {
-			if t.wrote {
-				line = append([]byte(",\n"), line...)
-			}
-		}
-	default:
-		line, err = json.Marshal(ev)
-		line = append(line, '\n')
-	}
 	if err != nil {
 		t.err = err
 		return
+	}
+	if t.format == FormatChrome && t.wrote {
+		line = append([]byte(",\n"), line...)
 	}
 	if _, err := t.w.Write(line); err != nil {
 		t.err = err
@@ -140,7 +115,7 @@ func (t *Tracer) emit(ev TraceEvent) {
 	t.events++
 }
 
-// Events reports how many records were written.
+// Events reports how many spans were written.
 func (t *Tracer) Events() uint64 {
 	if t == nil {
 		return 0
@@ -167,14 +142,19 @@ func (t *Tracer) Close() error {
 	return t.err
 }
 
-// Telemetry bundles the registry every layer reports into with the optional
-// tracer. One Telemetry is shared per simulation (it lives on the
-// scheduler, which every layer already holds).
+// Telemetry bundles the registry every layer reports into with the
+// simulation's trace. One Telemetry is shared per simulation (it lives on
+// the scheduler, which every layer already holds).
 type Telemetry struct {
 	Registry *Registry
-	// Tracer is nil unless tracing was requested; instrumented code checks
-	// for nil before formatting event arguments.
-	Tracer *Tracer
+	// Tracer is nil unless tracing was requested; it stamps spans with the
+	// simulation's virtual clock.
+	Tracer *SpanTracer
+	// Phase carries the running study phase's span while it is traced:
+	// every simulator trace site records a zero-duration child of it. Nil
+	// otherwise, and instrumented code checks for nil before formatting
+	// event arguments.
+	Phase context.Context
 }
 
 // NewTelemetry returns a telemetry hub with a fresh registry and no tracer.

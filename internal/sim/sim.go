@@ -135,17 +135,18 @@ func (s *Scheduler) SubRand(stream uint64) *rand.Rand {
 // the timestamp unit trace records use.
 func (s *Scheduler) VirtualMicros() int64 { return s.now.Sub(Epoch).Microseconds() }
 
-// TraceEvent emits a tracer record stamped with the current virtual time.
-// It is free when no tracer is attached.
+// TraceEvent records a zero-duration span stamped with the current virtual
+// time, as a child of the running study phase's span. It is free when no
+// phase is traced.
 func (s *Scheduler) TraceEvent(cat, name string, args ...string) {
-	if t := s.Telemetry.Tracer; t != nil {
-		t.Event(s.VirtualMicros(), cat, name, args...)
+	if t := s.Telemetry; t.Phase != nil {
+		t.Tracer.RecordSpan(t.Phase, cat, name, s.VirtualMicros(), 0, args...)
 	}
 }
 
-// Tracing reports whether a tracer is attached, so callers can skip
-// building argument strings for disabled tracing.
-func (s *Scheduler) Tracing() bool { return s.Telemetry.Tracer != nil }
+// Tracing reports whether a phase is traced, so callers can skip building
+// argument strings otherwise.
+func (s *Scheduler) Tracing() bool { return s.Telemetry.Phase != nil }
 
 func (s *Scheduler) stats(source string) *srcStats {
 	st, ok := s.bySource[source]
@@ -293,33 +294,8 @@ func (s *Scheduler) Stop() { s.stopped = true }
 func (s *Scheduler) Run(until time.Time) uint64 {
 	start := s.Processed
 	s.stopped = false
-	tracing := s.Telemetry.Tracer != nil
-	for len(s.events) > 0 && !s.stopped {
-		ev := s.events[0]
-		if ev.at.After(until) {
-			break
-		}
-		heap.Pop(&s.events)
-		if ev.fn == nil && ev.run == nil { // cancelled
-			s.Cancelled++
-			ev.st.cancelled.Inc()
-			s.recycle(ev)
-			continue
-		}
-		s.now = ev.at
-		fn, run, st := ev.fn, ev.run, ev.st
-		ev.fn, ev.run = nil, nil
-		if tracing {
-			s.Telemetry.Tracer.Event(s.VirtualMicros(), "sim", "dispatch", "source", st.name)
-		}
-		if run != nil {
-			run.Fire()
-		} else {
-			fn()
-		}
-		s.Processed++
-		st.processed.Inc()
-		s.recycle(ev)
+	tracing := s.Tracing()
+	for !s.stopped && s.dispatch(until, tracing) {
 	}
 	// The queue-depth gauge is batched: one Set per Run call instead of one
 	// per push/pop. The sim is single-threaded, so mid-run intermediate
@@ -338,11 +314,20 @@ func (s *Scheduler) Run(until time.Time) uint64 {
 // executed — external drivers (the vnet pump) interleave app goroutine
 // rendezvous between events and need the clock parked meanwhile.
 func (s *Scheduler) Step(until time.Time) bool {
-	tracing := s.Telemetry.Tracer != nil
+	ran := s.dispatch(until, s.Tracing())
+	s.gQueue.Set(int64(len(s.events)))
+	return ran
+}
+
+// dispatch is the one dispatch body behind Run and Step: it pops events due
+// by until, counting and recycling cancelled ones, until it has run one
+// live event. It reports whether it ran one. Callers read tracing once per
+// Run or Step, which keeps that load off the per-event path.
+func (s *Scheduler) dispatch(until time.Time, tracing bool) bool {
 	for len(s.events) > 0 {
 		ev := s.events[0]
 		if ev.at.After(until) {
-			break
+			return false
 		}
 		heap.Pop(&s.events)
 		if ev.fn == nil && ev.run == nil { // cancelled
@@ -355,7 +340,7 @@ func (s *Scheduler) Step(until time.Time) bool {
 		fn, run, st := ev.fn, ev.run, ev.st
 		ev.fn, ev.run = nil, nil
 		if tracing {
-			s.Telemetry.Tracer.Event(s.VirtualMicros(), "sim", "dispatch", "source", st.name)
+			s.TraceEvent("sim", "dispatch", "source", st.name)
 		}
 		if run != nil {
 			run.Fire()
@@ -365,10 +350,8 @@ func (s *Scheduler) Step(until time.Time) bool {
 		s.Processed++
 		st.processed.Inc()
 		s.recycle(ev)
-		s.gQueue.Set(int64(len(s.events)))
 		return true
 	}
-	s.gQueue.Set(int64(len(s.events)))
 	return false
 }
 

@@ -18,7 +18,6 @@ package iotlan
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"os"
@@ -37,7 +36,6 @@ import (
 	"iotlan/internal/pcap"
 	"iotlan/internal/resident"
 	"iotlan/internal/scan"
-	"iotlan/internal/sim"
 	"iotlan/internal/testbed"
 	"iotlan/internal/vuln"
 )
@@ -89,12 +87,9 @@ type Study struct {
 	AppRun    *app.Runtime
 	Inspector *inspector.Dataset
 
-	// Profiler collects per-phase wall-clock and event-count stats. Wall
-	// times live here, never in the metrics registry, so registry snapshots
-	// stay seed-deterministic.
-	Profiler *obs.Profiler
 	// Trace, when set before the first Run* call, receives the simulation's
-	// virtual-time event trace (attached to the lab scheduler at boot).
+	// trace: each phase a span on the lab's virtual clock, each simulator
+	// event a zero-duration child of its phase.
 	Trace *obs.Tracer
 
 	passiveDone bool
@@ -135,7 +130,8 @@ func WithApps(n int) Option { return func(s *Study) { s.AppsToRun = n } }
 // WithFullPortSweep scans all 65,535 TCP ports per device.
 func WithFullPortSweep() Option { return func(s *Study) { s.FullPortSweep = true } }
 
-// WithTrace attaches a virtual-time event tracer before the lab boots.
+// WithTrace writes the simulation's trace, spans on the lab's virtual
+// clock, to t.
 func WithTrace(t *obs.Tracer) Option { return func(s *Study) { s.Trace = t } }
 
 // WithWorkers bounds analysis-engine concurrency (< 1 = one per CPU).
@@ -166,7 +162,6 @@ func New(seed int64, opts ...Option) *Study {
 		Interactions: 120,
 		Households:   3860,
 		AppsToRun:    0,
-		Profiler:     obs.NewProfiler(),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -174,31 +169,26 @@ func New(seed int64, opts ...Option) *Study {
 	return s
 }
 
-// phase wraps one pipeline stage with wall-clock, event-count, and
-// virtual-time accounting. The event/virtual deltas also land in the
-// registry as study_phase_events{phase=...} — those are virtual-derived and
-// therefore deterministic; wall time goes only to the Profiler.
+// phase runs one pipeline stage as a span on the lab's virtual clock and
+// counts the events it dispatched as study_phase_events{phase=...}. While
+// the span is open, every simulator event is traced as its child. A stage
+// that runs before the lab exists (an Inspector-only run) has no virtual
+// clock, so no span and no count.
 func (s *Study) phase(name string, fn func()) {
-	if s.Profiler == nil {
-		s.Profiler = obs.NewProfiler()
+	if s.Lab == nil {
+		fn()
+		return
 	}
-	var ev0 uint64
-	var v0 time.Duration
-	if s.Lab != nil {
-		ev0 = s.Lab.Sched.Processed
-		v0 = s.Lab.Sched.Now().Sub(sim.Epoch)
+	tel := s.Lab.Telemetry()
+	ev0 := s.Lab.Sched.Processed
+	ctx, sp := tel.Tracer.StartSpan(context.Background(), "study", name)
+	if sp != nil {
+		tel.Phase = ctx
 	}
-	start := time.Now()
 	fn()
-	wall := time.Since(start)
-	var ev1 uint64
-	var v1 time.Duration
-	if s.Lab != nil {
-		ev1 = s.Lab.Sched.Processed
-		v1 = s.Lab.Sched.Now().Sub(sim.Epoch)
-		s.Lab.Telemetry().Registry.Counter("study_phase_events", "phase", name).Add(ev1 - ev0)
-	}
-	s.Profiler.Add(name, wall, ev1-ev0, v1-v0)
+	tel.Phase = nil
+	sp.End()
+	tel.Registry.Counter("study_phase_events", "phase", name).Add(s.Lab.Sched.Processed - ev0)
 }
 
 // RunPassive boots the lab, captures the idle window and the scripted
@@ -207,15 +197,18 @@ func (s *Study) RunPassive() {
 	if s.passiveDone {
 		return
 	}
+	profiles := s.labProfiles
+	if profiles == nil {
+		profiles = device.Catalog()
+	}
+	s.Lab = testbed.NewWith(s.Seed, profiles,
+		testbed.WithChaos(s.ChaosPlan), testbed.WithResidents(s.ResidentPlan))
+	if s.Trace != nil {
+		tel := s.Lab.Telemetry()
+		tel.Tracer = obs.NewSpanTracer(s.Lab.Sched.VirtualMicros)
+		tel.Tracer.SetOutput(s.Trace)
+	}
 	s.phase("passive", func() {
-		profiles := s.labProfiles
-		if profiles == nil {
-			profiles = device.Catalog()
-		}
-		s.Lab = testbed.NewWith(s.Seed, profiles,
-			testbed.WithChaos(s.ChaosPlan), testbed.WithResidents(s.ResidentPlan))
-		// The tracer must be on the scheduler before any event fires.
-		s.Lab.Telemetry().Tracer = s.Trace
 		s.Lab.Start()
 
 		// Honeypot joins the LAN alongside the devices.
@@ -242,18 +235,8 @@ func (s *Study) RunPassive() {
 // share the cached parse. The index is immutable once built.
 func (s *Study) PassiveIndex() *pcap.Index {
 	s.RunPassive()
-	s.idxOnce.Do(func() { s.passiveIdx = s.buildIndex() })
+	s.idxOnce.Do(func() { s.passiveIdx = pcap.NewIndex(s.Lab.Capture.All[:s.passiveLen], s.Workers) })
 	return s.passiveIdx
-}
-
-func (s *Study) buildIndex() *pcap.Index {
-	start := time.Now()
-	idx := pcap.NewIndex(s.Lab.Capture.All[:s.passiveLen], s.Workers)
-	if s.Profiler == nil {
-		s.Profiler = obs.NewProfiler()
-	}
-	s.Profiler.Add("index", time.Since(start), uint64(idx.Len()), 0)
-	return idx
 }
 
 // PassiveGraph returns the device-to-device communication graph over the
@@ -262,18 +245,8 @@ func (s *Study) buildIndex() *pcap.Index {
 // graph from the full record set — the duplicated work behind the BENCH_2
 // parallel regression.
 func (s *Study) PassiveGraph() *analysis.Graph {
-	s.graphOnce.Do(func() { s.graph = s.buildGraph() })
+	s.graphOnce.Do(func() { s.graph = analysis.BuildGraph(s.PassiveRecords(), s.Lab.Devices) })
 	return s.graph
-}
-
-func (s *Study) buildGraph() *analysis.Graph {
-	start := time.Now()
-	g := analysis.BuildGraph(s.PassiveRecords(), s.Lab.Devices)
-	if s.Profiler == nil {
-		s.Profiler = obs.NewProfiler()
-	}
-	s.Profiler.Add("graph", time.Since(start), uint64(len(g.Edges)), 0)
-	return g
 }
 
 // ResetAnalysisCaches drops the memoized analysis prerequisites (decode-once
@@ -430,18 +403,8 @@ func (s *Study) RunInspector() {
 // Table 2 and the mitigation sweep.
 func (s *Study) ExtractedIdentifiers() *analysis.ExtractedIdentifiers {
 	s.RunInspector()
-	s.idsOnce.Do(func() { s.identifiers = s.buildIdentifiers() })
+	s.idsOnce.Do(func() { s.identifiers = analysis.ExtractIdentifiers(s.Inspector, s.Workers) })
 	return s.identifiers
-}
-
-func (s *Study) buildIdentifiers() *analysis.ExtractedIdentifiers {
-	start := time.Now()
-	ids := analysis.ExtractIdentifiers(s.Inspector, s.Workers)
-	if s.Profiler == nil {
-		s.Profiler = obs.NewProfiler()
-	}
-	s.Profiler.Add("identifiers", time.Since(start), uint64(s.Households), 0)
-	return ids
 }
 
 // RunAll executes every pipeline.
@@ -470,30 +433,6 @@ func (s *Study) RunAllContext(ctx context.Context) error {
 		st.run()
 	}
 	return nil
-}
-
-// MetricsReport renders the run's telemetry as one JSON document: the
-// seed-deterministic metrics snapshot under "metrics" and the wall-clock
-// phase profile under "profile". Only the profile varies between same-seed
-// runs.
-func (s *Study) MetricsReport() []byte {
-	metrics := json.RawMessage("{}")
-	if s.Lab != nil {
-		metrics = json.RawMessage(s.Lab.Telemetry().Registry.Snapshot())
-	}
-	profile := json.RawMessage("[]")
-	if s.Profiler != nil {
-		profile = json.RawMessage(s.Profiler.JSON())
-	}
-	doc := struct {
-		Metrics json.RawMessage `json:"metrics"`
-		Profile json.RawMessage `json:"profile"`
-	}{metrics, profile}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil { // unreachable: both members are valid JSON
-		return []byte("{}")
-	}
-	return append(b, '\n')
 }
 
 // LocalRecords returns the capture filtered to local traffic (App. C.1).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // NeedMask declares which pipeline stages an artifact consumes. The engine
@@ -198,8 +197,7 @@ func ArtifactByName(name string) (Artifact, bool) {
 }
 
 // RunArtifact resolves name in the registry, runs exactly the pipelines the
-// artifact needs, and produces it. The artifact's analysis wall time lands
-// in the profiler as "artifact:<PaperRef>".
+// artifact needs, and produces it.
 func (s *Study) RunArtifact(name string) (Result, error) {
 	a, ok := ArtifactByName(name)
 	if !ok {
@@ -208,8 +206,5 @@ func (s *Study) RunArtifact(name string) (Result, error) {
 		return Result{}, fmt.Errorf("iotlan: unknown artifact %q (known: %s)", name, strings.Join(names, ", "))
 	}
 	s.prepare(a.Needs)
-	start := time.Now()
-	r := a.Fn(s)
-	s.Profiler.Add("artifact:"+r.ID, time.Since(start), 0, 0)
-	return r, nil
+	return a.Fn(s), nil
 }

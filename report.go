@@ -624,9 +624,7 @@ func appDatasetFor(s *Study) []app.App { return app.Dataset(s.Seed) }
 // After the (sequential, virtual-time) pipelines finish, the shared
 // decode-once packet index and identifier cache are built, then artifacts
 // fan out across Workers — results are merged by registry index, never by
-// completion order, so output is byte-identical to a sequential run. Each
-// artifact's analysis time lands in the profiler as "artifact:<ID>" — the
-// pipelines themselves are profiled separately by RunAll's phases.
+// completion order, so output is byte-identical to a sequential run.
 func (s *Study) Everything() []Result {
 	// prepare with the union of every artifact's Needs runs all pipelines,
 	// then builds the shared read-only prerequisites (decode-once index,
@@ -639,12 +637,7 @@ func (s *Study) Everything() []Result {
 		needs |= a.Needs
 	}
 	s.prepare(needs)
-	return engine.Map(s.Workers, len(arts), func(i int) Result {
-		start := time.Now()
-		r := arts[i].Fn(s)
-		s.Profiler.Add("artifact:"+r.ID, time.Since(start), 0, 0)
-		return r
-	})
+	return engine.Map(s.Workers, len(arts), func(i int) Result { return arts[i].Fn(s) })
 }
 
 // sampleSSDPAd is exported for examples needing a canned advertisement.

@@ -89,6 +89,7 @@ func TestResidentByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if len(a.Metrics) == 0 {
 		t.Error("diurnal artifact carries no metrics")
 	}
+	checkArtifactGolden(t, "resident-42", a)
 	for k, v := range a.Metrics {
 		if b.Metrics[k] != v {
 			t.Errorf("diurnal metric %s differs: %v vs %v", k, v, b.Metrics[k])

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,9 +27,10 @@ const telemetryGolden = "testdata/telemetry_subset_seed1.json"
 // segment and device-message counters cannot. Regenerate with -update only
 // for a change that is meant to alter simulated traffic.
 //
-// The same study runs a second time with a virtual-time tracer attached,
-// and its snapshot must be byte-identical: tracing is observational. The
-// golden (and -update) holds the untraced run.
+// The same study runs a second time traced, and its snapshot must be
+// byte-identical: tracing is observational. The golden (and -update) holds
+// the untraced run. The traced run's trace must have the shape checkTrace
+// describes.
 func TestTelemetrySnapshotGolden(t *testing.T) {
 	run := func(opts ...Option) []byte {
 		s := New(1, append([]Option{
@@ -45,13 +45,15 @@ func TestTelemetrySnapshotGolden(t *testing.T) {
 		return s.Lab.Telemetry().Registry.Snapshot()
 	}
 	got := run()
-	tracer := obs.NewTracer(io.Discard, obs.FormatChrome)
+	shape := &traceShape{}
+	tracer := obs.NewTracer(shape, obs.FormatJSONL)
 	if traced := run(WithTrace(tracer)); !bytes.Equal(traced, got) {
 		t.Fatal("registry snapshot differs with a tracer attached")
 	}
-	if tracer.Events() == 0 {
-		t.Fatal("the attached tracer recorded no events")
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
 	}
+	shape.check(t, tracer.Events(), "passive", "scans", "vuln", "apps")
 
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(telemetryGolden), 0o755); err != nil {
@@ -105,4 +107,107 @@ func TestTelemetrySnapshotGolden(t *testing.T) {
 	}
 	t.Fatalf("registry snapshot differs from %s (%d counters differ; gauges or histograms if 0)",
 		telemetryGolden, len(diff))
+}
+
+// traceShape decodes a JSONL span trace as it is written. It keeps the
+// study phase spans and, per parent, what its children cover, so a trace
+// of ~200k spans checks in memory proportional to its phases.
+type traceShape struct {
+	buf      []byte
+	spans    uint64
+	phases   []obs.SpanData
+	children map[uint64]*childCover
+	err      error
+}
+
+// childCover is what the children of one parent span add up to. A phase
+// is a trace root, so its trace ID is its span ID: offTrace counts children
+// whose trace is not their parent's.
+type childCover struct {
+	n, offTrace int
+	start, end  int64 // earliest start, latest end
+	exampleName string
+}
+
+func (ts *traceShape) Write(p []byte) (int, error) {
+	ts.buf = append(ts.buf, p...)
+	for {
+		i := bytes.IndexByte(ts.buf, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		var d obs.SpanData
+		if err := json.Unmarshal(ts.buf[:i], &d); err != nil && ts.err == nil {
+			ts.err = err
+		}
+		ts.buf = ts.buf[i+1:]
+		ts.add(d)
+	}
+}
+
+func (ts *traceShape) add(d obs.SpanData) {
+	ts.spans++
+	if d.Cat == "study" {
+		ts.phases = append(ts.phases, d)
+		return
+	}
+	if ts.children == nil {
+		ts.children = map[uint64]*childCover{}
+	}
+	c := ts.children[d.ParentID]
+	if c == nil {
+		c = &childCover{start: d.Start, end: d.Start + d.Dur, exampleName: d.Name}
+		ts.children[d.ParentID] = c
+	}
+	c.n++
+	if d.Start < c.start {
+		c.start = d.Start
+	}
+	if end := d.Start + d.Dur; end > c.end {
+		c.end = end
+	}
+	if d.TraceID != d.ParentID {
+		c.offTrace++
+	}
+}
+
+// check requires one root study span per phase, in order, and every other
+// span to be a child of one of them, in its trace and inside its interval.
+func (ts *traceShape) check(t *testing.T, written uint64, phases ...string) {
+	t.Helper()
+	if ts.err != nil {
+		t.Fatalf("trace does not decode: %v", ts.err)
+	}
+	if ts.spans != written || len(ts.buf) != 0 {
+		t.Fatalf("decoded %d spans (%d bytes left over), tracer wrote %d", ts.spans, len(ts.buf), written)
+	}
+	var names []string
+	byID := map[uint64]obs.SpanData{}
+	for _, p := range ts.phases {
+		names = append(names, p.Name)
+		byID[p.SpanID] = p
+		if p.ParentID != 0 || p.TraceID != p.SpanID {
+			t.Errorf("phase %s is not a trace root: %+v", p.Name, p)
+		}
+	}
+	if strings.Join(names, ",") != strings.Join(phases, ",") {
+		t.Fatalf("study spans %v, want one per phase %v", names, phases)
+	}
+	var children int
+	for parent, c := range ts.children {
+		p, ok := byID[parent]
+		switch {
+		case !ok:
+			t.Errorf("%d spans (e.g. %s) have parent %d, which is no phase", c.n, c.exampleName, parent)
+		case c.offTrace > 0:
+			t.Errorf("%d children of phase %s are not in its trace", c.offTrace, p.Name)
+		case c.start < p.Start || c.end > p.Start+p.Dur:
+			t.Errorf("children of phase %s cover [%d, %d], outside its [%d, %d]",
+				p.Name, c.start, c.end, p.Start, p.Start+p.Dur)
+		}
+		children += c.n
+	}
+	if children == 0 {
+		t.Fatal("the trace holds no sim events")
+	}
 }
