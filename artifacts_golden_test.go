@@ -6,15 +6,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // artifactsGolden pins the bytes of every artifact the root determinism
-// tests already render: one sha256 per artifact, keyed "<suite>/<ID>".
-// The determinism tests compare runs with each other; this file compares
-// them with committed values, so an artifact cannot move unnoticed.
+// tests already render: one sha256 per artifact, keyed "<suite>/<ID>", and
+// one per pcap file of the sequential everything run, keyed
+// "pcaps-<seed>/<file>". The determinism tests compare runs with each
+// other; this file compares them with committed values, so an artifact
+// cannot move unnoticed.
 // Regenerate with -update only for a change that is meant to alter output,
 // and name the artifacts that moved in the change log.
 const artifactsGolden = "testdata/artifacts_golden.json"
@@ -39,9 +42,38 @@ func artifactDigest(r Result) string {
 }
 
 // checkArtifactGolden compares each result's digest with the golden entry
-// for suite and names every artifact that moved or is missing. With
-// -update it rewrites the suite's entries and leaves the others alone.
+// for suite and names every artifact that moved or is missing.
 func checkArtifactGolden(t *testing.T, suite string, results ...Result) {
+	t.Helper()
+	got := make(map[string]string, len(results))
+	for _, r := range results {
+		got[r.ID] = artifactDigest(r)
+	}
+	checkGolden(t, suite, got)
+}
+
+// fileDigests hashes every file in dir, keyed by file name.
+func fileDigests(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[e.Name()] = fmt.Sprintf("%x", sha256.Sum256(b))
+	}
+	return got
+}
+
+// checkGolden compares digests, keyed by name, with the golden entries
+// "<suite>/<name>" and names every entry that moved or is missing. With
+// -update it rewrites the suite's entries and leaves the others alone.
+func checkGolden(t *testing.T, suite string, digests map[string]string) {
 	t.Helper()
 	golden := map[string]string{}
 	b, err := os.ReadFile(artifactsGolden)
@@ -54,9 +86,9 @@ func checkArtifactGolden(t *testing.T, suite string, results ...Result) {
 		t.Fatal(err)
 	}
 	prefix := suite + "/"
-	got := make(map[string]string, len(results))
-	for _, r := range results {
-		got[prefix+r.ID] = artifactDigest(r)
+	got := make(map[string]string, len(digests))
+	for name, d := range digests {
+		got[prefix+name] = d
 	}
 	if *updateGolden {
 		for k := range golden {
@@ -89,9 +121,9 @@ func checkArtifactGolden(t *testing.T, suite string, results ...Result) {
 	}
 	sort.Strings(moved)
 	for _, k := range moved {
-		t.Errorf("artifact %s: digest %q, golden %q", k, got[k], golden[k])
+		t.Errorf("%s: digest %q, golden %q", k, got[k], golden[k])
 	}
 	if len(moved) > 0 {
-		t.Errorf("%d artifacts differ from %s", len(moved), artifactsGolden)
+		t.Errorf("%d entries differ from %s", len(moved), artifactsGolden)
 	}
 }

@@ -63,6 +63,11 @@ func TestEverythingByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("seed %d: Inspector corpus differs between workers=1 and workers=4", seed)
 		}
 		checkArtifactGolden(t, fmt.Sprintf("everything-%d", seed), seqResults...)
+		pcapDir := t.TempDir()
+		if err := seq.WritePcaps(pcapDir); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, fmt.Sprintf("pcaps-%d", seed), fileDigests(t, pcapDir))
 	}
 }
 
