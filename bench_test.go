@@ -34,7 +34,7 @@ func benchStudy(b *testing.B) *Study {
 		s.AppsToRun = 60
 		s.RunAll()
 		benchS = s
-		benchLocal = s.LocalRecords()
+		benchLocal = s.PassiveIndex().Local()
 	})
 	return benchS
 }

@@ -7,6 +7,10 @@
 //	iotlab [-seed N] [-idle 1h] [-interactions 100] [-residents N -days D]
 //	       [-out pcaps/]
 //
+// -out streams every frame into one pcap file per source MAC
+// (DIR/<mac>.pcap) as it is sent; a file that cannot be created or written
+// fails the run.
+//
 // -residents N replaces the idle + scripted-interaction workload with N
 // persona-driven residents over -days simulated days (see
 // internal/resident); -schedule prints the compiled event schedule.
@@ -20,6 +24,7 @@ import (
 	"time"
 
 	"iotlan"
+	"iotlan/internal/pcap"
 	"iotlan/internal/resident"
 )
 
@@ -30,10 +35,20 @@ func main() {
 	residents := flag.Int("residents", 0, "persona-driven residents (0 = classic workload)")
 	days := flag.Int("days", 3, "simulated days when -residents is set")
 	schedule := flag.Bool("schedule", false, "print the compiled resident schedule")
-	out := flag.String("out", "", "directory for per-device pcap files (empty = skip)")
+	out := flag.String("out", "", "directory to stream per-device pcap files into as frames are sent (empty = skip)")
 	flag.Parse()
 
-	s := iotlan.New(*seed, iotlan.WithResidents(resident.Household(*residents, *days)))
+	opts := []iotlan.Option{iotlan.WithResidents(resident.Household(*residents, *days))}
+	var pcaps *pcap.MACWriter
+	if *out != "" {
+		var err error
+		if pcaps, err = pcap.NewMACWriter(*out); err != nil {
+			fmt.Fprintln(os.Stderr, "pcap dump:", err)
+			os.Exit(1)
+		}
+		opts = append(opts, iotlan.WithPcapWriter(pcaps))
+	}
+	s := iotlan.New(*seed, opts...)
 	s.IdleDuration = *idle
 	s.Interactions = *interactions
 	start := time.Now()
@@ -54,10 +69,10 @@ func main() {
 		d := s.DeviceByName(n)
 		fmt.Printf("%-24s %-16s %s\n", n, ips[n], d.MAC())
 	}
-	fmt.Printf("\ncaptured %d frames (%d local)\n", s.Lab.Capture.Len(), len(s.LocalRecords()))
+	fmt.Printf("\ncaptured %d frames (%d local)\n", s.Lab.Capture.Len(), len(s.PassiveIndex().Local()))
 
-	if *out != "" {
-		if err := s.WritePcaps(*out); err != nil {
+	if pcaps != nil {
+		if err := pcaps.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "pcap dump:", err)
 			os.Exit(1)
 		}

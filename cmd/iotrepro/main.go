@@ -26,6 +26,12 @@
 // updates). The "diurnal" artifact renders the resulting hour-of-day
 // structure. Composes with -chaos; same seed ⇒ byte-identical run.
 //
+// -pcap-dir streams every frame the lab sends, in every phase the run
+// needs, into one pcap file per source MAC (DIR/<mac>.pcap, like the
+// testbed AP's per-device captures) as it is sent. A run that builds no
+// lab writes no file. A file that cannot be created or written fails the
+// run.
+//
 // -metrics writes the lab's metrics registry snapshot as JSON; a seed
 // always writes the same bytes. -trace writes the simulation's trace: each
 // phase (passive, scans, vuln, apps, inspector) is a span on the lab's
@@ -53,6 +59,7 @@ import (
 	"iotlan"
 	"iotlan/internal/chaos"
 	"iotlan/internal/obs"
+	"iotlan/internal/pcap"
 	"iotlan/internal/resident"
 	"iotlan/internal/serve"
 )
@@ -73,7 +80,7 @@ func main() {
 	artifact := flag.String("artifact", "", "run a single registered artifact by name (see -list)")
 	list := flag.Bool("list", false, "print the artifact registry and exit")
 	only := flag.String("only", "", "deprecated alias for -artifact")
-	pcapDir := flag.String("pcap-dir", "", "also dump per-device pcaps into this directory")
+	pcapDir := flag.String("pcap-dir", "", "stream every frame the lab sends into one pcap file per source MAC in this directory")
 	exportDir := flag.String("export", "", "also export datasets (scans, findings, exfiltration, …) as JSON into this directory")
 	metricsFile := flag.String("metrics", "", "write the lab's metrics snapshot as JSON to this file (\"-\" for stdout)")
 	traceFile := flag.String("trace", "", "write the simulation trace, spans on the virtual clock, to this file (.jsonl → JSON lines, else Chrome trace_event)")
@@ -97,7 +104,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	s := iotlan.New(*seed,
+	opts := []iotlan.Option{
 		iotlan.WithIdleDuration(*idle),
 		iotlan.WithInteractions(*interactions),
 		iotlan.WithHouseholds(*households),
@@ -105,7 +112,16 @@ func main() {
 		iotlan.WithWorkers(*workers),
 		iotlan.WithChaos(plan),
 		iotlan.WithResidents(resident.Household(*residents, *days)),
-	)
+	}
+	var pcaps *pcap.MACWriter
+	if *pcapDir != "" {
+		if pcaps, err = pcap.NewMACWriter(*pcapDir); err != nil {
+			fmt.Fprintln(os.Stderr, "pcap dump:", err)
+			os.Exit(1)
+		}
+		opts = append(opts, iotlan.WithPcapWriter(pcaps))
+	}
+	s := iotlan.New(*seed, opts...)
 
 	var traceOut *os.File
 	if *traceFile != "" {
@@ -175,8 +191,8 @@ func main() {
 		}
 		fmt.Printf("datasets exported to %s\n", *exportDir)
 	}
-	if *pcapDir != "" {
-		if err := s.WritePcaps(*pcapDir); err != nil {
+	if pcaps != nil {
+		if err := pcaps.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "pcap dump:", err)
 			os.Exit(1)
 		}

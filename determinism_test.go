@@ -1,39 +1,52 @@
 package iotlan
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
+
+	"iotlan/internal/netx"
+	"iotlan/internal/pcap"
 )
 
 // smallStudy builds a study small enough to run the full pipeline several
 // times under -race on one core, but large enough to exercise every shard
 // path (150 households across 4 workers, multi-record capture, apps).
-func smallStudy(seed int64, workers int) *Study {
-	return New(seed,
-		WithIdleDuration(4*time.Minute),
+func smallStudy(seed int64, workers int, opts ...Option) *Study {
+	return New(seed, append([]Option{
+		WithIdleDuration(4 * time.Minute),
 		WithInteractions(12),
 		WithHouseholds(150),
 		WithApps(20),
 		WithWorkers(workers),
-	)
+	}, opts...)...)
 }
 
 // TestEverythingByteIdenticalAcrossWorkerCounts is the engine's contract:
 // for a fixed seed, parallelism may change wall time but never a byte of
 // output — every artifact's ID, rendition, and metrics, and the Inspector
-// corpus itself, must match a sequential run exactly.
+// corpus itself, must match a sequential run exactly. The sequential run
+// also streams its per-MAC pcaps, whose bytes the golden pins, while its
+// capture keeps the passive window alone.
 func TestEverythingByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	// One seed only: each iteration runs the full pipeline twice, and the
 	// package must fit go test's default 10m timeout under -race alongside
 	// the chaos determinism tests (which re-check the contract at a second
 	// seed with fault injection enabled).
 	for _, seed := range []int64{1337} {
-		seq := smallStudy(seed, 1)
+		pcapDir := t.TempDir()
+		pcaps, err := pcap.NewMACWriter(pcapDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := smallStudy(seed, 1, WithPcapWriter(pcaps))
 		par := smallStudy(seed, 4)
+		seq.RunPassive()
+		passiveFrames := seq.Lab.Capture.Len()
 		seqResults := seq.Everything()
 		parResults := par.Everything()
 		if len(seqResults) != len(parResults) {
@@ -63,11 +76,25 @@ func TestEverythingByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("seed %d: Inspector corpus differs between workers=1 and workers=4", seed)
 		}
 		checkArtifactGolden(t, fmt.Sprintf("everything-%d", seed), seqResults...)
-		pcapDir := t.TempDir()
-		if err := seq.WritePcaps(pcapDir); err != nil {
+		if n := seq.Lab.Capture.Len(); n != passiveFrames {
+			t.Errorf("seed %d: capture holds %d frames after Everything, %d after RunPassive", seed, n, passiveFrames)
+		}
+		if err := pcaps.Close(); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, fmt.Sprintf("pcaps-%d", seed), fileDigests(t, pcapDir))
+		digests := fileDigests(t, pcapDir)
+		checkGolden(t, fmt.Sprintf("pcaps-%d", seed), digests)
+		// The scanner joins after the passive window: its frames reach its
+		// file but not the capture.
+		scanner := netx.MAC{0x02, 0x50, 0x00, 0x00, 0x02, 0x50}
+		if _, ok := digests["025000000250.pcap"]; !ok {
+			t.Errorf("seed %d: no pcap file for the scanner %s", seed, scanner)
+		}
+		for _, r := range seq.Lab.Capture.All {
+			if bytes.Equal(r.Data[6:12], scanner[:]) {
+				t.Fatalf("seed %d: capture holds a frame from the scanner", seed)
+			}
+		}
 	}
 }
 

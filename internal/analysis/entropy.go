@@ -179,7 +179,7 @@ func shannon(counts map[string]int, total int) float64 {
 	h := 0.0
 	for _, k := range keys {
 		p := float64(counts[k]) / float64(total)
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p)) // rounded product: never fused
 	}
 	return h
 }

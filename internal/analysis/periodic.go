@@ -139,7 +139,7 @@ func isPeriodic(times []time.Time) (bool, time.Duration) {
 	}
 	energy := 0.0 // Σx², the autocorrelation's normalizer
 	for _, b := range bins {
-		energy += b * b
+		energy += float64(b * b) // rounded product: never fused
 	}
 	// Spectral concentration: the peak must stand out.
 	if bestP >= 2.5*totalP/float64(len(spec)) {
@@ -202,7 +202,7 @@ func intervalTest(times []time.Time) (bool, time.Duration) {
 		return false, 0
 	}
 	for _, iv := range intervals {
-		varsum += (iv - mean) * (iv - mean)
+		varsum += float64((iv - mean) * (iv - mean)) // rounded product: never fused
 	}
 	cv := math.Sqrt(varsum/float64(len(intervals))) / mean
 	if cv < 0.35 {
@@ -255,7 +255,7 @@ func autocorr(x []float64, energy float64, lag int) float64 {
 	}
 	var num float64
 	for i := 0; i+lag < len(x); i++ {
-		num += x[i] * x[i+lag]
+		num += float64(x[i] * x[i+lag]) // rounded product: never fused
 	}
 	return num / energy
 }

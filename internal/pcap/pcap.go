@@ -1,21 +1,18 @@
 // Package pcap reads and writes the classic libpcap capture file format and
-// provides the in-memory capture structures the analysis pipeline consumes:
-// timestamped records, per-MAC capture sets (the testbed stores one file per
-// device MAC, like the MonIoTr AP), and the Appendix C.1 local-traffic
-// filter.
+// provides the capture structures the analysis pipeline consumes:
+// timestamped records, an in-memory capture, a writer that streams one file
+// per source MAC (as the MonIoTr AP stores one file per device), and the
+// Appendix C.1 local-traffic filter.
 package pcap
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"iotlan/internal/layers"
-	"iotlan/internal/netx"
 )
 
 // Record is one captured frame with its capture timestamp.
@@ -44,9 +41,9 @@ const (
 	linkEN10MB  = 1
 )
 
-// defaultSnaplen is the conventional tcpdump snapshot length. WriteFile
-// raises the header's snaplen above it when a record is larger, so caplen
-// never exceeds the declared snaplen.
+// defaultSnaplen is the conventional tcpdump snapshot length. WriteFile and
+// MACWriter raise the header's snaplen above it when a record is larger, so
+// caplen never exceeds the declared snaplen.
 const defaultSnaplen = 65535
 
 // WriteFile writes records to w in libpcap format (microsecond timestamps,
@@ -62,29 +59,44 @@ func WriteFile(w io.Writer, records []Record) error {
 		}
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], magicMicros)
-	binary.LittleEndian.PutUint16(hdr[4:6], 2) // major
-	binary.LittleEndian.PutUint16(hdr[6:8], 4) // minor
-	binary.LittleEndian.PutUint32(hdr[16:20], snaplen)
-	binary.LittleEndian.PutUint32(hdr[20:24], linkEN10MB)
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if err := writeHeader(bw, snaplen); err != nil {
 		return err
 	}
-	var rec [16]byte
 	for _, r := range records {
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(r.Time.Unix()))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(r.Time.Nanosecond()/1000))
-		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(r.Data)))
-		binary.LittleEndian.PutUint32(rec[12:16], uint32(len(r.Data)))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(r.Data); err != nil {
+		if err := writeRecord(bw, r.Time, r.Data); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// snaplenOffset is where the global header holds its snaplen.
+const snaplenOffset = 16
+
+func writeHeader(bw *bufio.Writer, snaplen uint32) error {
+	var hdr [24]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], magicMicros)
+	binary.LittleEndian.PutUint16(hdr[4:6], 2) // major
+	binary.LittleEndian.PutUint16(hdr[6:8], 4) // minor
+	binary.LittleEndian.PutUint32(hdr[snaplenOffset:snaplenOffset+4], snaplen)
+	binary.LittleEndian.PutUint32(hdr[20:24], linkEN10MB)
+	_, err := bw.Write(hdr[:])
+	return err
+}
+
+// writeRecord writes one record: its 16-byte header, built in bw's spare
+// buffer, then the frame.
+func writeRecord(bw *bufio.Writer, at time.Time, data []byte) error {
+	rec := bw.AvailableBuffer()
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(at.Unix()))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(at.Nanosecond()/1000))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(data)))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(data)))
+	if _, err := bw.Write(rec); err != nil {
+		return err
+	}
+	_, err := bw.Write(data)
+	return err
 }
 
 // DefaultMaxRecordBytes bounds a single record's captured length: larger
@@ -178,45 +190,28 @@ func ReadFile(r io.Reader) ([]Record, error) {
 }
 
 // Capture accumulates frames at the AP tap in arrival order, for
-// whole-network analyses. SplitByMAC groups them per source MAC, like the
-// MonIoTr testbed's per-device tcpdump files.
+// whole-network analyses, until Stop.
 type Capture struct {
-	All []Record
+	All     []Record
+	stopped bool
 }
 
 // NewCapture returns an empty capture.
 func NewCapture() *Capture { return &Capture{} }
 
-// Add records a frame captured at t.
+// Add records a frame captured at t, unless the capture has stopped.
 func (c *Capture) Add(t time.Time, frame []byte) {
-	c.All = append(c.All, Record{Time: t, Data: frame})
+	if !c.stopped {
+		c.All = append(c.All, Record{Time: t, Data: frame})
+	}
 }
+
+// Stop ends the capture: All keeps the frames added so far, and Add drops
+// every later frame.
+func (c *Capture) Stop() { c.stopped = true }
 
 // Len reports the total number of captured frames.
 func (c *Capture) Len() int { return len(c.All) }
-
-// SplitByMAC groups All by source MAC: macs lists the source MACs seen in
-// sorted order, and groups[i] holds the records macs[i] sent, in arrival
-// order. A frame too short for an Ethernet header belongs to no group.
-func (c *Capture) SplitByMAC() (macs []netx.MAC, groups [][]Record) {
-	byMAC := make(map[netx.MAC][]Record)
-	for _, r := range c.All {
-		var eth layers.Ethernet
-		if eth.DecodeFromBytes(r.Data) == nil {
-			byMAC[eth.Src] = append(byMAC[eth.Src], r)
-		}
-	}
-	macs = make([]netx.MAC, 0, len(byMAC))
-	for m := range byMAC {
-		macs = append(macs, m)
-	}
-	sort.Slice(macs, func(i, j int) bool { return bytes.Compare(macs[i][:], macs[j][:]) < 0 })
-	groups = make([][]Record, len(macs))
-	for i, m := range macs {
-		groups[i] = byMAC[m]
-	}
-	return macs, groups
-}
 
 // FilterLocal returns the records passing the Appendix C.1 local-traffic
 // filter: local unicast IP, multicast/broadcast destination, or non-IP

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -128,22 +130,57 @@ func TestCapturePerMAC(t *testing.T) {
 	a := netx.MAC{2, 0, 0, 0, 0, 1}
 	b := netx.MAC{2, 0, 0, 0, 0, 2}
 	c := NewCapture()
+	dir := t.TempDir()
+	w, err := NewMACWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	now := time.Unix(1668384000, 0).UTC()
-	c.Add(now, mkFrame(t, a, b, "192.168.10.1", "192.168.10.2"))
-	c.Add(now.Add(time.Second), mkFrame(t, b, a, "192.168.10.2", "192.168.10.1"))
-	c.Add(now.Add(2*time.Second), mkFrame(t, a, b, "192.168.10.1", "192.168.10.2"))
+	for i, f := range [][]byte{
+		mkFrame(t, a, b, "192.168.10.1", "192.168.10.2"),
+		mkFrame(t, b, a, "192.168.10.2", "192.168.10.1"),
+		mkFrame(t, a, b, "192.168.10.1", "192.168.10.2"),
+	} {
+		at := now.Add(time.Duration(i) * time.Second)
+		c.Add(at, f)
+		w.Add(at, f)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	macs, groups := c.SplitByMAC()
-	if len(macs) != 2 || macs[0] != a || macs[1] != b {
-		t.Fatalf("SplitByMAC MACs = %v", macs)
+	c.Stop()
+	c.Add(now.Add(3*time.Second), mkFrame(t, a, b, "192.168.10.1", "192.168.10.2"))
+	if c.Len() != 3 {
+		t.Fatalf("Len after Stop = %d, want 3", c.Len())
 	}
-	if len(groups[0]) != 2 || len(groups[1]) != 1 {
-		t.Fatalf("per-MAC split wrong: a=%d b=%d", len(groups[0]), len(groups[1]))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !groups[0][0].Time.Equal(now) || !groups[0][1].Time.Equal(now.Add(2*time.Second)) {
-		t.Fatalf("a's records out of arrival order: %v, %v", groups[0][0].Time, groups[0][1].Time)
+	if len(entries) != 2 || entries[0].Name() != "020000000001.pcap" || entries[1].Name() != "020000000002.pcap" {
+		t.Fatalf("per-MAC files = %v", entries)
+	}
+	read := func(name string) []Record {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		recs, err := ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	ra, rb := read("020000000001.pcap"), read("020000000002.pcap")
+	if len(ra) != 2 || len(rb) != 1 {
+		t.Fatalf("per-MAC split wrong: a=%d b=%d", len(ra), len(rb))
+	}
+	if !ra[0].Time.Equal(now) || !ra[1].Time.Equal(now.Add(2*time.Second)) {
+		t.Fatalf("a's records out of arrival order: %v, %v", ra[0].Time, ra[1].Time)
 	}
 }
 

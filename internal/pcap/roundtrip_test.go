@@ -2,7 +2,12 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,5 +117,120 @@ func TestRoundTripSecondWriteIsIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatal("write→read→write changed the file bytes")
+	}
+}
+
+// TestMACWriterMatchesWriteFile streams synthetic records, re-sourced from a
+// handful of MACs and including one record over 65,535 B, through a
+// MACWriter. Each MAC's file must equal WriteFile over that MAC's records in
+// arrival order, byte for byte, snaplen included; records too short for an
+// Ethernet header land in no file.
+func TestMACWriterMatchesWriteFile(t *testing.T) {
+	macs := []netx.MAC{{2, 0, 0, 0, 0, 1}, {2, 0, 0, 0, 0, 2}, {0x0a, 0xb0, 0, 0, 0, 3}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
+	for _, seed := range []int64{1, 2, 3, 99} {
+		rng := rand.New(rand.NewSource(seed))
+		records := synthRecords(t, rng, 200)
+		jumbo := make([]byte, 70000)
+		rng.Read(jumbo)
+		at := 1 + rng.Intn(len(records)-1)
+		records = append(records[:at], append([]Record{{Time: records[at-1].Time, Data: jumbo}}, records[at:]...)...)
+
+		byMAC := make(map[netx.MAC][]Record)
+		for _, r := range records {
+			if len(r.Data) < 14 {
+				continue
+			}
+			mac := macs[rng.Intn(len(macs))]
+			copy(r.Data[6:12], mac[:])
+			byMAC[mac] = append(byMAC[mac], r)
+		}
+
+		dir := t.TempDir()
+		w, err := NewMACWriter(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range records {
+			w.Add(r.Time, r.Data)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("seed %d: close: %v", seed, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(byMAC) {
+			t.Fatalf("seed %d: %d files for %d source MACs", seed, len(entries), len(byMAC))
+		}
+		raised := false
+		for mac, recs := range byMAC {
+			var want bytes.Buffer
+			if err := WriteFile(&want, recs); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%02x%02x%02x%02x%02x%02x.pcap", mac[0], mac[1], mac[2], mac[3], mac[4], mac[5])))
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("seed %d: %s's streamed file differs from WriteFile over its %d records", seed, mac, len(recs))
+			}
+			raised = raised || binary.LittleEndian.Uint32(got[16:20]) == 70000
+		}
+		if !raised {
+			t.Fatalf("seed %d: no file declares the jumbo record's snaplen", seed)
+		}
+	}
+}
+
+// TestMACWriterCloseReportsFailedDestination: a MAC whose file cannot be
+// created, or whose writes fail, fails the writer, and Close says so.
+func TestMACWriterCloseReportsFailedDestination(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		block func(t *testing.T, path string) error
+	}{
+		// A directory holds the file name, so creating the file fails.
+		{"create", func(_ *testing.T, path string) error { return os.Mkdir(path, 0o755) }},
+		// The file is the full device, so the buffered records fail to
+		// flush.
+		{"flush", func(t *testing.T, path string) error {
+			if _, err := os.Stat("/dev/full"); err != nil {
+				t.Skip("no /dev/full")
+			}
+			return os.Symlink("/dev/full", path)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.block(t, filepath.Join(dir, "020000000002.pcap")); err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewMACWriter(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			macs := []netx.MAC{{2, 0, 0, 0, 0, 1}, {2, 0, 0, 0, 0, 2}}
+			rng := rand.New(rand.NewSource(5))
+			for i, r := range synthRecords(t, rng, 30) {
+				if len(r.Data) >= 14 {
+					copy(r.Data[6:12], macs[i%2][:])
+					w.Add(r.Time, r.Data)
+				}
+			}
+			err = w.Close()
+			if err == nil || !strings.Contains(err.Error(), "020000000002.pcap") {
+				t.Fatalf("Close = %v, want the failed file's error", err)
+			}
+		})
+	}
+
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMACWriter(file); err == nil {
+		t.Fatal("NewMACWriter accepted a regular file as its directory")
 	}
 }

@@ -20,8 +20,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -92,11 +90,10 @@ type Study struct {
 	// event a zero-duration child of its phase.
 	Trace *obs.Tracer
 
+	// pcaps, when set, receives every frame the lab sends, in every phase.
+	pcaps *pcap.MACWriter
+
 	passiveDone bool
-	// passiveLen marks the capture boundary after the passive phase, so
-	// passive analyses (Figures 1–4, Tables 1/4, §5.1, App. D.1) are not
-	// polluted by later scan/app probe traffic, matching §3.1's separation.
-	passiveLen int
 
 	// passiveIdx is the decode-once packet index over the passive capture:
 	// every record's layers parsed exactly once, then shared read-only by all
@@ -133,6 +130,11 @@ func WithFullPortSweep() Option { return func(s *Study) { s.FullPortSweep = true
 // WithTrace writes the simulation's trace, spans on the lab's virtual
 // clock, to t.
 func WithTrace(t *obs.Tracer) Option { return func(s *Study) { s.Trace = t } }
+
+// WithPcapWriter streams every frame the lab sends, from the passive window
+// through the app runs, into w's per-MAC pcap files as it is sent. The
+// caller owns w and closes it after the last phase.
+func WithPcapWriter(w *pcap.MACWriter) Option { return func(s *Study) { s.pcaps = w } }
 
 // WithWorkers bounds analysis-engine concurrency (< 1 = one per CPU).
 func WithWorkers(n int) Option { return func(s *Study) { s.Workers = n } }
@@ -192,7 +194,8 @@ func (s *Study) phase(name string, fn func()) {
 }
 
 // RunPassive boots the lab, captures the idle window and the scripted
-// interactions, and deploys the honeypot (§3.1).
+// interactions, and deploys the honeypot (§3.1). The lab's capture stops
+// when it returns, so Lab.Capture holds exactly the passive window.
 func (s *Study) RunPassive() {
 	if s.passiveDone {
 		return
@@ -203,6 +206,9 @@ func (s *Study) RunPassive() {
 	}
 	s.Lab = testbed.NewWith(s.Seed, profiles,
 		testbed.WithChaos(s.ChaosPlan), testbed.WithResidents(s.ResidentPlan))
+	if s.pcaps != nil {
+		s.Lab.Net.Tap(s.pcaps.Add)
+	}
 	if s.Trace != nil {
 		tel := s.Lab.Telemetry()
 		tel.Tracer = obs.NewSpanTracer(s.Lab.Sched.VirtualMicros)
@@ -225,8 +231,10 @@ func (s *Study) RunPassive() {
 			s.Lab.Interact(s.Interactions)
 		}
 	})
+	// Every artifact reads the passive window alone, which §3.1 keeps apart
+	// from the scans and app runs, so later phases' frames are not kept.
+	s.Lab.Capture.Stop()
 	s.passiveDone = true
-	s.passiveLen = s.Lab.Capture.Len()
 }
 
 // PassiveIndex returns the decode-once packet index over the passive
@@ -235,7 +243,7 @@ func (s *Study) RunPassive() {
 // share the cached parse. The index is immutable once built.
 func (s *Study) PassiveIndex() *pcap.Index {
 	s.RunPassive()
-	s.idxOnce.Do(func() { s.passiveIdx = pcap.NewIndex(s.Lab.Capture.All[:s.passiveLen], s.Workers) })
+	s.idxOnce.Do(func() { s.passiveIdx = pcap.NewIndex(s.Lab.Capture.All, s.Workers) })
 	return s.passiveIdx
 }
 
@@ -433,36 +441,6 @@ func (s *Study) RunAllContext(ctx context.Context) error {
 		st.run()
 	}
 	return nil
-}
-
-// LocalRecords returns the capture filtered to local traffic (App. C.1).
-func (s *Study) LocalRecords() []pcap.Record {
-	return pcap.FilterLocal(s.Lab.Capture.All)
-}
-
-// WritePcaps dumps per-device pcap files into dir, one per MAC, like the
-// testbed AP.
-func (s *Study) WritePcaps(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	macs, groups := s.Lab.Capture.SplitByMAC()
-	for i, mac := range macs {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s.pcap", macFileName(mac))))
-		if err != nil {
-			return err
-		}
-		err = pcap.WriteFile(f, groups[i])
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func macFileName(mac netx.MAC) string {
-	return fmt.Sprintf("%02x%02x%02x%02x%02x%02x", mac[0], mac[1], mac[2], mac[3], mac[4], mac[5])
 }
 
 // DeviceByName exposes a lab device.

@@ -1,11 +1,14 @@
 package iotlan
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"iotlan/internal/pcap"
 )
 
 // testStudy caches one full run across tests (the pipelines are deliberately
@@ -129,10 +132,17 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 }
 
+// TestWritePcaps streams the smallest passive window into per-MAC files:
+// one *.pcap per MAC that sent a frame, every captured MAC among them.
 func TestWritePcaps(t *testing.T) {
-	s := study(t)
 	dir := filepath.Join(t.TempDir(), "pcaps")
-	if err := s.WritePcaps(dir); err != nil {
+	w, err := pcap.NewMACWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(5, WithIdleDuration(time.Minute), WithInteractions(2), WithWorkers(1), WithPcapWriter(w))
+	s.RunPassive()
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -142,9 +152,16 @@ func TestWritePcaps(t *testing.T) {
 	if len(entries) < 90 {
 		t.Fatalf("wrote %d pcap files, want ≥90 (one per MAC)", len(entries))
 	}
+	files := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		if !strings.HasSuffix(e.Name(), ".pcap") {
 			t.Fatalf("unexpected file %s", e.Name())
+		}
+		files[e.Name()] = true
+	}
+	for _, r := range s.Lab.Capture.All {
+		if name := fmt.Sprintf("%x.pcap", r.Data[6:12]); !files[name] {
+			t.Fatalf("no pcap file %s for a captured frame", name)
 		}
 	}
 }
@@ -164,7 +181,7 @@ func TestDeviceIPsComplete(t *testing.T) {
 
 func TestLocalRecordsFiltered(t *testing.T) {
 	s := study(t)
-	local := s.LocalRecords()
+	local := s.PassiveIndex().Local()
 	if len(local) == 0 || len(local) > s.Lab.Capture.Len() {
 		t.Fatalf("local=%d total=%d", len(local), s.Lab.Capture.Len())
 	}

@@ -550,17 +550,19 @@ func (s *Study) Diurnal() Result {
 	fmt.Fprintf(&sb, "hour-of-day traffic structure (residents: %s)\n", s.ResidentPlan)
 	fmt.Fprintf(&sb, "%4s %10s %12s %10s %10s\n", "hour", "frames", "bytes", "active", "schedule")
 	cvOver := func(hist [24]float64) (cv, peak float64, peakHour int) {
+		// float64() rounds each product, so no platform fuses it into the
+		// sum or difference.
 		var sum, sumSq float64
 		for h := 0; h < covered; h++ {
 			sum += hist[h]
-			sumSq += hist[h] * hist[h]
+			sumSq += float64(hist[h] * hist[h])
 			if hist[h] > peak {
 				peak, peakHour = hist[h], h
 			}
 		}
 		mean := sum / float64(covered)
 		if mean > 0 {
-			cv = math.Sqrt(sumSq/float64(covered)-mean*mean) / mean
+			cv = math.Sqrt(sumSq/float64(covered)-float64(mean*mean)) / mean
 		}
 		return cv, peak, peakHour
 	}
