@@ -7,10 +7,8 @@ import (
 
 	"iotlan/internal/analysis"
 	"iotlan/internal/classify"
-	"iotlan/internal/device"
 	"iotlan/internal/inspector"
 	"iotlan/internal/layers"
-	"iotlan/internal/netx"
 	"iotlan/internal/pcap"
 	"iotlan/internal/testbed"
 )
@@ -34,7 +32,7 @@ func benchStudy(b *testing.B) *Study {
 		s.AppsToRun = 60
 		s.RunAll()
 		benchS = s
-		benchLocal = s.PassiveIndex().Local()
+		benchLocal = pcap.FilterLocal(s.PassiveRecords())
 	})
 	return benchS
 }
@@ -373,6 +371,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-var _ = device.Catalog
-var _ = netx.Broadcast

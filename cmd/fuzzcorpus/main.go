@@ -72,10 +72,11 @@ func main() {
 	lab.Interact(12)
 
 	idx := pcap.NewIndex(lab.Capture.All, 0)
-	for i, p := range idx.Packets() {
+	for i, rec := range idx.Records {
 		if i%7 == 0 { // sample whole frames for the layers decoder
-			buckets["layers"].add(idx.Records[i].Data)
+			buckets["layers"].add(rec.Data)
 		}
+		p := rec.Decode()
 		if p.Err != nil || len(p.AppPayload) == 0 {
 			continue
 		}

@@ -20,12 +20,6 @@
 // (the bench record counts the observed hits), and re-posted wire records
 // the fold's idempotent skip.
 //
-// -diurnal shapes each synthetic capture's frame timestamps by the resident
-// layer's typical hour-of-day histogram (resident.TypicalHours) instead of
-// the flat one-frame-burst-per-second layout, so uploaded captures carry the
-// diurnal structure of a lived-in household. Off by default so classic bench
-// checksums are unchanged.
-//
 // After the load, iotload scrapes GET /metrics and strict-parses the
 // Prometheus exposition (the same parser the obs golden tests use). A
 // malformed page or empty per-stage histograms fail the run — observability
@@ -43,7 +37,7 @@
 // Usage:
 //
 //	iotload [-households 200] [-concurrency 16] [-seed 1]
-//	        [-mode mixed|inspector|capture] [-dup-frac 0.25] [-diurnal]
+//	        [-mode mixed|inspector|capture] [-dup-frac 0.25]
 //	        [-addr host:port] [-queue 64] [-workers N] [-shards N]
 //	        [-data-dir DIR] [-checkpoint-every 4096] [-stream]
 //	        [-out BENCH_5.json]
@@ -69,7 +63,6 @@ import (
 	"iotlan/internal/inspector"
 	"iotlan/internal/obs"
 	"iotlan/internal/pcap"
-	"iotlan/internal/resident"
 	"iotlan/internal/serve"
 )
 
@@ -136,7 +129,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "self-hosted server durable state dir (empty = in-memory)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "self-hosted server checkpoint cadence in WAL records")
 	stream := flag.Bool("stream", false, "generate each household on demand instead of materializing the corpus (inspector mode only)")
-	diurnal := flag.Bool("diurnal", false, "spread synthetic capture frames over a resident-shaped hour-of-day distribution (capture/mixed modes)")
 	out := flag.String("out", "BENCH_5.json", "output file (\"-\" for stdout)")
 	flag.Parse()
 	if *mode != "inspector" && *mode != "capture" && *mode != "mixed" {
@@ -214,10 +206,6 @@ func main() {
 	} else {
 		// Build the upload set up front so the timed region is pure load.
 		ds := inspector.Generate(*seed, *households)
-		var hours [24]int
-		if *diurnal {
-			hours = resident.TypicalHours(*seed)
-		}
 		var uploads []upload
 		for _, h := range ds.Households {
 			if *mode == "inspector" || *mode == "mixed" {
@@ -229,7 +217,7 @@ func main() {
 			}
 			if *mode == "capture" || *mode == "mixed" {
 				var buf bytes.Buffer
-				if err := pcap.WriteFile(&buf, inspector.SyntheticCaptureHours(h, hours)); err != nil {
+				if err := pcap.WriteFile(&buf, inspector.SyntheticCapture(h)); err != nil {
 					fatal(err)
 				}
 				uploads = append(uploads, upload{

@@ -6,9 +6,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"net/netip"
-	"strconv"
-	"strings"
 	"time"
 
 	"iotlan/internal/inspector"
@@ -68,38 +67,12 @@ func runSelftest(seed int64, households int) error {
 			if _, err := c.Write(req.Bytes()); err != nil {
 				return 0, nil, err
 			}
-			line, err := br.ReadString('\n')
+			resp, err := http.ReadResponse(br, nil)
 			if err != nil {
 				return 0, nil, err
 			}
-			parts := strings.SplitN(strings.TrimSpace(line), " ", 3)
-			if len(parts) < 2 {
-				return 0, nil, fmt.Errorf("bad status line %q", line)
-			}
-			status, _ := strconv.Atoi(parts[1])
-			clen := -1
-			for {
-				line, err := br.ReadString('\n')
-				if err != nil {
-					return 0, nil, err
-				}
-				line = strings.TrimSpace(line)
-				if line == "" {
-					break
-				}
-				if k, v, ok := strings.Cut(line, ":"); ok &&
-					strings.EqualFold(strings.TrimSpace(k), "Content-Length") {
-					clen, _ = strconv.Atoi(strings.TrimSpace(v))
-				}
-			}
-			if clen < 0 {
-				return 0, nil, fmt.Errorf("%s %s: response without Content-Length", method, path)
-			}
-			resp := make([]byte, clen)
-			if _, err := io.ReadFull(br, resp); err != nil {
-				return 0, nil, err
-			}
-			return status, resp, nil
+			out, err := io.ReadAll(resp.Body)
+			return resp.StatusCode, out, err
 		}
 
 		for _, hh := range ds.Households {

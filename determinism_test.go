@@ -152,9 +152,12 @@ func TestPassiveIndexDecodesOnce(t *testing.T) {
 	if len(recs) != idx.Len() {
 		t.Fatalf("PassiveRecords length %d, index %d", len(recs), idx.Len())
 	}
-	// Records carry the cached parse: Decode must hand back the index's
-	// packet pointer, not a fresh parse.
-	if recs[0].Decode() != idx.Packets()[0] {
-		t.Fatal("record decode did not hit the index cache")
+	// The index decodes the capture in place: each capture record carries
+	// the same parse as the index's record, so nothing was copied and no
+	// Decode re-parses.
+	for i, rec := range s.Lab.Capture.All {
+		if rec.Decode() != recs[i].Decode() {
+			t.Fatalf("capture record %d does not carry the index's parse", i)
+		}
 	}
 }

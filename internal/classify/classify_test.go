@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"iotlan/internal/device"
 	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/pcap"
@@ -190,5 +189,3 @@ func TestPairBidirectional(t *testing.T) {
 		t.Fatalf("pairs: %v", pairs)
 	}
 }
-
-var _ = device.Catalog // keep the import available for future subset tests

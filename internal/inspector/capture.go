@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"net/netip"
-	"sort"
 	"time"
 
 	"iotlan/internal/layers"
@@ -23,20 +22,7 @@ import (
 // and IPs are derived from the device ID hash — so a household decoded from
 // the wire format produces the same bytes as the generated original.
 func SyntheticCapture(h *Household) []pcap.Record {
-	return SyntheticCaptureHours(h, [24]int{})
-}
-
-// SyntheticCaptureHours is SyntheticCapture with diurnal timing: hours is an
-// hour-of-day activity histogram (e.g. resident.TypicalHours), and each
-// device's frames land in an hour drawn from that distribution — still a pure
-// function of the household contents, so the capture stays byte-deterministic.
-// A zero histogram preserves SyntheticCapture's classic flat layout exactly.
-func SyntheticCaptureHours(h *Household, hours [24]int) []pcap.Record {
 	base := time.Date(2019, 4, 12, 0, 0, 0, 0, time.UTC)
-	total := 0
-	for _, w := range hours {
-		total += w
-	}
 	var records []pcap.Record
 	add := func(at time.Time, src netx.MAC, srcIP netip.Addr, dstMAC netx.MAC, dstIP netip.Addr, port uint16, payload string) {
 		udp := &layers.UDP{SrcPort: port, DstPort: port}
@@ -64,29 +50,12 @@ func SyntheticCaptureHours(h *Household, hours [24]int) []pcap.Record {
 		host := binary.BigEndian.Uint16(sum[6:8])%250 + 2
 		srcIP := netip.AddrFrom4([4]byte{192, 168, 1, byte(host)})
 		at := base.Add(time.Duration(i) * time.Second)
-		if total > 0 {
-			// Weighted hour pick plus a sub-hour offset, both from the same
-			// device hash that fixes its MAC and IP.
-			pick := int(binary.BigEndian.Uint32(sum[8:12]) % uint32(total))
-			hour := 0
-			for w := hours[hour]; pick >= w; w = hours[hour] {
-				pick -= w
-				hour++
-			}
-			offset := time.Duration(binary.BigEndian.Uint32(sum[12:16])%3_600_000) * time.Millisecond
-			at = base.Add(time.Duration(hour)*time.Hour + offset)
-		}
 		for j, p := range d.MDNS {
 			add(at.Add(time.Duration(j)*100*time.Millisecond), mac, srcIP, mdnsMAC, mdnsIP, 5353, p)
 		}
 		for j, p := range d.SSDP {
 			add(at.Add(500*time.Millisecond+time.Duration(j)*100*time.Millisecond), mac, srcIP, ssdpMAC, ssdpIP, 1900, p)
 		}
-	}
-	if total > 0 {
-		sort.SliceStable(records, func(i, j int) bool {
-			return records[i].Time.Before(records[j].Time)
-		})
 	}
 	return records
 }

@@ -217,18 +217,6 @@ func IsPrivate(addr netip.Addr) bool {
 	return addr.IsPrivate() || addr.IsLinkLocalUnicast() || addr.IsLoopback()
 }
 
-// IsLocalTraffic reports whether a (src, dst) pair stays on the local
-// network: both ends private, or dst multicast/broadcast.
-func IsLocalTraffic(src, dst netip.Addr) bool {
-	if dst.IsMulticast() {
-		return true
-	}
-	if dst.Is4() && dst.As4() == [4]byte{255, 255, 255, 255} {
-		return true
-	}
-	return IsPrivate(src) && IsPrivate(dst)
-}
-
 // Well-known multicast groups used by the discovery protocols in the study.
 var (
 	MDNSv4Group = netip.AddrFrom4([4]byte{224, 0, 0, 251})

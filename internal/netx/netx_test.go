@@ -76,28 +76,6 @@ func TestChecksumVerifies(t *testing.T) {
 	}
 }
 
-func TestIsLocalTraffic(t *testing.T) {
-	cases := []struct {
-		src, dst string
-		want     bool
-	}{
-		{"192.168.10.5", "192.168.10.7", true},
-		{"192.168.10.5", "8.8.8.8", false},
-		{"10.0.0.1", "172.16.4.4", true},
-		{"192.168.10.5", "224.0.0.251", true},
-		{"192.168.10.5", "255.255.255.255", true},
-		{"8.8.8.8", "192.168.10.5", false},
-		{"fe80::1", "fe80::2", true},
-		{"fe80::1", "ff02::fb", true},
-	}
-	for _, c := range cases {
-		src, dst := netip.MustParseAddr(c.src), netip.MustParseAddr(c.dst)
-		if got := IsLocalTraffic(src, dst); got != c.want {
-			t.Errorf("IsLocalTraffic(%s, %s) = %v, want %v", c.src, c.dst, got, c.want)
-		}
-	}
-}
-
 func TestMulticastMAC(t *testing.T) {
 	if got := MulticastMAC(MDNSv4Group); got != (MAC{0x01, 0x00, 0x5e, 0x00, 0x00, 0xfb}) {
 		t.Fatalf("mDNS v4 group MAC = %v", got)

@@ -1,90 +1,37 @@
 package pcap
 
 import (
-	"sort"
-
 	"iotlan/internal/engine"
 	"iotlan/internal/layers"
-	"iotlan/internal/netx"
 )
 
 // Index is the decode-once view of a finished capture: every record's
-// layers parsed exactly one time (sharded across workers), plus the derived
-// views the analyses keep rebuilding — the Appendix C.1 local-traffic
-// subset, per-source-MAC record lists, and per-protocol record lists.
+// layers parsed exactly one time (sharded across workers) and attached to
+// the record itself. Readers derive the subsets and counts they need from
+// Records, e.g. FilterLocal for the Appendix C.1 local traffic.
 //
 // The index is immutable after construction and safe for concurrent
 // readers; the artifact engine shares one Index across every artifact
 // instead of letting each analysis re-decode the capture.
 type Index struct {
-	// Records mirrors the input slice with the decode cache attached; a
-	// Record copied out of this slice keeps its parsed layers.
+	// Records is the slice NewIndex was given, each record now carrying
+	// its parse; a Record copied out of it keeps the parsed layers.
 	Records []Record
-
-	packets []*layers.Packet
-	local   []Record
-	byMAC   map[netx.MAC][]Record
-	byProto map[string][]Record
 }
 
-// NewIndex decodes records across workers (values < 1 mean one per CPU) and
-// builds the derived views. The layout is deterministic: packets land at
-// their record's index and views are built in capture order, so any worker
-// count yields an identical index.
+// NewIndex decodes records in place across workers (values < 1 mean one per
+// CPU): each record's parse is attached to its own slot, so no record is
+// copied and any worker count yields an identical index. Every record is
+// decoded, including one that already carries a parse. Nothing may read
+// records while NewIndex runs.
 func NewIndex(records []Record, workers int) *Index {
-	ix := &Index{
-		Records: make([]Record, len(records)),
-		packets: make([]*layers.Packet, len(records)),
-		byMAC:   make(map[netx.MAC][]Record),
-		byProto: make(map[string][]Record),
-	}
-	copy(ix.Records, records)
 	engine.ForEachShard(len(records), workers, func(_ int, r engine.Range) {
 		for i := r.Start; i < r.End; i++ {
-			p := layers.Decode(ix.Records[i].Data)
-			ix.packets[i] = p
-			ix.Records[i].pkt = p
+			records[i].pkt = layers.Decode(records[i].Data)
 		}
 	})
-	// View assembly stays serial: it is cheap relative to decoding and
-	// capture-order appends keep every view deterministic.
-	for i := range ix.Records {
-		p := ix.packets[i]
-		rec := ix.Records[i]
-		if p.IsLocal() {
-			ix.local = append(ix.local, rec)
-		}
-		if p.HasEth {
-			ix.byMAC[p.Eth.Src] = append(ix.byMAC[p.Eth.Src], rec)
-		}
-		ix.byProto[p.L3Name()] = append(ix.byProto[p.L3Name()], rec)
-	}
-	return ix
+	return &Index{Records: records}
 }
 
 // Len reports the number of indexed records.
 func (ix *Index) Len() int { return len(ix.Records) }
-
-// Packets returns the parsed layers, aligned with Records. Read-only.
-func (ix *Index) Packets() []*layers.Packet { return ix.packets }
-
-// Local returns the records passing the Appendix C.1 local-traffic filter,
-// in capture order, with decode caches attached.
-func (ix *Index) Local() []Record { return ix.local }
-
-// ByMAC returns the records sourced by one MAC, in capture order.
-func (ix *Index) ByMAC(mac netx.MAC) []Record { return ix.byMAC[mac] }
-
-// ByProto returns the records whose L3Name matches name (e.g. "ARP",
-// "UDP", "TCP", "ICMPv6"), in capture order.
-func (ix *Index) ByProto(name string) []Record { return ix.byProto[name] }
-
-// Protocols lists the observed L3Name labels, sorted.
-func (ix *Index) Protocols() []string {
-	out := make([]string, 0, len(ix.byProto))
-	for name := range ix.byProto {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

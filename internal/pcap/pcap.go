@@ -20,13 +20,13 @@ type Record struct {
 	Time time.Time
 	Data []byte
 
-	// pkt is the decode-once cache attached by Index. It rides along on
-	// copies of the Record value, so slices derived from an indexed capture
-	// keep the cache.
+	// pkt is the decode-once cache NewIndex attaches in place. It rides
+	// along on copies of the Record value, so slices derived from an indexed
+	// capture keep the cache.
 	pkt *layers.Packet
 }
 
-// Decode parses the record's frame. Records that came from an Index return
+// Decode parses the record's frame. Records an Index has decoded return
 // the shared pre-parsed layers; the returned packet must be treated as
 // read-only. Un-indexed records decode on every call.
 func (r Record) Decode() *layers.Packet {

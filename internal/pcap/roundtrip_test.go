@@ -85,7 +85,7 @@ func TestRoundTripProperty(t *testing.T) {
 		orig := NewIndex(records, 2)
 		back := NewIndex(got, 2)
 		for i := range records {
-			a, b := orig.Packets()[i], back.Packets()[i]
+			a, b := orig.Records[i].Decode(), back.Records[i].Decode()
 			if (a.Err == nil) != (b.Err == nil) {
 				t.Fatalf("seed %d: record %d decode error changed: %v vs %v", seed, i, a.Err, b.Err)
 			}

@@ -461,9 +461,7 @@ func (s *Schedule) Counts() map[EventKind]int {
 
 // HourHistogram buckets resident activity (interactions, app sessions, and
 // sensor events — not drift) by hour of day across the whole run. This is
-// the diurnal shape downstream consumers reuse: the diurnal artifact
-// renders it and inspector.SyntheticCaptureHours stamps synthesized
-// households with it.
+// the diurnal shape the diurnal artifact renders.
 func (s *Schedule) HourHistogram() [24]int {
 	var hist [24]int
 	for _, ev := range s.Events {
@@ -495,16 +493,4 @@ func (s *Schedule) Render() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// TypicalHours returns the hour-of-day activity histogram of a default
-// four-resident household over one simulated week — a diurnal shape
-// consumers can use without building a lab (iotload stamps synthetic
-// captures with it). Pure function of seed.
-func TypicalHours(seed int64) [24]int {
-	sched, err := Compile(seed, Plan{Personas: PersonaNames()[:4], Days: 7}, World{InteractionKinds: 4})
-	if err != nil { // unreachable: built-in names
-		return [24]int{}
-	}
-	return sched.HourHistogram()
 }

@@ -158,20 +158,6 @@ func TestWeekendShape(t *testing.T) {
 	}
 }
 
-func TestTypicalHours(t *testing.T) {
-	a, b := TypicalHours(1), TypicalHours(1)
-	if a != b {
-		t.Fatal("TypicalHours not deterministic")
-	}
-	total := 0
-	for _, v := range a {
-		total += v
-	}
-	if total == 0 {
-		t.Fatal("TypicalHours histogram empty")
-	}
-}
-
 func TestPlanString(t *testing.T) {
 	if got := (Plan{}).String(); got != "off" {
 		t.Fatalf("zero plan String() = %q", got)

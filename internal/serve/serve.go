@@ -45,6 +45,7 @@ import (
 	"iotlan/internal/analysis"
 	"iotlan/internal/engine"
 	"iotlan/internal/inspector"
+	"iotlan/internal/netx"
 	"iotlan/internal/obs"
 	"iotlan/internal/pcap"
 	"iotlan/internal/serve/store"
@@ -521,18 +522,22 @@ type captureReport struct {
 }
 
 // analyzeCapture decodes the records once (the same decode-once index the
-// offline engine uses) and renders the upload report. It touches no server
-// state: a capture's answer depends on nothing but its own upload.
+// offline engine uses), counts protocols, sources and local frames in one
+// pass, and renders the upload report. It touches no server state: a
+// capture's answer depends on nothing but its own upload.
 func analyzeCapture(household string, records []pcap.Record) []byte {
 	idx := pcap.NewIndex(records, 1)
 	protocols := make(map[string]int, 4)
-	for _, name := range idx.Protocols() {
-		protocols[name] = len(idx.ByProto(name))
-	}
-	sources := make(map[string]bool)
-	for _, p := range idx.Packets() {
+	sources := make(map[netx.MAC]bool)
+	local := 0
+	for _, rec := range idx.Records {
+		p := rec.Decode()
+		protocols[p.L3Name()]++
 		if p.HasEth {
-			sources[p.Eth.Src.String()] = true
+			sources[p.Eth.Src] = true
+		}
+		if p.IsLocal() {
+			local++
 		}
 	}
 	exposure := analysis.BuildExposure(idx.Records)
@@ -547,7 +552,7 @@ func analyzeCapture(household string, records []pcap.Record) []byte {
 	return mustJSON(captureReport{
 		Household:   household,
 		Frames:      idx.Len(),
-		LocalFrames: len(idx.Local()),
+		LocalFrames: local,
 		Protocols:   protocols,
 		Sources:     len(sources),
 		ExposedAt:   exposed,

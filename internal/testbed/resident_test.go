@@ -82,22 +82,22 @@ func TestRetireDeviceReleasesLeaseAndDetaches(t *testing.T) {
 	}
 }
 
-// TestInteractPacing verifies InteractOpts controls the per-interaction
-// clock advance and that the default path is the classic ~5 s.
+// TestInteractPacing verifies Interact advances the clock a fixed 5 s per
+// interaction and counts each one.
 func TestInteractPacing(t *testing.T) {
 	lab := New(1)
 	lab.Start()
 	lab.RunIdle(5 * time.Minute)
 
 	start := lab.Sched.Now()
-	lab.InteractWith(6, InteractOpts{Pace: time.Second})
-	if got := lab.Sched.Now().Sub(start); got != 6*time.Second {
-		t.Fatalf("custom pace advanced %v, want 6s", got)
+	lab.Interact(6)
+	if got := lab.Sched.Now().Sub(start); got != 30*time.Second {
+		t.Fatalf("6 interactions advanced %v, want 30s", got)
 	}
 	start = lab.Sched.Now()
 	lab.Interact(2)
 	if got := lab.Sched.Now().Sub(start); got != 10*time.Second {
-		t.Fatalf("default pace advanced %v, want 10s", got)
+		t.Fatalf("2 interactions advanced %v, want 10s", got)
 	}
 	if lab.Interactions != 8 {
 		t.Fatalf("interactions = %d, want 8", lab.Interactions)

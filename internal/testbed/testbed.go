@@ -268,31 +268,17 @@ const (
 // NumInteractionKinds is the size of the scripted-stimulus repertoire.
 const NumInteractionKinds = 4
 
-// InteractOpts parameterizes the scripted interaction loop.
-type InteractOpts struct {
-	// Pace is the virtual time advanced after each interaction; <= 0 keeps
-	// the classic ~5 s pacing of the lab's paced experiments (§3.1).
-	Pace time.Duration
-}
-
 // Interact performs n scripted interactions round-robin over the kinds and
-// devices, advancing the clock ~5 s per interaction like the lab's paced
-// experiments.
-func (l *Lab) Interact(n int) { l.InteractWith(n, InteractOpts{}) }
-
-// InteractWith is Interact with configurable pacing.
-func (l *Lab) InteractWith(n int, opts InteractOpts) {
-	pace := opts.Pace
-	if pace <= 0 {
-		pace = 5 * time.Second
-	}
+// devices, advancing the clock 5 s per interaction like the lab's paced
+// experiments (§3.1).
+func (l *Lab) Interact(n int) {
 	echos := l.platformMembers(device.PlatformAlexa)
 	googles := l.platformMembers(device.PlatformGoogleHome)
 	for i := 0; i < n; i++ {
 		l.interactAs(InteractionKind(i%NumInteractionKinds), i, echos, googles)
 		l.Interactions++
 		l.cInteractions.Inc()
-		l.Sched.RunFor(pace)
+		l.Sched.RunFor(5 * time.Second)
 	}
 }
 

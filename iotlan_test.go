@@ -181,7 +181,7 @@ func TestDeviceIPsComplete(t *testing.T) {
 
 func TestLocalRecordsFiltered(t *testing.T) {
 	s := study(t)
-	local := s.PassiveIndex().Local()
+	local := pcap.FilterLocal(s.PassiveRecords())
 	if len(local) == 0 || len(local) > s.Lab.Capture.Len() {
 		t.Fatalf("local=%d total=%d", len(local), s.Lab.Capture.Len())
 	}

@@ -13,10 +13,9 @@ import (
 	"iotlan/internal/device"
 	"iotlan/internal/engine"
 	"iotlan/internal/layers"
+	"iotlan/internal/pcap"
 	"iotlan/internal/scan"
 	"iotlan/internal/sim"
-	"iotlan/internal/ssdp"
-	"iotlan/internal/tplink"
 )
 
 // Result pairs a rendered table/figure with its headline numbers so callers
@@ -204,7 +203,7 @@ func tplinkSample(d *device.Device) string {
 // Figure3 cross-validates the two classifiers.
 func (s *Study) Figure3() Result {
 	s.RunPassive()
-	flows, nonFlow := classify.Assemble(s.PassiveIndex().Local())
+	flows, nonFlow := classify.Assemble(pcap.FilterLocal(s.PassiveRecords()))
 	c := classify.Compare(flows, nonFlow)
 	spec, dpi, disagree, neither := c.Fractions()
 	return Result{
@@ -641,11 +640,3 @@ func (s *Study) Everything() []Result {
 	s.prepare(needs)
 	return engine.Map(s.Workers, len(arts), func(i int) Result { return arts[i].Fn(s) })
 }
-
-// sampleSSDPAd is exported for examples needing a canned advertisement.
-func sampleSSDPAd(uuid string) ssdp.Advertisement {
-	return ssdp.Advertisement{UUID: uuid, Target: ssdp.TargetBasic, Server: "Linux UPnP/1.0"}
-}
-
-var _ = sampleSSDPAd
-var _ = tplink.Port
