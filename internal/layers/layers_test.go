@@ -213,7 +213,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 func TestUDPChecksumVerifies(t *testing.T) {
 	udp := &UDP{SrcPort: 9999, DstPort: 9999}
 	udp.SetAddrs(ipA, ipB)
-	seg, err := udp.SerializeTo([]byte("tplink"))
+	seg, err := Serialize(udp, RawPayload("tplink"))
 	if err != nil {
 		t.Fatal(err)
 	}
