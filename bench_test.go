@@ -357,6 +357,7 @@ func BenchmarkAblationIdentifierExtraction(b *testing.B) {
 // BenchmarkSimulationThroughput measures raw event-loop speed: one iteration
 // simulates ten minutes of the full 93-device lab.
 func BenchmarkSimulationThroughput(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lab := testbed.New(int64(i) + 1)
 		lab.Start()

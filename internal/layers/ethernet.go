@@ -32,19 +32,22 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (e *Ethernet) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 14+len(payload))
-	copy(out[0:6], e.Dst[:])
-	copy(out[6:12], e.Src[:])
+// EthernetHeaderLen is the size of an Ethernet header.
+const EthernetHeaderLen = 14
+
+// SerializedLen implements Serializable.
+func (e *Ethernet) SerializedLen() int { return EthernetHeaderLen }
+
+// SerializeInto implements Serializable.
+func (e *Ethernet) SerializeInto(b []byte) {
+	copy(b[0:6], e.Dst[:])
+	copy(b[6:12], e.Src[:])
 	et := e.EtherType
 	if e.Is8023() {
 		// 802.3: the field carries the payload length.
-		et = uint16(len(payload))
+		et = uint16(len(b) - EthernetHeaderLen)
 	}
-	binary.BigEndian.PutUint16(out[12:14], et)
-	copy(out[14:], payload)
-	return out, nil
+	binary.BigEndian.PutUint16(b[12:14], et)
 }
 
 // NextLayerType maps the EtherType to the contained protocol.
@@ -99,19 +102,19 @@ func (a *ARP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (a *ARP) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 28+len(payload))
-	binary.BigEndian.PutUint16(out[0:2], 1) // hardware type: Ethernet
-	binary.BigEndian.PutUint16(out[2:4], EtherTypeIPv4)
-	out[4], out[5] = 6, 4 // hlen, plen
-	binary.BigEndian.PutUint16(out[6:8], a.Op)
-	copy(out[8:14], a.SenderHW[:])
-	copy(out[14:18], a.SenderIP[:])
-	copy(out[18:24], a.TargetHW[:])
-	copy(out[24:28], a.TargetIP[:])
-	copy(out[28:], payload)
-	return out, nil
+// SerializedLen implements Serializable.
+func (a *ARP) SerializedLen() int { return 28 }
+
+// SerializeInto implements Serializable.
+func (a *ARP) SerializeInto(b []byte) {
+	binary.BigEndian.PutUint16(b[0:2], 1) // hardware type: Ethernet
+	binary.BigEndian.PutUint16(b[2:4], EtherTypeIPv4)
+	b[4], b[5] = 6, 4 // hlen, plen
+	binary.BigEndian.PutUint16(b[6:8], a.Op)
+	copy(b[8:14], a.SenderHW[:])
+	copy(b[14:18], a.SenderIP[:])
+	copy(b[18:24], a.TargetHW[:])
+	copy(b[24:28], a.TargetIP[:])
 }
 
 // EAPOL is an 802.1X EAPOL header; the study only needs its presence and
@@ -140,14 +143,14 @@ func (e *EAPOL) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (e *EAPOL) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 4+len(e.Body)+len(payload))
-	out[0], out[1] = e.Version, e.PacketType
-	binary.BigEndian.PutUint16(out[2:4], uint16(len(e.Body)))
-	copy(out[4:], e.Body)
-	copy(out[4+len(e.Body):], payload)
-	return out, nil
+// SerializedLen implements Serializable.
+func (e *EAPOL) SerializedLen() int { return 4 + len(e.Body) }
+
+// SerializeInto implements Serializable.
+func (e *EAPOL) SerializeInto(b []byte) {
+	b[0], b[1] = e.Version, e.PacketType
+	binary.BigEndian.PutUint16(b[2:4], uint16(len(e.Body)))
+	copy(b[4:], e.Body)
 }
 
 // LLC is an 802.2 LLC header; devices in the study emit XID frames
@@ -173,11 +176,11 @@ func (l *LLC) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (l *LLC) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 3+len(l.Info)+len(payload))
-	out[0], out[1], out[2] = l.DSAP, l.SSAP, l.Control
-	copy(out[3:], l.Info)
-	copy(out[3+len(l.Info):], payload)
-	return out, nil
+// SerializedLen implements Serializable.
+func (l *LLC) SerializedLen() int { return 3 + len(l.Info) }
+
+// SerializeInto implements Serializable.
+func (l *LLC) SerializeInto(b []byte) {
+	b[0], b[1], b[2] = l.DSAP, l.SSAP, l.Control
+	copy(b[3:], l.Info)
 }

@@ -43,8 +43,8 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// HeaderLen is the fixed header size we emit (no options).
-const ipv4HeaderLen = 20
+// IPv4HeaderLen is the fixed header size we emit (no options).
+const IPv4HeaderLen = 20
 
 // Payload returns the bytes after the header, bounded by the total length.
 func (ip *IPv4) Payload(data []byte) []byte {
@@ -56,33 +56,33 @@ func (ip *IPv4) Payload(data []byte) []byte {
 	return data[ihl:end]
 }
 
-// SerializeTo implements Serializable.
-func (ip *IPv4) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, ipv4HeaderLen+len(payload))
-	out[0] = 0x45
-	out[1] = ip.TOS
-	binary.BigEndian.PutUint16(out[2:4], uint16(len(out)))
-	binary.BigEndian.PutUint16(out[4:6], ip.ID)
+// SerializedLen implements Serializable.
+func (ip *IPv4) SerializedLen() int { return IPv4HeaderLen }
+
+// SerializeInto implements Serializable. The total length is len(b).
+func (ip *IPv4) SerializeInto(b []byte) {
+	h := b[:IPv4HeaderLen]
+	h[0] = 0x45
+	h[1] = ip.TOS
+	binary.BigEndian.PutUint16(h[2:4], uint16(len(b)))
+	binary.BigEndian.PutUint16(h[4:6], ip.ID)
 	ttl := ip.TTL
 	if ttl == 0 {
 		ttl = 64
 	}
-	out[8] = ttl
-	out[9] = ip.Protocol
+	h[8] = ttl
+	h[9] = ip.Protocol
 	// An invalid Src encodes as 0.0.0.0 — the DHCP client's state before
 	// it has an address.
 	if ip.Src.IsValid() {
 		src := ip.Src.As4()
-		copy(out[12:16], src[:])
+		copy(h[12:16], src[:])
 	}
 	if ip.Dst.IsValid() {
 		dst := ip.Dst.As4()
-		copy(out[16:20], dst[:])
+		copy(h[16:20], dst[:])
 	}
-	cs := netx.Checksum(out[:ipv4HeaderLen], 0)
-	binary.BigEndian.PutUint16(out[10:12], cs)
-	copy(out[ipv4HeaderLen:], payload)
-	return out, nil
+	binary.BigEndian.PutUint16(h[10:12], netx.Checksum(h, 0))
 }
 
 // NextLayerType maps the protocol field to the contained layer.
@@ -143,22 +143,27 @@ func (ip *IPv6) Payload(data []byte) []byte {
 	return data[40:end]
 }
 
-// SerializeTo implements Serializable.
-func (ip *IPv6) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 40+len(payload))
-	out[0] = 0x60 | ip.TrafficClass>>4
-	binary.BigEndian.PutUint16(out[4:6], uint16(len(payload)))
-	out[6] = ip.NextHeader
+// IPv6HeaderLen is the size of the fixed IPv6 header.
+const IPv6HeaderLen = 40
+
+// SerializedLen implements Serializable.
+func (ip *IPv6) SerializedLen() int { return IPv6HeaderLen }
+
+// SerializeInto implements Serializable. The payload length is
+// len(b) - IPv6HeaderLen.
+func (ip *IPv6) SerializeInto(b []byte) {
+	h := b[:IPv6HeaderLen]
+	h[0] = 0x60 | ip.TrafficClass>>4
+	binary.BigEndian.PutUint16(h[4:6], uint16(len(b)-IPv6HeaderLen))
+	h[6] = ip.NextHeader
 	hl := ip.HopLimit
 	if hl == 0 {
 		hl = 255
 	}
-	out[7] = hl
+	h[7] = hl
 	src, dst := ip.Src.As16(), ip.Dst.As16()
-	copy(out[8:24], src[:])
-	copy(out[24:40], dst[:])
-	copy(out[40:], payload)
-	return out, nil
+	copy(h[8:24], src[:])
+	copy(h[24:40], dst[:])
 }
 
 // NextLayerType maps the next-header field to the contained layer.

@@ -2,8 +2,8 @@
 // link-, network- and transport-layer protocols observed in the study:
 // Ethernet, ARP, IPv4, IPv6, UDP, TCP, ICMPv4, ICMPv6 (NDP), IGMP, EAPOL and
 // LLC/XID. The design follows gopacket: each protocol is a Layer with
-// DecodeFromBytes and SerializeTo, and Packet lazily assembles a layer stack
-// from raw frame bytes.
+// DecodeFromBytes and a serializer that writes into one frame buffer, and
+// Packet lazily assembles a layer stack from raw frame bytes.
 package layers
 
 import (
@@ -61,9 +61,7 @@ type Layer interface {
 	LayerType() LayerType
 	// DecodeFromBytes parses the layer from data.
 	DecodeFromBytes(data []byte) error
-	// SerializeTo appends the wire form of the layer (with payload already
-	// in buf semantics handled by the caller); see Serialize.
-	SerializeTo(payload []byte) ([]byte, error)
+	Serializable
 }
 
 // Common decode errors.
@@ -88,23 +86,32 @@ const (
 )
 
 // Serialize builds a frame from layers outermost-first, e.g.
-// Serialize(eth, ip, udp, payload). Each layer's SerializeTo receives the
-// serialized bytes of everything after it so it can fill lengths/checksums.
+// Serialize(eth, ip, udp, payload), in one buffer sized from every layer's
+// SerializedLen. The layers are written innermost first, so each one finds
+// the bytes of everything after it in place when it fills its lengths and
+// checksums.
 func Serialize(ls ...Serializable) ([]byte, error) {
-	var payload []byte
-	for i := len(ls) - 1; i >= 0; i-- {
-		out, err := ls[i].SerializeTo(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = out
+	n := 0
+	for _, l := range ls {
+		n += l.SerializedLen()
 	}
-	return payload, nil
+	b := make([]byte, n)
+	for i := len(ls) - 1; i >= 0; i-- {
+		n -= ls[i].SerializedLen()
+		ls[i].SerializeInto(b[n:])
+	}
+	return b, nil
 }
 
 // Serializable is the encoding half of Layer; RawPayload also satisfies it.
 type Serializable interface {
-	SerializeTo(payload []byte) ([]byte, error)
+	// SerializedLen is the number of bytes the layer writes ahead of the
+	// layers after it: its header and any body it carries itself.
+	SerializedLen() int
+	// SerializeInto writes the layer into b[:SerializedLen()], which is
+	// zero on entry. The rest of b already holds the serialized layers
+	// after it, which the layer reads for its length fields and checksums.
+	SerializeInto(b []byte)
 }
 
 // RawPayload is an opaque application payload at the bottom of a stack.
@@ -119,7 +126,8 @@ func (p *RawPayload) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (p RawPayload) SerializeTo(payload []byte) ([]byte, error) {
-	return append([]byte(p), payload...), nil
-}
+// SerializedLen implements Serializable.
+func (p RawPayload) SerializedLen() int { return len(p) }
+
+// SerializeInto implements Serializable.
+func (p RawPayload) SerializeInto(b []byte) { copy(b, p) }

@@ -8,8 +8,8 @@ import (
 )
 
 // UDP is a UDP header (RFC 768). Src/Dst addresses must be set before
-// SerializeTo so the pseudo-header checksum can be computed; on decode they
-// are provided by the enclosing IP layer via SetAddrs.
+// SerializeInto so the pseudo-header checksum can be computed; on decode
+// they are provided by the enclosing IP layer via SetAddrs.
 type UDP struct {
 	SrcPort, DstPort uint16
 	Length           uint16
@@ -42,22 +42,25 @@ func (u *UDP) Payload(data []byte) []byte {
 	return data[8:end]
 }
 
-// SerializeTo implements Serializable.
-func (u *UDP) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint16(out[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(out[2:4], u.DstPort)
-	binary.BigEndian.PutUint16(out[4:6], uint16(len(out)))
-	copy(out[8:], payload)
+// UDPHeaderLen is the size of a UDP header.
+const UDPHeaderLen = 8
+
+// SerializedLen implements Serializable.
+func (u *UDP) SerializedLen() int { return UDPHeaderLen }
+
+// SerializeInto implements Serializable. The datagram is all of b.
+func (u *UDP) SerializeInto(b []byte) {
+	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)
+	binary.BigEndian.PutUint16(b[2:4], u.DstPort)
+	binary.BigEndian.PutUint16(b[4:6], uint16(len(b)))
 	if u.srcIP.IsValid() && u.dstIP.IsValid() {
-		sum := netx.PseudoHeaderSum(u.srcIP, u.dstIP, IPProtoUDP, len(out))
-		cs := netx.Checksum(out, sum)
+		sum := netx.PseudoHeaderSum(u.srcIP, u.dstIP, IPProtoUDP, len(b))
+		cs := netx.Checksum(b, sum)
 		if cs == 0 {
 			cs = 0xffff
 		}
-		binary.BigEndian.PutUint16(out[6:8], cs)
+		binary.BigEndian.PutUint16(b[6:8], cs)
 	}
-	return out, nil
 }
 
 // TCP flag bits.
@@ -119,26 +122,29 @@ func (t *TCP) Payload(data []byte) []byte {
 	return data[off:]
 }
 
-// SerializeTo implements Serializable.
-func (t *TCP) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 20+len(payload))
-	binary.BigEndian.PutUint16(out[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(out[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(out[4:8], t.Seq)
-	binary.BigEndian.PutUint32(out[8:12], t.Ack)
-	out[12] = 5 << 4
-	out[13] = t.Flags
+// TCPHeaderLen is the size of the option-less TCP header we emit.
+const TCPHeaderLen = 20
+
+// SerializedLen implements Serializable.
+func (t *TCP) SerializedLen() int { return TCPHeaderLen }
+
+// SerializeInto implements Serializable. The segment is all of b.
+func (t *TCP) SerializeInto(b []byte) {
+	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
+	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
+	binary.BigEndian.PutUint32(b[4:8], t.Seq)
+	binary.BigEndian.PutUint32(b[8:12], t.Ack)
+	b[12] = 5 << 4
+	b[13] = t.Flags
 	w := t.Window
 	if w == 0 {
 		w = 65535
 	}
-	binary.BigEndian.PutUint16(out[14:16], w)
-	copy(out[20:], payload)
+	binary.BigEndian.PutUint16(b[14:16], w)
 	if t.srcIP.IsValid() && t.dstIP.IsValid() {
-		sum := netx.PseudoHeaderSum(t.srcIP, t.dstIP, IPProtoTCP, len(out))
-		binary.BigEndian.PutUint16(out[16:18], netx.Checksum(out, sum))
+		sum := netx.PseudoHeaderSum(t.srcIP, t.dstIP, IPProtoTCP, len(b))
+		binary.BigEndian.PutUint16(b[16:18], netx.Checksum(b, sum))
 	}
-	return out, nil
 }
 
 // ICMPv4 message types used in the study.
@@ -170,16 +176,16 @@ func (ic *ICMPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (ic *ICMPv4) SerializeTo(payload []byte) ([]byte, error) {
-	out := make([]byte, 8+len(ic.Data)+len(payload))
-	out[0], out[1] = ic.Type, ic.Code
-	binary.BigEndian.PutUint16(out[4:6], ic.ID)
-	binary.BigEndian.PutUint16(out[6:8], ic.Seq)
-	copy(out[8:], ic.Data)
-	copy(out[8+len(ic.Data):], payload)
-	binary.BigEndian.PutUint16(out[2:4], netx.Checksum(out, 0))
-	return out, nil
+// SerializedLen implements Serializable.
+func (ic *ICMPv4) SerializedLen() int { return 8 + len(ic.Data) }
+
+// SerializeInto implements Serializable. The checksum covers all of b.
+func (ic *ICMPv4) SerializeInto(b []byte) {
+	b[0], b[1] = ic.Type, ic.Code
+	binary.BigEndian.PutUint16(b[4:6], ic.ID)
+	binary.BigEndian.PutUint16(b[6:8], ic.Seq)
+	copy(b[8:], ic.Data)
+	binary.BigEndian.PutUint16(b[2:4], netx.Checksum(b, 0))
 }
 
 // ICMPv6 message types used in the study (NDP per RFC 4861).
@@ -237,34 +243,44 @@ func (ic *ICMPv6) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (ic *ICMPv6) SerializeTo(payload []byte) ([]byte, error) {
-	body := ic.Data
-	if ic.Type == ICMPv6NeighborSolicit || ic.Type == ICMPv6NeighborAdvert {
-		b := make([]byte, 20)
-		tgt := ic.Target.As16()
-		copy(b[4:20], tgt[:])
-		if ic.HasLink {
-			opt := make([]byte, 8)
-			if ic.Type == ICMPv6NeighborSolicit {
-				opt[0] = 1
-			} else {
-				opt[0] = 2
-			}
-			opt[1] = 1
-			copy(opt[2:8], ic.LinkAddr[:])
-			b = append(b, opt...)
-		}
-		body = b
+// isNDP reports whether the message is a neighbor solicitation or
+// advertisement, whose body is the target and link-layer option rather
+// than Data.
+func (ic *ICMPv6) isNDP() bool {
+	return ic.Type == ICMPv6NeighborSolicit || ic.Type == ICMPv6NeighborAdvert
+}
+
+// SerializedLen implements Serializable.
+func (ic *ICMPv6) SerializedLen() int {
+	switch {
+	case !ic.isNDP():
+		return 4 + len(ic.Data)
+	case ic.HasLink:
+		return 32
 	}
-	out := make([]byte, 4+len(body)+len(payload))
-	out[0], out[1] = ic.Type, ic.Code
-	copy(out[4:], body)
-	copy(out[4+len(body):], payload)
+	return 24
+}
+
+// SerializeInto implements Serializable. The checksum covers all of b.
+func (ic *ICMPv6) SerializeInto(b []byte) {
+	b[0], b[1] = ic.Type, ic.Code
+	if !ic.isNDP() {
+		copy(b[4:], ic.Data)
+	} else {
+		tgt := ic.Target.As16()
+		copy(b[8:24], tgt[:])
+		if ic.HasLink {
+			b[24] = 2 // target link-layer address
+			if ic.Type == ICMPv6NeighborSolicit {
+				b[24] = 1 // source link-layer address
+			}
+			b[25] = 1 // length in 8-byte units
+			copy(b[26:32], ic.LinkAddr[:])
+		}
+	}
 	// Checksum over pseudo-header is filled by the stack; a plain sum keeps
 	// offline-constructed packets self-consistent.
-	binary.BigEndian.PutUint16(out[2:4], netx.Checksum(out, 0))
-	return out, nil
+	binary.BigEndian.PutUint16(b[2:4], netx.Checksum(b, 0))
 }
 
 // IGMP group membership message types.
@@ -302,22 +318,27 @@ func (g *IGMP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements Serializable.
-func (g *IGMP) SerializeTo(payload []byte) ([]byte, error) {
-	var out []byte
-	grp := g.Group.As4()
+// SerializedLen implements Serializable: a v3 report carries one group
+// record.
+func (g *IGMP) SerializedLen() int {
 	if g.Type == IGMPv3Report {
-		out = make([]byte, 16+len(payload))
-		out[0] = g.Type
-		binary.BigEndian.PutUint16(out[6:8], 1) // one group record
-		out[8] = 4                              // CHANGE_TO_EXCLUDE (join)
-		copy(out[12:16], grp[:])
-	} else {
-		out = make([]byte, 8+len(payload))
-		out[0] = g.Type
-		copy(out[4:8], grp[:])
+		return 16
 	}
-	binary.BigEndian.PutUint16(out[2:4], netx.Checksum(out, 0))
-	copy(out[len(out)-len(payload):], payload)
-	return out, nil
+	return 8
+}
+
+// SerializeInto implements Serializable. The checksum covers the message
+// alone, not what follows it.
+func (g *IGMP) SerializeInto(b []byte) {
+	grp := g.Group.As4()
+	b = b[:g.SerializedLen()]
+	b[0] = g.Type
+	if g.Type == IGMPv3Report {
+		binary.BigEndian.PutUint16(b[6:8], 1) // one group record
+		b[8] = 4                              // CHANGE_TO_EXCLUDE (join)
+		copy(b[12:16], grp[:])
+	} else {
+		copy(b[4:8], grp[:])
+	}
+	binary.BigEndian.PutUint16(b[2:4], netx.Checksum(b, 0))
 }

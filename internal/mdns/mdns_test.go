@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -272,5 +273,119 @@ func TestQueryParsedOnceAcrossResponders(t *testing.T) {
 		if !bytes.Equal(shared[i], separate[i]) {
 			t.Fatalf("answer %d differs:\nshared   %x\nseparate %x", i, shared[i], separate[i])
 		}
+	}
+}
+
+// replyLog records the DNS payload of every datagram h sends from the mDNS
+// port.
+func replyLog(e *env, h *stack.Host) *[][]byte {
+	var got [][]byte
+	e.net.Tap(func(_ time.Time, f []byte) {
+		if p := layers.Decode(f); p.HasUDP && p.UDP.SrcPort == Port && p.Eth.Src == h.MAC() {
+			got = append(got, p.AppPayload)
+		}
+	})
+	return &got
+}
+
+// ask multicasts query from phone and runs the clock until it is answered.
+func (e *env) ask(phone *stack.Host, query []byte) {
+	phone.SendUDP(40000, netx.MDNSv4Group, Port, query)
+	e.sched.RunFor(time.Second)
+}
+
+// A reply memoized before the host's address changes is not served after
+// it: the same A/ANY query, answered again after SetIPv4 (a DHCP re-lease
+// to a new address), carries the new address.
+func TestResponderReplyFollowsAddressChange(t *testing.T) {
+	e := newEnv()
+	hue := e.host(23)
+	r := hueResponder(hue)
+	questions := 0
+	r.OnQuery = func(dnsmsg.Question, netip.Addr) { questions++ }
+	phone := e.host(50)
+	var addrs []netip.Addr
+	Listen(phone, func(m *dnsmsg.Message, _ netip.Addr) {
+		for _, a := range m.Answers {
+			if a.Type == dnsmsg.TypeA {
+				addrs = append(addrs, a.Addr)
+			}
+		}
+	})
+	query := (&dnsmsg.Message{Questions: []dnsmsg.Question{
+		{Name: "Philips-hue.local", Type: dnsmsg.TypeANY, Class: dnsmsg.ClassIN},
+	}}).Marshal()
+
+	e.ask(phone, query)
+	e.ask(phone, query) // answered from the memo
+	if len(r.replies) != 1 {
+		t.Fatalf("memo holds %d replies after one query asked twice, want 1", len(r.replies))
+	}
+	old, renewed := hue.IPv4(), netip.MustParseAddr("192.168.10.123")
+	hue.SetIPv4(renewed)
+	e.ask(phone, query)
+
+	if want := []netip.Addr{old, old, renewed}; !slices.Equal(addrs, want) {
+		t.Fatalf("A answers %v, want %v", addrs, want)
+	}
+	if questions != 3 {
+		t.Fatalf("OnQuery fired %d times for 3 one-question queries", questions)
+	}
+}
+
+// More distinct queries than the memo's bound: the memo never holds more
+// than replyMemoMax replies, every reply is byte for byte the one a fresh
+// responder gives, and OnQuery fires per question whether the reply came
+// from the memo or not.
+func TestResponderMemoBounded(t *testing.T) {
+	questions := []dnsmsg.Question{
+		{Name: "_hue._tcp.local", Type: dnsmsg.TypePTR, Class: dnsmsg.ClassIN},
+		{Name: "Philips-hue.local", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN},
+		{Name: ServiceEnum, Type: dnsmsg.TypePTR, Class: dnsmsg.ClassIN},
+		{Name: "_airplay._tcp.local", Type: dnsmsg.TypePTR, Class: dnsmsg.ClassIN},
+	}
+	const n = 2*replyMemoMax + 5
+	query := func(i int) *dnsmsg.Message {
+		m := &dnsmsg.Message{ID: uint16(i), Questions: []dnsmsg.Question{questions[i%len(questions)]}}
+		if i%3 == 0 {
+			m.Questions = append(m.Questions, questions[(i+1)%len(questions)])
+		}
+		return m
+	}
+	// fresh is the reply of a responder that has answered nothing before.
+	fresh := func(q []byte) [][]byte {
+		e := newEnv()
+		hue := e.host(23)
+		hueResponder(hue)
+		got := replyLog(e, hue)
+		e.ask(e.host(50), q)
+		return *got
+	}
+
+	e := newEnv()
+	hue := e.host(23)
+	r := hueResponder(hue)
+	seen, want := 0, 0
+	r.OnQuery = func(dnsmsg.Question, netip.Addr) { seen++ }
+	phone := e.host(50)
+	got := replyLog(e, hue)
+	for i := 0; i < n; i++ {
+		m := query(i)
+		q := m.Marshal()
+		f := fresh(q)
+		for _, from := range []string{"a miss", "the memo"} {
+			*got = nil
+			e.ask(phone, q)
+			want += len(m.Questions)
+			if len(r.replies) > replyMemoMax {
+				t.Fatalf("memo holds %d replies, bound %d", len(r.replies), replyMemoMax)
+			}
+			if !slices.EqualFunc(*got, f, bytes.Equal) {
+				t.Fatalf("query %d answered from %s: %x, fresh responder %x", i, from, *got, f)
+			}
+		}
+	}
+	if seen != want {
+		t.Fatalf("OnQuery fired %d times for %d questions", seen, want)
 	}
 }

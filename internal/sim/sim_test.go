@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,3 +261,190 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 type benchRunner struct{ fired int }
 
 func (r *benchRunner) Fire() { r.fired++ }
+
+// propEvent is one dispatch the order property expects: at is the clamped
+// time the event was scheduled for, id its place in schedule order.
+type propEvent struct {
+	at      time.Time
+	id      int
+	fired   int
+	stopped bool
+}
+
+// propHandle is a Timer the property may Stop, with the event it would
+// cancel: an At/After event, or an Every handle's pending recurrence.
+type propHandle struct {
+	tm      *Timer
+	pending *propEvent
+	stopped bool
+}
+
+// orderProp drives a scheduler with a random schedule and checks every
+// dispatch against the model.
+type orderProp struct {
+	t       *testing.T
+	rng     *rand.Rand
+	s       *Scheduler
+	events  []*propEvent
+	handles []*propHandle
+	last    *propEvent
+	// draining stops callbacks from scheduling: the final run only
+	// dispatches what is queued.
+	draining bool
+}
+
+// expect records an event scheduled now for at, clamped as the scheduler
+// clamps past times.
+func (p *orderProp) expect(at time.Time) *propEvent {
+	if at.Before(p.s.Now()) {
+		at = p.s.Now()
+	}
+	ev := &propEvent{at: at, id: len(p.events)}
+	p.events = append(p.events, ev)
+	return ev
+}
+
+// fire checks one dispatch: a live event, fired once, at its own time, and
+// after the previous dispatch in (at, seq) order.
+func (p *orderProp) fire(ev *propEvent) {
+	p.t.Helper()
+	switch {
+	case ev.stopped:
+		p.t.Fatalf("event %d fired after its timer was stopped", ev.id)
+	case ev.fired > 0:
+		p.t.Fatalf("event %d fired twice", ev.id)
+	case !p.s.Now().Equal(ev.at):
+		p.t.Fatalf("event %d fired with Now() = %v, scheduled for %v", ev.id, p.s.Now(), ev.at)
+	case p.last != nil && (ev.at.Before(p.last.at) || ev.at.Equal(p.last.at) && ev.id < p.last.id):
+		p.t.Fatalf("event %d (at %v) fired after event %d (at %v)", ev.id, ev.at, p.last.id, p.last.at)
+	}
+	ev.fired++
+	p.last = ev
+}
+
+// delay is a schedule offset drawn from a few values, so equal timestamps
+// are common; negative offsets are past times.
+func (p *orderProp) delay() time.Duration {
+	return time.Duration(p.rng.Intn(7)-2) * 10 * time.Millisecond
+}
+
+// schedule adds one event through At, After or AtRunner.
+func (p *orderProp) schedule() {
+	at := p.s.Now().Add(p.delay())
+	ev := p.expect(at)
+	fn := func() { p.fire(ev); p.nested() }
+	var tm *Timer
+	switch p.rng.Intn(3) {
+	case 0:
+		tm = p.s.At(at, fn)
+	case 1:
+		tm = p.s.After(at.Sub(p.s.Now()), fn)
+	default:
+		p.s.AtRunner("prop", at, runnerFunc(fn))
+	}
+	if tm != nil {
+		p.handles = append(p.handles, &propHandle{tm: tm, pending: ev})
+	}
+}
+
+// every adds a recurring timer. Every schedules the next tick after fn
+// returns, so the model expects it last in the callback.
+func (p *orderProp) every() {
+	first := time.Duration(p.rng.Intn(4)) * 10 * time.Millisecond
+	period := time.Duration(1+p.rng.Intn(3)) * 10 * time.Millisecond
+	h := &propHandle{pending: p.expect(p.s.Now().Add(first))}
+	h.tm = p.s.Every(first, period, 0, func() {
+		p.fire(h.pending)
+		p.nested()
+		if !h.stopped {
+			h.pending = p.expect(p.s.Now().Add(period))
+		}
+	})
+	p.handles = append(p.handles, h)
+}
+
+// stop stops a random handle, possibly one already fired or stopped, or
+// the recurring timer whose callback is running.
+func (p *orderProp) stop() {
+	if len(p.handles) == 0 {
+		return
+	}
+	h := p.handles[p.rng.Intn(len(p.handles))]
+	h.tm.Stop()
+	h.stopped = true
+	if h.pending.fired == 0 {
+		h.pending.stopped = true
+	}
+}
+
+// nested is what a callback does: schedule more events, some for now or
+// the past, and stop timers.
+func (p *orderProp) nested() {
+	if p.draining || len(p.events) > 3000 {
+		return
+	}
+	for n := p.rng.Intn(3); n > 0; n-- {
+		switch p.rng.Intn(4) {
+		case 0, 1:
+			p.schedule()
+		case 2:
+			p.stop()
+		default:
+			if p.rng.Intn(8) == 0 {
+				p.every()
+			}
+		}
+	}
+}
+
+type runnerFunc func()
+
+func (f runnerFunc) Fire() { f() }
+
+// Random At/After/AtRunner/Every schedules, with equal timestamps, past
+// times, Timer.Stop from inside callbacks and interleaved Run and Step
+// calls, dispatch every live event once, in (at, seq) order, with Now()
+// at the event's time; no stopped event fires.
+func TestDispatchOrderProperty(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		p := &orderProp{t: t, rng: rand.New(rand.NewSource(seed)), s: NewScheduler(seed)}
+		for i := 0; i < 80; i++ {
+			switch p.rng.Intn(6) {
+			case 0, 1:
+				p.schedule()
+			case 2:
+				p.every()
+			case 3:
+				p.stop()
+			case 4:
+				until := p.s.Now().Add(p.delay())
+				want := p.s.Now()
+				if until.After(want) {
+					want = until
+				}
+				p.s.Run(until)
+				if !p.s.Now().Equal(want) {
+					t.Fatalf("seed %d: Run(%v) left the clock at %v", seed, until, p.s.Now())
+				}
+			default:
+				until := p.s.Now().Add(p.delay())
+				for n := p.rng.Intn(6); n > 0 && p.s.Step(until); n-- {
+				}
+			}
+		}
+		p.draining = true
+		for _, h := range p.handles {
+			h.tm.Stop()
+			h.stopped = true
+			if h.pending.fired == 0 {
+				h.pending.stopped = true
+			}
+		}
+		p.s.RunFor(time.Hour)
+		for _, ev := range p.events {
+			if !ev.stopped && ev.fired != 1 {
+				t.Fatalf("seed %d: event %d (at %v) fired %d times", seed, ev.id, ev.at, ev.fired)
+			}
+		}
+	}
+}

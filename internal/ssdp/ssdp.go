@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -113,28 +113,38 @@ func Parse(data []byte) (*Message, error) {
 	return m, nil
 }
 
-func formatHeaders(h map[string]string) string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s: %s\r\n", k, h[k])
-	}
-	sb.WriteString("\r\n")
-	return sb.String()
+// The builders below write each datagram's headers in sorted key order,
+// one "KEY: value" line each, and end the header block with a blank line.
+
+// header appends one header line.
+func header(b []byte, k, v string) []byte {
+	b = append(b, k...)
+	b = append(b, ": "...)
+	b = append(b, v...)
+	return append(b, "\r\n"...)
+}
+
+// usn appends the USN line, "uuid:<uuid>::<target>", and the blank line
+// that ends the headers; USN sorts last in every datagram here.
+func usn(b []byte, uuid, target string) []byte {
+	b = append(b, "USN: uuid:"...)
+	b = append(b, uuid...)
+	b = append(b, "::"...)
+	b = append(b, target...)
+	return append(b, "\r\n\r\n"...)
 }
 
 // MSearch builds an M-SEARCH datagram for the given target.
 func MSearch(target string, mx int) []byte {
-	return []byte("M-SEARCH * HTTP/1.1\r\n" + formatHeaders(map[string]string{
-		"HOST": "239.255.255.250:1900",
-		"MAN":  `"ssdp:discover"`,
-		"MX":   fmt.Sprint(mx),
-		"ST":   target,
-	}))
+	b := make([]byte, 0, 96+len(target))
+	b = append(b, "M-SEARCH * HTTP/1.1\r\n"...)
+	b = header(b, "HOST", "239.255.255.250:1900")
+	b = header(b, "MAN", `"ssdp:discover"`)
+	b = append(b, "MX: "...)
+	b = strconv.AppendInt(b, int64(mx), 10)
+	b = append(b, "\r\n"...)
+	b = header(b, "ST", target)
+	return append(b, "\r\n"...)
 }
 
 // Advertisement describes an advertised UPnP root device.
@@ -152,27 +162,27 @@ type Advertisement struct {
 
 // Notify builds a NOTIFY ssdp:alive datagram.
 func (a Advertisement) Notify() []byte {
-	return []byte("NOTIFY * HTTP/1.1\r\n" + formatHeaders(map[string]string{
-		"HOST":          "239.255.255.250:1900",
-		"CACHE-CONTROL": "max-age=1800",
-		"LOCATION":      a.Location,
-		"NT":            a.Target,
-		"NTS":           "ssdp:alive",
-		"SERVER":        a.Server,
-		"USN":           "uuid:" + a.UUID + "::" + a.Target,
-	}))
+	b := make([]byte, 0, 140+len(a.Location)+len(a.Server)+len(a.UUID)+2*len(a.Target))
+	b = append(b, "NOTIFY * HTTP/1.1\r\n"...)
+	b = header(b, "CACHE-CONTROL", "max-age=1800")
+	b = header(b, "HOST", "239.255.255.250:1900")
+	b = header(b, "LOCATION", a.Location)
+	b = header(b, "NT", a.Target)
+	b = header(b, "NTS", "ssdp:alive")
+	b = header(b, "SERVER", a.Server)
+	return usn(b, a.UUID, a.Target)
 }
 
 // Response builds a unicast 200 OK answer to an M-SEARCH.
 func (a Advertisement) Response(st string) []byte {
-	return []byte("HTTP/1.1 200 OK\r\n" + formatHeaders(map[string]string{
-		"CACHE-CONTROL": "max-age=1800",
-		"EXT":           "",
-		"LOCATION":      a.Location,
-		"SERVER":        a.Server,
-		"ST":            st,
-		"USN":           "uuid:" + a.UUID + "::" + st,
-	}))
+	b := make([]byte, 0, 100+len(a.Location)+len(a.Server)+len(a.UUID)+2*len(st))
+	b = append(b, "HTTP/1.1 200 OK\r\n"...)
+	b = header(b, "CACHE-CONTROL", "max-age=1800")
+	b = header(b, "EXT", "")
+	b = header(b, "LOCATION", a.Location)
+	b = header(b, "SERVER", a.Server)
+	b = header(b, "ST", st)
+	return usn(b, a.UUID, st)
 }
 
 // Matches reports whether the advertisement should answer a search target.

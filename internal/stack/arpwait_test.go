@@ -51,6 +51,26 @@ func TestARPWaitFlushUnderBound(t *testing.T) {
 	}
 }
 
+// A datagram parked on ARP carries the bytes it was sent with: SendUDP
+// writes the payload into its frame before it returns, so the caller may
+// overwrite its buffer while the frame waits for the neighbour's answer.
+func TestParkedDatagramKeepsPayload(t *testing.T) {
+	f := newFixture()
+	a, b := f.host(10), f.host(11)
+	var got []string
+	b.OpenUDP(9999, func(dg Datagram) { got = append(got, string(dg.Payload)) })
+	buf := []byte("hello")
+	a.SendUDP(40000, b.IPv4(), 9999, buf)
+	if n := len(a.arpWait[b.IPv4()]); n != 1 {
+		t.Fatalf("%d frames wait for ARP, want 1", n)
+	}
+	copy(buf, "XXXXX")
+	f.sched.RunFor(time.Second)
+	if len(got) != 1 || got[0] != "hello" {
+		t.Fatalf("delivered %q, want [\"hello\"]", got)
+	}
+}
+
 // TestTCPHalfClose exercises the opt-in half-close path: after the client's
 // CloseWrite the server sees OnFin (not OnClose), keeps streaming data the
 // client still receives, and only the server's own Close finishes teardown.

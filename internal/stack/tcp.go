@@ -197,29 +197,16 @@ func (h *Host) sendTCP(c *TCPConn, flags uint8, payload []byte) {
 		h.Sched.TraceEvent("tcp", "rst",
 			"remote", c.key.remote.String(), "port", strconv.Itoa(int(c.key.remotePort)))
 	}
-	t := &layers.TCP{
+	v6 := c.key.remote.Is6()
+	frame, seg := ipFrame(v6, layers.TCPHeaderLen+len(payload))
+	copy(seg[layers.TCPHeaderLen:], payload)
+	t := layers.TCP{
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.seq, Ack: c.ack, Flags: flags,
 	}
-	var src netip.Addr
-	if c.key.remote.Is6() {
-		src = h.ip6
-	} else {
-		src = h.ip4
-	}
-	t.SetAddrs(src, c.key.remote)
-	body := serializeFunc(func(rest []byte) ([]byte, error) {
-		seg, err := t.SerializeTo(payload)
-		if err != nil {
-			return nil, err
-		}
-		return append(seg, rest...), nil
-	})
-	if c.key.remote.Is6() {
-		h.sendIPv6(c.key.remote, layers.IPProtoTCP, body)
-	} else {
-		h.sendIPv4(c.key.remote, layers.IPProtoTCP, body)
-	}
+	t.SetAddrs(h.srcIP(v6), c.key.remote)
+	t.SerializeInto(seg)
+	h.sendIP(v6, c.key.remote, layers.IPProtoTCP, frame)
 }
 
 func (h *Host) handleTCP(p *layers.Packet) {

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"net/netip"
+	"slices"
 
 	"iotlan/internal/layers"
 	"iotlan/internal/netx"
@@ -88,62 +89,61 @@ func (s *UDPSock) SendTo(dst netip.Addr, dstPort uint16, payload []byte) {
 }
 
 // SendUDP emits a UDP datagram. dst may be unicast, multicast or broadcast;
-// IPv6 destinations are sent from the link-local address.
+// IPv6 destinations are sent from the link-local address. The datagram is
+// written into its frame before SendUDP returns, so the caller may reuse
+// payload at once, even when the frame waits for ARP/NDP resolution.
 func (h *Host) SendUDP(srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
-	u := &layers.UDP{SrcPort: srcPort, DstPort: dstPort}
-	if dst.Is6() {
-		if !h.Policy.EnableIPv6 {
-			return
-		}
-		u.SetAddrs(h.ip6, dst)
-		h.sendIPv6(dst, layers.IPProtoUDP, serializeUDP(u, payload))
+	v6 := dst.Is6()
+	if v6 && !h.Policy.EnableIPv6 {
 		return
 	}
-	u.SetAddrs(h.ip4, dst)
-	h.sendIPv4(dst, layers.IPProtoUDP, serializeUDP(u, payload))
+	frame, seg := ipFrame(v6, layers.UDPHeaderLen+len(payload))
+	copy(seg[layers.UDPHeaderLen:], payload)
+	u := layers.UDP{SrcPort: srcPort, DstPort: dstPort}
+	u.SetAddrs(h.srcIP(v6), dst)
+	u.SerializeInto(seg)
+	h.sendIP(v6, dst, layers.IPProtoUDP, frame)
 }
-
-// serializeUDP packages a UDP header+payload as a single Serializable so the
-// IP layer sees the full segment.
-func serializeUDP(u *layers.UDP, payload []byte) layers.Serializable {
-	return serializeFunc(func(rest []byte) ([]byte, error) {
-		seg, err := u.SerializeTo(payload)
-		if err != nil {
-			return nil, err
-		}
-		return append(seg, rest...), nil
-	})
-}
-
-type serializeFunc func([]byte) ([]byte, error)
-
-func (f serializeFunc) SerializeTo(p []byte) ([]byte, error) { return f(p) }
 
 // JoinGroup subscribes to a multicast group, emitting an IGMPv3 report for
 // IPv4 groups (the membership traffic Figure 2 counts).
 func (h *Host) JoinGroup(group netip.Addr) {
-	if h.groups[group] {
+	if h.joined(group) {
 		return
 	}
-	h.groups[group] = true
+	h.groups = append(h.groups, group)
 	if group.Is4() {
-		h.sendIPv4(netx.IGMPGroup, layers.IPProtoIGMP, &layers.IGMP{
-			Type: layers.IGMPv3Report, Group: group,
-		})
+		h.sendIGMP(layers.IGMPv3Report, group)
 	}
 }
 
 // LeaveGroup unsubscribes and emits an IGMP leave for IPv4 groups.
 func (h *Host) LeaveGroup(group netip.Addr) {
-	if !h.groups[group] {
+	i := slices.Index(h.groups, group)
+	if i < 0 {
 		return
 	}
-	delete(h.groups, group)
+	h.groups = slices.Delete(h.groups, i, i+1)
 	if group.Is4() {
-		h.sendIPv4(netx.IGMPGroup, layers.IPProtoIGMP, &layers.IGMP{
-			Type: layers.IGMPLeave, Group: group,
-		})
+		h.sendIGMP(layers.IGMPLeave, group)
 	}
+}
+
+// joined reports whether the host has joined group.
+func (h *Host) joined(group netip.Addr) bool {
+	for _, g := range h.groups {
+		if g == group {
+			return true
+		}
+	}
+	return false
+}
+
+func (h *Host) sendIGMP(typ uint8, group netip.Addr) {
+	g := layers.IGMP{Type: typ, Group: group}
+	frame, body := ipFrame(false, g.SerializedLen())
+	g.SerializeInto(body)
+	h.sendIP(false, netx.IGMPGroup, layers.IPProtoIGMP, frame)
 }
 
 func (h *Host) handleUDP(p *layers.Packet, memo *any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -592,7 +593,17 @@ func TestAcceptReadTruncation(t *testing.T) {
 	}
 }
 
+// TestPacketConnExchange runs a datagram exchange between two hosts that
+// have not resolved each other yet. net.PacketConn lets a caller reuse the
+// buffer once WriteTo returns, so the second input overwrites it then,
+// while a's first datagram still waits for ARP: b must read what was sent.
 func TestPacketConnExchange(t *testing.T) {
+	for _, reuse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reuse=%v", reuse), func(t *testing.T) { packetConnExchange(t, reuse) })
+	}
+}
+
+func packetConnExchange(t *testing.T, reuse bool) {
 	f := newFix(1)
 	pa, err := f.a.ListenPacket("udp", ":5000")
 	if err != nil {
@@ -621,9 +632,13 @@ func TestPacketConnExchange(t *testing.T) {
 	})
 	aSide := f.pump.Go(func() {
 		dst := &net.UDPAddr{IP: net.IPv4(192, 168, 10, 11), Port: 5001}
-		if _, err := pa.WriteTo([]byte("hello"), dst); err != nil {
+		msg := []byte("hello")
+		if _, err := pa.WriteTo(msg, dst); err != nil {
 			t.Errorf("a write: %v", err)
 			return
+		}
+		if reuse {
+			copy(msg, "XXXXX")
 		}
 		small := make([]byte, 6)
 		n, from, err := pa.ReadFrom(small)
