@@ -15,15 +15,16 @@ import (
 	"iotlan/internal/stack"
 )
 
-// onDatagramOracle is the receive path before the header peek: decode the
-// whole message, then drop responses. It is the reference the peeking
-// onDatagram must match.
+// onDatagramOracle is the receive path before the header peek and the reply
+// memo: decode the whole message, drop responses, build the reply afresh.
+// It is the reference the peeking, memoizing onDatagram must match.
 func (r *Responder) onDatagramOracle(dg stack.Datagram) {
 	m, err := dnsmsg.Unmarshal(dg.Payload)
 	if err != nil || m.Response {
 		return
 	}
-	r.answer(m, dg)
+	r.observe(m, dg.Src)
+	r.send(r.reply(m), dg)
 }
 
 // responderRun is what one responder emitted and observed for one payload.
