@@ -285,11 +285,12 @@ func BenchmarkAblationDecodeAllocVsReuse(b *testing.B) {
 // canonicalised bidirectional keying.
 func BenchmarkAblationFlowKeying(b *testing.B) {
 	benchStudy(b)
-	packets := pcap.Packets(benchLocal[:min(len(benchLocal), 20000)])
+	records := benchLocal[:min(len(benchLocal), 20000)]
 	b.Run("unidirectional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			table := map[classify.FlowKey]int{}
-			for _, p := range packets {
+			for _, rec := range records {
+				p := rec.Decode()
 				proto, sp, dp := p.Transport()
 				if proto == "" {
 					continue
@@ -301,7 +302,8 @@ func BenchmarkAblationFlowKeying(b *testing.B) {
 	b.Run("bidirectional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			table := map[classify.FlowKey]int{}
-			for _, p := range packets {
+			for _, rec := range records {
+				p := rec.Decode()
 				proto, sp, dp := p.Transport()
 				if proto == "" {
 					continue

@@ -15,18 +15,14 @@ type stubNode struct {
 	frames [][]byte
 }
 
-func (n *stubNode) MAC() netx.MAC            { return n.mac }
-func (n *stubNode) HandleFrame(f *lan.Frame) { n.frames = append(n.frames, f.Data) }
+func (n *stubNode) MAC() netx.MAC                { return n.mac }
+func (n *stubNode) HandleFrame(p *layers.Packet) { n.frames = append(n.frames, p.Data) }
 
 func frame(t *testing.T, src, dst netx.MAC) []byte {
 	t.Helper()
-	f, err := layers.Serialize(
+	return layers.Serialize(
 		&layers.Ethernet{Src: src, Dst: dst, EtherType: layers.EtherTypeIPv4},
 		layers.RawPayload(make([]byte, 40)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
 func setup(t *testing.T, seed int64, plan Plan) (*sim.Scheduler, *lan.Network, *Engine, *stubNode, *stubNode) {
@@ -127,9 +123,9 @@ type hookNode struct {
 	at    *time.Time
 }
 
-func (h *hookNode) HandleFrame(f *lan.Frame) {
+func (h *hookNode) HandleFrame(p *layers.Packet) {
 	*h.at = h.sched.Now()
-	h.stubNode.HandleFrame(f)
+	h.stubNode.HandleFrame(p)
 }
 
 func TestPartitionBlocksCrossTrafficOnlyDuringWindow(t *testing.T) {

@@ -20,13 +20,10 @@ func mkRecord(t *testing.T, srcPort, dstPort uint16, dstIP string, payload []byt
 	src := netip.MustParseAddr("192.168.10.10")
 	dst := netip.MustParseAddr(dstIP)
 	udp.SetAddrs(src, dst)
-	frame, err := layers.Serialize(
+	frame := layers.Serialize(
 		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 10}, Dst: netx.MAC{2, 0, 0, 0, 0, 11}, EtherType: layers.EtherTypeIPv4},
 		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: dst},
 		udp, layers.RawPayload(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return pcap.Record{Time: time.Unix(1668384000, 0), Data: frame}
 }
 
@@ -56,7 +53,7 @@ func TestAssembleGroupsBy5Tuple(t *testing.T) {
 }
 
 func TestAssembleSeparatesNonFlow(t *testing.T) {
-	arp, _ := layers.Serialize(
+	arp := layers.Serialize(
 		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 1}, Dst: netx.Broadcast, EtherType: layers.EtherTypeARP},
 		&layers.ARP{Op: layers.ARPRequest})
 	flows, nonFlow := Assemble([]pcap.Record{{Time: time.Now(), Data: arp}})
@@ -124,7 +121,7 @@ func TestDPICiscoVPNQuirkCorrected(t *testing.T) {
 }
 
 func TestNintendoEAPOLQuirk(t *testing.T) {
-	frame, _ := layers.Serialize(
+	frame := layers.Serialize(
 		&layers.Ethernet{Src: netx.MAC{0x98, 0xb6, 0xe9, 1, 2, 3}, Dst: netx.MAC{2, 0, 0, 0, 0, 1}, EtherType: layers.EtherTypeEAPOL},
 		&layers.EAPOL{Version: 2, PacketType: 3})
 	p := layers.Decode(frame)
@@ -179,7 +176,7 @@ func TestPairBidirectional(t *testing.T) {
 	udp := &layers.UDP{SrcPort: 2000, DstPort: 1000}
 	src, dst := netip.MustParseAddr("192.168.10.11"), netip.MustParseAddr("192.168.10.10")
 	udp.SetAddrs(src, dst)
-	rev, _ := layers.Serialize(
+	rev := layers.Serialize(
 		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 11}, Dst: netx.MAC{2, 0, 0, 0, 0, 10}, EtherType: layers.EtherTypeIPv4},
 		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: dst},
 		udp, layers.RawPayload("y"))

@@ -376,22 +376,16 @@ func lifxGetService() []byte {
 
 func (d *Device) sendEAPOL() {
 	d.count("eapol", 1)
-	frame, err := layers.Serialize(
+	d.Host.SendRaw(layers.Serialize(
 		&layers.Ethernet{Src: d.MAC(), Dst: netx.MAC{0x01, 0x80, 0xc2, 0x00, 0x00, 0x03}, EtherType: layers.EtherTypeEAPOL},
-		&layers.EAPOL{Version: 2, PacketType: 3, Body: make([]byte, 95)})
-	if err == nil {
-		d.Host.SendRaw(frame)
-	}
+		&layers.EAPOL{Version: 2, PacketType: 3, Body: make([]byte, 95)}))
 }
 
 func (d *Device) sendXID() {
 	d.count("llc-xid", 1)
-	frame, err := layers.Serialize(
+	d.Host.SendRaw(layers.Serialize(
 		&layers.Ethernet{Src: d.MAC(), Dst: netx.Broadcast, EtherType: 3}, // 802.3 length
-		&layers.LLC{DSAP: 0, SSAP: 1, Control: 0xaf, Info: []byte{0x81, 1, 0}})
-	if err == nil {
-		d.Host.SendRaw(frame)
-	}
+		&layers.LLC{DSAP: 0, SSAP: 1, Control: 0xaf, Info: []byte{0x81, 1, 0}}))
 }
 
 func (d *Device) startMDNS() {

@@ -43,14 +43,13 @@ func (m *miniLab) boot(p *Profile, last byte) *Device {
 	return d
 }
 
-func (m *miniLab) packets() []*layers.Packet { return pcap.Packets(m.cap.All) }
-
 func TestRuntimeEAPOLAndXID(t *testing.T) {
 	m := newMiniLab()
 	m.boot(nintendoSwitch(), 9)
 	m.sched.RunFor(10 * time.Minute)
 	var eapol, xid bool
-	for _, p := range m.packets() {
+	for _, rec := range m.cap.All {
+		p := rec.Decode()
 		if p.HasEAPOL {
 			eapol = true
 		}
@@ -71,7 +70,8 @@ func TestRuntimeLifxQuirk(t *testing.T) {
 	m.boot(echoSpeaker(1, "Echo Spot"), 9)
 	m.sched.RunFor(15 * time.Minute)
 	found := false
-	for _, p := range m.packets() {
+	for _, rec := range m.cap.All {
+		p := rec.Decode()
 		if p.HasUDP && p.UDP.DstPort == 56700 && p.Eth.Dst.IsBroadcast() {
 			found = true
 		}
@@ -88,7 +88,8 @@ func TestRuntimeCoAPExchange(t *testing.T) {
 	_ = pod
 	m.sched.RunFor(15 * time.Minute)
 	var request, response bool
-	for _, p := range m.packets() {
+	for _, rec := range m.cap.All {
+		p := rec.Decode()
 		if !p.HasUDP || (p.UDP.DstPort != coap.Port && p.UDP.SrcPort != coap.Port) {
 			continue
 		}
@@ -142,7 +143,8 @@ func TestRuntimeARPSweepAndPublicProbes(t *testing.T) {
 	_ = echo
 	m.sched.RunFor(5 * time.Minute) // first sweep fires at ~1 min
 	targets := map[[4]byte]bool{}
-	for _, p := range m.packets() {
+	for _, rec := range m.cap.All {
+		p := rec.Decode()
 		if p.HasARP && p.ARP.Op == layers.ARPRequest {
 			targets[p.ARP.TargetIP] = true
 		}
@@ -156,7 +158,8 @@ func TestRuntimeARPSweepAndPublicProbes(t *testing.T) {
 	m2.boot(wemoPlug(), 9)
 	m2.sched.RunFor(5 * time.Minute)
 	public := false
-	for _, p := range m2.packets() {
+	for _, rec := range m2.cap.All {
+		p := rec.Decode()
 		if p.HasARP && p.ARP.TargetIP == [4]byte{8, 8, 8, 8} {
 			public = true
 		}
@@ -174,7 +177,8 @@ func TestRuntimeICMPv6Probes(t *testing.T) {
 	}
 	m.sched.RunFor(20 * time.Minute)
 	probes := 0
-	for _, p := range m.packets() {
+	for _, rec := range m.cap.All {
+		p := rec.Decode()
 		if p.HasICMP6 && p.ICMP6.Type == layers.ICMPv6NeighborSolicit {
 			probes++
 		}
@@ -197,7 +201,8 @@ func TestRuntimeRTPSyncAndPeerTLS(t *testing.T) {
 	m.sched.RunFor(10 * time.Second)
 
 	var rtpPkts, tlsPkts int
-	for _, p := range m.packets() {
+	for _, rec := range m.cap.All {
+		p := rec.Decode()
 		if p.HasUDP && p.UDP.DstPort == 55444 {
 			rtpPkts++
 		}

@@ -27,15 +27,12 @@ func SyntheticCapture(h *Household) []pcap.Record {
 	add := func(at time.Time, src netx.MAC, srcIP netip.Addr, dstMAC netx.MAC, dstIP netip.Addr, port uint16, payload string) {
 		udp := &layers.UDP{SrcPort: port, DstPort: port}
 		udp.SetAddrs(srcIP, dstIP)
-		frame, err := layers.Serialize(
+		frame := layers.Serialize(
 			&layers.Ethernet{Src: src, Dst: dstMAC, EtherType: layers.EtherTypeIPv4},
 			&layers.IPv4{Src: srcIP, Dst: dstIP, Protocol: layers.IPProtoUDP, TTL: 255},
 			udp,
 			layers.RawPayload(payload),
 		)
-		if err != nil { // unreachable: these layers always serialize
-			return
-		}
 		records = append(records, pcap.Record{Time: at, Data: frame})
 	}
 	mdnsMAC := netx.MAC{0x01, 0x00, 0x5e, 0x00, 0x00, 0xfb}

@@ -20,18 +20,14 @@ import (
 // fake) send-path allocations the way stubNode's append would.
 type sinkNode struct{ mac netx.MAC }
 
-func (n *sinkNode) MAC() netx.MAC        { return n.mac }
-func (n *sinkNode) HandleFrame(_ *Frame) {}
+func (n *sinkNode) MAC() netx.MAC                { return n.mac }
+func (n *sinkNode) HandleFrame(_ *layers.Packet) {}
 
 func mkFrame(tb testing.TB, src, dst netx.MAC) []byte {
 	tb.Helper()
-	f, err := layers.Serialize(
+	return layers.Serialize(
 		&layers.Ethernet{Src: src, Dst: dst, EtherType: layers.EtherTypeIPv4},
 		layers.RawPayload(make([]byte, 30)))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return f
 }
 
 // sinkNet builds a network of count discarding stations and returns the

@@ -20,29 +20,12 @@ type Node interface {
 	// HandleFrame delivers a frame addressed to (or multicast past) the node.
 	// It runs in simulation-event context. The network decodes each delivery
 	// event's frame once and hands every receiver of the event the same
-	// *Frame: it is read-only, and valid only until HandleFrame returns,
-	// after which the network reuses it for a later event. Copy what must be
-	// kept. The frame bytes (f.Data) and slices of them are never reused
-	// (see the Send ownership contract), so those may be retained.
-	HandleFrame(f *Frame)
-}
-
-// Frame is a frame as one delivery event hands it to its receivers: the
-// bytes decoded once (Packet.Data holds them) and one memo slot. A multicast
-// fan-out shares one Frame among all its receivers; a unicast or impaired
-// delivery has its own.
-type Frame struct {
-	layers.Packet
-	// Memo holds one value derived from the frame by the first receiver
-	// that needs it, for the event's later receivers to reuse (see
-	// stack.ParseShared). It is the only field a receiver may set.
-	Memo any
-}
-
-// DecodeInto parses frame into f and clears the memo slot.
-func (f *Frame) DecodeInto(frame []byte) {
-	f.Packet.DecodeInto(frame)
-	f.Memo = nil
+	// *layers.Packet: it is read-only, and valid only until HandleFrame
+	// returns, after which the network reuses it for a later event. Copy
+	// what must be kept. The frame bytes (p.Data) and slices of them are
+	// never reused (see the Send ownership contract), so those may be
+	// retained.
+	HandleFrame(p *layers.Packet)
 }
 
 // TapFunc observes every frame on the network, like tcpdump on the AP. The
@@ -266,8 +249,8 @@ type delivery struct {
 	net   *Network
 	slot  int32
 	frame []byte
-	check uint64 // send-time frame checksum; 0 when ownership checks are off
-	f     Frame  // the receiver's decode, made when the event fires
+	check uint64        // send-time frame checksum; 0 when ownership checks are off
+	p     layers.Packet // the receiver's decode, made when the event fires
 }
 
 // Fire implements sim.Runner.
@@ -275,9 +258,9 @@ func (d *delivery) Fire() {
 	n := d.net
 	n.verifyOwnership(d.frame, d.check)
 	if node := n.receiver(d.slot); node != nil {
-		d.f.DecodeInto(d.frame)
+		d.p.DecodeInto(d.frame)
 		n.cDelivered.Inc()
-		node.HandleFrame(&d.f)
+		node.HandleFrame(&d.p)
 	}
 	*d = delivery{}
 	n.freeDeliveries = append(n.freeDeliveries, d)
@@ -292,24 +275,27 @@ type fanout struct {
 	recipients []int32 // station slots
 	frame      []byte
 	check      uint64
-	f          Frame // the one decode every recipient shares
+	p          layers.Packet // the one decode every recipient shares
 }
 
 // Fire implements sim.Runner.
 func (f *fanout) Fire() {
 	n := f.net
 	n.verifyOwnership(f.frame, f.check)
-	f.f.DecodeInto(f.frame)
+	f.p.DecodeInto(f.frame)
 	var delivered uint64
 	for _, slot := range f.recipients {
 		if node := n.receiver(slot); node != nil {
 			delivered++
-			node.HandleFrame(&f.f)
+			node.HandleFrame(&f.p)
 		}
 	}
 	n.cDelivered.Add(delivered)
 	f.recipients = f.recipients[:0]
-	f.frame, f.check, f.f = nil, 0, Frame{} // a pooled fanout holds no frame or memo
+	// A pooled fanout holds no frame. Assigned on its own, the zero Packet
+	// is written in place; in a tuple assignment it is built and copied.
+	f.frame, f.check = nil, 0
+	f.p = layers.Packet{}
 	n.freeFanouts = append(n.freeFanouts, f)
 }
 

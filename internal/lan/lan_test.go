@@ -15,18 +15,14 @@ type stubNode struct {
 	frames [][]byte
 }
 
-func (n *stubNode) MAC() netx.MAC        { return n.mac }
-func (n *stubNode) HandleFrame(f *Frame) { n.frames = append(n.frames, f.Data) }
+func (n *stubNode) MAC() netx.MAC                { return n.mac }
+func (n *stubNode) HandleFrame(p *layers.Packet) { n.frames = append(n.frames, p.Data) }
 
 func frame(t *testing.T, src, dst netx.MAC) []byte {
 	t.Helper()
-	f, err := layers.Serialize(
+	return layers.Serialize(
 		&layers.Ethernet{Src: src, Dst: dst, EtherType: layers.EtherTypeIPv4},
 		layers.RawPayload(make([]byte, 30)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
 func setup() (*sim.Scheduler, *Network, *stubNode, *stubNode, *stubNode) {
@@ -224,9 +220,9 @@ type hookNode struct {
 	onFrame func()
 }
 
-func (h *hookNode) HandleFrame(f *Frame) {
+func (h *hookNode) HandleFrame(p *layers.Packet) {
 	h.onFrame()
-	h.stubNode.HandleFrame(f)
+	h.stubNode.HandleFrame(p)
 }
 
 // Regression: a unicast frame already in flight when its destination
@@ -316,26 +312,27 @@ func TestReattachWhileMulticastInFlight(t *testing.T) {
 	}
 }
 
-// memoNode records what it finds in the Frame it is handed — the pointer,
-// the decoded source MAC and the memo slot — and then leaves its own MAC in
-// the memo for the next receiver.
-type memoNode struct {
+// markNode records what it finds in the packet it is handed — the pointer,
+// the decoded source MAC and the destination MAC — and then writes its own
+// MAC over the destination: a mark the next receiver of the same decode
+// finds, and a fresh decode would overwrite.
+type markNode struct {
 	stubNode
-	got  *Frame
+	got  *layers.Packet
 	src  netx.MAC
-	memo any
+	mark netx.MAC
 }
 
-func (n *memoNode) HandleFrame(f *Frame) {
-	n.got, n.src, n.memo = f, f.Eth.Src, f.Memo
-	f.Memo = n.mac
-	n.stubNode.HandleFrame(f)
+func (n *markNode) HandleFrame(p *layers.Packet) {
+	n.got, n.src, n.mark = p, p.Eth.Src, p.Eth.Dst
+	p.Eth.Dst = n.mac
+	n.stubNode.HandleFrame(p)
 }
 
-// Every receiver of one multicast fan-out is handed the same decoded Frame,
-// decoded once: a memo one receiver leaves is there for the next, which a
-// second decode would have cleared. Impaired deliveries each decode their
-// own.
+// Every receiver of one multicast fan-out is handed the same decoded
+// packet, decoded once: a mark one receiver leaves in it is there for the
+// next, which a second decode would have overwritten. Impaired deliveries
+// each decode their own.
 func TestFanoutSharesOneDecode(t *testing.T) {
 	for _, impaired := range []bool{false, true} {
 		s := sim.NewScheduler(1)
@@ -343,9 +340,9 @@ func TestFanoutSharesOneDecode(t *testing.T) {
 		if impaired {
 			n.Impair = func(src, dst netx.MAC, multicast bool, frame []byte) Verdict { return Verdict{} }
 		}
-		nodes := make([]*memoNode, 5)
+		nodes := make([]*markNode, 5)
 		for i := range nodes {
-			nodes[i] = &memoNode{stubNode: stubNode{mac: netx.MAC{2, 0, 0, 0, 0, byte(i + 1)}}}
+			nodes[i] = &markNode{stubNode: stubNode{mac: netx.MAC{2, 0, 0, 0, 0, byte(i + 1)}}}
 			n.Attach(nodes[i])
 		}
 		sender, rx := nodes[0], nodes[1:]
@@ -357,18 +354,18 @@ func TestFanoutSharesOneDecode(t *testing.T) {
 				t.Fatalf("impaired=%v: receiver %d got %d frames, decoded src %v", impaired, i, len(nd.frames), nd.src)
 			}
 			if impaired {
-				if nd.memo != nil {
-					t.Fatalf("impaired receiver %d shares a decode with another delivery", i)
+				if nd.mark != netx.Broadcast {
+					t.Fatalf("impaired receiver %d found mark %v: it shares a decode with another delivery", i, nd.mark)
 				}
 				continue
 			}
-			var want any
+			want := netx.Broadcast
 			if i > 0 {
 				want = rx[i-1].mac
 			}
-			if nd.got != rx[0].got || nd.memo != want {
-				t.Fatalf("receiver %d: same Frame %v, memo %v, want %v — the fan-out decoded more than once",
-					i, nd.got == rx[0].got, nd.memo, want)
+			if nd.got != rx[0].got || nd.mark != want {
+				t.Fatalf("receiver %d: same packet %v, mark %v, want %v — the fan-out decoded more than once",
+					i, nd.got == rx[0].got, nd.mark, want)
 			}
 		}
 	}

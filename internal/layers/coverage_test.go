@@ -68,13 +68,10 @@ func TestIPv6TCPDecode(t *testing.T) {
 	src, dst := netx.LinkLocalV6(macA), netx.LinkLocalV6(macB)
 	tcp := &TCP{SrcPort: 1000, DstPort: 2000, Flags: TCPSyn}
 	tcp.SetAddrs(src, dst)
-	frame, err := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv6},
 		&IPv6{NextHeader: IPProtoTCP, Src: src, Dst: dst},
 		tcp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Decode(frame)
 	if !p.HasIP6 || !p.HasTCP {
 		t.Fatalf("flags: ip6=%v tcp=%v", p.HasIP6, p.HasTCP)
@@ -92,7 +89,7 @@ func TestIPv6UDPAndIGMPDecodePaths(t *testing.T) {
 	src := netx.LinkLocalV6(macA)
 	udp := &UDP{SrcPort: 5353, DstPort: 5353}
 	udp.SetAddrs(src, netx.MDNSv6Group)
-	frame, _ := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.MDNSv6Group), EtherType: EtherTypeIPv6},
 		&IPv6{NextHeader: IPProtoUDP, Src: src, Dst: netx.MDNSv6Group},
 		udp, RawPayload("x"))
@@ -106,7 +103,7 @@ func TestIPv6UDPAndIGMPDecodePaths(t *testing.T) {
 
 	// IGMPv2 leave path.
 	g := &IGMP{Type: IGMPLeave, Group: netx.SSDPGroup}
-	frame2, _ := Serialize(
+	frame2 := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.AllNodesV4), EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoIGMP, Src: ipA, Dst: netx.AllNodesV4},
 		g)
@@ -121,7 +118,7 @@ func TestIPv6UDPAndIGMPDecodePaths(t *testing.T) {
 
 func TestL3NameBranches(t *testing.T) {
 	// ICMPv4
-	icmp, _ := Serialize(
+	icmp := Serialize(
 		&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoICMP, Src: ipA, Dst: ipB},
 		&ICMPv4{Type: ICMPv4Echo})
@@ -130,7 +127,7 @@ func TestL3NameBranches(t *testing.T) {
 	}
 	// ICMPv6
 	src := netx.LinkLocalV6(macA)
-	icmp6, _ := Serialize(
+	icmp6 := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.AllNodesV6), EtherType: EtherTypeIPv6},
 		&IPv6{NextHeader: IPProtoICMPv6, Src: src, Dst: netx.AllNodesV6},
 		&ICMPv6{Type: ICMPv6EchoRequest})
@@ -138,7 +135,7 @@ func TestL3NameBranches(t *testing.T) {
 		t.Errorf("icmp6 L3Name %q", got)
 	}
 	// Unknown L3 protocol (GRE).
-	unk, _ := Serialize(
+	unk := Serialize(
 		&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: 47, Src: ipA, Dst: ipB},
 		RawPayload{0, 0})
@@ -148,7 +145,7 @@ func TestL3NameBranches(t *testing.T) {
 	// TCP
 	tcp := &TCP{SrcPort: 1, DstPort: 2, Flags: TCPSyn}
 	tcp.SetAddrs(ipA, ipB)
-	tf, _ := Serialize(&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4},
+	tf := Serialize(&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoTCP, Src: ipA, Dst: ipB}, tcp)
 	if got := Decode(tf).L3Name(); got != "TCP" {
 		t.Errorf("tcp L3Name %q", got)
@@ -206,12 +203,9 @@ func TestUDPPayloadBounds(t *testing.T) {
 
 func TestSerializeHelperOrder(t *testing.T) {
 	// Serialize applies outermost-first: payload must be innermost.
-	frame, err := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4},
 		RawPayload("inner"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if string(frame[14:]) != "inner" {
 		t.Fatalf("frame body %q", frame[14:])
 	}

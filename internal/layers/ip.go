@@ -154,6 +154,7 @@ func (ip *IPv6) SerializedLen() int { return IPv6HeaderLen }
 func (ip *IPv6) SerializeInto(b []byte) {
 	h := b[:IPv6HeaderLen]
 	h[0] = 0x60 | ip.TrafficClass>>4
+	h[1] = ip.TrafficClass << 4
 	binary.BigEndian.PutUint16(h[4:6], uint16(len(b)-IPv6HeaderLen))
 	h[6] = ip.NextHeader
 	hl := ip.HopLimit

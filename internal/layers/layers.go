@@ -90,7 +90,7 @@ const (
 // SerializedLen. The layers are written innermost first, so each one finds
 // the bytes of everything after it in place when it fills its lengths and
 // checksums.
-func Serialize(ls ...Serializable) ([]byte, error) {
+func Serialize(ls ...Serializable) []byte {
 	n := 0
 	for _, l := range ls {
 		n += l.SerializedLen()
@@ -100,7 +100,7 @@ func Serialize(ls ...Serializable) ([]byte, error) {
 		n -= ls[i].SerializedLen()
 		ls[i].SerializeInto(b[n:])
 	}
-	return b, nil
+	return b
 }
 
 // Serializable is the encoding half of Layer; RawPayload also satisfies it.

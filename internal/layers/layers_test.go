@@ -18,10 +18,7 @@ var (
 
 func TestEthernetRoundTrip(t *testing.T) {
 	e := &Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4}
-	frame, err := Serialize(e, RawPayload("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Serialize(e, RawPayload("hello"))
 	var got Ethernet
 	if err := got.DecodeFromBytes(frame); err != nil {
 		t.Fatal(err)
@@ -37,10 +34,7 @@ func TestEthernetRoundTrip(t *testing.T) {
 func TestEthernet8023LLC(t *testing.T) {
 	e := &Ethernet{Src: macA, Dst: netx.Broadcast, EtherType: 0} // 802.3
 	llc := &LLC{DSAP: 0, SSAP: 0, Control: 0xaf}
-	frame, err := Serialize(e, llc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Serialize(e, llc)
 	p := Decode(frame)
 	if !p.HasLLC || !p.LLC.IsXID() {
 		t.Fatalf("LLC/XID not decoded: %+v", p)
@@ -52,10 +46,7 @@ func TestEthernet8023LLC(t *testing.T) {
 
 func TestARPRoundTrip(t *testing.T) {
 	a := &ARP{Op: ARPRequest, SenderHW: macA, SenderIP: [4]byte{192, 168, 10, 10}, TargetIP: [4]byte{192, 168, 10, 11}}
-	frame, err := Serialize(&Ethernet{Src: macA, Dst: netx.Broadcast, EtherType: EtherTypeARP}, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Serialize(&Ethernet{Src: macA, Dst: netx.Broadcast, EtherType: EtherTypeARP}, a)
 	p := Decode(frame)
 	if !p.HasARP || p.ARP.Op != ARPRequest || p.ARP.SenderHW != macA {
 		t.Fatalf("ARP decode: %+v", p.ARP)
@@ -68,13 +59,10 @@ func TestARPRoundTrip(t *testing.T) {
 func TestIPv4UDPRoundTrip(t *testing.T) {
 	udp := &UDP{SrcPort: 5353, DstPort: 5353}
 	udp.SetAddrs(ipA, netx.MDNSv4Group)
-	frame, err := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.MDNSv4Group), EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoUDP, Src: ipA, Dst: netx.MDNSv4Group, TTL: 255},
 		udp, RawPayload("mdns-query"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Decode(frame)
 	if !p.HasIP4 || !p.HasUDP {
 		t.Fatalf("decode flags: %+v", p)
@@ -97,13 +85,10 @@ func TestIPv4UDPRoundTrip(t *testing.T) {
 func TestIPv4TCPRoundTrip(t *testing.T) {
 	tcp := &TCP{SrcPort: 40000, DstPort: 8009, Seq: 1000, Ack: 2000, Flags: TCPSyn | TCPAck}
 	tcp.SetAddrs(ipA, ipB)
-	frame, err := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoTCP, Src: ipA, Dst: ipB},
 		tcp, RawPayload("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Decode(frame)
 	if !p.HasTCP || !p.TCP.FlagSet(TCPSyn|TCPAck) || p.TCP.Seq != 1000 {
 		t.Fatalf("TCP decode: %+v", p.TCP)
@@ -120,16 +105,16 @@ func TestIPv4TCPRoundTrip(t *testing.T) {
 func TestIPv6ICMPv6NeighborAdvert(t *testing.T) {
 	src := netx.LinkLocalV6(macA)
 	ic := &ICMPv6{Type: ICMPv6NeighborAdvert, Target: src, LinkAddr: macA, HasLink: true}
-	frame, err := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.AllNodesV6), EtherType: EtherTypeIPv6},
-		&IPv6{NextHeader: IPProtoICMPv6, Src: src, Dst: netx.AllNodesV6},
+		&IPv6{TrafficClass: 0x12, NextHeader: IPProtoICMPv6, Src: src, Dst: netx.AllNodesV6},
 		ic)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Decode(frame)
 	if !p.HasICMP6 {
 		t.Fatal("no ICMPv6")
+	}
+	if p.IP6.TrafficClass != 0x12 {
+		t.Fatalf("traffic class %#x, want 0x12", p.IP6.TrafficClass)
 	}
 	if !p.ICMP6.HasLink || p.ICMP6.LinkAddr != macA {
 		t.Fatalf("link-layer option lost: %+v", p.ICMP6)
@@ -141,13 +126,10 @@ func TestIPv6ICMPv6NeighborAdvert(t *testing.T) {
 
 func TestIGMPv3Report(t *testing.T) {
 	g := &IGMP{Type: IGMPv3Report, Group: netx.SSDPGroup}
-	frame, err := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.IGMPGroup), EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoIGMP, Src: ipA, Dst: netx.IGMPGroup},
 		g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Decode(frame)
 	if !p.HasIGMP || p.IGMP.Group != netx.SSDPGroup {
 		t.Fatalf("IGMP decode: %+v", p.IGMP)
@@ -156,10 +138,7 @@ func TestIGMPv3Report(t *testing.T) {
 
 func TestEAPOLRoundTrip(t *testing.T) {
 	e := &EAPOL{Version: 2, PacketType: 3, Body: []byte{1, 2, 3, 4}}
-	frame, err := Serialize(&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeEAPOL}, e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Serialize(&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeEAPOL}, e)
 	p := Decode(frame)
 	if !p.HasEAPOL || p.EAPOL.PacketType != 3 || len(p.EAPOL.Body) != 4 {
 		t.Fatalf("EAPOL decode: %+v", p.EAPOL)
@@ -173,7 +152,7 @@ func TestLocalTrafficFilter(t *testing.T) {
 	mk := func(src, dst netip.Addr) *Packet {
 		udp := &UDP{SrcPort: 1, DstPort: 2}
 		udp.SetAddrs(src, dst)
-		frame, _ := Serialize(
+		frame := Serialize(
 			&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4},
 			&IPv4{Protocol: IPProtoUDP, Src: src, Dst: dst}, udp)
 		return Decode(frame)
@@ -194,7 +173,7 @@ func TestDecodeTruncated(t *testing.T) {
 		}
 	}
 	// Truncated IP header after valid Ethernet.
-	frame, _ := Serialize(&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4}, RawPayload("abc"))
+	frame := Serialize(&Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4}, RawPayload("abc"))
 	if p := Decode(frame); p.Err == nil {
 		t.Fatal("truncated IPv4 accepted")
 	}
@@ -213,10 +192,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 func TestUDPChecksumVerifies(t *testing.T) {
 	udp := &UDP{SrcPort: 9999, DstPort: 9999}
 	udp.SetAddrs(ipA, ipB)
-	seg, err := Serialize(udp, RawPayload("tplink"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := Serialize(udp, RawPayload("tplink"))
 	sum := netx.PseudoHeaderSum(ipA, ipB, IPProtoUDP, len(seg))
 	if netx.Checksum(seg, sum) != 0 {
 		t.Fatal("UDP checksum does not verify against pseudo-header")
@@ -226,10 +202,10 @@ func TestUDPChecksumVerifies(t *testing.T) {
 func TestDecodeIntoReuse(t *testing.T) {
 	udp := &UDP{SrcPort: 1900, DstPort: 1900}
 	udp.SetAddrs(ipA, netx.SSDPGroup)
-	frame1, _ := Serialize(
+	frame1 := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.SSDPGroup), EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoUDP, Src: ipA, Dst: netx.SSDPGroup}, udp, RawPayload("NOTIFY"))
-	frame2, _ := Serialize(&Ethernet{Src: macB, Dst: macA, EtherType: EtherTypeARP},
+	frame2 := Serialize(&Ethernet{Src: macB, Dst: macA, EtherType: EtherTypeARP},
 		&ARP{Op: ARPReply, SenderHW: macB})
 	var p Packet
 	p.DecodeInto(frame1)
@@ -245,7 +221,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 func BenchmarkDecodeAllocPerPacket(b *testing.B) {
 	udp := &UDP{SrcPort: 5353, DstPort: 5353}
 	udp.SetAddrs(ipA, netx.MDNSv4Group)
-	frame, _ := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.MDNSv4Group), EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoUDP, Src: ipA, Dst: netx.MDNSv4Group}, udp,
 		RawPayload(make([]byte, 100)))
@@ -258,7 +234,7 @@ func BenchmarkDecodeAllocPerPacket(b *testing.B) {
 func BenchmarkDecodeReuse(b *testing.B) {
 	udp := &UDP{SrcPort: 5353, DstPort: 5353}
 	udp.SetAddrs(ipA, netx.MDNSv4Group)
-	frame, _ := Serialize(
+	frame := Serialize(
 		&Ethernet{Src: macA, Dst: netx.MulticastMAC(netx.MDNSv4Group), EtherType: EtherTypeIPv4},
 		&IPv4{Protocol: IPProtoUDP, Src: ipA, Dst: netx.MDNSv4Group}, udp,
 		RawPayload(make([]byte, 100)))

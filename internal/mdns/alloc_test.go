@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"iotlan/internal/lan"
+	"iotlan/internal/layers"
 )
 
 // announcement is another station's unsolicited response — the bulk of what
@@ -42,10 +42,10 @@ func TestResponderResponseAllocs(t *testing.T) {
 	h := e.host(23)
 	hueResponder(h)
 	frame := announcement(t)
-	var f lan.Frame
+	var p layers.Packet
 	recv := func() {
-		f.DecodeInto(frame)
-		h.HandleFrame(&f)
+		p.DecodeInto(frame)
+		h.HandleFrame(&p)
 	}
 	recv()
 	if avg := testing.AllocsPerRun(200, recv); avg != 0 {
@@ -66,15 +66,15 @@ func BenchmarkResponderDatagram(b *testing.B) {
 			h := e.host(23)
 			hueResponder(h)
 			frame := c.frame(b)
-			var f lan.Frame
-			f.DecodeInto(frame)
-			h.HandleFrame(&f)
+			var p layers.Packet
+			p.DecodeInto(frame)
+			h.HandleFrame(&p)
 			e.sched.RunFor(time.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.DecodeInto(frame)
-				h.HandleFrame(&f)
+				p.DecodeInto(frame)
+				h.HandleFrame(&p)
 				e.sched.RunFor(time.Millisecond) // flush the answer, if any
 			}
 		})

@@ -92,8 +92,9 @@ func (r *Responder) Stop() {
 // onDatagram answers queries. Most of what reaches port 5353 is other
 // stations' responses and announcements, which a responder ignores, so the
 // QR bit is read from the header before paying for a full decode. A query
-// is multicast to every responder on the LAN; they share one decode of it,
-// and each answers from its memo when it has seen the query before.
+// is multicast to every responder on the LAN; each answers from its memo
+// when it has seen the query before, and decodes it only on a miss or for
+// OnQuery.
 func (r *Responder) onDatagram(dg stack.Datagram) {
 	if !dnsmsg.IsQuery(dg.Payload) {
 		return
@@ -103,29 +104,16 @@ func (r *Responder) onDatagram(dg stack.Datagram) {
 		r.send(rep, dg)
 		return
 	}
-	q, err := stack.ParseShared(dg, parseQuery)
+	m, err := dnsmsg.Unmarshal(dg.Payload)
 	if err != nil {
 		return
 	}
-	r.observe(q.msg, dg.Src)
+	r.observe(m, dg.Src)
 	if !ok {
-		rep = r.reply(q.msg)
-		r.remember(q.payload, rep)
+		rep = r.reply(m)
+		r.remember(dg.Payload, rep)
 	}
 	r.send(rep, dg)
-}
-
-// query is a query as its receivers share it: the decoded message and the
-// payload as a string, which every responder that memoizes a reply to the
-// frame keeps as its key.
-type query struct {
-	msg     *dnsmsg.Message
-	payload string
-}
-
-func parseQuery(b []byte) (query, error) {
-	m, err := dnsmsg.Unmarshal(b)
-	return query{msg: m, payload: string(b)}, err
 }
 
 // observe fires OnQuery for each of m's questions.
@@ -151,14 +139,14 @@ func (r *Responder) memo(payload []byte) (*reply, bool) {
 
 // remember memoizes rep for a query payload, starting the memo afresh
 // when it is full.
-func (r *Responder) remember(payload string, rep *reply) {
+func (r *Responder) remember(payload []byte, rep *reply) {
 	if r.replies == nil {
 		r.replies = make(map[string]*reply)
 	}
 	if len(r.replies) >= replyMemoMax {
 		clear(r.replies)
 	}
-	r.replies[payload] = rep
+	r.replies[string(payload)] = rep
 }
 
 // reply builds and marshals the response to m; it is nil when nothing in

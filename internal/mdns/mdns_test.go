@@ -57,15 +57,11 @@ func hueQuery(tb testing.TB) []byte {
 	src := netip.MustParseAddr("192.168.10.9")
 	udp := &layers.UDP{SrcPort: Port, DstPort: Port}
 	udp.SetAddrs(src, netx.MDNSv4Group)
-	frame, err := layers.Serialize(
+	return layers.Serialize(
 		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 9}, Dst: netx.MulticastMAC(netx.MDNSv4Group), EtherType: layers.EtherTypeIPv4},
 		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: netx.MDNSv4Group},
 		udp,
 		layers.RawPayload(q.Marshal()))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return frame
 }
 
 func TestQueryGetsMulticastResponse(t *testing.T) {
@@ -223,10 +219,9 @@ func TestHostnameAQuery(t *testing.T) {
 	}
 }
 
-// A query multicast to K responders on K hosts is parsed once: the parse
-// the first responder leaves in the frame's memo slot is the one every
-// later responder reads. The K answers are byte for byte those of K
-// separately decoded deliveries, each of which parses for itself.
+// A query multicast to K responders on K hosts is decoded once, and every
+// responder reads that one packet. The K answers are byte for byte those of
+// K separately decoded deliveries.
 func TestQueryParsedOnceAcrossResponders(t *testing.T) {
 	const k = 8
 	run := func(deliver func(hosts []*stack.Host, query []byte)) [][]byte {
@@ -246,24 +241,14 @@ func TestQueryParsedOnceAcrossResponders(t *testing.T) {
 		return answers
 	}
 	shared := run(func(hosts []*stack.Host, query []byte) {
-		f := new(lan.Frame) // one delivery event: every receiver gets f
-		f.DecodeInto(query)
-		var first any
-		for i, h := range hosts {
-			h.HandleFrame(f)
-			if i == 0 {
-				first = f.Memo
-			}
-			if first == nil || f.Memo != first {
-				t.Fatalf("responder %d did not reuse the first responder's parse", i)
-			}
+		p := layers.Decode(query) // one delivery event: every receiver gets p
+		for _, h := range hosts {
+			h.HandleFrame(p)
 		}
 	})
 	separate := run(func(hosts []*stack.Host, query []byte) {
 		for _, h := range hosts {
-			f := new(lan.Frame)
-			f.DecodeInto(query)
-			h.HandleFrame(f)
+			h.HandleFrame(layers.Decode(query))
 		}
 	})
 	if len(shared) != k || len(separate) != k {

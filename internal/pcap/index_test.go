@@ -19,11 +19,7 @@ func testFrame(t *testing.T, src netx.MAC, arp bool) []byte {
 		eth.EtherType = layers.EtherTypeARP
 		payload = &layers.ARP{Op: layers.ARPRequest, SenderHW: src}
 	}
-	b, err := layers.Serialize(&eth, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return layers.Serialize(&eth, payload)
 }
 
 func testRecords(t *testing.T) []Record {

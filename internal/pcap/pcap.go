@@ -225,13 +225,3 @@ func FilterLocal(records []Record) []Record {
 	}
 	return out
 }
-
-// Packets decodes every record once, in order. Analyses that need multiple
-// passes should call this once and share the slice.
-func Packets(records []Record) []*layers.Packet {
-	out := make([]*layers.Packet, len(records))
-	for i, r := range records {
-		out[i] = r.Decode()
-	}
-	return out
-}

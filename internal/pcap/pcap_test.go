@@ -19,14 +19,10 @@ func mkFrame(t *testing.T, src, dst netx.MAC, srcIP, dstIP string) []byte {
 	udp := &layers.UDP{SrcPort: 1900, DstPort: 1900}
 	s, d := netip.MustParseAddr(srcIP), netip.MustParseAddr(dstIP)
 	udp.SetAddrs(s, d)
-	frame, err := layers.Serialize(
+	return layers.Serialize(
 		&layers.Ethernet{Src: src, Dst: dst, EtherType: layers.EtherTypeIPv4},
 		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: s, Dst: d},
 		udp, layers.RawPayload("NOTIFY * HTTP/1.1\r\n\r\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame
 }
 
 func TestFileRoundTrip(t *testing.T) {

@@ -29,16 +29,13 @@ func synthRecords(t *testing.T, rng *rand.Rand, n int) []Record {
 		case 0: // well-formed IPv4/UDP frame
 			payload := make([]byte, 1+rng.Intn(200))
 			rng.Read(payload)
-			f, err := layers.Serialize(
+			f := layers.Serialize(
 				&layers.Ethernet{
 					Src:       netx.MAC{2, 0, 0, 0, 0, byte(i)},
 					Dst:       netx.MAC{2, 0, 0, 0, 1, byte(i)},
 					EtherType: layers.EtherTypeIPv4,
 				},
 				layers.RawPayload(payload))
-			if err != nil {
-				t.Fatal(err)
-			}
 			data = f
 		case 1: // minimal frame
 			data = make([]byte, 14)

@@ -43,10 +43,7 @@ func goldenCapture(t *testing.T, h *inspector.Household) []pcap.Record {
 	records := inspector.SyntheticCapture(h)
 	at := records[len(records)-1].Time
 	add := func(ls ...layers.Serializable) {
-		frame, err := layers.Serialize(ls...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := layers.Serialize(ls...)
 		at = at.Add(250 * time.Millisecond)
 		records = append(records, pcap.Record{Time: at, Data: frame})
 	}

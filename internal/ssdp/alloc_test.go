@@ -7,14 +7,12 @@
 package ssdp
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
 	"iotlan/internal/lan"
-	"iotlan/internal/netx"
+	"iotlan/internal/layers"
 	"iotlan/internal/sim"
-	"iotlan/internal/stack"
 )
 
 // A responder handed another station's NOTIFY must drop it on the start
@@ -22,14 +20,9 @@ import (
 // including the decode the network makes once per delivery event.
 func TestResponderNotifyAllocs(t *testing.T) {
 	network := lan.New(sim.NewScheduler(1))
-	mk := func(last byte) *stack.Host {
-		h := stack.NewHost(network, netx.MAC{2, 0, 0, 0, 0, last}, stack.DefaultPolicy)
-		h.SetIPv4(netip.AddrFrom4([4]byte{192, 168, 10, last}))
-		return h
-	}
-	tv := mk(30)
+	tv := newHost(network, 30)
 	(&Responder{Host: tv, Ads: []Advertisement{{UUID: "tv", Target: TargetDial}}}).Start()
-	hue := &Responder{Host: mk(23), Ads: []Advertisement{{
+	hue := &Responder{Host: newHost(network, 23), Ads: []Advertisement{{
 		UUID:     "2f402f80-da50-11e1-9b23-001788685f61",
 		Target:   TargetBasic,
 		Location: "http://192.168.10.23:80/description.xml",
@@ -42,13 +35,32 @@ func TestResponderNotifyAllocs(t *testing.T) {
 	if kindOf(notify[42:]) != "NOTIFY" { // 14 Ethernet + 20 IPv4 + 8 UDP
 		t.Fatalf("captured frame is not a NOTIFY: %q", notify)
 	}
-	var f lan.Frame
+	var p layers.Packet
 	recv := func() {
-		f.DecodeInto(notify)
-		tv.HandleFrame(&f)
+		p.DecodeInto(notify)
+		tv.HandleFrame(&p)
 	}
 	recv()
 	if avg := testing.AllocsPerRun(200, recv); avg != 0 {
 		t.Fatalf("decode + HandleFrame(NOTIFY) = %.2f allocs/op, want 0", avg)
+	}
+}
+
+// A passive responder handed an M-SEARCH it has parsed before takes the
+// search target from its memo: zero allocations through the host's receive
+// path, including the decode the network makes once per delivery event.
+func TestResponderSearchAllocs(t *testing.T) {
+	network := lan.New(sim.NewScheduler(1))
+	tv := newHost(network, 30)
+	(&Responder{Host: tv, Passive: true, Ads: []Advertisement{{UUID: "tv", Target: TargetDial}}}).Start()
+	search := searchFrame(TargetAll)
+	var p layers.Packet
+	recv := func() {
+		p.DecodeInto(search)
+		tv.HandleFrame(&p)
+	}
+	recv() // the first sight of the payload parses it
+	if avg := testing.AllocsPerRun(200, recv); avg != 0 {
+		t.Fatalf("decode + HandleFrame(repeated M-SEARCH, passive) = %.2f allocs/op, want 0", avg)
 	}
 }

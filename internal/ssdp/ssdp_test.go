@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,40 +172,44 @@ func TestDeviceDescriptionRoundTrip(t *testing.T) {
 	}
 }
 
-// An M-SEARCH multicast to K responders is parsed once: the parse the first
-// responder leaves in the frame's memo slot is the one every later
-// responder reads. The LAN carries byte for byte what K separately decoded
-// deliveries, each parsing for itself, make it carry.
-func TestMSearchParsedOnceAcrossResponders(t *testing.T) {
-	const k = 5
+// newHost attaches a host at 192.168.10.<last> to network.
+func newHost(network *lan.Network, last byte) *stack.Host {
+	h := stack.NewHost(network, netx.MAC{2, 0, 0, 0, 0, last}, stack.DefaultPolicy)
+	h.SetIPv4(netip.AddrFrom4([4]byte{192, 168, 10, last}))
+	return h
+}
+
+// searchFrame is an M-SEARCH for target from 192.168.10.50, port 40000, to
+// the SSDP group.
+func searchFrame(target string) []byte {
 	phoneIP := netip.MustParseAddr("192.168.10.50")
 	udp := &layers.UDP{SrcPort: 40000, DstPort: Port}
 	udp.SetAddrs(phoneIP, netx.SSDPGroup)
-	search, err := layers.Serialize(
+	return layers.Serialize(
 		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 50}, Dst: netx.MulticastMAC(netx.SSDPGroup), EtherType: layers.EtherTypeIPv4},
 		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: phoneIP, Dst: netx.SSDPGroup},
 		udp,
-		layers.RawPayload(MSearch(TargetAll, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+		layers.RawPayload(MSearch(target, 2)))
+}
+
+// An M-SEARCH multicast to K responders is decoded once, and every
+// responder reads that one packet. The LAN carries byte for byte what K
+// separately decoded deliveries make it carry.
+func TestMSearchParsedOnceAcrossResponders(t *testing.T) {
+	const k = 5
+	search := searchFrame(TargetAll)
 	run := func(deliver func(hosts []*stack.Host)) [][]byte {
 		sched := sim.NewScheduler(1)
 		network := lan.New(sched)
-		mk := func(last byte) *stack.Host {
-			h := stack.NewHost(network, netx.MAC{2, 0, 0, 0, 0, last}, stack.DefaultPolicy)
-			h.SetIPv4(netip.AddrFrom4([4]byte{192, 168, 10, last}))
-			return h
-		}
 		hosts := make([]*stack.Host, k)
 		for i := range hosts {
-			hosts[i] = mk(byte(30 + i))
+			hosts[i] = newHost(network, byte(30+i))
 			(&Responder{Host: hosts[i], Ads: []Advertisement{{
 				UUID:   fmt.Sprintf("tv-%d", i),
 				Target: TargetDial, Location: fmt.Sprintf("http://192.168.10.%d:8060/dd.xml", 30+i),
 			}}}).Start()
 		}
-		mk(50) // the searcher, which answers the responders' ARP
+		newHost(network, 50) // the searcher, which answers the responders' ARP
 		sched.RunFor(time.Second)
 		var carried [][]byte
 		network.Tap(func(_ time.Time, f []byte) { carried = append(carried, f) })
@@ -213,24 +218,14 @@ func TestMSearchParsedOnceAcrossResponders(t *testing.T) {
 		return carried
 	}
 	shared := run(func(hosts []*stack.Host) {
-		f := new(lan.Frame) // one delivery event: every receiver gets f
-		f.DecodeInto(search)
-		var first any
-		for i, h := range hosts {
-			h.HandleFrame(f)
-			if i == 0 {
-				first = f.Memo
-			}
-			if first == nil || f.Memo != first {
-				t.Fatalf("responder %d did not reuse the first responder's parse", i)
-			}
+		p := layers.Decode(search) // one delivery event: every receiver gets p
+		for _, h := range hosts {
+			h.HandleFrame(p)
 		}
 	})
 	separate := run(func(hosts []*stack.Host) {
 		for _, h := range hosts {
-			f := new(lan.Frame)
-			f.DecodeInto(search)
-			h.HandleFrame(f)
+			h.HandleFrame(layers.Decode(search))
 		}
 	})
 	answers := 0
@@ -245,6 +240,64 @@ func TestMSearchParsedOnceAcrossResponders(t *testing.T) {
 	for i := range shared {
 		if !bytes.Equal(shared[i], separate[i]) {
 			t.Fatalf("frame %d differs:\nshared   %x\nseparate %x", i, shared[i], separate[i])
+		}
+	}
+}
+
+// A responder memoizes a search's target, not its answer: after
+// Ads[0].Server changes, as a firmware update rewrites it, the same search
+// is answered with the new SERVER.
+func TestResponderAnswerFollowsAdsChange(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	network := lan.New(sched)
+	r := &Responder{Host: newHost(network, 30), Ads: []Advertisement{{
+		UUID:     "roku-uuid-1234",
+		Target:   TargetDial,
+		Location: "http://192.168.10.30:8060/dial/dd.xml",
+		Server:   "Roku/9.0 UPnP/1.0",
+	}}}
+	r.Start()
+	phone := newHost(network, 50)
+	var servers []string
+	search := func() {
+		Search(phone, TargetDial, func(m *Message, _ netip.Addr) { servers = append(servers, m.Header("SERVER")) })
+		sched.RunFor(time.Second)
+	}
+	search()
+	r.Ads[0].Server = "Roku/9.1 UPnP/1.1"
+	search()
+	if want := []string{"Roku/9.0 UPnP/1.0", "Roku/9.1 UPnP/1.1"}; !slices.Equal(servers, want) {
+		t.Fatalf("SERVER of the two answers %q, want %q", servers, want)
+	}
+	if len(r.targets) != 1 {
+		t.Fatalf("memo holds %d targets after one search sent twice, want 1", len(r.targets))
+	}
+}
+
+// More distinct searches than the memo's bound: the memo never holds more
+// than searchMemoMax targets, and OnSearch fires once per search with the
+// target it names, whether the target came from the memo or not.
+func TestResponderSearchMemoBounded(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	network := lan.New(sched)
+	var seen []string
+	r := &Responder{Host: newHost(network, 30), Passive: true,
+		Ads:      []Advertisement{{UUID: "x", Target: TargetBasic}},
+		OnSearch: func(st string, _ netip.Addr) { seen = append(seen, st) }}
+	r.Start()
+	phone := newHost(network, 50)
+	for i := 0; i < 2*searchMemoMax+5; i++ {
+		st := fmt.Sprintf("urn:example-org:device:Test:%d", i)
+		for _, from := range []string{"a miss", "the memo"} {
+			seen = nil
+			phone.SendUDP(40000, netx.SSDPGroup, Port, MSearch(st, 2))
+			sched.RunFor(time.Second)
+			if len(seen) != 1 || seen[0] != st {
+				t.Fatalf("search %d from %s: OnSearch saw %q, want [%q]", i, from, seen, st)
+			}
+			if len(r.targets) > searchMemoMax {
+				t.Fatalf("memo holds %d targets, bound %d", len(r.targets), searchMemoMax)
+			}
 		}
 	}
 }

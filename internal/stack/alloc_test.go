@@ -27,14 +27,11 @@ func multicastHost(tb testing.TB) (*Host, []byte) {
 	src := netip.MustParseAddr("192.168.10.99")
 	udp := &layers.UDP{SrcPort: 1900, DstPort: 1900}
 	udp.SetAddrs(src, netx.SSDPGroup)
-	frame, err := layers.Serialize(
+	frame := layers.Serialize(
 		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 99}, Dst: netx.MulticastMAC(netx.SSDPGroup), EtherType: layers.EtherTypeIPv4},
 		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: netx.SSDPGroup},
 		udp,
 		layers.RawPayload([]byte("NOTIFY * HTTP/1.1\r\n\r\n")))
-	if err != nil {
-		tb.Fatal(err)
-	}
 	return h, frame
 }
 
@@ -42,10 +39,10 @@ func multicastHost(tb testing.TB) (*Host, []byte) {
 // network makes once per delivery event runs inside the measured closure.
 func TestHandleFrameMulticastAllocs(t *testing.T) {
 	h, frame := multicastHost(t)
-	var f lan.Frame
+	var p layers.Packet
 	recv := func() {
-		f.DecodeInto(frame)
-		h.HandleFrame(&f)
+		p.DecodeInto(frame)
+		h.HandleFrame(&p)
 	}
 	recv()
 	if avg := testing.AllocsPerRun(200, recv); avg != 0 {
@@ -55,14 +52,14 @@ func TestHandleFrameMulticastAllocs(t *testing.T) {
 
 func BenchmarkHandleFrameMulticast(b *testing.B) {
 	h, frame := multicastHost(b)
-	var f lan.Frame
-	f.DecodeInto(frame)
-	h.HandleFrame(&f)
+	var p layers.Packet
+	p.DecodeInto(frame)
+	h.HandleFrame(&p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.DecodeInto(frame)
-		h.HandleFrame(&f)
+		p.DecodeInto(frame)
+		h.HandleFrame(&p)
 	}
 }
 

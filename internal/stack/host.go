@@ -196,33 +196,24 @@ func (h *Host) SendRaw(frame []byte) {
 	h.Net.Send(frame)
 }
 
-// HandleFrame implements lan.Node: the host's receive path. f is the
+// HandleFrame implements lan.Node: the host's receive path. p is the
 // network's one decode of the frame, shared read-only by every receiver of
 // the delivery event, so nothing a handler is handed (the *layers.Packet,
 // its layer structs) outlives the call — copy what must be kept. Payload
 // slices point into the frame bytes, which the network never reuses.
-func (h *Host) HandleFrame(f *lan.Frame) {
-	if h.down {
-		return
-	}
-	h.dispatch(&f.Packet, &f.Memo)
-}
-
-// dispatch routes a decoded frame. memo is the delivery event's memo slot,
-// carried down to the datagram (see ParseShared).
-func (h *Host) dispatch(p *layers.Packet, memo *any) {
-	if p.Err != nil {
+func (h *Host) HandleFrame(p *layers.Packet) {
+	if h.down || p.Err != nil {
 		return
 	}
 	switch {
 	case p.HasARP:
 		h.handleARP(&p.ARP, &p.Eth)
 	case p.HasIP4, p.HasIP6:
-		h.handleIP(p, memo)
+		h.handleIP(p)
 	}
 }
 
-func (h *Host) handleIP(p *layers.Packet, memo *any) {
+func (h *Host) handleIP(p *layers.Packet) {
 	dst := p.DstIP()
 	// Accept: our unicast, joined multicast groups, well-known all-nodes,
 	// broadcast. Multicast, most of what a host hears and never a broadcast
@@ -239,7 +230,7 @@ func (h *Host) handleIP(p *layers.Packet, memo *any) {
 	}
 	switch {
 	case p.HasUDP:
-		h.handleUDP(p, memo)
+		h.handleUDP(p)
 	case p.HasTCP:
 		h.handleTCP(p)
 	case p.HasICMP4:

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"iotlan/internal/layers"
-	"iotlan/internal/pcap"
 )
 
 func TestSynProbeOpenPort(t *testing.T) {
@@ -21,7 +20,8 @@ func TestSynProbeOpenPort(t *testing.T) {
 	// The probe must end with our RST (half-open scan), and the victim's
 	// half-open connection must be torn down.
 	sawRst := false
-	for _, p := range pcap.Packets(f.cap.All) {
+	for _, rec := range f.cap.All {
+		p := rec.Decode()
 		if p.HasTCP && p.TCP.FlagSet(layers.TCPRst) && p.Eth.Src == a.MAC() {
 			sawRst = true
 		}

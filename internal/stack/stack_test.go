@@ -47,7 +47,8 @@ func TestARPResolutionAndUDPDelivery(t *testing.T) {
 	}
 	// The capture must contain the ARP exchange before the UDP datagram.
 	var sawReq, sawRep, sawUDP bool
-	for _, p := range pcap.Packets(f.cap.All) {
+	for _, rec := range f.cap.All {
+		p := rec.Decode()
 		switch {
 		case p.HasARP && p.ARP.Op == layers.ARPRequest:
 			sawReq = true
@@ -95,7 +96,8 @@ func TestMulticastDelivery(t *testing.T) {
 	}
 	// The join must have emitted an IGMPv3 report.
 	found := false
-	for _, p := range pcap.Packets(f.cap.All) {
+	for _, rec := range f.cap.All {
+		p := rec.Decode()
 		if p.HasIGMP && p.IGMP.Type == layers.IGMPv3Report && p.IGMP.Group == netx.MDNSv4Group {
 			found = true
 		}
@@ -125,7 +127,8 @@ func TestUDPClosedPortUnreachable(t *testing.T) {
 	a.SendUDP(40000, b.IPv4(), 1234, []byte("probe"))
 	f.sched.RunFor(time.Second)
 	found := false
-	for _, p := range pcap.Packets(f.cap.All) {
+	for _, rec := range f.cap.All {
+		p := rec.Decode()
 		if p.HasICMP4 && p.ICMP4.Type == layers.ICMPv4Unreachable && p.ICMP4.Code == 3 {
 			found = true
 		}
@@ -218,7 +221,8 @@ func TestICMPEcho(t *testing.T) {
 		t.Fatal("no echo")
 	}
 	var sawReply bool
-	for _, p := range pcap.Packets(f.cap.All) {
+	for _, rec := range f.cap.All {
+		p := rec.Decode()
 		if p.HasICMP4 && p.ICMP4.Type == layers.ICMPv4EchoReply {
 			sawReply = true
 		}
@@ -241,7 +245,8 @@ func TestIPv6NeighborDiscovery(t *testing.T) {
 		t.Fatalf("v6 unicast datagrams: %d", got)
 	}
 	var ns, na bool
-	for _, p := range pcap.Packets(f.cap.All) {
+	for _, rec := range f.cap.All {
+		p := rec.Decode()
 		if p.HasICMP6 && p.ICMP6.Type == layers.ICMPv6NeighborSolicit {
 			ns = true
 		}
@@ -264,7 +269,8 @@ func TestSilentARPBroadcastPolicy(t *testing.T) {
 
 	countReplies := func() int {
 		n := 0
-		for _, p := range pcap.Packets(f.cap.All) {
+		for _, rec := range f.cap.All {
+			p := rec.Decode()
 			if p.HasARP && p.ARP.Op == layers.ARPReply {
 				n++
 			}
@@ -307,7 +313,8 @@ func TestIPProtoUnreachable(t *testing.T) {
 	a.SendIPv4Proto(b.IPv4(), 47, []byte{0, 0}) // GRE, unsupported
 	f.sched.RunFor(time.Second)
 	found := false
-	for _, p := range pcap.Packets(f.cap.All) {
+	for _, rec := range f.cap.All {
+		p := rec.Decode()
 		if p.HasICMP4 && p.ICMP4.Type == layers.ICMPv4Unreachable && p.ICMP4.Code == 2 {
 			found = true
 		}

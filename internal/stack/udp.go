@@ -15,42 +15,6 @@ type Datagram struct {
 	Dst     netip.Addr // the address it was sent to (unicast/multicast/bcast)
 	DstPort uint16
 	Payload []byte
-
-	// memo is the delivery event's memo slot (lan.Frame.Memo), shared by
-	// every receiver of the frame; nil when the datagram was built by hand.
-	memo *any
-}
-
-// parsed is a ParseShared result as the memo slot holds it.
-type parsed[T any] struct {
-	payload []byte
-	v       T
-	err     error
-}
-
-// ParseShared returns parse(dg.Payload), running parse once per delivered
-// frame: every receiver of one frame that asks for a T gets the result the
-// first one parsed. That result is shared and read-only; a receiver that
-// needs to modify it parses its own copy instead. The memo is keyed by the
-// result type, so a port has one parse function per result type. Call it
-// from OnDatagram.
-func ParseShared[T any](dg Datagram, parse func([]byte) (T, error)) (T, error) {
-	if dg.memo == nil {
-		return parse(dg.Payload)
-	}
-	// A datagram kept past its delivery may find a later frame's parse in
-	// the reused slot; the payload check makes it parse its own.
-	if m, ok := (*dg.memo).(*parsed[T]); ok && sameBytes(m.payload, dg.Payload) {
-		return m.v, m.err
-	}
-	v, err := parse(dg.Payload)
-	*dg.memo = &parsed[T]{payload: dg.Payload, v: v, err: err}
-	return v, err
-}
-
-// sameBytes reports whether a and b are the same slice of the same array.
-func sameBytes(a, b []byte) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // UDPSock is a bound UDP port.
@@ -146,7 +110,7 @@ func (h *Host) sendIGMP(typ uint8, group netip.Addr) {
 	h.sendIP(false, netx.IGMPGroup, layers.IPProtoIGMP, frame)
 }
 
-func (h *Host) handleUDP(p *layers.Packet, memo *any) {
+func (h *Host) handleUDP(p *layers.Packet) {
 	sock, ok := h.udp[p.UDP.DstPort]
 	if !ok {
 		dst := p.DstIP()
@@ -159,7 +123,7 @@ func (h *Host) handleUDP(p *layers.Packet, memo *any) {
 		sock.OnDatagram(Datagram{
 			Src: p.SrcIP(), SrcPort: p.UDP.SrcPort,
 			Dst: p.DstIP(), DstPort: p.UDP.DstPort,
-			Payload: p.AppPayload, memo: memo,
+			Payload: p.AppPayload,
 		})
 	}
 }

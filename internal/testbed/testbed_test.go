@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"iotlan/internal/pcap"
 )
 
 func TestLabBootsAllDevices(t *testing.T) {
@@ -48,7 +46,8 @@ func TestIdleTrafficContainsCoreProtocols(t *testing.T) {
 	lab.Start()
 	lab.RunIdle(30 * time.Minute)
 	seen := map[string]bool{}
-	for _, p := range pcap.Packets(lab.Capture.All) {
+	for _, rec := range lab.Capture.All {
+		p := rec.Decode()
 		seen[p.L3Name()] = true
 		if p.HasUDP {
 			switch p.UDP.DstPort {
@@ -155,7 +154,8 @@ func TestPlatformClustersTalk(t *testing.T) {
 			ipToName[d.IP().String()] = d.Profile.Name
 		}
 	}
-	for _, p := range pcap.Packets(lab.Capture.All) {
+	for _, rec := range lab.Capture.All {
+		p := rec.Decode()
 		if p.HasTCP && len(p.AppPayload) > 5 && p.AppPayload[0] == 22 && p.AppPayload[1] == 3 {
 			src, dst := ipToName[p.SrcIP().String()], ipToName[p.DstIP().String()]
 			if src != "" && dst != "" {

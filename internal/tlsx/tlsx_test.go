@@ -78,7 +78,8 @@ func TestTLS13HidesCertificate(t *testing.T) {
 		t.Fatalf("TLS 1.3 leaked cert: %+v", conn.PeerCert)
 	}
 	// An on-path observer must not see the issuer CN in any packet.
-	for _, p := range pcap.Packets(cap.All) {
+	for _, rec := range cap.All {
+		p := rec.Decode()
 		if p.HasTCP && len(p.AppPayload) > 0 {
 			if string(p.AppPayload) != "" && containsBytes(p.AppPayload, []byte("Apple Local CA")) {
 				t.Fatal("certificate visible on the wire under TLS 1.3")
@@ -128,7 +129,8 @@ func TestObserverSeesVersions(t *testing.T) {
 	Dial(client, server.IPv4(), 8009, Config{Version: VersionTLS12}, "")
 	sched.RunFor(time.Second)
 	var versions []uint16
-	for _, p := range pcap.Packets(cap.All) {
+	for _, rec := range cap.All {
+		p := rec.Decode()
 		if p.HasTCP && IsTLS(p.AppPayload) {
 			if v, ok := HandshakeVersion(p.AppPayload); ok {
 				versions = append(versions, v)
