@@ -25,11 +25,8 @@ var (
 func benchStudy(b *testing.B) *Study {
 	b.Helper()
 	benchOnce.Do(func() {
-		s := New(7)
-		s.IdleDuration = 30 * time.Minute
-		s.Interactions = 60
-		s.Households = 1500
-		s.AppsToRun = 60
+		s := New(7, WithIdleDuration(30*time.Minute), WithInteractions(60),
+			WithHouseholds(1500), WithApps(60))
 		s.RunAll()
 		benchS = s
 		benchLocal = pcap.FilterLocal(s.PassiveRecords())

@@ -38,7 +38,11 @@ func main() {
 	out := flag.String("out", "", "directory to stream per-device pcap files into as frames are sent (empty = skip)")
 	flag.Parse()
 
-	opts := []iotlan.Option{iotlan.WithResidents(resident.Household(*residents, *days))}
+	opts := []iotlan.Option{
+		iotlan.WithIdleDuration(*idle),
+		iotlan.WithInteractions(*interactions),
+		iotlan.WithResidents(resident.Household(*residents, *days)),
+	}
 	var pcaps *pcap.MACWriter
 	if *out != "" {
 		var err error
@@ -49,8 +53,6 @@ func main() {
 		opts = append(opts, iotlan.WithPcapWriter(pcaps))
 	}
 	s := iotlan.New(*seed, opts...)
-	s.IdleDuration = *idle
-	s.Interactions = *interactions
 	start := time.Now()
 	s.RunPassive()
 	if *schedule && s.Lab.Residents != nil {

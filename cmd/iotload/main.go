@@ -334,9 +334,7 @@ func main() {
 // (internal/analysis/partial.go) makes the two renderings byte-identical.
 func offlineTable2(gen *inspector.Generator, seed int64, households int, stream bool) (iotlan.Result, error) {
 	if !stream {
-		study := iotlan.New(0, iotlan.WithHouseholds(households))
-		study.Inspector = inspector.Generate(seed, households)
-		return study.RunArtifact("table2")
+		return iotlan.New(seed, iotlan.WithHouseholds(households)).RunArtifact("table2")
 	}
 	const batch = 4096
 	var parts []*analysis.EntropyPartial

@@ -117,22 +117,22 @@ func main() {
 		}
 		opts = append(opts, iotlan.WithPcapWriter(pcaps))
 	}
-	s := iotlan.New(*seed, opts...)
-
 	var traceOut *os.File
+	var tracer *obs.Tracer
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
+		if traceOut, err = os.Create(*traceFile); err != nil {
 			fmt.Fprintln(os.Stderr, "trace:", err)
 			os.Exit(1)
 		}
-		traceOut = f
 		format := obs.FormatChrome
 		if strings.HasSuffix(*traceFile, ".jsonl") {
 			format = obs.FormatJSONL
 		}
-		s.Trace = obs.NewTracer(traceOut, format)
+		tracer = obs.NewTracer(traceOut, format)
+		opts = append(opts, iotlan.WithTrace(tracer))
 	}
+	s := iotlan.New(*seed, opts...)
+
 	if *httpAddr != "" {
 		// One shared operational surface with iotserve: /metrics, /healthz,
 		// expvar, pprof — behind an http.Server with real timeouts instead
@@ -194,11 +194,11 @@ func main() {
 		}
 		fmt.Printf("per-device pcaps written to %s\n", *pcapDir)
 	}
-	if s.Trace != nil {
-		if err := s.Trace.Close(); err != nil {
+	if tracer != nil {
+		if err := tracer.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "trace:", err)
 		}
-		fmt.Printf("trace: %d spans written to %s\n", s.Trace.Events(), *traceFile)
+		fmt.Printf("trace: %d spans written to %s\n", tracer.Events(), *traceFile)
 		traceOut.Close()
 	}
 	if *metricsFile != "" {

@@ -23,9 +23,11 @@ func main() {
 	full := flag.Bool("full", false, "sweep all 65,535 TCP ports (slow)")
 	flag.Parse()
 
-	s := iotlan.New(*seed)
-	s.IdleDuration = 10 * time.Minute
-	s.FullPortSweep = *full
+	opts := []iotlan.Option{iotlan.WithIdleDuration(10 * time.Minute)}
+	if *full {
+		opts = append(opts, iotlan.WithFullPortSweep())
+	}
+	s := iotlan.New(*seed, opts...)
 	s.RunScans()
 	s.RunVulnScans()
 

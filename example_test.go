@@ -9,8 +9,7 @@ import (
 
 // ExampleNew shows the minimal passive-capture workflow.
 func ExampleNew() {
-	study := iotlan.New(7)
-	study.IdleDuration = 5 * time.Minute
+	study := iotlan.New(7, iotlan.WithIdleDuration(5*time.Minute))
 	study.RunPassive()
 
 	t3 := study.Table3()
@@ -21,8 +20,7 @@ func ExampleNew() {
 
 // ExampleStudy_Figure1 regenerates the device-to-device graph headline.
 func ExampleStudy_Figure1() {
-	study := iotlan.New(7)
-	study.IdleDuration = 20 * time.Minute
+	study := iotlan.New(7, iotlan.WithIdleDuration(20*time.Minute))
 	f1 := study.Figure1() // runs the passive capture on demand
 	fmt.Printf("talkers above zero: %v\n", f1.Metrics["talker_fraction"] > 0)
 	// Output: talkers above zero: true
@@ -30,8 +28,7 @@ func ExampleStudy_Figure1() {
 
 // ExampleStudy_Mitigations quantifies the §7 countermeasures.
 func ExampleStudy_Mitigations() {
-	study := iotlan.New(7)
-	study.Households = 500
+	study := iotlan.New(7, iotlan.WithHouseholds(500))
 	m := study.Mitigations()
 	baseline := m.Metrics["reid_rate/none"]
 	full := m.Metrics["reid_rate/strip-names+randomize-uuids+redact-macs"]

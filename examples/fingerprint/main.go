@@ -15,8 +15,7 @@ import (
 )
 
 func main() {
-	study := iotlan.New(9)
-	study.IdleDuration = 10 * time.Minute
+	study := iotlan.New(9, iotlan.WithIdleDuration(10*time.Minute))
 	study.RunPassive()
 
 	// A "lucky rewards" game with innosdk and a cleaner app with MyTracker

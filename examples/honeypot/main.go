@@ -9,13 +9,10 @@ import (
 
 	"iotlan"
 	"iotlan/internal/app"
-	"iotlan/internal/honeypot"
-	"iotlan/internal/netx"
 )
 
 func main() {
-	study := iotlan.New(5)
-	study.IdleDuration = 20 * time.Minute
+	study := iotlan.New(5, iotlan.WithIdleDuration(20*time.Minute))
 	study.RunPassive() // the study deploys its own honeypot during capture
 
 	hp := study.Honeypot
@@ -50,9 +47,6 @@ func main() {
 		fmt.Println("  token not exfiltrated by this app")
 	}
 
-	// The honeypot also runs standalone on a real LAN:
-	_ = honeypot.Server{HP: honeypot.New("real", 1)}
-	_ = netx.Broadcast
 	fmt.Println("\n(run `go run ./cmd/iothoneypot` to deploy the same honeypot on a real network)")
 }
 

@@ -11,9 +11,7 @@ import (
 )
 
 func main() {
-	study := iotlan.New(42)
-	study.IdleDuration = 15 * time.Minute
-	study.Interactions = 20
+	study := iotlan.New(42, iotlan.WithIdleDuration(15*time.Minute), iotlan.WithInteractions(20))
 	study.RunPassive()
 
 	fmt.Println("== Device-to-device communication (Figure 1) ==")

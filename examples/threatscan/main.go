@@ -16,8 +16,7 @@ import (
 )
 
 func main() {
-	study := iotlan.New(7)
-	study.IdleDuration = 10 * time.Minute
+	study := iotlan.New(7, iotlan.WithIdleDuration(10*time.Minute))
 	study.RunScans()
 	study.RunVulnScans()
 

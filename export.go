@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Export writes the study's datasets to dir as JSON, mirroring the paper's
@@ -99,14 +98,5 @@ func (s *Study) ExportContext(ctx context.Context, dir string) error {
 		r := a.Fn(s)
 		metrics[r.ID] = r.Metrics
 	}
-	keys := make([]string, 0, len(metrics))
-	for k := range metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ordered := make(map[string]map[string]float64, len(metrics))
-	for _, k := range keys {
-		ordered[k] = metrics[k]
-	}
-	return write("metrics.json", ordered)
+	return write("metrics.json", metrics) // encoding/json sorts map keys
 }

@@ -269,12 +269,12 @@ func (e *Engine) impair(src, dst netx.MAC, multicast bool, frame []byte) lan.Ver
 	if e.Plan.Reorder > 0 && e.rng.Float64() < e.Plan.Reorder {
 		// Hold the frame back several propagation delays: frames sent later
 		// overtake it, which is what reordering looks like to a receiver.
-		v.ExtraDelay += e.net.Latency * time.Duration(2+e.rng.Intn(6))
+		v.ExtraDelay += lan.Latency * time.Duration(2+e.rng.Intn(6))
 		e.count("reorder")
 	}
 	if e.Plan.Duplicate > 0 && e.rng.Float64() < e.Plan.Duplicate {
 		v.Duplicates = 1
-		v.DuplicateGap = e.net.Latency
+		v.DuplicateGap = lan.Latency
 		e.count("duplicate")
 	}
 	return v

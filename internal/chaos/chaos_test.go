@@ -112,8 +112,8 @@ func TestExtraLatencyStaysBounded(t *testing.T) {
 	n.Send(frame(t, a.mac, b.mac))
 	s.RunFor(time.Second)
 	d := deliveredAt.Sub(start)
-	if d < n.Latency || d >= n.Latency+5*time.Millisecond {
-		t.Fatalf("delivery delay %v outside [%v, %v)", d, n.Latency, n.Latency+5*time.Millisecond)
+	if d < lan.Latency || d >= lan.Latency+5*time.Millisecond {
+		t.Fatalf("delivery delay %v outside [%v, %v)", d, lan.Latency, lan.Latency+5*time.Millisecond)
 	}
 }
 

@@ -45,13 +45,12 @@ func sinkNet(tb testing.TB, count int) (*sim.Scheduler, *Network, []netx.MAC) {
 }
 
 // The steady-state send path — unicast and multicast — must not allocate:
-// delivery/fanout structs and scheduler events all come from pools.
+// delivery events and scheduler events all come from pools.
 func TestSendAllocs(t *testing.T) {
 	s, n, macs := sinkNet(t, 8)
 	uni := mkFrame(t, macs[0], macs[1])
 	multi := mkFrame(t, macs[0], netx.Broadcast)
-	// Warm the pools, the frame-type counter cache, and the fanout's
-	// recipients capacity.
+	// Warm the pools and the frame-type counter cache.
 	n.Send(uni)
 	n.Send(multi)
 	s.RunFor(time.Second)

@@ -66,26 +66,19 @@ type Verdict struct {
 // source and the receiver's MAC.
 type ImpairFunc func(src, dst netx.MAC, multicast bool, frame []byte) Verdict
 
+// Latency is the one-way frame propagation delay, a plausible Wi-Fi LAN
+// RTT/2.
+const Latency = 250 * time.Microsecond
+
 // Network is the simulated switch. Frames submitted with Send are delivered
-// after a fixed propagation delay via the shared scheduler, so all traffic
-// interleaves deterministically.
+// after Latency via the shared scheduler, so all traffic interleaves
+// deterministically.
 type Network struct {
 	Sched *sim.Scheduler
-
-	// Latency is the one-way frame propagation delay (default 250µs,
-	// a plausible Wi-Fi LAN RTT/2).
-	Latency time.Duration
 
 	// Impair, when set, is consulted once per receiver before a delivery is
 	// scheduled (the chaos layer's hook). Nil means a perfect network.
 	Impair ImpairFunc
-
-	// CheckFrameOwnership enables the debug enforcement of Send's ownership
-	// contract: every frame is checksummed at send time and re-verified at
-	// delivery; a sender that reused its buffer while the frame was in
-	// flight panics with a diagnostic instead of silently corrupting
-	// captures. Off by default — it costs one hash pass per frame.
-	CheckFrameOwnership bool
 
 	// stations is the station table. A MAC keeps its slot for the network's
 	// life, across Detach and re-Attach, so an in-flight delivery names its
@@ -93,20 +86,26 @@ type Network struct {
 	// fires; a detached slot's node is nil.
 	stations []station
 	slots    map[netx.MAC]int32
-	order    []int32 // attached slots: the deterministic multicast fan-out order
-	taps     []TapFunc
+	// ids holds each slot's own index, ids[i] == i, so that ids[i:i+1] is a
+	// one-station recipient list as read-only as an order.
+	ids []int32
+	// order is the attached slots in multicast fan-out order. A multicast in
+	// flight holds the order of its send time, so order is never written in
+	// place: Detach builds a new one, and Attach only appends past the end
+	// of every earlier order.
+	order []int32
+	taps  []TapFunc
 
-	// freeDeliveries / freeFanouts pool the per-delivery structs scheduled
-	// on the simulator, so the steady-state send path allocates nothing.
-	// The sim is single-threaded; plain slices suffice.
-	freeDeliveries []*delivery
-	freeFanouts    []*fanout
+	// free pools the delivery events scheduled on the simulator, so the
+	// steady-state send path allocates nothing. The sim is single-threaded;
+	// a plain slice suffices.
+	free []*delivery
 
 	cDelivered *obs.Counter
 	cDropped   map[string]*obs.Counter
-	// byType caches the lan_frames_total{cast,ethertype} handles; the key
-	// packs the ethertype class index with the multicast bit.
-	byType map[int]*obs.Counter
+	// byType caches the lan_frames_total{cast,ethertype} handles, indexed by
+	// the ethertype class and the multicast bit (frameCounter).
+	byType [2 * len(etherNames)]*obs.Counter
 }
 
 // New creates a network on the given scheduler.
@@ -114,36 +113,20 @@ func New(sched *sim.Scheduler) *Network {
 	reg := sched.Telemetry.Registry
 	return &Network{
 		Sched:      sched,
-		Latency:    250 * time.Microsecond,
 		slots:      make(map[netx.MAC]int32),
 		cDelivered: reg.Counter("lan_frames_delivered"),
 		cDropped: map[string]*obs.Counter{
 			DropUndecodable:    reg.Counter("lan_frames_dropped", "reason", DropUndecodable),
 			DropUnknownUnicast: reg.Counter("lan_frames_dropped", "reason", DropUnknownUnicast),
 		},
-		byType: make(map[int]*obs.Counter),
 	}
 }
 
-// etherName classifies an EtherType for the frames-by-type series.
-func etherName(et uint16) string {
-	switch {
-	case et == layers.EtherTypeIPv4:
-		return "ipv4"
-	case et == layers.EtherTypeARP:
-		return "arp"
-	case et == layers.EtherTypeIPv6:
-		return "ipv6"
-	case et == layers.EtherTypeEAPOL:
-		return "eapol"
-	case et <= 1500: // 802.3 length field (LLC/XID)
-		return "llc"
-	default:
-		return "other"
-	}
-}
+// etherNames names the ethertype classes of the frames-by-type series,
+// indexed by etherClass.
+var etherNames = [...]string{"ipv4", "arp", "ipv6", "eapol", "llc", "other"}
 
-// etherClass maps etherName values to small ints for handle caching.
+// etherClass classifies an EtherType for the frames-by-type series.
 func etherClass(et uint16) int {
 	switch {
 	case et == layers.EtherTypeIPv4:
@@ -154,24 +137,24 @@ func etherClass(et uint16) int {
 		return 2
 	case et == layers.EtherTypeEAPOL:
 		return 3
-	case et <= 1500:
+	case et <= 1500: // 802.3 length field (LLC/XID)
 		return 4
 	default:
 		return 5
 	}
 }
 
-func (n *Network) frameCounter(et uint16, multicast bool) *obs.Counter {
-	key := etherClass(et) << 1
+func (n *Network) frameCounter(class int, multicast bool) *obs.Counter {
+	key := class << 1
 	cast := "unicast"
 	if multicast {
 		key |= 1
 		cast = "multicast"
 	}
-	c, ok := n.byType[key]
-	if !ok {
+	c := n.byType[key]
+	if c == nil {
 		c = n.Sched.Telemetry.Registry.Counter("lan_frames_total",
-			"ethertype", etherName(et), "cast", cast)
+			"ethertype", etherNames[class], "cast", cast)
 		n.byType[key] = c
 	}
 	return c
@@ -214,6 +197,7 @@ func (n *Network) Attach(node Node) {
 		slot = int32(len(n.stations))
 		n.slots[mac] = slot
 		n.stations = append(n.stations, station{mac: mac})
+		n.ids = append(n.ids, slot)
 	}
 	if n.stations[slot].node == nil {
 		n.order = append(n.order, slot)
@@ -228,12 +212,13 @@ func (n *Network) Detach(mac netx.MAC) {
 		return
 	}
 	n.stations[slot].node = nil
-	for i, s := range n.order {
-		if s == slot {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			break
+	order := make([]int32, 0, len(n.order)-1)
+	for _, s := range n.order {
+		if s != slot {
+			order = append(order, s)
 		}
 	}
+	n.order = order
 }
 
 // Tap registers a capture callback that sees every frame at send time.
@@ -242,114 +227,59 @@ func (n *Network) Tap(fn TapFunc) { n.taps = append(n.taps, fn) }
 // NodeCount reports attached nodes.
 func (n *Network) NodeCount() int { return len(n.order) }
 
-// delivery is one pooled in-flight unicast (or per-receiver impaired)
-// delivery event. It implements sim.Runner so scheduling it allocates no
-// closure; Fire returns the struct to the network's pool.
+// delivery is one pooled in-flight delivery event: a single scheduler event
+// that decodes its frame once and hands the decode to each recipient. An
+// unimpaired multicast is one event whose recipients are the order of its
+// send time, shared read-only: all stations hear it at the same instant, and
+// one event keeps the queue small on busy discovery traffic. A unicast, and
+// each copy of an impaired delivery, is one event with one recipient. It
+// implements sim.Runner so scheduling it allocates no closure; Fire returns
+// the struct to the network's pool.
 type delivery struct {
 	net   *Network
-	slot  int32
+	to    []int32 // recipient station slots: an order, or one slot of ids
 	frame []byte
-	check uint64        // send-time frame checksum; 0 when ownership checks are off
-	p     layers.Packet // the receiver's decode, made when the event fires
+	p     layers.Packet // the one decode every recipient shares
 }
 
-// Fire implements sim.Runner.
+// Fire implements sim.Runner. Each recipient's slot is read again at
+// delivery, so a station that detached in flight counts as a drop, not a
+// delivery, and whichever node holds the MAC now receives.
 func (d *delivery) Fire() {
 	n := d.net
-	n.verifyOwnership(d.frame, d.check)
-	if node := n.receiver(d.slot); node != nil {
-		d.p.DecodeInto(d.frame)
-		n.cDelivered.Inc()
-		node.HandleFrame(&d.p)
-	}
-	*d = delivery{}
-	n.freeDeliveries = append(n.freeDeliveries, d)
-}
-
-// fanout is one pooled multicast delivery event: a single scheduler event
-// that decodes the frame once and hands it to every send-time recipient,
-// keeping the event queue small on busy discovery traffic. The recipients
-// slice keeps its capacity across reuses.
-type fanout struct {
-	net        *Network
-	recipients []int32 // station slots
-	frame      []byte
-	check      uint64
-	p          layers.Packet // the one decode every recipient shares
-}
-
-// Fire implements sim.Runner.
-func (f *fanout) Fire() {
-	n := f.net
-	n.verifyOwnership(f.frame, f.check)
-	f.p.DecodeInto(f.frame)
+	d.p.DecodeInto(d.frame)
+	// No station hears its own multicast. Send's Ethernet decode of these
+	// bytes succeeded, so this one did too; it is read before any receiver
+	// runs.
+	src, multicast := d.p.Eth.Src, d.p.Eth.Dst.IsMulticast()
 	var delivered uint64
-	for _, slot := range f.recipients {
-		if node := n.receiver(slot); node != nil {
-			delivered++
-			node.HandleFrame(&f.p)
+	for _, slot := range d.to {
+		st := &n.stations[slot]
+		if multicast && st.mac == src {
+			continue
 		}
+		if st.node == nil {
+			n.drop(DropDetached)
+			continue
+		}
+		delivered++
+		st.node.HandleFrame(&d.p)
 	}
 	n.cDelivered.Add(delivered)
-	f.recipients = f.recipients[:0]
-	// A pooled fanout holds no frame. Assigned on its own, the zero Packet
-	// is written in place; in a tuple assignment it is built and copied.
-	f.frame, f.check = nil, 0
-	f.p = layers.Packet{}
-	n.freeFanouts = append(n.freeFanouts, f)
+	*d = delivery{} // a pooled delivery holds no frame and no order
+	n.free = append(n.free, d)
 }
 
-// receiver returns the node now holding slot, or nil after counting a
-// detached drop when the station left the network while the frame was in
-// flight.
-func (n *Network) receiver(slot int32) Node {
-	node := n.stations[slot].node
-	if node == nil {
-		n.drop(DropDetached)
-	}
-	return node
-}
-
-func (n *Network) getDelivery(slot int32, frame []byte, check uint64) *delivery {
-	if l := len(n.freeDeliveries); l > 0 {
-		d := n.freeDeliveries[l-1]
-		n.freeDeliveries[l-1] = nil
-		n.freeDeliveries = n.freeDeliveries[:l-1]
-		d.net, d.slot, d.frame, d.check = n, slot, frame, check
+// newDelivery takes a delivery event for frame from the pool.
+func (n *Network) newDelivery(frame []byte) *delivery {
+	if l := len(n.free); l > 0 {
+		d := n.free[l-1]
+		n.free[l-1] = nil
+		n.free = n.free[:l-1]
+		d.net, d.frame = n, frame
 		return d
 	}
-	return &delivery{net: n, slot: slot, frame: frame, check: check}
-}
-
-func (n *Network) getFanout(frame []byte, check uint64) *fanout {
-	if l := len(n.freeFanouts); l > 0 {
-		f := n.freeFanouts[l-1]
-		n.freeFanouts[l-1] = nil
-		n.freeFanouts = n.freeFanouts[:l-1]
-		f.net, f.frame, f.check = n, frame, check
-		return f
-	}
-	return &fanout{net: n, frame: frame, check: check}
-}
-
-// frameSum is FNV-1a over the frame, used by the ownership debug check.
-func frameSum(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime
-	}
-	return h
-}
-
-// verifyOwnership enforces the Send contract when CheckFrameOwnership is on.
-func (n *Network) verifyOwnership(frame []byte, want uint64) {
-	if want == 0 || !n.CheckFrameOwnership {
-		return
-	}
-	if got := frameSum(frame); got != want {
-		panic("lan: frame mutated after Send — the sender reused its buffer while the frame was in flight (Send transfers ownership; see Network.Send)")
-	}
+	return &delivery{net: n, frame: frame}
 }
 
 // Send submits a frame to the switch. The tap observes it immediately
@@ -359,8 +289,7 @@ func (n *Network) verifyOwnership(frame []byte, want uint64) {
 // network. Capture taps retain it verbatim and in-flight deliveries hand the
 // same backing array to receivers, so the caller must not modify the buffer
 // after Send — build a fresh frame per send (layers.Serialize does). Buffer
-// reuse is a bug; set CheckFrameOwnership in tests to catch it with a panic
-// at delivery time.
+// reuse is a bug.
 func (n *Network) Send(frame []byte) {
 	var eth layers.Ethernet
 	if eth.DecodeFromBytes(frame) != nil {
@@ -368,46 +297,34 @@ func (n *Network) Send(frame []byte) {
 		return
 	}
 	multicast := eth.Dst.IsMulticast()
-	n.frameCounter(eth.EtherType, multicast).Inc()
+	class := etherClass(eth.EtherType)
+	n.frameCounter(class, multicast).Inc()
 	if n.Sched.Tracing() {
 		n.Sched.TraceEvent("lan", "frame",
-			"ethertype", etherName(eth.EtherType),
+			"ethertype", etherNames[class],
 			"src", eth.Src.String(), "dst", eth.Dst.String())
 	}
 	for _, tap := range n.taps {
 		tap(n.Sched.Now(), frame)
 	}
-	var check uint64
-	if n.CheckFrameOwnership {
-		check = frameSum(frame)
-	}
 	if multicast { // broadcast has the group bit set too
 		// Station membership is snapshotted at send time (the frame is "in
-		// the air"); each receiver's slot is read again at delivery so a
-		// station that detached in flight counts as a drop, not a delivery.
-		src := eth.Src
+		// the air").
 		if n.Impair == nil {
-			// One scheduler event fans out to every receiver: all stations
-			// hear a multicast frame at the same instant, and batching keeps
-			// the event queue small on busy discovery traffic.
-			f := n.getFanout(frame, check)
-			for _, slot := range n.order {
-				if n.stations[slot].mac != src {
-					f.recipients = append(f.recipients, slot)
-				}
-			}
-			n.Sched.AfterRunner("lan", n.Latency, f)
+			d := n.newDelivery(frame)
+			d.to = n.order
+			n.Sched.AfterRunner("lan", Latency, d)
 			return
 		}
 		for _, slot := range n.order {
-			if n.stations[slot].mac != src {
-				n.scheduleDelivery(src, slot, true, frame, check)
+			if n.stations[slot].mac != eth.Src {
+				n.scheduleDelivery(eth.Src, slot, true, frame)
 			}
 		}
 		return
 	}
 	if slot, ok := n.slots[eth.Dst]; ok && n.stations[slot].node != nil {
-		n.scheduleDelivery(eth.Src, slot, false, frame, check)
+		n.scheduleDelivery(eth.Src, slot, false, frame)
 		return
 	}
 	// Unknown unicast destinations are dropped: the switch has a complete
@@ -416,10 +333,10 @@ func (n *Network) Send(frame []byte) {
 }
 
 // scheduleDelivery applies the impairment verdict (if any) for one receiver
-// and schedules the pooled delivery event(s). Each copy decodes the frame
+// and schedules one delivery event per copy. Each copy decodes the frame
 // when it fires.
-func (n *Network) scheduleDelivery(src netx.MAC, slot int32, multicast bool, frame []byte, check uint64) {
-	delay := n.Latency
+func (n *Network) scheduleDelivery(src netx.MAC, slot int32, multicast bool, frame []byte) {
+	delay := Latency
 	copies := 1
 	gap := time.Duration(0)
 	if n.Impair != nil {
@@ -437,7 +354,8 @@ func (n *Network) scheduleDelivery(src netx.MAC, slot int32, multicast bool, fra
 		gap = v.DuplicateGap
 	}
 	for i := 0; i < copies; i++ {
-		at := delay + time.Duration(i)*gap
-		n.Sched.AfterRunner("lan", at, n.getDelivery(slot, frame, check))
+		d := n.newDelivery(frame)
+		d.to = n.ids[slot : slot+1]
+		n.Sched.AfterRunner("lan", delay+time.Duration(i)*gap, d)
 	}
 }

@@ -50,12 +50,8 @@ func DebugMux(sources ...MetricsSource) *http.ServeMux {
 	return mux
 }
 
-// RegisterDebug mounts the operational endpoints onto an existing mux. The
-// server, when non-nil, contributes its own registry and drain state.
-func RegisterDebug(mux *http.ServeMux, s *Server, extra ...MetricsSource) {
-	registerDebug(mux, s, extra...)
-}
-
+// registerDebug mounts the operational endpoints onto mux. The server, when
+// non-nil, contributes its own registry and drain state.
 func registerDebug(mux *http.ServeMux, s *Server, extra ...MetricsSource) {
 	sources := append([]MetricsSource(nil), extra...)
 	if s != nil {

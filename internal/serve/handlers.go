@@ -18,7 +18,7 @@ import (
 //	GET  /v1/artifacts/{name}          registry artifact over the fleet
 //	GET  /v1/fleet                     fleet summary
 //
-// plus the operational endpoints from RegisterDebug (/metrics as Prometheus
+// plus the operational endpoints from registerDebug (/metrics as Prometheus
 // text exposition, /debug/flightrecorder, /healthz, /debug/vars,
 // /debug/pprof/*) — one HTTP surface for data and ops.
 func (s *Server) Mux() *http.ServeMux {
@@ -28,7 +28,7 @@ func (s *Server) Mux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/households/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /v1/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	RegisterDebug(mux, s)
+	registerDebug(mux, s)
 	return mux
 }
 

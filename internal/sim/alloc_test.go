@@ -34,20 +34,20 @@ func TestAtTaggedDispatchAllocs(t *testing.T) {
 	}
 }
 
-// The Runner path exists so hot paths can schedule with zero allocations:
-// no closure, no Timer, pooled event.
+// The Runner path (AfterRunner) exists so hot paths can schedule with zero
+// allocations: no closure, no Timer, pooled event.
 func TestAtRunnerDispatchAllocs(t *testing.T) {
 	s := NewScheduler(1)
 	r := &nopRunner{}
-	s.AtRunner("bench", s.Now().Add(time.Microsecond), r)
+	s.AfterRunner("bench", time.Microsecond, r)
 	s.RunFor(time.Millisecond)
 
 	avg := testing.AllocsPerRun(200, func() {
-		s.AtRunner("bench", s.Now().Add(time.Microsecond), r)
+		s.AfterRunner("bench", time.Microsecond, r)
 		s.RunFor(time.Millisecond)
 	})
 	if avg != 0 {
-		t.Fatalf("AtRunner+dispatch = %.2f allocs/op, want 0", avg)
+		t.Fatalf("AfterRunner+dispatch = %.2f allocs/op, want 0", avg)
 	}
 	if r.fired == 0 {
 		t.Fatal("runner never fired")

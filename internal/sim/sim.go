@@ -22,7 +22,7 @@ var Epoch = time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 // Runner is a pre-bound event callback. Hot paths that would otherwise
 // allocate a fresh closure per scheduled event (the LAN's per-frame delivery
 // events, tens of thousands per simulated minute) implement Runner on a
-// pooled struct and schedule it with AtRunner/AfterRunner instead.
+// pooled struct and schedule it with AfterRunner instead.
 type Runner interface {
 	// Fire runs the event. It executes in simulation-event context.
 	Fire()
@@ -238,7 +238,7 @@ type Timer struct {
 	// once ev has been recycled and reused its seq no longer matches and
 	// Stop becomes a no-op on it instead of cancelling a stranger's event.
 	seq uint64
-	// stopped latches cancellation so recurring timers (Every) stop even
+	// stopped latches cancellation so recurring timers (EveryTagged) stop even
 	// when Stop is called from inside their own callback, where ev already
 	// points at the event being dispatched.
 	stopped bool
@@ -256,27 +256,18 @@ func (t *Timer) Stop() {
 	}
 }
 
-// At schedules fn to run at the given virtual time. Times in the past run at
+// AtTagged schedules fn to run at the given virtual time, counting its
+// dispatch under sim_events_processed{source=...}. Times in the past run at
 // the current time (next dispatch). fn must not be nil.
-func (s *Scheduler) At(at time.Time, fn func()) *Timer {
-	return s.AtTagged("other", at, fn)
-}
-
-// AtTagged is At with a telemetry source tag: dispatches are counted under
-// sim_events_processed{source=...}.
 func (s *Scheduler) AtTagged(source string, at time.Time, fn func()) *Timer {
 	ev := s.schedule(source, at, funcRunner(fn))
 	return &Timer{ev: ev, seq: ev.seq}
 }
 
-// AtRunner schedules a pre-bound Runner at the given virtual time. Unlike
-// AtTagged it returns no Timer and allocates nothing in steady state (the
-// event comes from the pool), which is why frame-delivery hot paths use it.
-func (s *Scheduler) AtRunner(source string, at time.Time, r Runner) {
-	s.schedule(source, at, r)
-}
-
 // AfterRunner schedules a pre-bound Runner d after the current virtual time.
+// Unlike AfterTagged it returns no Timer and allocates nothing in steady
+// state (the event comes from the pool), which is why frame-delivery hot
+// paths use it.
 func (s *Scheduler) AfterRunner(source string, d time.Duration, r Runner) {
 	s.schedule(source, s.now.Add(d), r)
 }
@@ -291,14 +282,10 @@ func (s *Scheduler) AfterTagged(source string, d time.Duration, fn func()) *Time
 	return s.AtTagged(source, s.now.Add(d), fn)
 }
 
-// Every schedules fn to run now+first and then every period thereafter, with
-// ±jitter applied to each recurrence (0 disables jitter). It returns a Timer
-// whose Stop cancels future recurrences.
-func (s *Scheduler) Every(first, period, jitter time.Duration, fn func()) *Timer {
-	return s.EveryTagged("other", first, period, jitter, fn)
-}
-
-// EveryTagged is Every with a telemetry source tag.
+// EveryTagged schedules fn to run now+first and then every period
+// thereafter, with ±jitter applied to each recurrence (0 disables jitter),
+// counting each dispatch under the source tag. It returns a Timer whose Stop
+// cancels future recurrences.
 func (s *Scheduler) EveryTagged(source string, first, period, jitter time.Duration, fn func()) *Timer {
 	handle := &Timer{}
 	var tick func()

@@ -25,7 +25,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	at := s.Now().Add(time.Second)
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(at, func() { order = append(order, i) })
+		s.AtTagged("other", at, func() { order = append(order, i) })
 	}
 	s.RunFor(2 * time.Second)
 	for i, v := range order {
@@ -63,7 +63,7 @@ func TestTimerStop(t *testing.T) {
 func TestEveryRecursAndStops(t *testing.T) {
 	s := NewScheduler(1)
 	n := 0
-	tm := s.Every(time.Second, time.Second, 0, func() { n++ })
+	tm := s.EveryTagged("other", time.Second, time.Second, 0, func() { n++ })
 	s.RunFor(5500 * time.Millisecond)
 	if n != 5 {
 		t.Fatalf("Every fired %d times, want 5", n)
@@ -113,7 +113,7 @@ func TestEveryStopFromInsideCallback(t *testing.T) {
 	s := NewScheduler(1)
 	n := 0
 	var tm *Timer
-	tm = s.Every(time.Second, time.Second, 0, func() {
+	tm = s.EveryTagged("other", time.Second, time.Second, 0, func() {
 		n++
 		if n == 2 {
 			tm.Stop()
@@ -149,7 +149,7 @@ func TestSchedulerSourceAccounting(t *testing.T) {
 func TestEveryJitterStaysPositive(t *testing.T) {
 	s := NewScheduler(42)
 	n := 0
-	s.Every(time.Millisecond, 10*time.Millisecond, 9*time.Millisecond, func() { n++ })
+	s.EveryTagged("other", time.Millisecond, 10*time.Millisecond, 9*time.Millisecond, func() { n++ })
 	s.RunFor(time.Second)
 	if n < 50 || n > 1200 {
 		t.Fatalf("jittered Every fired %d times, outside sane range", n)
@@ -160,7 +160,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
 		s := NewScheduler(7)
 		var ticks []int64
-		s.Every(0, time.Minute, 30*time.Second, func() {
+		s.EveryTagged("other", 0, time.Minute, 30*time.Second, func() {
 			ticks = append(ticks, s.Now().Sub(Epoch).Milliseconds())
 		})
 		s.RunFor(time.Hour)
@@ -197,7 +197,7 @@ func TestPastEventsRunImmediately(t *testing.T) {
 	s := NewScheduler(1)
 	s.RunFor(time.Hour)
 	fired := false
-	s.At(Epoch, func() { fired = true }) // in the past now
+	s.AtTagged("other", Epoch, func() { fired = true }) // in the past now
 	s.RunFor(time.Nanosecond)
 	if !fired {
 		t.Fatal("past-scheduled event did not fire")
@@ -244,15 +244,15 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 			s.RunFor(time.Millisecond)
 		}
 	})
-	b.Run("AtRunner", func(b *testing.B) {
+	b.Run("AfterRunner", func(b *testing.B) {
 		s := NewScheduler(1)
 		r := &benchRunner{}
-		s.AtRunner("bench", s.Now(), r)
+		s.AfterRunner("bench", 0, r)
 		s.RunFor(time.Millisecond)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.AtRunner("bench", s.Now().Add(time.Microsecond), r)
+			s.AfterRunner("bench", time.Microsecond, r)
 			s.RunFor(time.Millisecond)
 		}
 	})
@@ -272,7 +272,8 @@ type propEvent struct {
 }
 
 // propHandle is a Timer the property may Stop, with the event it would
-// cancel: an At/After event, or an Every handle's pending recurrence.
+// cancel: an AtTagged/After event, or an EveryTagged handle's pending
+// recurrence.
 type propHandle struct {
 	tm      *Timer
 	pending *propEvent
@@ -328,7 +329,7 @@ func (p *orderProp) delay() time.Duration {
 	return time.Duration(p.rng.Intn(7)-2) * 10 * time.Millisecond
 }
 
-// schedule adds one event through At, After or AtRunner.
+// schedule adds one event through AtTagged, After or AfterRunner.
 func (p *orderProp) schedule() {
 	at := p.s.Now().Add(p.delay())
 	ev := p.expect(at)
@@ -336,24 +337,24 @@ func (p *orderProp) schedule() {
 	var tm *Timer
 	switch p.rng.Intn(3) {
 	case 0:
-		tm = p.s.At(at, fn)
+		tm = p.s.AtTagged("other", at, fn)
 	case 1:
 		tm = p.s.After(at.Sub(p.s.Now()), fn)
 	default:
-		p.s.AtRunner("prop", at, runnerFunc(fn))
+		p.s.AfterRunner("prop", at.Sub(p.s.Now()), runnerFunc(fn))
 	}
 	if tm != nil {
 		p.handles = append(p.handles, &propHandle{tm: tm, pending: ev})
 	}
 }
 
-// every adds a recurring timer. Every schedules the next tick after fn
+// every adds a recurring timer. EveryTagged schedules the next tick after fn
 // returns, so the model expects it last in the callback.
 func (p *orderProp) every() {
 	first := time.Duration(p.rng.Intn(4)) * 10 * time.Millisecond
 	period := time.Duration(1+p.rng.Intn(3)) * 10 * time.Millisecond
 	h := &propHandle{pending: p.expect(p.s.Now().Add(first))}
-	h.tm = p.s.Every(first, period, 0, func() {
+	h.tm = p.s.EveryTagged("other", first, period, 0, func() {
 		p.fire(h.pending)
 		p.nested()
 		if !h.stopped {
@@ -401,7 +402,7 @@ type runnerFunc func()
 
 func (f runnerFunc) Fire() { f() }
 
-// Random At/After/AtRunner/Every schedules, with equal timestamps, past
+// Random AtTagged/After/AfterRunner/EveryTagged schedules, with equal timestamps, past
 // times, Timer.Stop from inside callbacks and interleaved Run and Step
 // calls, dispatch every live event once, in (at, seq) order, with Now()
 // at the event's time; no stopped event fires.

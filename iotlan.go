@@ -39,38 +39,43 @@ import (
 )
 
 // Study orchestrates a full reproduction run. Zero value is not usable; use
-// New.
+// New. Its knobs are unexported and set only by New's options, so none can
+// change after a Run* call has read it.
 type Study struct {
-	// Seed drives every random decision; equal seeds give byte-identical
+	// seed drives every random decision; equal seeds give byte-identical
 	// captures.
-	Seed int64
-	// IdleDuration is the no-interaction capture window (the paper used 5
+	seed int64
+	// idleDuration is the no-interaction capture window (the paper used 5
 	// days; shorter windows preserve the per-protocol shape).
-	IdleDuration time.Duration
-	// Interactions counts scripted device interactions (§3.1 used 7,191).
-	Interactions int
-	// Households sizes the crowdsourced dataset (§6.3 used 3,860).
-	Households int
-	// AppsToRun bounds how many dataset apps the instrumented phone
+	idleDuration time.Duration
+	// interactions counts scripted device interactions (§3.1 used 7,191).
+	interactions int
+	// households sizes the crowdsourced dataset (§6.3 used 3,860).
+	households int
+	// appsToRun bounds how many dataset apps the instrumented phone
 	// exercises (0 = all with local behaviour).
-	AppsToRun int
-	// FullPortSweep scans all 65,535 TCP ports per device instead of the
+	appsToRun int
+	// fullPortSweep scans all 65,535 TCP ports per device instead of the
 	// fast list (slow; the fast list covers every catalog service).
-	FullPortSweep bool
-	// Workers bounds analysis-engine concurrency (decode-once index build,
+	fullPortSweep bool
+	// workers bounds analysis-engine concurrency (decode-once index build,
 	// Inspector generation sharding, artifact fan-out). Values < 1 mean one
 	// worker per CPU. Worker count never changes output, only wall time.
-	Workers int
-	// ChaosPlan configures deterministic fault injection on the lab network
+	workers int
+	// chaosPlan configures deterministic fault injection on the lab network
 	// (see internal/chaos). The zero Plan injects nothing. For a fixed
-	// (Seed, ChaosPlan) pair outputs stay byte-identical across Workers.
-	ChaosPlan chaos.Plan
-	// ResidentPlan drives the lab with persona-compiled household schedules
+	// (seed, chaosPlan) pair outputs stay byte-identical across workers.
+	chaosPlan chaos.Plan
+	// residentPlan drives the lab with persona-compiled household schedules
 	// instead of the fixed-pace Interact loop (see internal/resident). When
-	// enabled, the passive window spans ResidentPlan.Duration() of virtual
+	// enabled, the passive window spans residentPlan.Duration() of virtual
 	// time and interactions arrive event-driven at diurnal times; the zero
 	// Plan keeps the classic idle + paced-interaction workload.
-	ResidentPlan resident.Plan
+	residentPlan resident.Plan
+	// trace receives the simulation's trace: each phase a span on the lab's
+	// virtual clock, each simulator event a zero-duration child of its
+	// phase.
+	trace *obs.Tracer
 
 	// labProfiles overrides the device catalog for the lab (subset labs keep
 	// multi-day resident tests inside the -race time budget). nil = full
@@ -84,11 +89,6 @@ type Study struct {
 	Apps      []app.App
 	AppRun    *app.Runtime
 	Inspector *inspector.Dataset
-
-	// Trace, when set before the first Run* call, receives the simulation's
-	// trace: each phase a span on the lab's virtual clock, each simulator
-	// event a zero-duration child of its phase.
-	Trace *obs.Tracer
 
 	// pcaps, when set, receives every frame the lab sends, in every phase.
 	pcaps *pcap.MACWriter
@@ -112,24 +112,24 @@ type Study struct {
 type Option func(*Study)
 
 // WithIdleDuration sets the no-interaction capture window.
-func WithIdleDuration(d time.Duration) Option { return func(s *Study) { s.IdleDuration = d } }
+func WithIdleDuration(d time.Duration) Option { return func(s *Study) { s.idleDuration = d } }
 
 // WithInteractions sets the count of scripted device interactions.
-func WithInteractions(n int) Option { return func(s *Study) { s.Interactions = n } }
+func WithInteractions(n int) Option { return func(s *Study) { s.interactions = n } }
 
 // WithHouseholds sizes the crowdsourced dataset.
-func WithHouseholds(n int) Option { return func(s *Study) { s.Households = n } }
+func WithHouseholds(n int) Option { return func(s *Study) { s.households = n } }
 
 // WithApps bounds how many dataset apps the instrumented phone exercises
 // (0 = all with local behaviour).
-func WithApps(n int) Option { return func(s *Study) { s.AppsToRun = n } }
+func WithApps(n int) Option { return func(s *Study) { s.appsToRun = n } }
 
 // WithFullPortSweep scans all 65,535 TCP ports per device.
-func WithFullPortSweep() Option { return func(s *Study) { s.FullPortSweep = true } }
+func WithFullPortSweep() Option { return func(s *Study) { s.fullPortSweep = true } }
 
 // WithTrace writes the simulation's trace, spans on the lab's virtual
 // clock, to t.
-func WithTrace(t *obs.Tracer) Option { return func(s *Study) { s.Trace = t } }
+func WithTrace(t *obs.Tracer) Option { return func(s *Study) { s.trace = t } }
 
 // WithPcapWriter streams every frame the lab sends, from the passive window
 // through the app runs, into w's per-MAC pcap files as it is sent. The
@@ -137,16 +137,16 @@ func WithTrace(t *obs.Tracer) Option { return func(s *Study) { s.Trace = t } }
 func WithPcapWriter(w *pcap.MACWriter) Option { return func(s *Study) { s.pcaps = w } }
 
 // WithWorkers bounds analysis-engine concurrency (< 1 = one per CPU).
-func WithWorkers(n int) Option { return func(s *Study) { s.Workers = n } }
+func WithWorkers(n int) Option { return func(s *Study) { s.workers = n } }
 
 // WithChaos runs the lab under a fault-injection plan (use chaos.Profile for
 // the named impairment profiles, or build a chaos.Plan directly).
-func WithChaos(plan chaos.Plan) Option { return func(s *Study) { s.ChaosPlan = plan } }
+func WithChaos(plan chaos.Plan) Option { return func(s *Study) { s.chaosPlan = plan } }
 
 // WithResidents drives the lab with a persona-compiled household schedule
 // (use resident.Household for a default mix, or build a resident.Plan
 // directly). Composes with WithChaos.
-func WithResidents(plan resident.Plan) Option { return func(s *Study) { s.ResidentPlan = plan } }
+func WithResidents(plan resident.Plan) Option { return func(s *Study) { s.residentPlan = plan } }
 
 // WithLabProfiles overrides the lab's device catalog (device.Subset builds
 // named subsets). Intended for tests and scaled-down runs; artifacts keyed
@@ -159,11 +159,10 @@ func WithLabProfiles(profiles []*device.Profile) Option {
 // time, then applies options.
 func New(seed int64, opts ...Option) *Study {
 	s := &Study{
-		Seed:         seed,
-		IdleDuration: 45 * time.Minute,
-		Interactions: 120,
-		Households:   3860,
-		AppsToRun:    0,
+		seed:         seed,
+		idleDuration: 45 * time.Minute,
+		interactions: 120,
+		households:   3860,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -204,31 +203,31 @@ func (s *Study) RunPassive() {
 	if profiles == nil {
 		profiles = device.Catalog()
 	}
-	s.Lab = testbed.NewWith(s.Seed, profiles,
-		testbed.WithChaos(s.ChaosPlan), testbed.WithResidents(s.ResidentPlan))
+	s.Lab = testbed.NewWith(s.seed, profiles,
+		testbed.WithChaos(s.chaosPlan), testbed.WithResidents(s.residentPlan))
 	if s.pcaps != nil {
 		s.Lab.Net.Tap(s.pcaps.Add)
 	}
-	if s.Trace != nil {
+	if s.trace != nil {
 		tel := s.Lab.Telemetry()
 		tel.Tracer = obs.NewSpanTracer(s.Lab.Sched.VirtualMicros)
-		tel.Tracer.SetOutput(s.Trace)
+		tel.Tracer.SetOutput(s.trace)
 	}
 	s.phase("passive", func() {
 		s.Lab.Start()
 
 		// Honeypot joins the LAN alongside the devices.
-		s.Honeypot = honeypot.New("honey-hue", s.Seed)
+		s.Honeypot = honeypot.New("honey-hue", s.seed)
 		hpHost := s.Lab.AddHost(230, netx.MAC{0x02, 0x40, 0x00, 0x00, 0x02, 0x30})
 		s.Honeypot.Attach(hpHost)
 
-		if s.ResidentPlan.Enabled() {
+		if s.residentPlan.Enabled() {
 			// Residents schedule their own interactions on the virtual
 			// clock; the passive window is their whole multi-day run.
-			s.Lab.RunIdle(s.ResidentPlan.Duration())
+			s.Lab.RunIdle(s.residentPlan.Duration())
 		} else {
-			s.Lab.RunIdle(s.IdleDuration)
-			s.Lab.Interact(s.Interactions)
+			s.Lab.RunIdle(s.idleDuration)
+			s.Lab.Interact(s.interactions)
 		}
 	})
 	// Every artifact reads the passive window alone, which §3.1 keeps apart
@@ -243,7 +242,7 @@ func (s *Study) RunPassive() {
 // share the cached parse. The index is immutable once built.
 func (s *Study) PassiveIndex() *pcap.Index {
 	s.RunPassive()
-	s.idxOnce.Do(func() { s.passiveIdx = pcap.NewIndex(s.Lab.Capture.All, s.Workers) })
+	s.idxOnce.Do(func() { s.passiveIdx = pcap.NewIndex(s.Lab.Capture.All, s.workers) })
 	return s.passiveIdx
 }
 
@@ -319,7 +318,7 @@ func (s *Study) RunScans() {
 	s.phase("scans", func() {
 		scanner := s.Lab.AddHost(250, netx.MAC{0x02, 0x50, 0x00, 0x00, 0x02, 0x50})
 		tcpPorts := fastPortList()
-		if s.FullPortSweep {
+		if s.fullPortSweep {
 			tcpPorts = scan.AllTCPPorts()
 		}
 		sc := &scan.Scanner{Host: scanner, TCPPorts: tcpPorts, UDPPorts: scan.WellKnownUDPPorts()}
@@ -365,7 +364,7 @@ func (s *Study) RunApps() {
 	}
 	s.RunPassive()
 	s.phase("apps", func() {
-		s.Apps = app.Dataset(s.Seed)
+		s.Apps = app.Dataset(s.seed)
 		s.AppRun = app.NewRuntime(s.Lab, app.Android9)
 		// Pairing-stage MACs already live in vendor clouds (§6.1's downlink
 		// observation); seed a handful so downlink dissemination has content.
@@ -388,7 +387,7 @@ func (s *Study) RunApps() {
 			}
 			s.AppRun.Run(a)
 			run++
-			if s.AppsToRun > 0 && run >= s.AppsToRun {
+			if s.appsToRun > 0 && run >= s.appsToRun {
 				break
 			}
 		}
@@ -401,7 +400,7 @@ func (s *Study) RunApps() {
 func (s *Study) RunInspector() {
 	if s.Inspector == nil {
 		s.phase("inspector", func() {
-			s.Inspector = inspector.GenerateParallel(s.Seed, s.Households, s.Workers)
+			s.Inspector = inspector.GenerateParallel(s.seed, s.households, s.workers)
 		})
 	}
 }
@@ -411,7 +410,7 @@ func (s *Study) RunInspector() {
 // Table 2 and the mitigation sweep.
 func (s *Study) ExtractedIdentifiers() *analysis.ExtractedIdentifiers {
 	s.RunInspector()
-	s.idsOnce.Do(func() { s.identifiers = analysis.ExtractIdentifiers(s.Inspector, s.Workers) })
+	s.idsOnce.Do(func() { s.identifiers = analysis.ExtractIdentifiers(s.Inspector, s.workers) })
 	return s.identifiers
 }
 

@@ -18,11 +18,8 @@ var testStudy *Study
 func study(t *testing.T) *Study {
 	t.Helper()
 	if testStudy == nil {
-		s := New(7)
-		s.IdleDuration = 30 * time.Minute
-		s.Interactions = 60
-		s.Households = 1200
-		s.AppsToRun = 60
+		s := New(7, WithIdleDuration(30*time.Minute), WithInteractions(60),
+			WithHouseholds(1200), WithApps(60))
 		s.RunAll()
 		testStudy = s
 	}

@@ -1,8 +1,17 @@
 package iotlan
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"iotlan/internal/chaos"
+	"iotlan/internal/device"
+	"iotlan/internal/obs"
+	"iotlan/internal/pcap"
+	"iotlan/internal/resident"
 )
 
 func TestRegistryCoversEverything(t *testing.T) {
@@ -86,9 +95,29 @@ func TestNeedMaskString(t *testing.T) {
 	}
 }
 
+// Each knob has one setter, its option. New without options keeps the
+// paper defaults.
 func TestNewOptions(t *testing.T) {
-	c := New(11, WithHouseholds(10), WithInteractions(5), WithWorkers(2), WithApps(1))
-	if c.Households != 10 || c.Interactions != 5 || c.Workers != 2 || c.AppsToRun != 1 {
+	d := New(11)
+	if d.seed != 11 || d.idleDuration != 45*time.Minute || d.interactions != 120 || d.households != 3860 {
+		t.Fatalf("defaults not kept: %+v", d)
+	}
+	trace := obs.NewTracer(io.Discard, obs.FormatJSONL)
+	pcaps := &pcap.MACWriter{}
+	plan := chaos.Profiles()[0]
+	residents := resident.Household(2, 1)
+	profiles := device.Subset("hue-hub", "tplink-plug")
+	c := New(11,
+		WithIdleDuration(3*time.Minute), WithInteractions(5), WithHouseholds(10),
+		WithApps(1), WithFullPortSweep(), WithTrace(trace), WithPcapWriter(pcaps),
+		WithWorkers(2), WithChaos(plan), WithResidents(residents), WithLabProfiles(profiles))
+	if c.seed != 11 || c.idleDuration != 3*time.Minute || c.interactions != 5 || c.households != 10 ||
+		c.appsToRun != 1 || !c.fullPortSweep || c.trace != trace || c.pcaps != pcaps || c.workers != 2 ||
+		!reflect.DeepEqual(c.chaosPlan, plan) || !reflect.DeepEqual(c.residentPlan, residents) ||
+		!reflect.DeepEqual(c.labProfiles, profiles) {
 		t.Fatalf("options not applied: %+v", c)
+	}
+	if !plan.Enabled() || !residents.Enabled() || len(profiles) != 2 {
+		t.Fatal("option values are zero: the checks above prove nothing")
 	}
 }

@@ -541,12 +541,12 @@ func (s *Study) Diurnal() Result {
 		covered = int(d/time.Hour) + 1
 	}
 	var schedule [24]int
-	if s.ResidentPlan.Enabled() {
+	if s.residentPlan.Enabled() {
 		schedule = s.Lab.Residents.HourHistogram()
 	}
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "hour-of-day traffic structure (residents: %s)\n", s.ResidentPlan)
+	fmt.Fprintf(&sb, "hour-of-day traffic structure (residents: %s)\n", s.residentPlan)
 	fmt.Fprintf(&sb, "%4s %10s %12s %10s %10s\n", "hour", "frames", "bytes", "active", "schedule")
 	cvOver := func(hist [24]float64) (cv, peak float64, peakHour int) {
 		// float64() rounds each product, so no platform fuses it into the
@@ -619,7 +619,7 @@ func MitigationResult(rows []analysis.ReidentificationResult) Result {
 }
 
 // appDatasetFor lets Figure2 run without a full app execution.
-func appDatasetFor(s *Study) []app.App { return app.Dataset(s.Seed) }
+func appDatasetFor(s *Study) []app.App { return app.Dataset(s.seed) }
 
 // Everything runs all registered artifacts and returns them in paper order.
 // After the (sequential, virtual-time) pipelines finish, the shared
@@ -638,5 +638,5 @@ func (s *Study) Everything() []Result {
 		needs |= a.Needs
 	}
 	s.prepare(needs)
-	return engine.Map(s.Workers, len(arts), func(i int) Result { return arts[i].Fn(s) })
+	return engine.Map(s.workers, len(arts), func(i int) Result { return arts[i].Fn(s) })
 }
