@@ -20,9 +20,9 @@ import (
 	"time"
 
 	"iotlan/internal/chaos"
+	"iotlan/internal/layers"
 	"iotlan/internal/netbios"
 	"iotlan/internal/netx"
-	"iotlan/internal/pcap"
 	"iotlan/internal/stun"
 	"iotlan/internal/testbed"
 	"iotlan/internal/tlsx"
@@ -71,12 +71,12 @@ func main() {
 	lab.RunIdle(6 * time.Minute)
 	lab.Interact(12)
 
-	idx := pcap.NewIndex(lab.Capture.All, 0)
-	for i, rec := range idx.Records {
+	var p layers.Packet
+	for i, rec := range lab.Capture.All {
 		if i%7 == 0 { // sample whole frames for the layers decoder
 			buckets["layers"].add(rec.Data)
 		}
-		p := rec.Decode()
+		p.DecodeInto(rec.Data)
 		if p.Err != nil || len(p.AppPayload) == 0 {
 			continue
 		}

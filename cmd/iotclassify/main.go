@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"iotlan/internal/classify"
+	"iotlan/internal/layers"
 	"iotlan/internal/pcap"
 )
 
@@ -57,8 +58,10 @@ func main() {
 	for _, f := range flows {
 		finalLabels = append(finalLabels, final.Classify(f))
 	}
-	for _, p := range nonFlow {
-		finalLabels = append(finalLabels, final.ClassifyPacket(p))
+	var p layers.Packet
+	for _, r := range nonFlow {
+		p.DecodeInto(r.Data)
+		finalLabels = append(finalLabels, final.ClassifyPacket(&p))
 	}
 	fmt.Println("corrected label distribution:")
 	for _, lc := range classify.CountLabels(finalLabels) {

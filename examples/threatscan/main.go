@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"net/netip"
+	"sort"
 	"time"
 
 	"iotlan"
@@ -27,8 +28,13 @@ func main() {
 	fmt.Println("== What the attacker can exploit ==")
 	vs := study.VulnSummary()
 	fmt.Println(vs.Rendered)
-	for name, findings := range study.Findings {
-		for _, f := range findings {
+	names := make([]string, 0, len(study.Findings))
+	for name := range study.Findings {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, f := range study.Findings[name] {
 			if f.Severity >= vuln.High {
 				fmt.Printf("  %-20s [%s] %s: %s\n", name, f.Severity, f.ID, f.Evidence)
 			}

@@ -56,10 +56,10 @@ func (r EntropyRow) Key() string {
 // identifierSet is one device's extracted identifiers by class.
 type identifierSet = map[IdentifierType][]string
 
-// ExtractedIdentifiers is the fingerprint analogue of the decode-once
-// packet index: per-device identifier extractions (§6.3's regex passes, the
-// hot loop of Table 2 and the §7 sweep) computed a single time — optionally
-// sharded across workers — and shared read-only by every consumer.
+// ExtractedIdentifiers holds per-device identifier extractions (§6.3's
+// regex passes, the hot loop of Table 2 and the §7 sweep) computed a single
+// time — optionally sharded across workers — and shared read-only by every
+// consumer.
 type ExtractedIdentifiers struct {
 	byDevice map[*inspector.Device]identifierSet
 }

@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 
 	"iotlan/internal/dnsmsg"
+	"iotlan/internal/layers"
 	"iotlan/internal/matter"
 	"iotlan/internal/pcap"
 	"iotlan/internal/ssdp"
@@ -62,11 +64,14 @@ func BuildExposure(records []pcap.Record) *ExposureMatrix {
 			m.Cells[key] = evidence
 		}
 	}
+	var p layers.Packet
 	for _, r := range pcap.FilterLocal(records) {
-		p := r.Decode()
+		p.DecodeInto(r.Data)
 		switch {
 		case p.HasARP:
-			set("ARP", ExpMAC, p.ARP.SenderHW.String())
+			if !m.Exposed("ARP", ExpMAC) {
+				set("ARP", ExpMAC, p.ARP.SenderHW.String())
+			}
 		case p.HasUDP:
 			payload := p.AppPayload
 			switch {
@@ -86,9 +91,12 @@ func BuildExposure(records []pcap.Record) *ExposureMatrix {
 	return m
 }
 
+// looksSSDP matches SSDP start lines on any port. It runs on every local
+// UDP payload no earlier case claims, so it compares bytes without
+// converting the payload to a string.
 func looksSSDP(p []byte) bool {
-	return len(p) > 12 && (strings.HasPrefix(string(p[:12]), "HTTP/1.1 200") ||
-		strings.HasPrefix(string(p), "M-SEARCH") || strings.HasPrefix(string(p), "NOTIFY"))
+	return len(p) > 12 && (bytes.HasPrefix(p, []byte("HTTP/1.1 200")) ||
+		bytes.HasPrefix(p, []byte("M-SEARCH")) || bytes.HasPrefix(p, []byte("NOTIFY")))
 }
 
 func inspectDHCP(payload []byte, set func(proto, field, ev string)) {

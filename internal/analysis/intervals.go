@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"iotlan/internal/device"
+	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/pcap"
 )
@@ -35,8 +36,9 @@ func DiscoveryIntervals(records []pcap.Record, devices []*device.Device) []Inter
 		proto string
 	}
 	times := map[key][]time.Time{}
+	var p layers.Packet
 	for _, r := range records {
-		p := r.Decode()
+		p.DecodeInto(r.Data)
 		if !p.HasUDP || !p.Eth.Dst.IsMulticast() {
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"iotlan/internal/classify"
+	"iotlan/internal/layers"
 	"iotlan/internal/pcap"
 )
 
@@ -49,8 +50,9 @@ func GroupDiscoveryTraffic(records []pcap.Record) []*PeriodicGroup {
 		"MDNS": true, "SSDP": true, "TPLINK-SMARTHOME": true,
 		"TUYALP": true, "COAP": true, "LIFX": true,
 	}
+	var p layers.Packet
 	for _, r := range records {
-		p := r.Decode()
+		p.DecodeInto(r.Data)
 		proto, sp, dp := p.Transport()
 		if proto == "" || !p.Eth.Dst.IsMulticast() {
 			continue

@@ -8,6 +8,7 @@ import (
 	"iotlan/internal/app"
 	"iotlan/internal/classify"
 	"iotlan/internal/device"
+	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/pcap"
 	"iotlan/internal/scan"
@@ -133,8 +134,9 @@ func passiveProtocolsPerDevice(records []pcap.Record, devices []*device.Device) 
 	// Attribution is per packet, not per flow: broadcast exchanges like
 	// DHCP share one 5-tuple across every client, so the flow's SrcMAC
 	// would credit only the first device.
+	var p layers.Packet
 	for _, r := range local {
-		p := r.Decode()
+		p.DecodeInto(r.Data)
 		proto, sp, dp := p.Transport()
 		if proto == "" {
 			mark(byMAC[p.Eth.Src], canonicalLabel(p.L3Name()))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"iotlan/internal/device"
+	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/pcap"
 )
@@ -60,8 +61,9 @@ func ResponseTable(records []pcap.Record, devices []*device.Device) []ResponseRo
 		proto string
 	}
 	discoveries := map[*device.Device][]sent{}
+	var p layers.Packet
 	for _, r := range records {
-		p := r.Decode()
+		p.DecodeInto(r.Data)
 		if !p.HasUDP || !p.Eth.Dst.IsMulticast() {
 			continue
 		}
@@ -87,7 +89,7 @@ func ResponseTable(records []pcap.Record, devices []*device.Device) []ResponseRo
 		responders[d] = map[*device.Device]bool{}
 	}
 	for _, r := range records {
-		p := r.Decode()
+		p.DecodeInto(r.Data)
 		if !p.HasUDP || p.Eth.Dst.IsMulticast() {
 			continue
 		}

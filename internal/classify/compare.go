@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"iotlan/internal/layers"
+	"iotlan/internal/pcap"
 	"iotlan/internal/rtp"
 )
 
@@ -39,9 +40,10 @@ type Comparison struct {
 	SpecLabeled, DPILabeled int
 }
 
-// Compare runs both classifiers over flows and non-flow packets and builds
-// the agreement matrix.
-func Compare(flows []*Flow, nonFlow []*layers.Packet) *Comparison {
+// Compare runs both classifiers over flows and non-flow records and builds
+// the agreement matrix, decoding each non-flow record into one reused
+// packet.
+func Compare(flows []*Flow, nonFlow []pcap.Record) *Comparison {
 	c := &Comparison{Matrix: map[[2]string]int{}}
 	spec, dpi := SpecClassifier{}, DPIClassifier{}
 	record := func(s, d string) {
@@ -66,8 +68,10 @@ func Compare(flows []*Flow, nonFlow []*layers.Packet) *Comparison {
 	for _, f := range flows {
 		record(spec.Classify(f), dpi.Classify(f))
 	}
-	for _, p := range nonFlow {
-		record(ClassifyPacketSpec(p), ClassifyPacketDPI(p))
+	var p layers.Packet
+	for _, r := range nonFlow {
+		p.DecodeInto(r.Data)
+		record(ClassifyPacketSpec(&p), ClassifyPacketDPI(&p))
 	}
 	return c
 }

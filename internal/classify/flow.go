@@ -44,14 +44,18 @@ type Flow struct {
 const maxDPIPayloads = 4
 
 // Assemble groups records into flows plus the non-flow (no transport layer)
-// packet list. Flow order is deterministic (first-seen).
-func Assemble(records []pcap.Record) (flows []*Flow, nonFlow []*layers.Packet) {
+// records, in capture order. Flow order is deterministic (first-seen). Each
+// record is decoded into one reused packet; a flow keeps only values and
+// payload slices of the record's own frame, so no parse outlives its
+// iteration.
+func Assemble(records []pcap.Record) (flows []*Flow, nonFlow []pcap.Record) {
 	index := make(map[FlowKey]*Flow)
+	var p layers.Packet
 	for _, r := range records {
-		p := r.Decode()
+		p.DecodeInto(r.Data)
 		proto, sp, dp := p.Transport()
 		if proto == "" {
-			nonFlow = append(nonFlow, p)
+			nonFlow = append(nonFlow, r)
 			continue
 		}
 		key := FlowKey{Src: p.SrcIP(), SrcPort: sp, Dst: p.DstIP(), DstPort: dp, Proto: proto}

@@ -37,8 +37,8 @@ func TestPcapFileRoundTripClassification(t *testing.T) {
 		for _, f := range flows {
 			out[final.Classify(f)]++
 		}
-		for _, p := range nonFlow {
-			out[final.ClassifyPacket(p)]++
+		for _, r := range nonFlow {
+			out[final.ClassifyPacket(r.Decode())]++
 		}
 		return out
 	}

@@ -200,6 +200,9 @@ func generateHousehold(rng *rand.Rand, h int, products []Product, totalPop int) 
 	owner := firstNames[rng.Intn(len(firstNames))]
 	// Median 3 devices per household (§6.3): geometric-ish 1..12.
 	n := 1 + rng.Intn(3) + rng.Intn(3)
+	// Each device's windows are built in this scratch slice and stored at
+	// their exact length, so the dataset keeps no spare capacity.
+	var windows []TrafficWindow
 	for d := 0; d < n; d++ {
 		p := pickProduct()
 		var mac netx.MAC
@@ -231,14 +234,17 @@ func generateHousehold(rng *rand.Rand, h int, products []Product, totalPop int) 
 		renderPayloads(dev, p, owner, uuid, mac)
 		// A few hours of 5-second windows, sparse.
 		t := start.Add(time.Duration(rng.Intn(1000)) * time.Hour)
+		windows = windows[:0]
 		for w := 0; w < 20+rng.Intn(60); w++ {
-			dev.Windows = append(dev.Windows, TrafficWindow{
+			windows = append(windows, TrafficWindow{
 				Start:     t.Add(time.Duration(w) * 5 * time.Second),
 				BytesIn:   rng.Intn(4000),
 				BytesOut:  rng.Intn(2000),
 				PeerLocal: rng.Intn(3) == 0,
 			})
 		}
+		dev.Windows = make([]TrafficWindow, len(windows))
+		copy(dev.Windows, windows)
 		hh.Devices = append(hh.Devices, dev)
 	}
 	return hh

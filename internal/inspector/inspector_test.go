@@ -64,6 +64,20 @@ func TestGenerateParallelByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// TestWindowsStoredAtExactLength: a generated device's windows carry no
+// spare capacity, whichever entry point generated it.
+func TestWindowsStoredAtExactLength(t *testing.T) {
+	hs := GenerateParallel(1, 200, 4).Households
+	hs = append(hs, NewGenerator(1).Household(7))
+	for _, h := range hs {
+		for _, d := range h.Devices {
+			if len(d.Windows) == 0 || cap(d.Windows) != len(d.Windows) {
+				t.Fatalf("%s: %d windows in a slice of capacity %d", h.ID, len(d.Windows), cap(d.Windows))
+			}
+		}
+	}
+}
+
 func TestDeviceIDIsHMACNotMAC(t *testing.T) {
 	ds := Generate(1, 10)
 	for _, h := range ds.Households {

@@ -38,46 +38,17 @@ func testRecords(t *testing.T) []Record {
 	return recs
 }
 
-func TestIndexDecodeOnce(t *testing.T) {
-	recs := testRecords(t)
-	// An un-indexed record decodes fresh on every call.
-	if recs[0].Decode() == recs[0].Decode() {
-		t.Fatal("un-indexed record unexpectedly cached")
-	}
-	ix := NewIndex(recs, 4)
-	if ix.Len() != len(recs) {
-		t.Fatalf("index len %d", ix.Len())
-	}
-	// The index decodes into the caller's slice, not into a copy.
-	if &ix.Records[0] != &recs[0] {
-		t.Fatal("index copied the records")
-	}
-	for i, r := range recs {
-		p := r.Decode()
-		if p == nil || p.Data == nil || &p.Data[0] != &r.Data[0] {
-			t.Fatalf("record %d parse is not of its own frame", i)
-		}
-		// Cached: every call, and every copy of the record, returns the
-		// one packet attached in place.
-		if r.Decode() != p || ix.Records[i].Decode() != p {
-			t.Fatalf("record %d not cache-backed", i)
-		}
-	}
-	// A second index over the same records decodes every record again.
-	first := recs[0].Decode()
-	NewIndex(recs, 1)
-	if recs[0].Decode() == first {
-		t.Fatal("rebuilt index kept the earlier parse")
-	}
-}
-
-// TestIndexViewsDeterministicAcrossWorkers: the index's one view, its
-// records with their parses, is the same at any worker count.
+// TestIndexViewsDeterministicAcrossWorkers: the index's one view, the
+// caller's records themselves, is the same at any worker count.
 func TestIndexViewsDeterministicAcrossWorkers(t *testing.T) {
-	a := NewIndex(testRecords(t), 1)
+	recs := testRecords(t)
+	a := NewIndex(recs, 1)
 	b := NewIndex(testRecords(t), 8)
 	if a.Len() != b.Len() {
 		t.Fatalf("index lengths differ: %d vs %d", a.Len(), b.Len())
+	}
+	if &a.Records[0] != &recs[0] {
+		t.Fatal("index copied the records")
 	}
 	for i := range a.Records {
 		ra, rb := a.Records[i], b.Records[i]

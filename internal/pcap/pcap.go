@@ -19,20 +19,12 @@ import (
 type Record struct {
 	Time time.Time
 	Data []byte
-
-	// pkt is the decode-once cache NewIndex attaches in place. It rides
-	// along on copies of the Record value, so slices derived from an indexed
-	// capture keep the cache.
-	pkt *layers.Packet
 }
 
-// Decode parses the record's frame. Records an Index has decoded return
-// the shared pre-parsed layers; the returned packet must be treated as
-// read-only. Un-indexed records decode on every call.
+// Decode parses the record's frame into a new packet. A reader that walks
+// many records decodes each into one packet it owns instead
+// (layers.Packet.DecodeInto), so its pass allocates nothing per record.
 func (r Record) Decode() *layers.Packet {
-	if r.pkt != nil {
-		return r.pkt
-	}
 	return layers.Decode(r.Data)
 }
 
@@ -215,11 +207,13 @@ func (c *Capture) Len() int { return len(c.All) }
 
 // FilterLocal returns the records passing the Appendix C.1 local-traffic
 // filter: local unicast IP, multicast/broadcast destination, or non-IP
-// unicast.
+// unicast. Its only allocation is the returned slice.
 func FilterLocal(records []Record) []Record {
 	out := make([]Record, 0, len(records))
+	var p layers.Packet
 	for _, r := range records {
-		if r.Decode().IsLocal() {
+		p.DecodeInto(r.Data)
+		if p.IsLocal() {
 			out = append(out, r)
 		}
 	}

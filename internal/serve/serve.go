@@ -45,6 +45,7 @@ import (
 	"iotlan/internal/analysis"
 	"iotlan/internal/engine"
 	"iotlan/internal/inspector"
+	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/obs"
 	"iotlan/internal/pcap"
@@ -521,17 +522,18 @@ type captureReport struct {
 	ExposedAt   int            `json:"exposed_cells"`
 }
 
-// analyzeCapture decodes the records once (the same decode-once index the
-// offline engine uses), counts protocols, sources and local frames in one
-// pass, and renders the upload report. It touches no server state: a
-// capture's answer depends on nothing but its own upload.
+// analyzeCapture counts protocols, sources and local frames in one pass,
+// decoding each record into one reused packet as the offline readers do,
+// then builds the exposure matrix and renders the upload report. It touches
+// no server state: a capture's answer depends on nothing but its own
+// upload.
 func analyzeCapture(household string, records []pcap.Record) []byte {
-	idx := pcap.NewIndex(records, 1)
 	protocols := make(map[string]int, 4)
 	sources := make(map[netx.MAC]bool)
 	local := 0
-	for _, rec := range idx.Records {
-		p := rec.Decode()
+	var p layers.Packet
+	for _, rec := range records {
+		p.DecodeInto(rec.Data)
 		protocols[p.L3Name()]++
 		if p.HasEth {
 			sources[p.Eth.Src] = true
@@ -540,7 +542,7 @@ func analyzeCapture(household string, records []pcap.Record) []byte {
 			local++
 		}
 	}
-	exposure := analysis.BuildExposure(idx.Records)
+	exposure := analysis.BuildExposure(records)
 	exposed := 0
 	for _, proto := range analysis.ExposureRows {
 		for _, f := range analysis.ExposureFields {
@@ -551,7 +553,7 @@ func analyzeCapture(household string, records []pcap.Record) []byte {
 	}
 	return mustJSON(captureReport{
 		Household:   household,
-		Frames:      idx.Len(),
+		Frames:      len(records),
 		LocalFrames: local,
 		Protocols:   protocols,
 		Sources:     len(sources),

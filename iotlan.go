@@ -58,9 +58,9 @@ type Study struct {
 	// fullPortSweep scans all 65,535 TCP ports per device instead of the
 	// fast list (slow; the fast list covers every catalog service).
 	fullPortSweep bool
-	// workers bounds analysis-engine concurrency (decode-once index build,
-	// Inspector generation sharding, artifact fan-out). Values < 1 mean one
-	// worker per CPU. Worker count never changes output, only wall time.
+	// workers bounds analysis-engine concurrency (Inspector generation
+	// sharding, artifact fan-out). Values < 1 mean one worker per CPU.
+	// Worker count never changes output, only wall time.
 	workers int
 	// chaosPlan configures deterministic fault injection on the lab network
 	// (see internal/chaos). The zero Plan injects nothing. For a fixed
@@ -95,11 +95,6 @@ type Study struct {
 
 	passiveDone bool
 
-	// passiveIdx is the decode-once packet index over the passive capture:
-	// every record's layers parsed exactly once, then shared read-only by all
-	// artifacts. Built lazily on first PassiveIndex call.
-	passiveIdx  *pcap.Index
-	idxOnce     sync.Once
 	identifiers *analysis.ExtractedIdentifiers
 	idsOnce     sync.Once
 	// graph is the memoized device-to-device communication graph shared by
@@ -236,14 +231,12 @@ func (s *Study) RunPassive() {
 	s.passiveDone = true
 }
 
-// PassiveIndex returns the decode-once packet index over the passive
-// capture. The first call parses every record's layers (sharded across
-// Workers); subsequent calls — and every artifact consuming PassiveRecords —
-// share the cached parse. The index is immutable once built.
+// PassiveIndex wraps PassiveRecords in a pcap.Index. It decodes and
+// memoizes nothing, and no artifact calls it; it remains only for the
+// benchmark harness's pcap.index_s row (bench/repro.go) and goes when that
+// harness next changes.
 func (s *Study) PassiveIndex() *pcap.Index {
-	s.RunPassive()
-	s.idxOnce.Do(func() { s.passiveIdx = pcap.NewIndex(s.Lab.Capture.All, s.workers) })
-	return s.passiveIdx
+	return pcap.NewIndex(s.PassiveRecords(), s.workers)
 }
 
 // PassiveGraph returns the device-to-device communication graph over the
@@ -256,21 +249,22 @@ func (s *Study) PassiveGraph() *analysis.Graph {
 	return s.graph
 }
 
-// ResetAnalysisCaches drops the memoized analysis prerequisites (decode-once
-// index, communication graph, identifier extraction) so the next consumer
+// ResetAnalysisCaches drops the memoized analysis prerequisites (the
+// communication graph and the identifier extraction) so the next consumer
 // rebuilds them. Pipeline outputs (capture, scans, findings, inspector) are
 // untouched. Benchmarks use this to time repeated analysis passes over one
 // simulation; results are unchanged because the builds are deterministic.
 func (s *Study) ResetAnalysisCaches() {
-	s.passiveIdx, s.idxOnce = nil, sync.Once{}
 	s.identifiers, s.idsOnce = nil, sync.Once{}
 	s.graph, s.graphOnce = nil, sync.Once{}
 }
 
-// PassiveRecords returns the capture up to the end of the passive phase,
-// with each record carrying its decode-once parse cache.
+// PassiveRecords runs the passive phase if it has not run and returns the
+// capture's own records, Lab.Capture.All: no copy and no parse. Each reader
+// decodes the records it walks into a packet it owns, once per pass.
 func (s *Study) PassiveRecords() []pcap.Record {
-	return s.PassiveIndex().Records
+	s.RunPassive()
+	return s.Lab.Capture.All
 }
 
 // fastPortList is 1–1024 plus every high port any catalog device can open.

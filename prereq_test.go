@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// The shared-prerequisite memoization (decode-once index, communication
-// graph, identifier extraction) must be invisible in output: dropping the
-// caches mid-study rebuilds every prerequisite, and the next pass renders
-// byte-identical results.
+// The shared-prerequisite memoization (communication graph, identifier
+// extraction) must be invisible in output: dropping the caches mid-study
+// rebuilds every prerequisite, and the next pass, whose readers decode the
+// capture again, renders byte-identical results.
 func TestUnsharedPrereqsIdenticalOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full study")

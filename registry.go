@@ -66,16 +66,16 @@ func (s *Study) satisfy(n NeedMask) {
 }
 
 // prepare runs the pipelines the mask names, then pre-builds the shared
-// analysis prerequisites those stages unlock — the decode-once index and
-// communication graph for passive consumers, the identifier extraction for
-// Inspector consumers. Each is behind a sync.Once, so concurrent artifacts
-// that skipped prepare would still be safe; building up front just keeps the
-// expensive work out of the fan-out's critical path (and out of per-artifact
-// timings).
+// analysis prerequisites those stages unlock — the communication graph for
+// passive consumers, the identifier extraction for Inspector consumers. Each
+// is behind a sync.Once, so concurrent artifacts that skipped prepare would
+// still be safe; building up front just keeps the expensive work out of the
+// fan-out's critical path (and out of per-artifact timings). The passive
+// capture itself needs no preparing: each artifact decodes the records it
+// reads as it reads them.
 func (s *Study) prepare(n NeedMask) {
 	s.satisfy(n)
 	if n&NeedPassive != 0 {
-		s.PassiveIndex()
 		s.PassiveGraph()
 	}
 	if n&NeedInspector != 0 {

@@ -526,11 +526,16 @@ func (s *Study) Diurnal() Result {
 	// fetches descriptions, dials its platform — and would read as a fake
 	// midnight activity peak, so it stays out of the interactive histogram.
 	bootCut := sim.Epoch.Add(time.Hour)
-	for _, rec := range s.PassiveIndex().Records {
+	var p layers.Packet
+	for _, rec := range s.PassiveRecords() {
 		h := rec.Time.Hour()
 		frames[h]++
 		bytes[h] += float64(len(rec.Data))
-		if !rec.Time.Before(bootCut) && interactiveFrame(rec.Decode(), platform) {
+		if rec.Time.Before(bootCut) {
+			continue
+		}
+		p.DecodeInto(rec.Data)
+		if interactiveFrame(&p, platform) {
 			active[h]++
 		}
 	}
@@ -623,15 +628,15 @@ func appDatasetFor(s *Study) []app.App { return app.Dataset(s.seed) }
 
 // Everything runs all registered artifacts and returns them in paper order.
 // After the (sequential, virtual-time) pipelines finish, the shared
-// decode-once packet index and identifier cache are built, then artifacts
-// fan out across Workers — results are merged by registry index, never by
+// communication graph and identifier cache are built, then artifacts fan
+// out across Workers — results are merged by registry index, never by
 // completion order, so output is byte-identical to a sequential run.
 func (s *Study) Everything() []Result {
 	// prepare with the union of every artifact's Needs runs all pipelines,
-	// then builds the shared read-only prerequisites (decode-once index,
-	// communication graph, identifier extraction) before the fan-out — so
-	// workers start with warm caches instead of serialising on the first
-	// artifact to hit each sync.Once.
+	// then builds the shared read-only prerequisites (communication graph,
+	// identifier extraction) before the fan-out — so workers start with
+	// warm caches instead of serialising on the first artifact to hit each
+	// sync.Once.
 	arts := Artifacts()
 	var needs NeedMask
 	for _, a := range arts {
