@@ -56,7 +56,7 @@ func TestGraphClustersAreVendorAligned(t *testing.T) {
 
 func TestProtocolTableShape(t *testing.T) {
 	l := lab(t)
-	rows := ProtocolTable(l.Capture.All, l.Devices, nil, nil)
+	rows := ProtocolTable(PassiveProtocols(l.Capture.All, l.Devices), len(l.Devices), nil, nil)
 	get := func(name string) float64 {
 		for _, r := range rows {
 			if r.Protocol == name {
@@ -92,7 +92,7 @@ func TestProtocolTableShape(t *testing.T) {
 
 func TestAvgProtocolsPerDevice(t *testing.T) {
 	l := lab(t)
-	avg, max, maxDev := AvgProtocolsPerDevice(l.Capture.All, l.Devices)
+	avg, max, maxDev := AvgProtocolsPerDevice(PassiveProtocols(l.Capture.All, l.Devices))
 	// Paper: average ≈8, max 16 (Nest Hub). The simulated protocol universe
 	// is a subset, so accept a broad band around the shape.
 	if avg < 2 || avg > 12 {

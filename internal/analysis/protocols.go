@@ -30,10 +30,12 @@ type ProtocolPrevalence struct {
 }
 
 // ProtocolTable builds Figure 2 from the three observation methods.
-func ProtocolTable(records []pcap.Record, devices []*device.Device,
+// passive holds the per-device protocol sets PassiveProtocols found in the
+// capture; nDevices, the lab's device count, is the base of the passive
+// and scan shares.
+func ProtocolTable(passive map[string]map[string]bool, nDevices int,
 	scans map[string]*scan.Result, apps []app.App) []ProtocolPrevalence {
 
-	passive := passiveProtocolsPerDevice(records, devices)
 	counts := map[string]map[string]bool{} // protocol → device set
 	mark := func(proto, devName string) {
 		if counts[proto] == nil {
@@ -81,13 +83,12 @@ func ProtocolTable(records []pcap.Record, devices []*device.Device,
 	for p := range appPct {
 		names[p] = true
 	}
-	nDev := len(devices)
 	var out []ProtocolPrevalence
 	for p := range names {
 		out = append(out, ProtocolPrevalence{
 			Protocol:   p,
-			PassivePct: pct(len(counts[p]), nDev),
-			ScanPct:    pct(len(scanned[p]), nDev),
+			PassivePct: pct(len(counts[p]), nDevices),
+			ScanPct:    pct(len(scanned[p]), nDevices),
 			AppPct:     appPct[p],
 		})
 	}
@@ -107,9 +108,11 @@ func pct(n, total int) float64 {
 	return 100 * float64(n) / float64(total)
 }
 
-// passiveProtocolsPerDevice labels every local packet/flow and attributes
-// protocols to source devices.
-func passiveProtocolsPerDevice(records []pcap.Record, devices []*device.Device) map[string]map[string]bool {
+// PassiveProtocols labels every local packet/flow and attributes protocols
+// to source devices: device name → the set of protocols it sent. Figure 2's
+// passive bars (ProtocolTable) and its per-device counts
+// (AvgProtocolsPerDevice) both derive from one such pass.
+func PassiveProtocols(records []pcap.Record, devices []*device.Device) map[string]map[string]bool {
 	byMAC := map[netx.MAC]string{}
 	for _, d := range devices {
 		byMAC[d.MAC()] = d.Profile.Name
@@ -229,9 +232,8 @@ func RenderProtocolTable(rows []ProtocolPrevalence) string {
 
 // AvgProtocolsPerDevice reports the mean protocol count per device
 // ("an average IoT device supports 8 different protocols", §4.1) and the
-// maximum observed.
-func AvgProtocolsPerDevice(records []pcap.Record, devices []*device.Device) (avg float64, max int, maxDev string) {
-	per := passiveProtocolsPerDevice(records, devices)
+// maximum observed, over the per-device sets PassiveProtocols returns.
+func AvgProtocolsPerDevice(per map[string]map[string]bool) (avg float64, max int, maxDev string) {
 	total := 0
 	for dev, protos := range per {
 		total += len(protos)

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 	"unicode/utf8"
 
 	"iotlan/internal/netx"
@@ -36,6 +36,16 @@ func FuzzDecode(f *testing.F) {
 	for _, body := range nonCanonicalBodies(g.Household(3), g.Household(4)) {
 		f.Add(body, "a<b>&c\x7f|\xff|"+"\u00e9\u2028\u2029|\b\f\n\r\t\x00\x1f|\"\\", int64(-1)<<63)
 	}
+	// Windows at the packed form's edges: consecutive starts whose
+	// difference overflows int64 either way, and in and out at int's
+	// extremes and negative. n = MinInt64|3 gives fuzzHousehold such
+	// windows too.
+	edges := []byte(fmt.Sprintf(`{"id":"u1","devices":[{"id":"d1","oui":"aa:bb:cc","windows":[`+
+		`{"start_us":%d,"in":%d,"out":%d,"local":true},{"start_us":%d,"in":%d,"out":%d},`+
+		`{"start_us":-1,"in":-1,"out":-2}],"product":{"vendor":"v","category":"c"}}]}`,
+		int64(math.MinInt64), math.MinInt, math.MaxInt, int64(math.MaxInt64), math.MaxInt, math.MinInt))
+	f.Add(edges, "u|d|h|v|c", int64(math.MinInt64|3))
+	f.Add(append(edges, '\n'), "u|d|h|v|c", int64(-5))
 	f.Fuzz(func(t *testing.T, data []byte, s string, n int64) {
 		var p wireParser
 		if h, ok := p.decodeCanonical(data); ok {
@@ -148,14 +158,17 @@ func fuzzHousehold(data []byte, s string, n int64) *Household {
 	if n&8 != 0 {
 		d.SSDP = []string{string(data), s}
 	}
+	// Starts alternate between n and ^n, so n = MinInt64|3 packs start
+	// differences that wrap both ways.
+	var windows windowPacker
 	for i := int64(0); i < n&3; i++ {
-		d.Windows = append(d.Windows, TrafficWindow{
-			Start:     time.UnixMicro(n * (i + 1)).UTC(),
-			BytesIn:   int(n >> i),
-			BytesOut:  -int(i),
-			PeerLocal: i == 1,
-		})
+		start := n
+		if i == 1 {
+			start = ^n
+		}
+		windows.add(start, int(n>>i), int(^n>>i), i == 1)
 	}
+	d.Windows = windows.windows()
 	return &Household{ID: at(0), Devices: []*Device{d, {}}}
 }
 

@@ -49,7 +49,7 @@ type Device struct {
 	MDNS []string
 	SSDP []string
 	// Windows are 5-second traffic counters.
-	Windows []TrafficWindow
+	Windows Windows
 
 	// Product is generation ground truth, used only to validate inference.
 	Product Product
@@ -57,7 +57,8 @@ type Device struct {
 }
 
 // TrafficWindow is a 5-second byte counter, the only flow telemetry the
-// dataset holds.
+// dataset holds. A Device stores its windows packed (Windows); this is the
+// form Windows.All unpacks them to.
 type TrafficWindow struct {
 	Start    time.Time
 	BytesIn  int
@@ -200,9 +201,9 @@ func generateHousehold(rng *rand.Rand, h int, products []Product, totalPop int) 
 	owner := firstNames[rng.Intn(len(firstNames))]
 	// Median 3 devices per household (§6.3): geometric-ish 1..12.
 	n := 1 + rng.Intn(3) + rng.Intn(3)
-	// Each device's windows are built in this scratch slice and stored at
-	// their exact length, so the dataset keeps no spare capacity.
-	var windows []TrafficWindow
+	// Each device's windows are packed in this scratch buffer and stored
+	// at their exact length, so the dataset keeps no spare capacity.
+	var windows windowPacker
 	for d := 0; d < n; d++ {
 		p := pickProduct()
 		var mac netx.MAC
@@ -233,18 +234,11 @@ func generateHousehold(rng *rand.Rand, h int, products []Product, totalPop int) 
 		}
 		renderPayloads(dev, p, owner, uuid, mac)
 		// A few hours of 5-second windows, sparse.
-		t := start.Add(time.Duration(rng.Intn(1000)) * time.Hour)
-		windows = windows[:0]
+		t := start.Add(time.Duration(rng.Intn(1000)) * time.Hour).UnixMicro()
 		for w := 0; w < 20+rng.Intn(60); w++ {
-			windows = append(windows, TrafficWindow{
-				Start:     t.Add(time.Duration(w) * 5 * time.Second),
-				BytesIn:   rng.Intn(4000),
-				BytesOut:  rng.Intn(2000),
-				PeerLocal: rng.Intn(3) == 0,
-			})
+			windows.add(t+int64(w)*(5*time.Second).Microseconds(), rng.Intn(4000), rng.Intn(2000), rng.Intn(3) == 0)
 		}
-		dev.Windows = make([]TrafficWindow, len(windows))
-		copy(dev.Windows, windows)
+		dev.Windows = windows.windows()
 		hh.Devices = append(hh.Devices, dev)
 	}
 	return hh

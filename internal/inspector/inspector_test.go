@@ -1,6 +1,7 @@
 package inspector
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -64,16 +65,42 @@ func TestGenerateParallelByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestWindowsStoredAtExactLength: a generated device's windows carry no
-// spare capacity, whichever entry point generated it.
+// TestWindowsStoredAtExactLength: every device's packed windows carry no
+// spare capacity and average at most 12 bytes a window (a TrafficWindow
+// takes 48), whichever entry point built them: generation, the one-pass
+// wire parser or the encoding/json path.
 func TestWindowsStoredAtExactLength(t *testing.T) {
-	hs := GenerateParallel(1, 200, 4).Households
-	hs = append(hs, NewGenerator(1).Household(7))
-	for _, h := range hs {
-		for _, d := range h.Devices {
-			if len(d.Windows) == 0 || cap(d.Windows) != len(d.Windows) {
-				t.Fatalf("%s: %d windows in a slice of capacity %d", h.ID, len(d.Windows), cap(d.Windows))
+	gen := GenerateParallel(1, 200, 4).Households
+	gen = append(gen, NewGenerator(1).Household(7))
+	var body bytes.Buffer
+	if err := EncodeWire(&body, gen); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := drainWire(NewWireDecoder(bytes.NewReader(body.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJSON, err := oldWireDecode(bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		hs   []*Household
+	}{{"generated", gen}, {"parsed", parsed}, {"encoding/json", viaJSON}} {
+		packed, windows := 0, 0
+		for _, h := range c.hs {
+			for _, d := range h.Devices {
+				b := d.Windows.b
+				if d.Windows.Len() == 0 || cap(b) != len(b) {
+					t.Fatalf("%s %s: %d windows in %d bytes of capacity %d", c.name, h.ID, d.Windows.Len(), len(b), cap(b))
+				}
+				packed += len(b)
+				windows += d.Windows.Len()
 			}
+		}
+		if packed > 12*windows {
+			t.Errorf("%s: %d windows take %d bytes, %.1f a window; want at most 12", c.name, windows, packed, float64(packed)/float64(windows))
 		}
 	}
 }
@@ -186,11 +213,12 @@ func TestTrafficWindows(t *testing.T) {
 	ds := Generate(1, 20)
 	for _, h := range ds.Households {
 		for _, d := range h.Devices {
-			if len(d.Windows) == 0 {
-				t.Fatal("device without traffic windows")
+			ws := d.Windows.All()
+			if len(ws) == 0 || len(ws) != d.Windows.Len() {
+				t.Fatalf("device with %d traffic windows, Len %d", len(ws), d.Windows.Len())
 			}
-			for i := 1; i < len(d.Windows); i++ {
-				gap := d.Windows[i].Start.Sub(d.Windows[i-1].Start)
+			for i := 1; i < len(ws); i++ {
+				gap := ws[i].Start.Sub(ws[i-1].Start)
 				if gap != 5*1e9 {
 					t.Fatalf("window spacing %v, want 5s", gap)
 				}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"iotlan/internal/netx"
 )
@@ -65,13 +64,14 @@ type WireHousehold struct {
 func (h *Household) Wire() WireHousehold {
 	w := WireHousehold{ID: h.ID, Devices: make([]WireDevice, len(h.Devices))}
 	for i, d := range h.Devices {
-		wd := WireDevice{
+		w.Devices[i] = WireDevice{
 			ID:           d.ID,
 			OUI:          d.OUI.String(),
 			DHCPHostname: d.DHCPHostname,
 			UserLabel:    d.UserLabel,
 			MDNS:         d.MDNS,
 			SSDP:         d.SSDP,
+			Windows:      d.Windows.wire(),
 			Product: WireProduct{
 				Vendor:      d.Product.Vendor,
 				Category:    d.Product.Category,
@@ -81,15 +81,6 @@ func (h *Household) Wire() WireHousehold {
 				Popularity:  d.Product.Popularity,
 			},
 		}
-		for _, win := range d.Windows {
-			wd.Windows = append(wd.Windows, WireWindow{
-				StartMicros: win.Start.UnixMicro(),
-				BytesIn:     win.BytesIn,
-				BytesOut:    win.BytesOut,
-				PeerLocal:   win.PeerLocal,
-			})
-		}
-		w.Devices[i] = wd
 	}
 	return w
 }
@@ -117,7 +108,8 @@ func wireSizeHint(h *Household) int {
 	n := 32 + len(h.ID)
 	for _, d := range h.Devices {
 		n += 192 + len(d.ID) + len(d.DHCPHostname) + len(d.UserLabel) +
-			len(d.Product.Vendor) + len(d.Product.Category) + 64*len(d.Windows)
+			len(d.Product.Vendor) + len(d.Product.Category) +
+			7*len(d.Windows.b) // a window packs into ~9 bytes and writes ~60
 		for _, s := range d.MDNS {
 			n += 8 + len(s)
 		}
@@ -160,6 +152,7 @@ func (w WireHousehold) Household() (*Household, error) {
 		return nil, fmt.Errorf("inspector: wire household without id")
 	}
 	h := &Household{ID: w.ID, Devices: make([]*Device, len(w.Devices))}
+	var windows windowPacker
 	for i, wd := range w.Devices {
 		oui, err := ParseOUI(wd.OUI)
 		if err != nil {
@@ -182,13 +175,9 @@ func (w WireHousehold) Household() (*Household, error) {
 			},
 		}
 		for _, win := range wd.Windows {
-			d.Windows = append(d.Windows, TrafficWindow{
-				Start:     time.UnixMicro(win.StartMicros).UTC(),
-				BytesIn:   win.BytesIn,
-				BytesOut:  win.BytesOut,
-				PeerLocal: win.PeerLocal,
-			})
+			windows.add(win.StartMicros, win.BytesIn, win.BytesOut, win.PeerLocal)
 		}
+		d.Windows = windows.windows()
 		h.Devices[i] = d
 	}
 	return h, nil

@@ -2,7 +2,6 @@ package inspector
 
 import (
 	"strconv"
-	"time"
 	"unicode/utf8"
 
 	"iotlan/internal/netx"
@@ -81,24 +80,24 @@ func appendWireDevice(b []byte, d *Device) []byte {
 	if len(d.SSDP) > 0 {
 		b = appendWireStrings(append(b, `,"ssdp":`...), d.SSDP)
 	}
-	if len(d.Windows) > 0 {
+	if len(d.Windows.b) > 0 {
+		// Straight from the packed integers to digits (see Windows).
 		b = append(b, `,"windows":[`...)
-		for i, w := range d.Windows {
-			if i > 0 {
-				b = append(b, ',')
-			}
+		var w WireWindow
+		for i := 0; i < len(d.Windows.b); {
+			w, i = unpack(d.Windows.b, i, w.StartMicros)
 			b = append(b, `{"start_us":`...)
-			b = strconv.AppendInt(b, w.Start.UnixMicro(), 10)
+			b = strconv.AppendInt(b, w.StartMicros, 10)
 			b = append(b, `,"in":`...)
-			b = strconv.AppendInt(b, int64(w.BytesIn), 10)
+			b = appendCount(b, w.BytesIn)
 			b = append(b, `,"out":`...)
-			b = strconv.AppendInt(b, int64(w.BytesOut), 10)
+			b = appendCount(b, w.BytesOut)
 			if w.PeerLocal {
 				b = append(b, `,"local":true`...)
 			}
-			b = append(b, '}')
+			b = append(b, '}', ',')
 		}
-		b = append(b, ']')
+		b[len(b)-1] = ']'
 	}
 	p := d.Product
 	b = append(b, `,"product":{"vendor":`...)
@@ -119,6 +118,37 @@ func appendWireDevice(b []byte, d *Device) []byte {
 		b = strconv.AppendInt(b, int64(p.Popularity), 10)
 	}
 	return append(b, "}}"...)
+}
+
+// digitPairs holds the two decimal digits of each number below 100.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// appendCount appends v in decimal, as strconv.AppendInt(b, v, 10) does,
+// with at most two digit-pair lookups for a value below 10,000 instead of
+// strconv's call and scratch buffer. That pays for the three varints
+// appendWireDevice decodes per window: with strconv for the counts,
+// BenchmarkWireRecord runs about 17% slower (DESIGN.md, "Packed traffic
+// windows", has the A/B). The generator draws every count below 4,000, so
+// each benchmarked window takes the table path; nothing in this repository
+// measures the counts of real windows.
+func appendCount(b []byte, v int) []byte {
+	if uint(v) >= 10000 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	if v >= 100 {
+		hi := v / 100
+		if hi >= 10 {
+			b = append(b, digitPairs[2*hi])
+		}
+		b = append(b, digitPairs[2*hi+1])
+		v -= 100 * hi
+		return append(b, digitPairs[2*v], digitPairs[2*v+1])
+	}
+	if v >= 10 {
+		b = append(b, digitPairs[2*v])
+	}
+	return append(b, digitPairs[2*v+1])
 }
 
 func appendWireStrings(b []byte, ss []string) []byte {
@@ -181,8 +211,8 @@ func appendWireString(b []byte, s string) []byte {
 type wireParser struct {
 	b   []byte
 	i   int
-	esc []byte          // unescaped bytes of the current string
-	win []TrafficWindow // the current device's windows
+	esc []byte       // unescaped bytes of the current string
+	win windowPacker // the current device's windows
 }
 
 // decodeCanonical decodes rec if it is a canonical wire record of a valid
@@ -300,38 +330,38 @@ func (p *wireParser) strs() ([]string, bool) {
 }
 
 // windows parses the elements and closing bracket of a non-empty window
-// array, into a slice of exactly its length.
-func (p *wireParser) windows() ([]TrafficWindow, bool) {
-	p.win = p.win[:0]
+// array, packing each window's integers as it reads them.
+func (p *wireParser) windows() (Windows, bool) {
+	p.win = windowPacker{buf: p.win.buf[:0]} // drop what a failed parse left
 	for {
-		var w TrafficWindow
 		if !p.lit(`{"start_us":`) {
-			return nil, false
+			return Windows{}, false
 		}
 		us, ok := p.int64()
 		if !ok || !p.lit(`,"in":`) {
-			return nil, false
+			return Windows{}, false
 		}
-		w.Start = time.UnixMicro(us).UTC()
-		if w.BytesIn, ok = p.int(); !ok || !p.lit(`,"out":`) {
-			return nil, false
+		in, ok := p.int()
+		if !ok || !p.lit(`,"out":`) {
+			return Windows{}, false
 		}
-		if w.BytesOut, ok = p.int(); !ok {
-			return nil, false
+		out, ok := p.int()
+		if !ok {
+			return Windows{}, false
 		}
-		w.PeerLocal = p.lit(`,"local":true`)
+		local := p.lit(`,"local":true`)
 		if !p.lit("}") {
-			return nil, false
+			return Windows{}, false
 		}
-		p.win = append(p.win, w)
+		p.win.add(us, in, out, local)
 		if !p.lit(",") {
 			break
 		}
 	}
 	if !p.lit("]") {
-		return nil, false
+		return Windows{}, false
 	}
-	return append([]TrafficWindow(nil), p.win...), true
+	return p.win.windows(), true
 }
 
 // lit consumes s if the input continues with it.

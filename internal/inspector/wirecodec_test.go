@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -59,6 +61,21 @@ func TestWireDecoderReadErrors(t *testing.T) {
 		want, wantErr := oldWireDecode(cut())
 		if !errors.Is(gotErr, boom) || errString(gotErr) != errString(wantErr) || !reflect.DeepEqual(got, want) {
 			t.Errorf("cut at %d: %d households, err %v; old decoder: %d, err %v", n, len(got), gotErr, len(want), wantErr)
+		}
+	}
+}
+
+// TestAppendCount: the byte-count writer matches strconv on both sides of
+// its table path, negatives and int's extremes included.
+func TestAppendCount(t *testing.T) {
+	for v := -200; v <= 20000; v++ {
+		if got, want := string(appendCount([]byte("x"), v)), "x"+strconv.Itoa(v); got != want {
+			t.Fatalf("appendCount(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []int{math.MinInt, math.MaxInt, 99999, 100000} {
+		if got, want := string(appendCount(nil, v)), strconv.Itoa(v); got != want {
+			t.Errorf("appendCount(%d) = %q, want %q", v, got, want)
 		}
 	}
 }

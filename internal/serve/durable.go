@@ -206,6 +206,9 @@ func (s *Server) checkpoint() {
 
 // checkpointFailed records a checkpoint error. The WAL still holds every
 // acknowledged record, so durability degrades to a longer replay, not loss.
+// One failure stops ingestion until restart: when Rotate cannot create
+// the next segment, or cannot fsync the directory after creating it, the
+// log closes, and every later upload fails with store.ErrClosed.
 func (s *Server) checkpointFailed(err error) {
 	s.reg.Counter("serve_checkpoint_errors").Inc()
 	if s.logger != nil {

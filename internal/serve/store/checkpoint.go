@@ -29,8 +29,10 @@ const manifestName = "MANIFEST.json"
 func CheckpointName(seq int) string { return fmt.Sprintf("ckpt-%08d", seq) }
 
 // WriteCheckpoint atomically writes a checkpoint: one framed, checksummed
-// snapshot blob per shard plus a manifest, staged in a temp directory and
-// renamed into place. records is informational (manifest bookkeeping).
+// snapshot blob per shard plus a manifest, staged in a temp directory,
+// whose entries are fsynced before it is renamed into place. records is
+// informational (manifest bookkeeping). It returns nil only once the
+// rename is durable: a caller may then drop what the checkpoint replaces.
 func WriteCheckpoint(dir string, seq int, shards [][]byte, records int) error {
 	final := filepath.Join(dir, CheckpointName(seq))
 	tmp := final + ".tmp"
@@ -53,14 +55,16 @@ func WriteCheckpoint(dir string, seq int, shards [][]byte, records int) error {
 	if err := writeFileSync(filepath.Join(tmp, manifestName), mf); err != nil {
 		return err
 	}
+	if err := syncDir(tmp); err != nil {
+		return err
+	}
 	if err := os.RemoveAll(final); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		return err
 	}
-	syncDir(dir)
-	return nil
+	return syncDir(dir)
 }
 
 func writeFileSync(path string, data []byte) error {
@@ -182,6 +186,5 @@ func CompactBefore(dir string, seq int) (segs, ckpts int, err error) {
 			}
 		}
 	}
-	syncDir(dir)
-	return segs, ckpts, nil
+	return segs, ckpts, syncDir(dir)
 }

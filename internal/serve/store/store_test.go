@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -383,5 +385,59 @@ func BenchmarkAppend(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDirSyncErr: a directory fsync that fails with EINVAL (a filesystem
+// that cannot fsync a directory) is no error, wrapped or not; any other
+// failure, EIO above all, is returned as it came, so a checkpoint whose
+// rename may not be durable fails before the WAL it replaces is compacted.
+func TestDirSyncErr(t *testing.T) {
+	syncErr := func(errno syscall.Errno) error { return &os.PathError{Op: "sync", Path: "/data", Err: errno} }
+	for _, err := range []error{nil, syncErr(syscall.EINVAL), fmt.Errorf("checkpoint: %w", syncErr(syscall.EINVAL))} {
+		if got := dirSyncErr(err); got != nil {
+			t.Errorf("dirSyncErr(%v) = %v, want nil", err, got)
+		}
+	}
+	for _, err := range []error{syncErr(syscall.EIO), fmt.Errorf("checkpoint: %w", syncErr(syscall.EIO)), syncErr(syscall.ENOSPC)} {
+		if got := dirSyncErr(err); got != err {
+			t.Errorf("dirSyncErr(%v) = %v, want it unchanged", err, got)
+		}
+	}
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Errorf("syncDir of a directory: %v", err)
+	}
+	if err := syncDir(filepath.Join(t.TempDir(), "gone")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("syncDir of a missing directory = %v, want ErrNotExist", err)
+	}
+}
+
+// TestRotateFailureClosesLog: when Rotate cannot create the next segment
+// (here it already exists; a failed directory fsync after the creation
+// takes the same path), the log closes and every later Append and Rotate
+// fails with ErrClosed, so ingestion stops until the log is reopened.
+func TestRotateFailureClosesLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, SegmentName(l.Segment()+1)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Rotate(); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("rotate onto an existing segment: %v, want ErrExist", err)
+	}
+	if err := l.Append([]byte("b")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after a failed rotate: %v, want ErrClosed", err)
+	}
+	if _, err := l.Rotate(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("rotate after a failed rotate: %v, want ErrClosed", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close after a failed rotate: %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 )
 
 // SyncMode selects how durable an Append is when it returns.
@@ -125,17 +126,36 @@ func createSegment(dir string, seg int) (*os.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	syncDir(dir) // make the creation itself durable
+	if err := syncDir(dir); err != nil { // make the creation itself durable
+		f.Close()
+		return nil, err
+	}
 	return f, nil
 }
 
-// syncDir fsyncs a directory so renames/creations within it are durable.
-// Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+// syncDir fsyncs a directory so renames, creations and removals within it
+// are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return dirSyncErr(err)
+}
+
+// dirSyncErr drops the EINVAL of a filesystem that cannot fsync a
+// directory at all. Any other error (EIO above all) means entries the
+// caller created, renamed or removed may not survive a power cut, so it
+// fails the operation.
+func dirSyncErr(err error) error {
+	if errors.Is(err, syscall.EINVAL) {
+		return nil
+	}
+	return err
 }
 
 // Segment returns the segment number currently being appended to.

@@ -52,7 +52,8 @@ func (s *Study) Figure2() Result {
 	if apps == nil {
 		apps = appDatasetFor(s)
 	}
-	rows := analysis.ProtocolTable(s.PassiveRecords(), s.Lab.Devices, s.Scans, apps)
+	passive := analysis.PassiveProtocols(s.PassiveRecords(), s.Lab.Devices)
+	rows := analysis.ProtocolTable(passive, len(s.Lab.Devices), s.Scans, apps)
 	metrics := map[string]float64{}
 	for _, r := range rows {
 		metrics["passive/"+r.Protocol] = r.PassivePct
@@ -63,7 +64,7 @@ func (s *Study) Figure2() Result {
 			metrics["apps/"+r.Protocol] = r.AppPct
 		}
 	}
-	avg, max, _ := analysis.AvgProtocolsPerDevice(s.PassiveRecords(), s.Lab.Devices)
+	avg, max, _ := analysis.AvgProtocolsPerDevice(passive)
 	metrics["avg_protocols_per_device"] = avg
 	metrics["max_protocols_per_device"] = float64(max)
 	return Result{ID: "Figure 2", Rendered: analysis.RenderProtocolTable(rows), Metrics: metrics}
