@@ -1,9 +1,10 @@
 // Command iotload drives iotserve with synthesized households and writes a
 // bench record (BENCH_5.json by default): upload throughput, latency
 // percentiles, per-stage server-side quantiles scraped from /metrics, and
-// the determinism gate — after all uploads land, the server's fleet Table 2
-// must checksum identically to the offline Study pipeline over the same
-// generated dataset.
+// the determinism gate — after all uploads land, the server's fleet
+// artifacts, Table 2 and the §7 mitigation sweep, must each checksum
+// identically to the offline Study pipeline over the same generated
+// dataset.
 //
 // With no -addr it self-hosts an in-process serve.Server on a real
 // 127.0.0.1 TCP listener, so `make bench5` is a single command; -addr
@@ -28,11 +29,11 @@
 // -stream switches to streamed generation for very large fleets (the
 // BENCH_6 gate runs ≥100k households): uploaders draw each household on
 // demand from inspector.Generator instead of materializing the corpus, and
-// the offline side of the determinism gate folds batched entropy partials
-// (analysis.EntropyPartialOf + MergeEntropy) so neither side ever holds the
-// full fleet. -shards sizes the self-hosted server's fleet sharding, and
-// -data-dir makes it durable (WAL + checkpoints), so one command exercises
-// the full sharded/durable ingest path.
+// the offline side of the determinism gate folds batched entropy and
+// mitigation partials with Add so neither side ever holds the full fleet.
+// -shards sizes the self-hosted server's fleet sharding, and -data-dir
+// makes it durable (WAL + checkpoints), so one command exercises the full
+// sharded/durable ingest path.
 //
 // Usage:
 //
@@ -88,8 +89,9 @@ type benchRecord struct {
 	// StageQuantiles is the server's own view of where upload time went,
 	// read back from the /metrics exposition's serve_stage_ms histograms.
 	StageQuantiles map[string]stageQuantiles `json:"stage_quantiles_ms,omitempty"`
-	// Identical asserts the serving determinism contract: fleet Table 2 from
-	// the concurrently-loaded server checksums equal to the offline Study.
+	// Identical asserts the serving determinism contract: fleet Table 2 and
+	// the §7 sweep from the concurrently-loaded server each checksum equal
+	// to the offline Study. ChecksumSHA256 is the served Table 2's.
 	Identical      bool   `json:"identical"`
 	ChecksumSHA256 string `json:"checksum_sha256"`
 }
@@ -285,24 +287,30 @@ func main() {
 	rec.P95MS = percentileMS(lats, 0.95)
 	rec.P99MS = percentileMS(lats, 0.99)
 
-	// Determinism gate: the loaded server's fleet Table 2 vs the offline
+	// Determinism gate: the loaded server's fleet artifacts vs the offline
 	// pipeline over the identical corpus, compared by checksum.
 	// Capture-only load ingests no inspector corpus, so the gate only
 	// applies when wire uploads happened.
+	rec.Identical = true
 	if *mode != "capture" {
-		served, err := fetchArtifact(client, base, "table2")
+		offline, err := offlineFleet(gen, *seed, *households, *stream)
 		if err != nil {
 			fatal(err)
 		}
-		offline, err := offlineTable2(gen, *seed, *households, *stream)
-		if err != nil {
-			fatal(err)
+		for _, name := range fleetArtifacts {
+			served, err := fetchArtifact(client, base, name)
+			if err != nil {
+				fatal(err)
+			}
+			servedSum := checksum(served)
+			if servedSum != checksum(offline[name]) {
+				rec.Identical = false
+				fmt.Fprintf(os.Stderr, "bench: served %s differs from the offline pipeline's\n", name)
+			}
+			if name == "table2" {
+				rec.ChecksumSHA256 = servedSum
+			}
 		}
-		servedSum := checksum(served)
-		rec.Identical = servedSum == checksum(offline)
-		rec.ChecksumSHA256 = servedSum
-	} else {
-		rec.Identical = true
 	}
 
 	// Read back the server's own stage accounting from /metrics. A page the
@@ -328,28 +336,42 @@ func main() {
 	}
 }
 
-// offlineTable2 computes the gate's reference Table 2. The materialized path
-// runs the full offline Study; the streamed path folds batched entropy
-// partials so it never holds the corpus — partition-invariant merging
-// (internal/analysis/partial.go) makes the two renderings byte-identical.
-func offlineTable2(gen *inspector.Generator, seed int64, households int, stream bool) (iotlan.Result, error) {
+// fleetArtifacts are the artifacts iotserve computes from uploads, which the
+// determinism gate compares.
+var fleetArtifacts = []string{"table2", "mitigations"}
+
+// offlineFleet computes the gate's reference fleet artifacts, by name. The
+// materialized path runs the full offline Study; the streamed path folds
+// batched partials with Add so it never holds the corpus —
+// partition-invariant merging (internal/analysis/partial.go) makes the two
+// renderings byte-identical.
+func offlineFleet(gen *inspector.Generator, seed int64, households int, stream bool) (map[string]iotlan.Result, error) {
+	out := map[string]iotlan.Result{}
 	if !stream {
-		return iotlan.New(seed, iotlan.WithHouseholds(households)).RunArtifact("table2")
+		st := iotlan.New(seed, iotlan.WithHouseholds(households))
+		for _, name := range fleetArtifacts {
+			r, err := st.RunArtifact(name)
+			if err != nil {
+				return nil, err
+			}
+			out[name] = r
+		}
+		return out, nil
 	}
 	const batch = 4096
-	var parts []*analysis.EntropyPartial
+	entropy, mitigations := analysis.NewEntropyPartial(), analysis.NewMitigationPartial()
 	for lo := 0; lo < households; lo += batch {
-		n := batch
-		if households-lo < n {
-			n = households - lo
-		}
-		hhs := make([]*inspector.Household, n)
+		hhs := make([]*inspector.Household, min(batch, households-lo))
 		for j := range hhs {
 			hhs[j] = gen.Household(lo + j)
 		}
-		parts = append(parts, analysis.EntropyPartialOf(hhs, nil))
+		ids := analysis.ExtractIdentifiers(&inspector.Dataset{Households: hhs}, 0)
+		entropy.Add(analysis.EntropyPartialOf(hhs, ids))
+		mitigations.Add(analysis.MitigationPartialOf(hhs, ids))
 	}
-	return iotlan.EntropyResult(analysis.MergeEntropy(parts)), nil
+	out["table2"] = iotlan.EntropyResult(entropy.Rows())
+	out["mitigations"] = iotlan.MitigationResult(mitigations.Rows())
+	return out, nil
 }
 
 // scrapeStageQuantiles fetches /metrics, strict-parses the exposition, and

@@ -1,7 +1,9 @@
-// Alloc-count regression guard for the capture readers: each decodes every
-// record into one packet it owns, so a pass over a capture allocates the
-// same at any record count. Race instrumentation changes allocation counts,
-// so the file is excluded from -race runs.
+// Alloc-count regression guards. The capture readers each decode every
+// record into one packet they own, so a pass over a capture allocates the
+// same at any record count. HouseholdPartialOf, which the serving layer's
+// fold runs once per changed record, stays at its measured count. Race
+// instrumentation changes allocation counts, so the file is excluded from
+// -race runs.
 //
 //go:build !race
 
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"iotlan/internal/inspector"
 	"iotlan/internal/layers"
 	"iotlan/internal/netx"
 	"iotlan/internal/pcap"
@@ -72,5 +75,15 @@ func TestCaptureReadersAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocs over %d records, %.0f over %d; a reader must not allocate per record",
 				r.name, a, len(small), b, len(large))
 		}
+	}
+}
+
+// TestHouseholdPartialOfAllocs holds HouseholdPartialOf, over
+// BenchmarkHouseholdPartialOf's four-device household, at its measured 269
+// allocations.
+func TestHouseholdPartialOfAllocs(t *testing.T) {
+	h := inspector.Generate(1, 1).Households[0]
+	if avg := testing.AllocsPerRun(100, func() { partialSink = HouseholdPartialOf(h) }); avg > 269 {
+		t.Fatalf("HouseholdPartialOf = %.0f allocs/op, want at most 269", avg)
 	}
 }

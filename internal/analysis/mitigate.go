@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"iotlan/internal/inspector"
@@ -44,8 +46,8 @@ func fingerprint(h *inspector.Household, cache *ExtractedIdentifiers, m Mitigati
 			if m&MitigateRandomizeUUIDs != 0 {
 				// A fresh UUID each session: stable across this session's
 				// observations, useless across sessions.
-				sum := sha256.Sum256([]byte(fmt.Sprintf("rand:%s:%s:%d", h.ID, u, session)))
-				u = fmt.Sprintf("%x", sum[:16])
+				sum := sha256.Sum256([]byte("rand:" + h.ID + ":" + u + ":" + strconv.Itoa(session)))
+				u = hex.EncodeToString(sum[:16])
 			}
 			parts = append(parts, u)
 		}

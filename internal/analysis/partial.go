@@ -66,13 +66,43 @@ func subCounts(dst, src map[string]int) {
 	}
 }
 
-// cloneCounts deep-copies a multiset.
+// cloneCounts deep-copies a multiset; a nil one stays nil.
 func cloneCounts(src map[string]int) map[string]int {
+	if src == nil {
+		return nil
+	}
 	dst := make(map[string]int, len(src))
 	for k, n := range src {
 		dst[k] = n
 	}
 	return dst
+}
+
+// keyTable makes equal key strings share one allocation. HouseholdPartialOf
+// builds both of a household's singleton partials through one table, and a
+// multiset keeps the key string it is first given, so the live aggregates
+// hold each of a household's distinct values in one allocation, however
+// many multisets count it: a household exposing UUIDs alone counts the same
+// bytes as its UUID combination's value, its UUID class value and three §7
+// regimes' fingerprints. Each value stays its own allocation, so a key that
+// outlives its household in the aggregates pins nothing else. A household
+// has a few dozen distinct keys at most, so the table is a slice scanned in
+// order. A nil table keeps every string as built; the batch builders pass
+// nil, since their partials are transient.
+type keyTable []string
+
+// of returns the table's string equal to s, entering s if there is none.
+func (t *keyTable) of(s string) string {
+	if t == nil {
+		return s
+	}
+	for _, k := range *t {
+		if k == s {
+			return k
+		}
+	}
+	*t = append(*t, s)
+	return s
 }
 
 // entropyCombo accumulates one identifier-combination row's inputs over a
@@ -219,6 +249,12 @@ func (p *EntropyPartial) Clone() *EntropyPartial {
 // Households must be whole — a household's devices may not be split across
 // subsets — which the serving layer guarantees by sharding on household ID.
 func EntropyPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers) *EntropyPartial {
+	return entropyPartialOf(hhs, ids, nil)
+}
+
+// entropyPartialOf is EntropyPartialOf with every multiset key taken from
+// keys.
+func entropyPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers, keys *keyTable) *EntropyPartial {
 	p := NewEntropyPartial()
 	for _, h := range hhs {
 		// Per-household accumulation: identifier values per combination and
@@ -237,8 +273,8 @@ func EntropyPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers) *En
 				}
 			}
 			c := p.combo(types)
-			c.products[d.Product.Name()]++
-			c.vendors[d.Product.Vendor]++
+			c.products[keys.of(d.Product.Name())]++
+			c.vendors[keys.of(d.Product.Vendor)]++
 			c.devices++
 			key := fmt.Sprint(types)
 			comboPresent[key] = true
@@ -253,12 +289,12 @@ func EntropyPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers) *En
 			if len(c.types) > 0 {
 				vals := comboValues[key]
 				sort.Strings(vals)
-				c.valueCounts[strings.Join(vals, "|")]++
+				c.valueCounts[keys.of(strings.Join(vals, "|"))]++
 			}
 		}
 		for t, vals := range perType {
 			sort.Strings(vals)
-			p.typeValues[t][strings.Join(vals, "|")]++
+			p.typeValues[t][keys.of(strings.Join(vals, "|"))]++
 			p.typeHouseholds[t]++
 		}
 	}
@@ -338,8 +374,25 @@ var mitigationRegimes = []Mitigation{
 // the households whose session-1, session-2, or both-session fingerprint is
 // fp. fp re-identifies its both[fp] households exactly when s1[fp] == 1,
 // that is when no other household claimed it in session 1.
+//
+// Only MitigateRandomizeUUIDs makes a fingerprint depend on its session
+// (fingerprint, mitigate.go). Under every other regime a household's two
+// fingerprints are one string, so the three multisets are equal key for key:
+// such a session-invariant regime keeps s2 alone, with s1 and both nil, and
+// sessions hands s2 out in their place. Its rows come out as they would from
+// three copies: households is s2's sum, a key re-identifies exactly when its
+// count is 1, and the entropy is s2's.
 type regimePartial struct {
 	s1, s2, both map[string]int
+}
+
+// sessions returns the regime's session-1, session-2 and both-session
+// multisets.
+func (r regimePartial) sessions() (s1, s2, both map[string]int) {
+	if r.s1 == nil {
+		return r.s2, r.s2, r.s2
+	}
+	return r.s1, r.s2, r.both
 }
 
 // MitigationPartial is the mergeable, retractable §7 sweep contribution of
@@ -358,29 +411,42 @@ type MitigationPartial struct {
 // Add/Sub algebra, and the seed of the serving layer's live aggregates.
 func NewMitigationPartial() *MitigationPartial {
 	p := &MitigationPartial{regimes: make([]regimePartial, len(mitigationRegimes))}
-	for i := range p.regimes {
-		p.regimes[i] = regimePartial{s1: map[string]int{}, s2: map[string]int{}, both: map[string]int{}}
+	for i, m := range mitigationRegimes {
+		p.regimes[i].s2 = map[string]int{}
+		if m&MitigateRandomizeUUIDs != 0 {
+			p.regimes[i].s1, p.regimes[i].both = map[string]int{}, map[string]int{}
+		}
 	}
 	return p
 }
 
-// MitigationPartialOf computes both observation sessions' fingerprints for
-// every regime over a household subset, reusing a precomputed identifier
-// extraction (nil extracts inline).
+// MitigationPartialOf computes every regime's fingerprints over a household
+// subset, both observation sessions' where the regime randomises UUIDs,
+// reusing a precomputed identifier extraction (nil extracts inline).
 func MitigationPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers) *MitigationPartial {
+	return mitigationPartialOf(hhs, ids, nil)
+}
+
+// mitigationPartialOf is MitigationPartialOf with every fingerprint taken
+// from keys.
+func mitigationPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers, keys *keyTable) *MitigationPartial {
 	p := NewMitigationPartial()
 	for ri, m := range mitigationRegimes {
 		rp := p.regimes[ri]
 		for _, h := range hhs {
-			fp1 := fingerprint(h, ids, m, 1)
-			if fp1 != "" {
-				rp.s1[fp1]++
-			}
-			if fp2 := fingerprint(h, ids, m, 2); fp2 != "" {
-				rp.s2[fp2]++
-				if fp2 == fp1 {
+			fp1 := keys.of(fingerprint(h, ids, m, 1))
+			fp2 := fp1 // session-invariant
+			if rp.s1 != nil {
+				fp2 = keys.of(fingerprint(h, ids, m, 2))
+				if fp1 != "" {
+					rp.s1[fp1]++
+				}
+				if fp2 != "" && fp2 == fp1 {
 					rp.both[fp2]++
 				}
+			}
+			if fp2 != "" {
+				rp.s2[fp2]++
 			}
 		}
 	}
@@ -423,20 +489,20 @@ func (p *MitigationPartial) Clone() *MitigationPartial {
 func (p *MitigationPartial) Rows() []ReidentificationResult {
 	out := make([]ReidentificationResult, len(mitigationRegimes))
 	for ri, m := range mitigationRegimes {
-		rp := p.regimes[ri]
+		s1, s2, both := p.regimes[ri].sessions()
 		res := ReidentificationResult{Mitigation: m}
-		for _, n := range rp.s2 {
+		for _, n := range s2 {
 			res.Households += n
 		}
-		for fp, n := range rp.both {
-			if rp.s1[fp] == 1 {
+		for fp, n := range both {
+			if s1[fp] == 1 {
 				res.Reidentified += n
 			}
 		}
 		if res.Households > 0 {
 			res.ReidRate = float64(res.Reidentified) / float64(res.Households)
 		}
-		res.EntropyBits = shannon(rp.s2, res.Households)
+		res.EntropyBits = shannon(s2, res.Households)
 		out[ri] = res
 	}
 	return out
@@ -465,12 +531,15 @@ type HouseholdPartial struct {
 
 // HouseholdPartialOf builds a household's singleton partials with one shared
 // identifier extraction (each Of call would otherwise re-extract the devices
-// — the mitigation sweep alone fingerprints 6 regimes × 2 sessions).
+// — the mitigation sweep alone fingerprints 9 times) and one keyTable, so
+// the live aggregates they are folded into hold each of the household's
+// distinct key strings in one allocation.
 func HouseholdPartialOf(h *inspector.Household) *HouseholdPartial {
 	one := []*inspector.Household{h}
 	ids := ExtractIdentifiers(&inspector.Dataset{Households: one}, 1)
+	keys := make(keyTable, 0, 16)
 	return &HouseholdPartial{
-		Entropy:     EntropyPartialOf(one, ids),
-		Mitigations: MitigationPartialOf(one, ids),
+		Entropy:     entropyPartialOf(one, ids, &keys),
+		Mitigations: mitigationPartialOf(one, ids, &keys),
 	}
 }

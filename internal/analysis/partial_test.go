@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"iotlan/internal/engine"
 	"iotlan/internal/inspector"
@@ -263,6 +264,57 @@ func TestPartialCloneIndependence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cloneE, EntropyPartialOf(ds.Households, nil)) {
 		t.Fatal("entropy clone differs structurally from batch")
+	}
+}
+
+// TestHouseholdPartialSharesKeys: within one household's singleton
+// partials, each distinct key value is one allocation however many
+// multisets count it, and a session-invariant §7 regime (one that does not
+// randomise UUIDs) keeps one multiset where a randomised one keeps three.
+func TestHouseholdPartialSharesKeys(t *testing.T) {
+	var split, shared, notOne int
+	for _, h := range inspector.Generate(26, 300).Households {
+		c := HouseholdPartialOf(h)
+		var sets []map[string]int
+		for _, combo := range c.Entropy.combos {
+			sets = append(sets, combo.products, combo.vendors, combo.valueCounts)
+		}
+		for _, tv := range c.Entropy.typeValues {
+			sets = append(sets, tv)
+		}
+		for ri, r := range c.Mitigations.regimes {
+			randomised := mitigationRegimes[ri]&MitigateRandomizeUUIDs != 0
+			if r.s2 == nil || (r.s1 != nil) != randomised || (r.both != nil) != randomised {
+				notOne++
+			}
+			sets = append(sets, r.s1, r.s2, r.both)
+		}
+		data := map[string]*byte{}
+		sets1 := map[string]int{}
+		for _, set := range sets {
+			for k := range set {
+				if k == "" {
+					continue
+				}
+				p := unsafe.StringData(k)
+				if q, ok := data[k]; ok && q != p {
+					split++
+				}
+				data[k] = p
+				if sets1[k]++; sets1[k] == 2 {
+					shared++
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no key value is counted by two multisets of one household; the corpus does not exercise sharing")
+	}
+	if split > 0 {
+		t.Errorf("%d key occurrences sit in another allocation than an equal key of the same household (%d values counted by several multisets)", split, shared)
+	}
+	if notOne > 0 {
+		t.Errorf("%d regime partials keep other multisets than s2 alone (session-invariant) or s1, s2 and both (randomised)", notOne)
 	}
 }
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
+	"iotlan/internal/analysis"
 	"iotlan/internal/engine"
 	"iotlan/internal/inspector"
 	"iotlan/internal/obs"
@@ -325,4 +328,54 @@ func BenchmarkRecover(b *testing.B) {
 		s.Close()
 		b.StartTimer()
 	}
+}
+
+// BenchmarkFleetHeap is the serving memory ledger. It recovers a fixed
+// 8,192-household fleet into 8 shards from a checkpoint, as the benchmark
+// harness's ingest set-up recovers its fleet, and reports the live heap of
+// the shard aggregates (aggregates-MB) and of the household records
+// (records-MB), MB being 2^20 bytes. Each part is measured by releasing it
+// and collecting garbage: the aggregates first, then the records.
+func BenchmarkFleetHeap(b *testing.B) {
+	const households = 8192
+	blobs := checkpointBlobs(b, inspector.Generate(88, households).Households, 8)
+	var aggregates, records float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir, err := os.MkdirTemp(b.TempDir(), "image")
+		if err != nil {
+			b.Fatal(err)
+		}
+		writeImage(b, dir, blobs, households, nil)
+		b.StartTimer()
+		s, err := Open(Config{Shards: 8, DataDir: dir})
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		full := liveHeapMB()
+		for _, sh := range s.shards {
+			sh.liveEntropy, sh.liveMitigations = analysis.NewEntropyPartial(), analysis.NewMitigationPartial()
+		}
+		noAggregates := liveHeapMB()
+		for _, sh := range s.shards {
+			sh.households = map[string]*householdState{}
+		}
+		aggregates += full - noAggregates
+		records += noAggregates - liveHeapMB()
+		s.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(aggregates/float64(b.N), "aggregates-MB")
+	b.ReportMetric(records/float64(b.N), "records-MB")
+}
+
+// liveHeapMB collects garbage twice, so sync.Pool victims go too, and reads
+// the live heap in MB.
+func liveHeapMB() float64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return float64(s[0].Value.Uint64()) / (1 << 20)
 }

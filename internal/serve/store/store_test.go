@@ -10,6 +10,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // appendAll writes payloads into a fresh log in dir and closes it,
@@ -415,29 +416,49 @@ func TestDirSyncErr(t *testing.T) {
 // TestRotateFailureClosesLog: when Rotate cannot create the next segment
 // (here it already exists; a failed directory fsync after the creation
 // takes the same path), the log closes and every later Append and Rotate
-// fails with ErrClosed, so ingestion stops until the log is reopened.
+// fails with ErrClosed, so ingestion stops until the log is reopened. Close
+// then returns nil and stops the group-commit flusher, and a second Close
+// does nothing, in both sync modes.
 func TestRotateFailureClosesLog(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, SegmentName(l.Segment()+1)), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Rotate(); !errors.Is(err, fs.ErrExist) {
-		t.Fatalf("rotate onto an existing segment: %v, want ErrExist", err)
-	}
-	if err := l.Append([]byte("b")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append after a failed rotate: %v, want ErrClosed", err)
-	}
-	if _, err := l.Rotate(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("rotate after a failed rotate: %v, want ErrClosed", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("close after a failed rotate: %v", err)
+	for _, mode := range []struct {
+		name string
+		mode SyncMode
+	}{{"none", SyncNone}, {"group", SyncGroup}} {
+		dir := t.TempDir()
+		l, err := OpenLog(dir, mode.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, SegmentName(l.Segment()+1)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Rotate(); !errors.Is(err, fs.ErrExist) {
+			t.Fatalf("%s: rotate onto an existing segment: %v, want ErrExist", mode.name, err)
+		}
+		if err := l.Append([]byte("b")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s: append after a failed rotate: %v, want ErrClosed", mode.name, err)
+		}
+		if _, err := l.Rotate(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s: rotate after a failed rotate: %v, want ErrClosed", mode.name, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("%s: close after a failed rotate: %v", mode.name, err)
+		}
+		stopped := make(chan struct{})
+		go func() {
+			l.flusherG.Wait()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the group-commit flusher still runs 5 s after Close", mode.name)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("%s: second close: %v", mode.name, err)
+		}
 	}
 }

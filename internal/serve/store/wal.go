@@ -84,6 +84,9 @@ type Log struct {
 	flushC   chan struct{}
 	done     chan struct{}
 	flusherG sync.WaitGroup
+	// stop closes done and waits for the flusher, once, whether Close or
+	// a failed Rotate closed the log.
+	stop sync.Once
 }
 
 // OpenLog opens the WAL in dir, creating the directory if needed. It always
@@ -253,23 +256,27 @@ func (l *Log) Rotate() (int, error) {
 	return l.seg, nil
 }
 
-// Close syncs and closes the log. Pending group-commit waiters are released.
+// Close syncs and closes the log, stops the group-commit flusher and
+// releases pending waiters. After a failed Rotate, which already closed the
+// segment, it skips the sync and close and returns nil; a second Close does
+// nothing.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	l.closed = true
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
+	var err error
+	if !l.closed {
+		l.closed = true
+		err = l.f.Sync()
+		if cerr := l.f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	final := l.writeSeq
 	l.mu.Unlock()
 
-	close(l.done)
-	l.flusherG.Wait()
+	l.stop.Do(func() {
+		close(l.done)
+		l.flusherG.Wait()
+	})
 
 	// Everything written is now synced (or the log failed); release waiters.
 	l.flushMu.Lock()
