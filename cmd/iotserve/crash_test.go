@@ -24,8 +24,9 @@ import (
 // binary, runs it as a subprocess with -data-dir, SIGKILLs it mid-ingest,
 // restarts it on the same directory, and proves that every acknowledged
 // upload survived, that a torn WAL tail is dropped cleanly (counted, not
-// fatal), and that the recovered fleet's artifacts are byte-identical to a
-// server that never crashed.
+// fatal) without hiding the segments written after it, and that the
+// recovered fleet's artifacts are byte-identical to a server that never
+// crashed.
 
 // buildServe compiles the iotserve binary once per test binary.
 var buildServe = sync.OnceValues(func() (string, error) {
@@ -152,7 +153,7 @@ func (p *serveProc) metricValue(t *testing.T, name string) string {
 //
 //  1. boot A on an empty -data-dir, ack a deterministic prefix of the
 //     fleet, keep uploading, SIGKILL mid-stream — no drain, no final
-//     checkpoint, no WAL close;
+//     checkpoint, no WAL close; the last bOnly households never reach A;
 //  2. scar the log the way a torn write would (half a record appended to a
 //     fresh segment);
 //  3. boot B on the same directory (different shard count) with the
@@ -162,7 +163,13 @@ func (p *serveProc) metricValue(t *testing.T, name string) string {
 //     incremental aggregates the replay rebuilt render byte-identically to
 //     a batch recompute (serve_selfcheck{result="ok"} > 0, no mismatches);
 //  4. upload the full fleet and compare artifact bytes against a server
-//     that never crashed: checksum-identical, self-check still clean.
+//     that never crashed: checksum-identical, self-check still clean;
+//  5. SIGKILL B too and boot C on the same directory: B logged its uploads
+//     in the segment after the torn one, and C must replay past the tear
+//     to serve them — the bOnly households above all, which only B's
+//     segment holds — with artifacts equal to the clean run's and a clean
+//     self-check;
+//  6. SIGTERM C: its drain writes a final checkpoint.
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess harness")
@@ -173,6 +180,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	const households = 40
 	const ackedPrefix = 25
+	const bOnly = 5
 	ds := inspector.Generate(77, households)
 	dataDir := filepath.Join(t.TempDir(), "data")
 
@@ -192,7 +200,7 @@ func TestCrashRecovery(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, hh := range ds.Households[ackedPrefix:] {
+		for _, hh := range ds.Households[ackedPrefix : households-bOnly] {
 			if a.upload(t, hh) {
 				mu.Lock()
 				acked[hh.ID] = true
@@ -220,43 +228,52 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 3: boot on the scarred directory with a different shard count,
-	// self-checking after every fold.
-	b := startServe(t, bin, "-data-dir", dataDir, "-shards", "7", "-workers", "2", "-selfcheck-every", "1")
-	if got := b.metricValue(t, "serve_wal_replay_truncated"); got != "1" {
-		t.Fatalf("serve_wal_replay_truncated = %q, want 1", got)
-	}
-	// The boot-time self-check ran against exactly the recovered state: the
-	// live partials rebuilt by replaying through the fold path must match a
-	// batch recompute of the recovered records, shard by shard.
-	checkSelfCheck := func(when string) {
+	// checkSelfCheck: the live partials match a batch recompute of the
+	// stored records, shard by shard.
+	checkSelfCheck := func(p *serveProc, when string) {
 		t.Helper()
-		ok := b.metricValue(t, `serve_selfcheck{result="ok"}`)
+		ok := p.metricValue(t, `serve_selfcheck{result="ok"}`)
 		if n, err := strconv.Atoi(ok); err != nil || n <= 0 {
 			t.Fatalf("%s: serve_selfcheck{result=\"ok\"} = %q, want > 0", when, ok)
 		}
-		if bad := b.metricValue(t, `serve_selfcheck{result="mismatch"}`); bad != "" && bad != "0" {
+		if bad := p.metricValue(t, `serve_selfcheck{result="mismatch"}`); bad != "" && bad != "0" {
 			t.Fatalf("%s: %s self-check mismatches — recovered live aggregates diverged from batch", when, bad)
 		}
 	}
-	checkSelfCheck("after recovery boot")
-	for id := range acked {
-		resp, err := http.Get(b.base + "/v1/households/" + id + "/report")
-		if err != nil {
-			t.Fatal(err)
+	// recovered checks a server booted on the scarred directory: the torn
+	// tail counted once, the boot-time self-check — run against exactly the
+	// recovered state, the live partials the replay rebuilt through the
+	// fold path — clean, and every acknowledged household served.
+	recovered := func(p *serveProc, when string) {
+		t.Helper()
+		if got := p.metricValue(t, "serve_wal_replay_truncated"); got != "1" {
+			t.Fatalf("%s: serve_wal_replay_truncated = %q, want 1", when, got)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("acknowledged household %s lost in crash: status %d", id, resp.StatusCode)
+		checkSelfCheck(p, when)
+		for id := range acked {
+			resp, err := http.Get(p.base + "/v1/households/" + id + "/report")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: acknowledged household %s lost in crash: status %d", when, id, resp.StatusCode)
+			}
 		}
 	}
+
+	// Phase 3: boot on the scarred directory with a different shard count,
+	// self-checking after every fold.
+	b := startServe(t, bin, "-data-dir", dataDir, "-shards", "7", "-workers", "2", "-selfcheck-every", "1")
+	recovered(b, "after recovery boot")
 
 	// Phase 4: top up to the full fleet and diff against a clean run.
 	for _, hh := range ds.Households {
 		if !b.upload(t, hh) {
 			t.Fatalf("top-up upload %s failed", hh.ID)
 		}
+		acked[hh.ID] = true
 	}
 	clean := startServe(t, bin, "-data-dir", filepath.Join(t.TempDir(), "clean"), "-shards", "4", "-workers", "2")
 	for _, hh := range ds.Households {
@@ -264,21 +281,35 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatalf("clean upload %s failed", hh.ID)
 		}
 	}
-	for _, name := range []string{"table2", "mitigations"} {
-		got := b.get(t, "/v1/artifacts/"+name)
-		want := clean.get(t, "/v1/artifacts/"+name)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s after crash recovery differs from clean run:\n%s\nvs\n%s", name, got, want)
+	sameArtifacts := func(p *serveProc, when string) {
+		t.Helper()
+		for _, name := range []string{"table2", "mitigations"} {
+			got := p.get(t, "/v1/artifacts/"+name)
+			want := clean.get(t, "/v1/artifacts/"+name)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s differs from clean run:\n%s\nvs\n%s", when, name, got, want)
+			}
 		}
 	}
-	checkSelfCheck("after top-up")
+	sameArtifacts(b, "after crash recovery")
+	checkSelfCheck(b, "after top-up")
 
-	// Graceful exit writes a final checkpoint: SIGTERM, then verify one
-	// exists so the next boot loads a snapshot instead of a full replay.
-	if err := b.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	// Phase 5: crash again. B never checkpointed, so the torn segment still
+	// sits between A's segments and B's.
+	if err := b.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.cmd.Wait(); err != nil {
+	b.cmd.Wait()
+	c := startServe(t, bin, "-data-dir", dataDir, "-shards", "5", "-workers", "2", "-selfcheck-every", "1")
+	recovered(c, "after the second crash")
+	sameArtifacts(c, "after the second crash")
+
+	// Phase 6: graceful exit writes a final checkpoint: SIGTERM, then verify
+	// one exists so the next boot loads a snapshot instead of a full replay.
+	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.cmd.Wait(); err != nil {
 		t.Fatalf("drain exit: %v", err)
 	}
 	ckpts, err := store.Checkpoints(dataDir)

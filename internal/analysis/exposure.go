@@ -52,7 +52,8 @@ func (m *ExposureMatrix) Exposed(proto, field string) bool {
 	return ok
 }
 
-// BuildExposure scans a capture for Table 1's exposure matrix.
+// BuildExposure scans a capture's local traffic (the Appendix C.1 filter,
+// tested in the same pass) for Table 1's exposure matrix.
 func BuildExposure(records []pcap.Record) *ExposureMatrix {
 	m := &ExposureMatrix{Cells: map[[2]string]string{}}
 	set := func(proto, field, evidence string) {
@@ -65,8 +66,11 @@ func BuildExposure(records []pcap.Record) *ExposureMatrix {
 		}
 	}
 	var p layers.Packet
-	for _, r := range pcap.FilterLocal(records) {
+	for _, r := range records {
 		p.DecodeInto(r.Data)
+		if !p.IsLocal() {
+			continue
+		}
 		switch {
 		case p.HasARP:
 			if !m.Exposed("ARP", ExpMAC) {

@@ -52,9 +52,12 @@ func Open(cfg Config) (*Server, error) {
 // and since replay folds exactly as live ingest does, a restarted
 // server holds the incremental state a never-crashed one would (the
 // boot-time self-check in Open proves it against a batch recompute). A torn
-// or corrupt record stops the replay at the last intact prefix — counted
-// under serve_wal_replay_truncated and logged, never fatal: that tail is
-// exactly the un-acknowledged write a crash interrupts.
+// or corrupt record ends its segment's replay and replay goes on with the
+// next segment (store.ReplayLog) — counted under serve_wal_replay_truncated
+// and logged, never fatal: a log stops at its first failed write and a boot
+// starts a fresh segment, so that tail is the un-acknowledged write a crash
+// or a failure interrupted, and later segments hold later acknowledged
+// records.
 func (s *Server) recoverState() error {
 	dir := s.cfg.DataDir
 	mf, blobs, ok, err := store.LatestCheckpoint(dir)
@@ -101,7 +104,7 @@ func (s *Server) recoverState() error {
 	if st.Truncated {
 		s.reg.Counter("serve_wal_replay_truncated").Inc()
 		if s.logger != nil {
-			s.logger.Warn("wal replay stopped at damaged record",
+			s.logger.Warn("wal replay skipped a damaged segment tail",
 				"segment", st.TruncatedSegment, "records_recovered", st.Records, "err", st.Err)
 		}
 	}
@@ -206,9 +209,10 @@ func (s *Server) checkpoint() {
 
 // checkpointFailed records a checkpoint error. The WAL still holds every
 // acknowledged record, so durability degrades to a longer replay, not loss.
-// One failure stops ingestion until restart: when Rotate cannot create
-// the next segment, or cannot fsync the directory after creating it, the
-// log closes, and every later upload fails with store.ErrClosed.
+// A failure inside Rotate (an fsync, the close of the old segment, or the
+// creation or directory fsync of the new one) also stops the log, as any
+// failed WAL write or fsync does: every later upload then answers 503 until
+// a restart.
 func (s *Server) checkpointFailed(err error) {
 	s.reg.Counter("serve_checkpoint_errors").Inc()
 	if s.logger != nil {

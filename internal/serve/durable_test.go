@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"iotlan/internal/inspector"
+	"iotlan/internal/obs"
 	"iotlan/internal/serve/store"
 )
 
@@ -224,6 +225,40 @@ func TestCheckpointCompaction(t *testing.T) {
 	}
 }
 
+// TestStoppedLogFailsStop: once a WAL failure has stopped the log, every
+// inspector upload answers 503 with retry_after_ms 0 — only a restart
+// reopens the log, so a client retry cannot help — and counts under
+// serve_upload_rejected{reason="wal"}, while captures (stateless) and
+// artifact reads still answer 200.
+func TestStoppedLogFailsStop(t *testing.T) {
+	ds := inspector.Generate(55, 3)
+	s := openTestServer(t, Config{Workers: 1, Shards: 2, DataDir: t.TempDir()})
+	ingestFleet(t, s, ds.Households[:1])
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, ds.Households[1:]...))
+		var e struct {
+			RetryAfterMS *int64 `json:"retry_after_ms"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusServiceUnavailable ||
+			e.RetryAfterMS == nil || *e.RetryAfterMS != 0 || w.Header().Get("Retry-After") != "" {
+			t.Fatalf("post %d on a stopped log: %d %s (Retry-After %q), want 503 with retry_after_ms 0",
+				i, w.Code, w.Body.String(), w.Header().Get("Retry-After"))
+		}
+		if n := s.reg.CounterValue(obs.Key("serve_upload_rejected", "reason", "wal")); n != uint64(i) {
+			t.Fatalf("serve_upload_rejected{reason=wal} = %d after %d posts", n, i)
+		}
+	}
+	if w := do(s, "POST", "/v1/households/cap/capture", capturePCAP(t, ds.Households[2])); w.Code != http.StatusOK {
+		t.Fatalf("capture upload on a stopped log: %d %s", w.Code, w.Body.String())
+	}
+	if w := do(s, "GET", "/v1/artifacts/table2", nil); w.Code != http.StatusOK {
+		t.Fatalf("artifact read on a stopped log: %d %s", w.Code, w.Body.String())
+	}
+}
+
 func mustCheckpoints(t *testing.T, dir string) []int {
 	t.Helper()
 	seqs, err := store.Checkpoints(dir)
@@ -250,9 +285,9 @@ func TestDurableAckSurvivesUncleanStop(t *testing.T) {
 	ingestFleet(t, s, ds.Households)
 	want := fetchArtifact(t, s, "table2")
 	// No Close: the process "dies" with the WAL unclosed and no checkpoint.
-	// (The open WAL and its flusher goroutine leak for the rest of the test
-	// binary — the price of simulating a crash in-process; the subprocess
-	// SIGKILL harness in cmd/iotserve covers the real thing.)
+	// (The open WAL segment leaks for the rest of the test binary — the
+	// price of simulating a crash in-process; the subprocess SIGKILL
+	// harness in cmd/iotserve covers the real thing.)
 
 	re := openTestServer(t, Config{Workers: 2, Shards: 4, DataDir: copyDataDir(t, dir)})
 	if got := fleetOf(t, re); got.Households != households {

@@ -481,9 +481,11 @@ func (s *Server) processInspector(j *job) jobResult {
 	if err := s.ingest(actx, hhs); err != nil {
 		aspan.Fail()
 		aspan.End()
+		// A WAL error has stopped the log (store.Log's one failure rule),
+		// and only a restart reopens it: fail-stop, with no retry hint.
 		s.reg.Counter("serve_upload_rejected", "reason", "wal").Inc()
-		return jobResult{status: http.StatusInternalServerError,
-			body: s.errEnvelope(fmt.Sprintf("durable ingest failed: %v", err), s.cfg.RetryAfter)}
+		return jobResult{status: http.StatusServiceUnavailable,
+			body: s.errEnvelope(fmt.Sprintf("durable ingest failed: %v", err), 0)}
 	}
 	s.maybeCheckpoint()
 	s.maybeSelfCheck()
@@ -566,11 +568,12 @@ func analyzeCapture(household string, records []pcap.Record) []byte {
 // durability on it is then written ahead — the prepared record bytes — and
 // applied in upload order under the gate's read lock, which keeps every
 // append+apply pair atomic with respect to checkpoint compaction (see
-// checkpoint). The ack is backed by the log. A WAL error stops the batch:
-// earlier chunks stay logged and applied, the client gets a 500, and its
-// retry re-applies idempotently. The fleet version moves only if something
-// actually changed. Each chunk's append+apply is a wal.append span under
-// ctx's, the upload's analysis span.
+// checkpoint). The ack is backed by the log. A WAL error stops the batch
+// and, since it stopped the log, every later one: earlier chunks stay
+// logged and applied, and the client gets a 503 until a restart, whose
+// replay and a re-post then apply idempotently. The fleet version moves
+// only if something actually changed. Each chunk's append+apply is a
+// wal.append span under ctx's, the upload's analysis span.
 func (s *Server) ingest(ctx context.Context, hhs []*inspector.Household) error {
 	folded := 0
 	var err error
@@ -777,9 +780,10 @@ func mustJSON(v interface{}) []byte {
 
 // errEnvelope renders the one error payload shape every 4xx/5xx on the v1
 // surface carries: the message, a machine-usable retry hint (0 = retrying
-// cannot help: client bugs, unknown names, oversized bodies), and the
-// admission pressure at response time — uploads admitted and the admission
-// bound — so client logs always carry it without per-status parsing.
+// cannot help: client bugs, unknown names, oversized bodies, a stopped
+// WAL), and the admission pressure at response time — uploads admitted and
+// the admission bound — so client logs always carry it without per-status
+// parsing.
 func (s *Server) errEnvelope(msg string, retryAfter time.Duration) []byte {
 	return mustJSON(struct {
 		Error         string `json:"error"`

@@ -41,7 +41,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Framing errors. Truncated means the byte stream ended inside a record —
 // the normal shape of a crash mid-append; Corrupt means the bytes are there
 // but wrong (checksum mismatch, implausible length). Replay treats both as
-// "stop here, keep the intact prefix".
+// "this segment ends here, keep its intact prefix". ErrClosed is what a
+// closed or failed log returns; after a failure it wraps the cause.
 var (
 	ErrRecordTruncated = errors.New("store: record truncated")
 	ErrRecordCorrupt   = errors.New("store: record corrupt")

@@ -7,10 +7,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 )
 
 // appendAll writes payloads into a fresh log in dir and closes it,
@@ -144,6 +145,41 @@ func TestAbsurdLengthStopsReplay(t *testing.T) {
 	}
 }
 
+// TestReplayGoesPastTornSegment: a crash tore segment 1's tail, the
+// restarted log wrote segment 2 from its first byte, and replay returns the
+// record acknowledged there as well as segment 1's intact prefix, naming
+// segment 1 as the damaged one.
+func TestReplayGoesPastTornSegment(t *testing.T) {
+	dir := t.TempDir()
+	raw := EncodeRecord(nil, []byte("before crash"))
+	raw = append(raw, EncodeRecord(nil, []byte("torn by the crash"))[:recordHeaderBytes+4]...)
+	if err := os.WriteFile(filepath.Join(dir, SegmentName(1)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(dir, SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("after restart")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	st, err := ReplayLog(dir, 0, func(p []byte) error { got = append(got, string(p)); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"before crash", "after restart"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replay = %q, want %q", got, want)
+	}
+	if st.Segments != 2 || st.Records != 2 || !st.Truncated || st.TruncatedSegment != 1 ||
+		!errors.Is(st.Err, ErrRecordTruncated) {
+		t.Fatalf("stats = %+v, want 2 segments, 2 records, truncated in segment 1", st)
+	}
+}
+
 // TestRotateAndReplayFrom: records span segments; replay from a later
 // segment sees only its suffix; a reopened log never reuses a segment.
 func TestRotateAndReplayFrom(t *testing.T) {
@@ -245,6 +281,67 @@ func TestGroupCommitConcurrentAppend(t *testing.T) {
 		if !seen[fmt.Sprintf("rec-%03d", i)] {
 			t.Fatalf("record %d missing after replay", i)
 		}
+	}
+}
+
+// TestRotateDuringGroupAppends: appenders in group mode race repeated
+// Rotates with no lock outside the log. Rotate never closes a segment while
+// an appender's fsync of it runs, and fsyncs every record written to it
+// first, so no Append fails and every acknowledged record replays, each
+// appender's in its own order.
+func TestRotateDuringGroupAppends(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders, rotations, minAppends = 4, 200, 20
+	var rotating atomic.Bool
+	rotating.Store(true)
+	acked := make([]int, appenders)
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < minAppends || rotating.Load(); i++ {
+				if err := l.Append([]byte(fmt.Sprintf("%d/%d", a, i))); err != nil {
+					t.Errorf("appender %d, record %d: %v", a, i, err)
+					return
+				}
+				acked[a]++
+			}
+		}(a)
+	}
+	for i := 0; i < rotations; i++ {
+		if _, err := l.Rotate(); err != nil {
+			t.Errorf("rotate %d: %v", i, err)
+			break
+		}
+	}
+	rotating.Store(false)
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	next := make([]int, appenders)
+	st, err := ReplayLog(dir, 0, func(p []byte) error {
+		var a, i int
+		if _, err := fmt.Sscanf(string(p), "%d/%d", &a, &i); err != nil || a < 0 || a >= appenders || i != next[a] {
+			return fmt.Errorf("record %q out of order (next %v)", p, next)
+		}
+		next[a]++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Truncated || st.Segments != rotations+1 || fmt.Sprint(next) != fmt.Sprint(acked) {
+		t.Fatalf("replayed %v records per appender in %d segments (truncated=%v), want %v in %d",
+			next, st.Segments, st.Truncated, acked, rotations+1)
 	}
 }
 
@@ -364,13 +461,16 @@ func TestLatestCheckpointEmpty(t *testing.T) {
 
 // BenchmarkAppend times one WAL append of an 8 KB payload in each sync
 // mode: group waits for an fsync covering the record, none stops at
-// write(2).
+// write(2). group_parallel runs 8 appenders at once (at least 8 when
+// GOMAXPROCS does not divide 8), so one fsync covers several records: it
+// guards group commit run by the appenders themselves.
 func BenchmarkAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte{'x'}, 8<<10)
 	for _, mode := range []struct {
-		name string
-		mode SyncMode
-	}{{"group", SyncGroup}, {"none", SyncNone}} {
+		name      string
+		mode      SyncMode
+		appenders int
+	}{{"group", SyncGroup, 1}, {"group_parallel", SyncGroup, 8}, {"none", SyncNone, 1}} {
 		b.Run(mode.name, func(b *testing.B) {
 			l, err := OpenLog(b.TempDir(), mode.mode)
 			if err != nil {
@@ -380,11 +480,24 @@ func BenchmarkAppend(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := l.Append(payload); err != nil {
-					b.Fatal(err)
+			if mode.appenders == 1 {
+				for i := 0; i < b.N; i++ {
+					if err := l.Append(payload); err != nil {
+						b.Fatal(err)
+					}
 				}
+				return
 			}
+			procs := runtime.GOMAXPROCS(0)
+			b.SetParallelism((mode.appenders + procs - 1) / procs)
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if err := l.Append(payload); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 		})
 	}
 }
@@ -417,8 +530,7 @@ func TestDirSyncErr(t *testing.T) {
 // (here it already exists; a failed directory fsync after the creation
 // takes the same path), the log closes and every later Append and Rotate
 // fails with ErrClosed, so ingestion stops until the log is reopened. Close
-// then returns nil and stops the group-commit flusher, and a second Close
-// does nothing, in both sync modes.
+// then returns nil, and a second Close does nothing, in both sync modes.
 func TestRotateFailureClosesLog(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -447,18 +559,73 @@ func TestRotateFailureClosesLog(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("%s: close after a failed rotate: %v", mode.name, err)
 		}
-		stopped := make(chan struct{})
-		go func() {
-			l.flusherG.Wait()
-			close(stopped)
-		}()
-		select {
-		case <-stopped:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: the group-commit flusher still runs 5 s after Close", mode.name)
-		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("%s: second close: %v", mode.name, err)
+		}
+	}
+}
+
+// TestFailureStopsLog: a failed write stops the log, as a failed fsync or
+// close of the old segment in Rotate does. The failing call returns an
+// error matching both ErrClosed and its cause; every later Append and
+// Rotate fails with ErrClosed and writes nothing, even through a handle
+// that would take the bytes; Close then returns nil, in both sync modes.
+func TestFailureStopsLog(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		mode SyncMode
+	}{{"none", SyncNone}, {"group", SyncGroup}} {
+		for _, fail := range []struct {
+			name   string
+			closed bool // hand the log a closed handle, not a read-only one
+			op     func(l *Log) error
+			cause  error
+		}{
+			{"write", false, func(l *Log) error { return l.Append([]byte("refused")) }, syscall.EBADF},
+			{"rotate", true, func(l *Log) error { _, err := l.Rotate(); return err }, os.ErrClosed},
+		} {
+			name := mode.name + "/" + fail.name
+			dir := t.TempDir()
+			l, err := OpenLog(dir, mode.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append([]byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			bad, err := os.Open(filepath.Join(dir, SegmentName(l.Segment()))) // read-only
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { bad.Close() })
+			if fail.closed {
+				bad.Close()
+			}
+			w := l.f
+			l.f = bad
+			if err := fail.op(l); !errors.Is(err, ErrClosed) || !errors.Is(err, fail.cause) {
+				t.Fatalf("%s: the failing call returned %v, want ErrClosed wrapping its cause", name, err)
+			}
+			l.f = w
+			if err := l.Append([]byte("b")); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s: append after the failure: %v, want ErrClosed", name, err)
+			}
+			if _, err := l.Rotate(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s: rotate after the failure: %v, want ErrClosed", name, err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("%s: close after the failure: %v", name, err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("%s: second close: %v", name, err)
+			}
+			var got []string
+			if _, err := ReplayLog(dir, 0, func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != "[a]" {
+				t.Fatalf("%s: the log holds %q after the failure, want only [a]", name, got)
+			}
 		}
 	}
 }

@@ -62,31 +62,29 @@ func Segments(dir string) ([]int, error) {
 	return segs, nil
 }
 
-// Log is a segmented append-only record log. Append is safe for concurrent
-// use; Rotate/Close serialize with appends.
+// Log is a segmented append-only record log. Append, Rotate and Close are
+// safe for concurrent use.
+//
+// One failure rule: the first failed write, fsync, close or segment
+// creation stops the log, and every later Append and Rotate returns that
+// failure (matching both ErrClosed and its cause), so no record is
+// acknowledged after a write or fsync the disk refused. Close stops the
+// log too.
 type Log struct {
 	dir  string
 	mode SyncMode
 
-	mu      sync.Mutex // guards f, seg, scratch, writeSeq, closed
-	f       *os.File
-	seg     int
-	scratch []byte
-	closed  bool
-
-	// Group commit: appenders wait on cond until syncSeq covers their
-	// record; one flusher goroutine fsyncs and advances syncSeq.
-	flushMu  sync.Mutex
-	cond     *sync.Cond
-	writeSeq uint64 // records handed to the kernel (mu)
-	syncSeq  uint64 // records covered by an fsync (flushMu)
-	syncErr  error  // sticky fsync failure (flushMu)
-	flushC   chan struct{}
-	done     chan struct{}
-	flusherG sync.WaitGroup
-	// stop closes done and waits for the flusher, once, whether Close or
-	// a failed Rotate closed the log.
-	stop sync.Once
+	mu       sync.Mutex // guards everything below
+	cond     *sync.Cond // on mu; broadcast when an fsync ends or the log stops
+	f        *os.File   // the open segment; nil once closed
+	seg      int
+	scratch  []byte
+	writeSeq uint64 // records written to the kernel
+	syncSeq  uint64 // records an fsync has covered
+	// syncing is non-nil while an appender's fsync runs with mu released;
+	// it receives that fsync's outcome.
+	syncing chan error
+	err     error // why the log stopped; nil while it runs
 }
 
 // OpenLog opens the WAL in dir, creating the directory if needed. It always
@@ -105,20 +103,10 @@ func OpenLog(dir string, mode SyncMode) (*Log, error) {
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	}
-	l := &Log{
-		dir:    dir,
-		mode:   mode,
-		seg:    next,
-		flushC: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	l.cond = sync.NewCond(&l.flushMu)
+	l := &Log{dir: dir, mode: mode, seg: next}
+	l.cond = sync.NewCond(&l.mu)
 	if l.f, err = createSegment(dir, next); err != nil {
 		return nil, err
-	}
-	if mode == SyncGroup {
-		l.flusherG.Add(1)
-		go l.flusher()
 	}
 	return l, nil
 }
@@ -170,65 +158,93 @@ func (l *Log) Segment() int {
 
 // Append writes one record. When it returns nil the record has reached the
 // kernel (both modes) and — in group mode — stable storage.
+//
+// Group commit needs no goroutine of its own: an appender that finds no
+// fsync running runs one, with mu released so later appenders can write
+// meanwhile, and that fsync covers every record written before it started.
+// Appenders it does not cover wait, and one of them runs the next.
 func (l *Log) Append(payload []byte) error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
 	}
 	l.scratch = EncodeRecord(l.scratch[:0], payload)
-	_, err := l.f.Write(l.scratch)
-	l.writeSeq++
-	seq := l.writeSeq
-	l.mu.Unlock()
-	if err != nil {
-		return err
+	if _, err := l.f.Write(l.scratch); err != nil {
+		return l.stop(err)
 	}
+	l.writeSeq++
 	if l.mode == SyncNone {
 		return nil
 	}
-	// Group commit: nudge the flusher, wait until an fsync covers seq.
-	select {
-	case l.flushC <- struct{}{}:
-	default: // a flush is already pending; it will cover us
+	seq := l.writeSeq
+	for l.syncSeq < seq && l.err == nil {
+		if l.syncing != nil {
+			l.cond.Wait()
+			continue
+		}
+		l.fsync()
 	}
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	for l.syncSeq < seq && l.syncErr == nil {
-		l.cond.Wait()
+	if l.syncSeq >= seq {
+		return nil // an fsync covered the record, even if the log stopped since
 	}
-	return l.syncErr
+	return l.err
 }
 
-// flusher is the single group-commit goroutine: each fsync covers every
-// record written before it started.
-func (l *Log) flusher() {
-	defer l.flusherG.Done()
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-l.flushC:
-		}
-		l.mu.Lock()
-		target := l.writeSeq
-		f, closed := l.f, l.closed
-		l.mu.Unlock()
-		var err error
-		if closed {
-			err = ErrClosed
-		} else {
-			err = f.Sync()
-		}
-		l.flushMu.Lock()
-		if err != nil {
-			l.syncErr = err
-		} else if target > l.syncSeq {
-			l.syncSeq = target
-		}
-		l.cond.Broadcast()
-		l.flushMu.Unlock()
+// fsync runs one fsync with mu released, covering every record written
+// before it starts. A Rotate or Close that needs the segment meanwhile
+// waits for the fsync through syncing and takes its outcome over. Caller
+// holds mu, and no fsync runs.
+func (l *Log) fsync() {
+	done := make(chan error, 1)
+	l.syncing = done
+	f, target := l.f, l.writeSeq
+	l.mu.Unlock()
+	done <- f.Sync()
+	l.mu.Lock()
+	if l.syncing == done {
+		l.syncing = nil
+		l.synced(target, <-done)
 	}
+}
+
+// synced records how an fsync covering records up to target ended and
+// wakes the appenders waiting for it. Caller holds mu.
+func (l *Log) synced(target uint64, err error) {
+	if err != nil {
+		l.stop(err)
+	} else {
+		l.syncSeq = target
+	}
+	l.cond.Broadcast()
+}
+
+// drain readies the open segment for closing: it waits for a running fsync
+// to end, keeping mu so no appender starts another, then fsyncs every
+// record written to the segment. It returns the failure that stopped the
+// log, if one did. Caller holds mu.
+func (l *Log) drain() error {
+	if l.syncing != nil {
+		if err := <-l.syncing; err != nil {
+			l.stop(err)
+		}
+		l.syncing = nil
+	}
+	if l.err == nil && l.syncSeq < l.writeSeq {
+		l.synced(l.writeSeq, l.f.Sync())
+	}
+	return l.err
+}
+
+// stop records the first failure, which stops the log, and wakes every
+// appender waiting for an fsync. It returns the error every later Append
+// and Rotate returns. Caller holds mu.
+func (l *Log) stop(cause error) error {
+	if l.err == nil {
+		l.err = fmt.Errorf("%w: %w", ErrClosed, cause)
+		l.cond.Broadcast()
+	}
+	return l.err
 }
 
 // Rotate syncs and closes the current segment and starts a fresh one,
@@ -237,57 +253,41 @@ func (l *Log) flusher() {
 func (l *Log) Rotate() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.drain(); err != nil {
 		return 0, err
 	}
-	if err := l.f.Close(); err != nil {
-		return 0, err
+	err := l.f.Close()
+	l.f = nil
+	if err != nil {
+		return 0, l.stop(err)
 	}
 	l.seg++
-	f, err := createSegment(l.dir, l.seg)
-	if err != nil {
-		l.closed = true // log is unusable without an open segment
-		return 0, err
+	if l.f, err = createSegment(l.dir, l.seg); err != nil {
+		return 0, l.stop(err)
 	}
-	l.f = f
 	return l.seg, nil
 }
 
-// Close syncs and closes the log, stops the group-commit flusher and
-// releases pending waiters. After a failed Rotate, which already closed the
-// segment, it skips the sync and close and returns nil; a second Close does
-// nothing.
+// Close syncs and closes the open segment and stops the log. It returns
+// its own sync or close error, or nil when a failure had already stopped
+// the log; a second Close does nothing.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	var err error
-	if !l.closed {
-		l.closed = true
-		err = l.f.Sync()
+	defer l.mu.Unlock()
+	stopped := l.err != nil
+	err := l.drain()
+	if l.f != nil {
 		if cerr := l.f.Close(); err == nil {
 			err = cerr
 		}
+		l.f = nil
 	}
-	final := l.writeSeq
-	l.mu.Unlock()
-
-	l.stop.Do(func() {
-		close(l.done)
-		l.flusherG.Wait()
-	})
-
-	// Everything written is now synced (or the log failed); release waiters.
-	l.flushMu.Lock()
-	if err != nil && l.syncErr == nil {
-		l.syncErr = err
+	if stopped {
+		return nil
 	}
-	if final > l.syncSeq {
-		l.syncSeq = final
+	if l.err == nil {
+		l.err = ErrClosed
 	}
-	l.cond.Broadcast()
-	l.flushMu.Unlock()
 	return err
 }
 
@@ -295,9 +295,9 @@ func (l *Log) Close() error {
 type ReplayStats struct {
 	Segments int // segments visited
 	Records  int // records successfully applied
-	// Truncated reports that replay stopped at a torn or corrupt record
-	// instead of a clean end-of-log; Err holds the framing error and
-	// TruncatedSegment the segment it stopped in.
+	// Truncated reports that a torn or corrupt record ended a segment
+	// early; TruncatedSegment names the first such segment and Err holds
+	// its framing error.
 	Truncated        bool
 	TruncatedSegment int
 	Err              error
@@ -308,9 +308,12 @@ const replayBufBytes = 256 << 10
 
 // ReplayLog feeds every intact record in segments >= fromSeg, in order, to
 // fn. Each payload is a fresh slice fn may keep. A torn or corrupt record
-// stops replay — the intact prefix is the durable state; anything after a
-// bad frame is untrustworthy — and is reported in the stats, not as an
-// error. fn errors abort the replay.
+// ends its segment — nothing after a bad frame in that segment is
+// trustworthy — and replay goes on with the next segment, which a later
+// Rotate or a restarted log wrote from its first byte: a log stops at its
+// first failed write, so no record follows a torn one in its segment. The
+// damage is reported in the stats, not as an error. fn errors abort the
+// replay.
 func ReplayLog(dir string, fromSeg int, fn func(payload []byte) error) (ReplayStats, error) {
 	var st ReplayStats
 	segs, err := Segments(dir)
@@ -322,21 +325,17 @@ func ReplayLog(dir string, fromSeg int, fn func(payload []byte) error) (ReplaySt
 			continue
 		}
 		st.Segments++
-		stop, err := replaySegment(dir, seg, fn, &st)
-		if err != nil {
+		if err := replaySegment(dir, seg, fn, &st); err != nil {
 			return st, err
-		}
-		if stop {
-			break
 		}
 	}
 	return st, nil
 }
 
-func replaySegment(dir string, seg int, fn func([]byte) error, st *ReplayStats) (stop bool, err error) {
+func replaySegment(dir string, seg int, fn func([]byte) error, st *ReplayStats) error {
 	f, err := os.Open(filepath.Join(dir, SegmentName(seg)))
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer f.Close()
 	// Buffered: a record's header and payload then cost one read(2) per
@@ -345,20 +344,20 @@ func replaySegment(dir string, seg int, fn func([]byte) error, st *ReplayStats) 
 	for {
 		payload, err := rr.Next()
 		if err == io.EOF {
-			return false, nil
+			return nil
 		}
 		if errors.Is(err, ErrRecordTruncated) || errors.Is(err, ErrRecordCorrupt) {
-			st.Truncated = true
-			st.TruncatedSegment = seg
-			st.Err = err
-			return true, nil
+			if !st.Truncated {
+				st.Truncated, st.TruncatedSegment, st.Err = true, seg, err
+			}
+			return nil
 		}
 		if err != nil {
-			return false, err
+			return err
 		}
 		st.Records++
 		if err := fn(payload); err != nil {
-			return false, err
+			return err
 		}
 	}
 }
