@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify lint bench4 bench5 bench6 microbench repro serve examples clean
+.PHONY: all build vet test race verify lint reach bench4 bench5 bench6 microbench repro serve examples clean
 
 all: build vet test
 
@@ -19,6 +19,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Reachability: builds every program (cmd/, examples/ and the bench/
+# harness) with inlining off and fails on any non-test function that none of
+# them links, unless cmd/reach/allow.txt gives the reason it stays.
+reach:
+	$(GO) run ./cmd/reach
 
 # Static analysis beyond vet: staticcheck, pinned so CI runs are
 # reproducible. Scope is staticcheck.conf (SA correctness checks). Needs

@@ -9,7 +9,6 @@ import (
 	"iotlan/internal/classify"
 	"iotlan/internal/inspector"
 	"iotlan/internal/layers"
-	"iotlan/internal/pcap"
 	"iotlan/internal/testbed"
 )
 
@@ -17,9 +16,8 @@ import (
 // custom metrics carry each experiment's headline numbers so a bench run
 // regenerates the paper's tables and figures.
 var (
-	benchOnce  sync.Once
-	benchS     *Study
-	benchLocal []pcap.Record
+	benchOnce sync.Once
+	benchS    *Study
 )
 
 func benchStudy(b *testing.B) *Study {
@@ -27,9 +25,8 @@ func benchStudy(b *testing.B) *Study {
 	benchOnce.Do(func() {
 		s := New(7, WithIdleDuration(30*time.Minute), WithInteractions(60),
 			WithHouseholds(1500), WithApps(60))
-		s.RunAll()
+		s.satisfy(NeedPassive | NeedScans | NeedVuln | NeedApps | NeedInspector)
 		benchS = s
-		benchLocal = pcap.FilterLocal(s.PassiveRecords())
 	})
 	return benchS
 }
@@ -255,9 +252,9 @@ func BenchmarkMitigations(b *testing.B) {
 // BenchmarkAblationDecodeAllocVsReuse contrasts allocate-per-packet decoding
 // with DecodingLayerParser-style struct reuse (gopacket's headline trick).
 func BenchmarkAblationDecodeAllocVsReuse(b *testing.B) {
-	benchStudy(b)
+	s := benchStudy(b)
 	frames := make([][]byte, 0, 4096)
-	for _, r := range benchLocal {
+	for _, r := range s.PassiveRecords() {
 		frames = append(frames, r.Data)
 		if len(frames) == cap(frames) {
 			break
@@ -282,8 +279,8 @@ func BenchmarkAblationDecodeAllocVsReuse(b *testing.B) {
 // canonicalised bidirectional keying. Both decode into one reused packet,
 // as the analysis readers do, so they time the keying and not allocation.
 func BenchmarkAblationFlowKeying(b *testing.B) {
-	benchStudy(b)
-	records := benchLocal[:min(len(benchLocal), 20000)]
+	records := benchStudy(b).PassiveRecords()
+	records = records[:min(len(records), 20000)]
 	var p layers.Packet
 	b.Run("unidirectional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -321,8 +318,7 @@ func BenchmarkAblationFlowKeying(b *testing.B) {
 // BenchmarkAblationDPIPrefilter contrasts full-payload DPI with a cheap
 // port pre-filter in front of it.
 func BenchmarkAblationDPIPrefilter(b *testing.B) {
-	benchStudy(b)
-	flows, _ := classify.Assemble(benchLocal)
+	flows, _ := classify.Assemble(benchStudy(b).PassiveRecords())
 	dpi := classify.DPIClassifier{}
 	spec := classify.SpecClassifier{}
 	b.Run("dpi-only", func(b *testing.B) {

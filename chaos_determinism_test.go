@@ -120,8 +120,11 @@ func TestChaosCaptureByteIdentical(t *testing.T) {
 // NaN/Inf metrics, non-empty renditions. The analysis layer must tolerate a
 // degraded network, not merely a perfect one.
 func TestChaosProfilesDegradeGracefully(t *testing.T) {
-	for _, plan := range chaos.Profiles() {
-		plan := plan
+	for _, name := range chaos.ProfileNames() {
+		plan, err := chaos.Profile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(plan.Name, func(t *testing.T) {
 			s := New(11,
 				WithIdleDuration(3*time.Minute),

@@ -40,10 +40,9 @@ func main() {
 		}
 		records = append(records, recs...)
 	}
-	local := pcap.FilterLocal(records)
-	fmt.Printf("%d packets read, %d local\n\n", len(records), len(local))
+	fmt.Printf("%d packets read, %d local\n\n", len(records), pcap.CountLocal(records))
 
-	flows, nonFlow := classify.Assemble(local)
+	flows, nonFlow := classify.Assemble(records)
 	spec, dpi, final := classify.SpecClassifier{}, classify.DPIClassifier{}, classify.Final{}
 	if *verbose {
 		fmt.Printf("%-48s %-18s %-18s %-18s\n", "flow", "tshark-like", "nDPI-like", "corrected")

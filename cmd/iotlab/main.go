@@ -71,7 +71,7 @@ func main() {
 		d := s.DeviceByName(n)
 		fmt.Printf("%-24s %-16s %s\n", n, ips[n], d.MAC())
 	}
-	fmt.Printf("\ncaptured %d frames (%d local)\n", s.Lab.Capture.Len(), len(pcap.FilterLocal(s.PassiveRecords())))
+	fmt.Printf("\ncaptured %d frames (%d local)\n", s.Lab.Capture.Len(), pcap.CountLocal(s.PassiveRecords()))
 
 	if pcaps != nil {
 		if err := pcaps.Close(); err != nil {

@@ -57,6 +57,8 @@ func readerCapture(n int) []pcap.Record {
 	return recs
 }
 
+var localSink int
+
 func TestCaptureReadersAllocs(t *testing.T) {
 	small, large := readerCapture(100), readerCapture(1000)
 	if m := BuildExposure(large); !m.Exposed("ARP", ExpMAC) || !m.Exposed("SSDP", ExpUUID) {
@@ -65,9 +67,10 @@ func TestCaptureReadersAllocs(t *testing.T) {
 	for _, r := range []struct {
 		name string
 		read func([]pcap.Record)
+		none bool // allocates nothing at all
 	}{
-		{"pcap.FilterLocal", func(recs []pcap.Record) { pcap.FilterLocal(recs) }},
-		{"BuildExposure", func(recs []pcap.Record) { BuildExposure(recs) }},
+		{"pcap.CountLocal", func(recs []pcap.Record) { localSink = pcap.CountLocal(recs) }, true},
+		{"BuildExposure", func(recs []pcap.Record) { BuildExposure(recs) }, false},
 	} {
 		a := testing.AllocsPerRun(20, func() { r.read(small) })
 		b := testing.AllocsPerRun(20, func() { r.read(large) })
@@ -75,15 +78,18 @@ func TestCaptureReadersAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocs over %d records, %.0f over %d; a reader must not allocate per record",
 				r.name, a, len(small), b, len(large))
 		}
+		if r.none && b != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", r.name, b)
+		}
 	}
 }
 
 // TestHouseholdPartialOfAllocs holds HouseholdPartialOf, over
-// BenchmarkHouseholdPartialOf's four-device household, at its measured 269
+// BenchmarkHouseholdPartialOf's four-device household, at its measured 258
 // allocations.
 func TestHouseholdPartialOfAllocs(t *testing.T) {
 	h := inspector.Generate(1, 1).Households[0]
-	if avg := testing.AllocsPerRun(100, func() { partialSink = HouseholdPartialOf(h) }); avg > 269 {
-		t.Fatalf("HouseholdPartialOf = %.0f allocs/op, want at most 269", avg)
+	if avg := testing.AllocsPerRun(100, func() { partialSink = HouseholdPartialOf(h) }); avg > 258 {
+		t.Fatalf("HouseholdPartialOf = %.0f allocs/op, want at most 258", avg)
 	}
 }

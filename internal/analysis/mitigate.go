@@ -94,12 +94,6 @@ func MitigationName(m Mitigation) string {
 	return strings.Join(parts, "+")
 }
 
-// MitigationTable sweeps the countermeasure lattice, the §7 what-if study.
-// Equivalent to MitigationTableWith(ds, nil).
-func MitigationTable(ds *inspector.Dataset) []ReidentificationResult {
-	return MitigationTableWith(ds, nil)
-}
-
 // MitigationTableWith sweeps the lattice reusing a precomputed identifier
 // extraction — one extraction pass instead of one per (regime, session).
 // It folds the corpus into one partial and renders it with Rows

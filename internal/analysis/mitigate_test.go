@@ -46,14 +46,14 @@ func evaluateMitigation(ds *inspector.Dataset, ids *ExtractedIdentifiers, m Miti
 	return res
 }
 
-// TestMitigationTableMatchesOracle: every MitigationTable row — computed by
+// TestMitigationTableMatchesOracle: every MitigationTableWith row — computed by
 // merging mitigation partials, the path the served artifact takes — equals
 // the batch oracle's evaluation of its regime, entropy floats included.
 func TestMitigationTableMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42, 1337} {
 		for _, households := range []int{1, 5, 50, 400} {
 			ds := inspector.Generate(seed, households)
-			rows := MitigationTable(ds)
+			rows := MitigationTableWith(ds, nil)
 			if len(rows) != len(mitigationRegimes) {
 				t.Fatalf("seed %d, %d households: %d rows, want %d", seed, households, len(rows), len(mitigationRegimes))
 			}
@@ -69,7 +69,7 @@ func TestMitigationTableMatchesOracle(t *testing.T) {
 
 func TestMitigationSweepShape(t *testing.T) {
 	ds := inspector.Generate(4, 1500)
-	rows := MitigationTable(ds)
+	rows := MitigationTableWith(ds, nil)
 	byName := map[string]ReidentificationResult{}
 	for _, r := range rows {
 		byName[MitigationName(r.Mitigation)] = r
@@ -122,7 +122,7 @@ func TestMitigationMonotonic(t *testing.T) {
 func TestMitigationCachedIdentifiersEquivalent(t *testing.T) {
 	ds := inspector.Generate(4, 300)
 	ids := ExtractIdentifiers(ds, 4)
-	inline := MitigationTable(ds)
+	inline := MitigationTableWith(ds, nil)
 	cached := MitigationTableWith(ds, ids)
 	if len(inline) != len(cached) {
 		t.Fatalf("row counts differ: %d vs %d", len(inline), len(cached))

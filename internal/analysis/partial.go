@@ -259,8 +259,7 @@ func entropyPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers, key
 	for _, h := range hhs {
 		// Per-household accumulation: identifier values per combination and
 		// per class, folded into counts once the household is complete.
-		comboValues := map[string][]string{}
-		comboPresent := map[string]bool{}
+		comboValues := map[*entropyCombo][]string{}
 		perType := map[IdentifierType][]string{}
 		for _, d := range h.Devices {
 			devIDs := ids.Of(d)
@@ -276,18 +275,14 @@ func entropyPartialOf(hhs []*inspector.Household, ids *ExtractedIdentifiers, key
 			c.products[keys.of(d.Product.Name())]++
 			c.vendors[keys.of(d.Product.Vendor)]++
 			c.devices++
-			key := fmt.Sprint(types)
-			comboPresent[key] = true
-			comboValues[key] = append(comboValues[key], values...)
+			comboValues[c] = append(comboValues[c], values...)
 			for t, vals := range devIDs {
 				perType[t] = append(perType[t], vals...)
 			}
 		}
-		for key := range comboPresent {
-			c := p.combos[key]
+		for c, vals := range comboValues {
 			c.households++
 			if len(c.types) > 0 {
-				vals := comboValues[key]
 				sort.Strings(vals)
 				c.valueCounts[keys.of(strings.Join(vals, "|"))]++
 			}

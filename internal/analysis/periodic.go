@@ -37,7 +37,7 @@ func GroupDiscoveryTraffic(records []pcap.Record) []*PeriodicGroup {
 	}
 	index := map[key]*PeriodicGroup{}
 	var order []*PeriodicGroup
-	flows, _ := classify.Assemble(pcap.FilterLocal(records))
+	flows, _ := classify.Assemble(records)
 	// Re-walk raw records for timestamps per group (flows lose them).
 	labels := map[classify.FlowKey]string{}
 	for _, f := range flows {

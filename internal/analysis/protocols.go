@@ -127,8 +127,7 @@ func PassiveProtocols(records []pcap.Record, devices []*device.Device) map[strin
 		}
 		out[dev][proto] = true
 	}
-	local := pcap.FilterLocal(records)
-	flows, _ := classify.Assemble(local)
+	flows, _ := classify.Assemble(records)
 	final := classify.Final{}
 	labels := map[classify.FlowKey]string{}
 	for _, f := range flows {
@@ -138,8 +137,11 @@ func PassiveProtocols(records []pcap.Record, devices []*device.Device) map[strin
 	// DHCP share one 5-tuple across every client, so the flow's SrcMAC
 	// would credit only the first device.
 	var p layers.Packet
-	for _, r := range local {
+	for _, r := range records {
 		p.DecodeInto(r.Data)
+		if !p.IsLocal() {
+			continue
+		}
 		proto, sp, dp := p.Transport()
 		if proto == "" {
 			mark(byMAC[p.Eth.Src], canonicalLabel(p.L3Name()))

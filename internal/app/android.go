@@ -21,17 +21,6 @@ const (
 	PermAccessWifiState   Permission = "android.permission.ACCESS_WIFI_STATE"
 )
 
-// Dangerous reports whether a permission requires explicit user consent at
-// runtime. INTERNET and CHANGE_WIFI_MULTICAST_STATE are "normal" — that is
-// the §2.1 bypass: they suffice for mDNS/SSDP scanning.
-func (p Permission) Dangerous() bool {
-	switch p {
-	case PermCoarseLocation, PermFineLocation, PermNearbyWifiDevices:
-		return true
-	}
-	return false
-}
-
 // APICall records one permission-protected API access attempt, the
 // AppCensus-style visibility of §3.2.
 type APICall struct {

@@ -64,14 +64,6 @@ func TestPermissionModel(t *testing.T) {
 	if !CanScanDiscovery(normal) {
 		t.Fatal("discovery scan should work with INTERNET+MULTICAST only")
 	}
-	for _, p := range normal {
-		if p.Dangerous() {
-			t.Fatalf("%s should not be dangerous", p)
-		}
-	}
-	if !PermNearbyWifiDevices.Dangerous() {
-		t.Fatal("NEARBY_WIFI_DEVICES should be dangerous")
-	}
 }
 
 func subsetLab(t *testing.T, names ...string) *testbed.Lab {

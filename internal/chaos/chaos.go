@@ -65,8 +65,6 @@ type Churn struct {
 	Jitter   time.Duration
 	// Downtime is how long a crashed device stays down before restarting.
 	Downtime time.Duration
-	// MaxEvents bounds the number of crash cycles (0 = unbounded).
-	MaxEvents int
 }
 
 // Plan is a full fault-injection configuration. The zero Plan injects
@@ -153,13 +151,6 @@ var profiles = []Plan{
 		MaxExtraLatency: 2 * time.Millisecond, Corrupt: 0.02,
 		Partitions: []Partition{{Start: 90 * time.Second, Duration: time.Minute, Isolate: 0.3}},
 		Churn:      &Churn{Start: time.Minute, Interval: 75 * time.Second, Downtime: 30 * time.Second}},
-}
-
-// Profiles returns the named impairment profiles.
-func Profiles() []Plan {
-	out := make([]Plan, len(profiles))
-	copy(out, profiles)
-	return out
 }
 
 // ProfileNames lists the named profiles, sorted.
@@ -337,18 +328,11 @@ func (e *Engine) StartChurn(devs []Churnable) {
 	if c == nil || len(devs) == 0 {
 		return
 	}
-	events := 0
-	var timer *sim.Timer
-	timer = e.sched.EveryTagged("chaos", c.Start, c.Interval, c.Jitter, func() {
-		if c.MaxEvents > 0 && events >= c.MaxEvents {
-			timer.Stop()
-			return
-		}
+	e.sched.EveryTagged("chaos", c.Start, c.Interval, c.Jitter, func() {
 		d := devs[e.rng.Intn(len(devs))]
 		if !d.Crash() {
 			return // already down or never started; try again next cycle
 		}
-		events++
 		e.count("crash")
 		if e.sched.Tracing() {
 			e.sched.TraceEvent("chaos", "crash", "device", d.Name())

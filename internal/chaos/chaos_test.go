@@ -205,15 +205,16 @@ func TestCorruptInjectsMalformedCopies(t *testing.T) {
 }
 
 func TestChurnCrashesAndRestarts(t *testing.T) {
-	plan := Plan{Churn: &Churn{Start: time.Second, Interval: 10 * time.Second, Downtime: 2 * time.Second, MaxEvents: 3}}
+	plan := Plan{Churn: &Churn{Start: time.Second, Interval: 10 * time.Second, Downtime: 2 * time.Second}}
 	s := sim.NewScheduler(13)
 	n := lan.New(s)
 	e := New(s, n, plan)
 	d := &fakeChurnable{}
 	e.StartChurn([]Churnable{d})
-	s.RunFor(2 * time.Minute)
+	// Crashes at 1, 11 and 21 s, each restarted 2 s later.
+	s.RunFor(25 * time.Second)
 	if d.crashes != 3 || d.restarts != 3 {
-		t.Fatalf("crashes=%d restarts=%d, want 3/3 (MaxEvents)", d.crashes, d.restarts)
+		t.Fatalf("crashes=%d restarts=%d, want 3/3 in 25 s", d.crashes, d.restarts)
 	}
 	if got := s.Telemetry.Registry.CounterValue("chaos_faults{kind=crash}"); got != 3 {
 		t.Fatalf("crash faults = %d, want 3", got)

@@ -14,14 +14,24 @@ import (
 	"iotlan/internal/tplink"
 )
 
+// mkRecord builds a UDP datagram from 192.168.10.10 in the Ethernet frame a
+// real stack would send it in: a multicast group's MAC, the broadcast MAC
+// for 255.255.255.255, and a station's unicast MAC otherwise.
 func mkRecord(t *testing.T, srcPort, dstPort uint16, dstIP string, payload []byte) pcap.Record {
 	t.Helper()
 	udp := &layers.UDP{SrcPort: srcPort, DstPort: dstPort}
 	src := netip.MustParseAddr("192.168.10.10")
 	dst := netip.MustParseAddr(dstIP)
 	udp.SetAddrs(src, dst)
+	dstMAC := netx.MAC{2, 0, 0, 0, 0, 11}
+	switch {
+	case dst == netx.Broadcast4:
+		dstMAC = netx.Broadcast
+	case dst.IsMulticast():
+		dstMAC = netx.MulticastMAC(dst)
+	}
 	frame := layers.Serialize(
-		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 10}, Dst: netx.MAC{2, 0, 0, 0, 0, 11}, EtherType: layers.EtherTypeIPv4},
+		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 10}, Dst: dstMAC, EtherType: layers.EtherTypeIPv4},
 		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: dst},
 		udp, layers.RawPayload(payload))
 	return pcap.Record{Time: time.Unix(1668384000, 0), Data: frame}
@@ -49,6 +59,20 @@ func TestAssembleGroupsBy5Tuple(t *testing.T) {
 	}
 	if len(nonFlow) != 0 {
 		t.Fatalf("nonFlow: %d", len(nonFlow))
+	}
+}
+
+// TestAssembleSkipsNonLocal: a unicast datagram to a public address fails
+// the Appendix C.1 filter, so Assemble puts it in neither result.
+func TestAssembleSkipsNonLocal(t *testing.T) {
+	local := mkRecord(t, 40000, 80, "192.168.10.9", []byte("GET / HTTP/1.1\r\n\r\n"))
+	cloud := mkRecord(t, 40000, 443, "52.94.0.1", []byte("to the cloud"))
+	flows, nonFlow := Assemble([]pcap.Record{cloud, local, cloud})
+	if len(flows) != 1 || flows[0].Key.Dst != netip.MustParseAddr("192.168.10.9") || flows[0].Packets != 1 {
+		t.Fatalf("flows = %d, want the one local flow", len(flows))
+	}
+	if len(nonFlow) != 0 {
+		t.Fatalf("nonFlow = %d, want 0", len(nonFlow))
 	}
 }
 
@@ -137,8 +161,7 @@ func TestCompareOnLabTraffic(t *testing.T) {
 	lab := testbed.New(3)
 	lab.Start()
 	lab.RunIdle(30 * time.Minute)
-	local := pcap.FilterLocal(lab.Capture.All)
-	flows, nonFlow := Assemble(local)
+	flows, nonFlow := Assemble(lab.Capture.All)
 	if len(flows) < 50 {
 		t.Fatalf("only %d flows from lab traffic", len(flows))
 	}
@@ -167,22 +190,5 @@ func TestCountLabelsDeterministic(t *testing.T) {
 	}
 	if got[1].Label != "B" || got[2].Label != "C" {
 		t.Fatalf("tie/rank order: %+v", got)
-	}
-}
-
-func TestPairBidirectional(t *testing.T) {
-	req := mkRecord(t, 1000, 2000, "192.168.10.11", []byte("x"))
-	// Build the reverse frame by hand (swap addresses and ports).
-	udp := &layers.UDP{SrcPort: 2000, DstPort: 1000}
-	src, dst := netip.MustParseAddr("192.168.10.11"), netip.MustParseAddr("192.168.10.10")
-	udp.SetAddrs(src, dst)
-	rev := layers.Serialize(
-		&layers.Ethernet{Src: netx.MAC{2, 0, 0, 0, 0, 11}, Dst: netx.MAC{2, 0, 0, 0, 0, 10}, EtherType: layers.EtherTypeIPv4},
-		&layers.IPv4{Protocol: layers.IPProtoUDP, Src: src, Dst: dst},
-		udp, layers.RawPayload("y"))
-	flows, _ := Assemble([]pcap.Record{req, {Time: time.Now(), Data: rev}})
-	pairs := PairBidirectional(flows)
-	if len(pairs) != 2 || pairs[0] != 1 || pairs[1] != 0 {
-		t.Fatalf("pairs: %v", pairs)
 	}
 }

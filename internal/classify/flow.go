@@ -43,16 +43,20 @@ type Flow struct {
 // maxDPIPayloads bounds retained payloads per flow.
 const maxDPIPayloads = 4
 
-// Assemble groups records into flows plus the non-flow (no transport layer)
-// records, in capture order. Flow order is deterministic (first-seen). Each
-// record is decoded into one reused packet; a flow keeps only values and
-// payload slices of the record's own frame, so no parse outlives its
-// iteration.
+// Assemble groups the local records into flows plus the non-flow (no
+// transport layer) records, in capture order; a record that fails the
+// Appendix C.1 local-traffic filter (layers.Packet.IsLocal) is in neither.
+// Flow order is deterministic (first-seen). Each record is decoded into one
+// reused packet; a flow keeps only values and payload slices of the record's
+// own frame, so no parse outlives its iteration.
 func Assemble(records []pcap.Record) (flows []*Flow, nonFlow []pcap.Record) {
 	index := make(map[FlowKey]*Flow)
 	var p layers.Packet
 	for _, r := range records {
 		p.DecodeInto(r.Data)
+		if !p.IsLocal() {
+			continue
+		}
 		proto, sp, dp := p.Transport()
 		if proto == "" {
 			nonFlow = append(nonFlow, r)
@@ -73,24 +77,6 @@ func Assemble(records []pcap.Record) (flows []*Flow, nonFlow []pcap.Record) {
 		}
 	}
 	return flows, nonFlow
-}
-
-// PairBidirectional returns, for each flow, the index of its reverse flow
-// or -1; useful for request/response analyses.
-func PairBidirectional(flows []*Flow) []int {
-	byKey := make(map[FlowKey]int, len(flows))
-	for i, f := range flows {
-		byKey[f.Key] = i
-	}
-	out := make([]int, len(flows))
-	for i, f := range flows {
-		if j, ok := byKey[f.Key.Reverse()]; ok {
-			out[i] = j
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
 }
 
 // LabelCount is one (label, flows) pair for report tables.

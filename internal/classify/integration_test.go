@@ -16,7 +16,7 @@ func TestPcapFileRoundTripClassification(t *testing.T) {
 	lab := testbed.New(5)
 	lab.Start()
 	lab.RunIdle(10 * time.Minute)
-	local := pcap.FilterLocal(lab.Capture.All)
+	local := lab.Capture.All
 
 	var buf bytes.Buffer
 	if err := pcap.WriteFile(&buf, local); err != nil {
@@ -65,7 +65,7 @@ func TestClassifierLabelStability(t *testing.T) {
 	lab := testbed.New(5)
 	lab.Start()
 	lab.RunIdle(15 * time.Minute)
-	flows, _ := Assemble(pcap.FilterLocal(lab.Capture.All))
+	flows, _ := Assemble(lab.Capture.All)
 	final := Final{}
 	known := map[string]bool{
 		"MDNS": true, "SSDP": true, "DHCP": true, "TPLINK-SMARTHOME": true,

@@ -58,9 +58,6 @@ type Record struct {
 	Data   []byte     // raw fallback for other types
 }
 
-// CacheFlush reports the mDNS cache-flush bit.
-func (r Record) CacheFlush() bool { return r.Class&CacheFlushBit != 0 }
-
 // Message is a DNS message.
 type Message struct {
 	ID        uint16

@@ -64,7 +64,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("counts: %d answers %d extra", len(got.Answers), len(got.Extra))
 	}
 	txt := got.Answers[0]
-	if !txt.CacheFlush() {
+	if txt.Class&CacheFlushBit == 0 {
 		t.Fatal("cache-flush bit lost")
 	}
 	if len(txt.TXT) != 2 || txt.TXT[0] != "bridgeid=001788fffe685f61" {

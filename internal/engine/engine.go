@@ -50,9 +50,6 @@ type Range struct {
 	Start, End int
 }
 
-// Len reports the shard size.
-func (r Range) Len() int { return r.End - r.Start }
-
 // Shards splits n items into at most workers contiguous ranges whose sizes
 // differ by at most one. Empty shards are omitted, so the result covers
 // [0, n) exactly.

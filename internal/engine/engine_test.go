@@ -18,10 +18,10 @@ func TestShardsCoverExactly(t *testing.T) {
 			if r.Start != prevEnd {
 				t.Fatalf("n=%d w=%d: gap at %d (shards %v)", tc.n, tc.workers, r.Start, shards)
 			}
-			if r.Len() <= 0 {
+			if r.End <= r.Start {
 				t.Fatalf("n=%d w=%d: empty shard %v", tc.n, tc.workers, r)
 			}
-			covered += r.Len()
+			covered += r.End - r.Start
 			prevEnd = r.End
 		}
 		if covered != tc.n {
@@ -84,7 +84,7 @@ func TestShardsBalanced(t *testing.T) {
 		t.Fatalf("shards: %v", shards)
 	}
 	for _, r := range shards {
-		if r.Len() < 2 || r.Len() > 3 {
+		if n := r.End - r.Start; n < 2 || n > 3 {
 			t.Fatalf("unbalanced shard %v in %v", r, shards)
 		}
 	}

@@ -26,7 +26,9 @@ import (
 type Server struct {
 	HP *Honeypot
 	// Net is the network to bind on. Nil means the standard library
-	// (netx.System); pass a *vnet.Net to run in-sim.
+	// (netx.System), which every program uses; only tests set it, to a
+	// *vnet.Net, so that TestServerInSim can drive this same server over
+	// the simulated LAN.
 	Net netx.Fabric
 	// SSDPAddr is the UDP listen address for SSDP (default ":1900").
 	SSDPAddr string

@@ -32,9 +32,6 @@ type Request struct {
 	From netip.Addr
 }
 
-// Header returns a request header, case-insensitively.
-func (r *Request) Header(k string) string { return r.Headers[strings.ToLower(k)] }
-
 // Response is an HTTP response.
 type Response struct {
 	Status  int

@@ -26,8 +26,8 @@ func TestRequestRoundTrip(t *testing.T) {
 	if got.Method != "GET" || got.Path != "/description.xml" {
 		t.Fatalf("request: %+v", got)
 	}
-	if got.Header("user-agent") != "Chromecast/1.56 CrKey/1.56.500000" {
-		t.Fatalf("UA: %q", got.Header("user-agent"))
+	if got.Headers["user-agent"] != "Chromecast/1.56 CrKey/1.56.500000" {
+		t.Fatalf("UA: %q", got.Headers["user-agent"])
 	}
 }
 

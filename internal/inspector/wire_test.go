@@ -47,8 +47,8 @@ func TestWireRoundTripAnalysisIdentical(t *testing.T) {
 			t.Fatalf("seed %d: Table 2 changed across the wire:\n--- original\n%s--- round-trip\n%s", seed, a, b)
 		}
 
-		ma := analysis.RenderMitigationTable(analysis.MitigationTable(ds))
-		mb := analysis.RenderMitigationTable(analysis.MitigationTable(back))
+		ma := analysis.RenderMitigationTable(analysis.MitigationTableWith(ds, nil))
+		mb := analysis.RenderMitigationTable(analysis.MitigationTableWith(back, nil))
 		if ma != mb {
 			t.Fatalf("seed %d: mitigation sweep changed across the wire", seed)
 		}

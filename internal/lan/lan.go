@@ -173,15 +173,6 @@ func (n *Network) drop(reason string) {
 	n.Sched.TraceEvent("lan", "drop", "reason", reason)
 }
 
-// FramesDropped reports the total dropped frames across all reasons.
-func (n *Network) FramesDropped() uint64 {
-	var sum uint64
-	for _, c := range n.cDropped {
-		sum += c.Value()
-	}
-	return sum
-}
-
 // station is one slot of the station table.
 type station struct {
 	mac  netx.MAC
@@ -223,9 +214,6 @@ func (n *Network) Detach(mac netx.MAC) {
 
 // Tap registers a capture callback that sees every frame at send time.
 func (n *Network) Tap(fn TapFunc) { n.taps = append(n.taps, fn) }
-
-// NodeCount reports attached nodes.
-func (n *Network) NodeCount() int { return len(n.order) }
 
 // delivery is one pooled in-flight delivery event: a single scheduler event
 // that decodes its frame once and hands the decode to each recipient. An

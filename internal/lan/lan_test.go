@@ -104,8 +104,8 @@ func TestDetachAndReattach(t *testing.T) {
 	if len(b.frames) != 0 {
 		t.Fatal("detached node received a frame")
 	}
-	if n.NodeCount() != 2 {
-		t.Fatalf("node count %d", n.NodeCount())
+	if len(n.order) != 2 {
+		t.Fatalf("node count %d", len(n.order))
 	}
 	n.Attach(b)
 	n.Send(frame(t, a.mac, b.mac))
@@ -124,8 +124,8 @@ func TestReplaceNodeSameMAC(t *testing.T) {
 	if len(b.frames) != 0 || len(b2.frames) != 1 {
 		t.Fatalf("replacement routing: old=%d new=%d", len(b.frames), len(b2.frames))
 	}
-	if n.NodeCount() != 3 {
-		t.Fatalf("node count %d after replace", n.NodeCount())
+	if len(n.order) != 3 {
+		t.Fatalf("node count %d after replace", len(n.order))
 	}
 }
 
@@ -144,10 +144,10 @@ func TestDropAccounting(t *testing.T) {
 	n.Send(frame(t, a.mac, netx.MAC{0xde, 0xad, 0, 0, 0, 1})) // unknown unicast
 	n.Send(frame(t, a.mac, netx.MAC{0xde, 0xad, 0, 0, 0, 2})) // unknown unicast
 	s.RunFor(time.Second)
-	if got := n.FramesDropped(); got != 3 {
-		t.Fatalf("FramesDropped = %d, want 3", got)
-	}
 	reg := s.Telemetry.Registry
+	if got := reg.Total("lan_frames_dropped"); got != 3 {
+		t.Fatalf("lan_frames_dropped = %d, want 3", got)
+	}
 	if got := reg.CounterValue("lan_frames_dropped{reason=undecodable}"); got != 1 {
 		t.Fatalf("undecodable drops = %d, want 1", got)
 	}

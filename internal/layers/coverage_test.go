@@ -6,64 +6,6 @@ import (
 	"iotlan/internal/netx"
 )
 
-func TestLayerTypeStrings(t *testing.T) {
-	cases := map[LayerType]string{
-		LayerTypeEthernet: "Ethernet",
-		LayerTypeARP:      "ARP",
-		LayerTypeIPv4:     "IPv4",
-		LayerTypeIPv6:     "IPv6",
-		LayerTypeUDP:      "UDP",
-		LayerTypeTCP:      "TCP",
-		LayerTypeICMPv4:   "ICMP",
-		LayerTypeICMPv6:   "ICMPv6",
-		LayerTypeIGMP:     "IGMP",
-		LayerTypeEAPOL:    "EAPOL",
-		LayerTypeLLC:      "XID/LLC",
-		LayerType(999):    "LayerType(999)",
-	}
-	for lt, want := range cases {
-		if got := lt.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", lt, got, want)
-		}
-	}
-}
-
-func TestLayerTypeMethods(t *testing.T) {
-	// Every Layer implementation reports its own type.
-	checks := []struct {
-		l    Layer
-		want LayerType
-	}{
-		{&Ethernet{}, LayerTypeEthernet},
-		{&ARP{}, LayerTypeARP},
-		{&IPv4{}, LayerTypeIPv4},
-		{&IPv6{}, LayerTypeIPv6},
-		{&UDP{}, LayerTypeUDP},
-		{&TCP{}, LayerTypeTCP},
-		{&ICMPv4{}, LayerTypeICMPv4},
-		{&ICMPv6{}, LayerTypeICMPv6},
-		{&IGMP{}, LayerTypeIGMP},
-		{&EAPOL{}, LayerTypeEAPOL},
-		{&LLC{}, LayerTypeLLC},
-		{new(RawPayload), LayerTypePayload},
-	}
-	for _, c := range checks {
-		if got := c.l.LayerType(); got != c.want {
-			t.Errorf("LayerType() = %v, want %v", got, c.want)
-		}
-	}
-}
-
-func TestRawPayloadDecode(t *testing.T) {
-	var p RawPayload
-	if err := p.DecodeFromBytes([]byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if string(p) != "abc" {
-		t.Fatalf("payload %q", p)
-	}
-}
-
 func TestIPv6TCPDecode(t *testing.T) {
 	src, dst := netx.LinkLocalV6(macA), netx.LinkLocalV6(macB)
 	tcp := &TCP{SrcPort: 1000, DstPort: 2000, Flags: TCPSyn}

@@ -14,14 +14,11 @@ type Ethernet struct {
 	EtherType uint16 // or length for 802.3
 }
 
-// LayerType implements Layer.
-func (*Ethernet) LayerType() LayerType { return LayerTypeEthernet }
-
 // Is8023 reports whether the frame is 802.3 (length field) rather than
 // Ethernet II, meaning its payload is LLC.
 func (e *Ethernet) Is8023() bool { return e.EtherType <= 1500 }
 
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	if len(data) < 14 {
 		return ErrShort
@@ -83,10 +80,7 @@ const (
 	ARPReply   = 2
 )
 
-// LayerType implements Layer.
-func (*ARP) LayerType() LayerType { return LayerTypeARP }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (a *ARP) DecodeFromBytes(data []byte) error {
 	if len(data) < 28 {
 		return ErrShort
@@ -125,10 +119,7 @@ type EAPOL struct {
 	Body       []byte
 }
 
-// LayerType implements Layer.
-func (*EAPOL) LayerType() LayerType { return LayerTypeEAPOL }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (e *EAPOL) DecodeFromBytes(data []byte) error {
 	if len(data) < 4 {
 		return ErrShort
@@ -160,13 +151,10 @@ type LLC struct {
 	Info                []byte
 }
 
-// LayerType implements Layer.
-func (*LLC) LayerType() LayerType { return LayerTypeLLC }
-
 // IsXID reports whether the control field encodes an XID exchange.
 func (l *LLC) IsXID() bool { return l.Control == 0xaf || l.Control == 0xbf }
 
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (l *LLC) DecodeFromBytes(data []byte) error {
 	if len(data) < 3 {
 		return ErrShort

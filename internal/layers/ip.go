@@ -18,10 +18,7 @@ type IPv4 struct {
 	Length uint16
 }
 
-// LayerType implements Layer.
-func (*IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < 20 {
 		return ErrShort
@@ -114,10 +111,7 @@ type IPv6 struct {
 	Length       uint16
 }
 
-// LayerType implements Layer.
-func (*IPv6) LayerType() LayerType { return LayerTypeIPv6 }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (ip *IPv6) DecodeFromBytes(data []byte) error {
 	if len(data) < 40 {
 		return ErrShort

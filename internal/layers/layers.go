@@ -1,15 +1,12 @@
 // Package layers implements byte-accurate encoding and decoding of the
 // link-, network- and transport-layer protocols observed in the study:
 // Ethernet, ARP, IPv4, IPv6, UDP, TCP, ICMPv4, ICMPv6 (NDP), IGMP, EAPOL and
-// LLC/XID. The design follows gopacket: each protocol is a Layer with
-// DecodeFromBytes and a serializer that writes into one frame buffer, and
-// Packet lazily assembles a layer stack from raw frame bytes.
+// LLC/XID. The design follows gopacket: each protocol has DecodeFromBytes
+// and a serializer that writes into one frame buffer, and Packet assembles a
+// layer stack from raw frame bytes.
 package layers
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // LayerType identifies a protocol layer.
 type LayerType uint16
@@ -30,39 +27,6 @@ const (
 	LayerTypeLLC
 	LayerTypePayload
 )
-
-var layerTypeNames = map[LayerType]string{
-	LayerTypeUnknown:  "Unknown",
-	LayerTypeEthernet: "Ethernet",
-	LayerTypeARP:      "ARP",
-	LayerTypeIPv4:     "IPv4",
-	LayerTypeIPv6:     "IPv6",
-	LayerTypeUDP:      "UDP",
-	LayerTypeTCP:      "TCP",
-	LayerTypeICMPv4:   "ICMP",
-	LayerTypeICMPv6:   "ICMPv6",
-	LayerTypeIGMP:     "IGMP",
-	LayerTypeEAPOL:    "EAPOL",
-	LayerTypeLLC:      "XID/LLC",
-	LayerTypePayload:  "Payload",
-}
-
-// String returns the protocol name used in reports (matches Figure 2 labels).
-func (t LayerType) String() string {
-	if s, ok := layerTypeNames[t]; ok {
-		return s
-	}
-	return fmt.Sprintf("LayerType(%d)", uint16(t))
-}
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	// LayerType identifies the protocol.
-	LayerType() LayerType
-	// DecodeFromBytes parses the layer from data.
-	DecodeFromBytes(data []byte) error
-	Serializable
-}
 
 // Common decode errors.
 var (
@@ -103,7 +67,7 @@ func Serialize(ls ...Serializable) []byte {
 	return b
 }
 
-// Serializable is the encoding half of Layer; RawPayload also satisfies it.
+// Serializable is a layer that Serialize can write; RawPayload is one too.
 type Serializable interface {
 	// SerializedLen is the number of bytes the layer writes ahead of the
 	// layers after it: its header and any body it carries itself.
@@ -116,15 +80,6 @@ type Serializable interface {
 
 // RawPayload is an opaque application payload at the bottom of a stack.
 type RawPayload []byte
-
-// LayerType implements Layer.
-func (RawPayload) LayerType() LayerType { return LayerTypePayload }
-
-// DecodeFromBytes implements Layer.
-func (p *RawPayload) DecodeFromBytes(data []byte) error {
-	*p = RawPayload(data)
-	return nil
-}
 
 // SerializedLen implements Serializable.
 func (p RawPayload) SerializedLen() int { return len(p) }

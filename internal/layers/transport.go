@@ -16,13 +16,10 @@ type UDP struct {
 	srcIP, dstIP     netip.Addr
 }
 
-// LayerType implements Layer.
-func (*UDP) LayerType() LayerType { return LayerTypeUDP }
-
 // SetAddrs supplies the IP endpoints used for the checksum pseudo-header.
 func (u *UDP) SetAddrs(src, dst netip.Addr) { u.srcIP, u.dstIP = src, dst }
 
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (u *UDP) DecodeFromBytes(data []byte) error {
 	if len(data) < 8 {
 		return ErrShort
@@ -83,16 +80,13 @@ type TCP struct {
 	srcIP, dstIP     netip.Addr
 }
 
-// LayerType implements Layer.
-func (*TCP) LayerType() LayerType { return LayerTypeTCP }
-
 // SetAddrs supplies the IP endpoints used for the checksum pseudo-header.
 func (t *TCP) SetAddrs(src, dst netip.Addr) { t.srcIP, t.dstIP = src, dst }
 
 // FlagSet reports whether all bits in f are set.
 func (t *TCP) FlagSet(f uint8) bool { return t.Flags&f == f }
 
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (t *TCP) DecodeFromBytes(data []byte) error {
 	if len(data) < 20 {
 		return ErrShort
@@ -161,10 +155,7 @@ type ICMPv4 struct {
 	Data       []byte
 }
 
-// LayerType implements Layer.
-func (*ICMPv4) LayerType() LayerType { return LayerTypeICMPv4 }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (ic *ICMPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < 8 {
 		return ErrShort
@@ -210,10 +201,7 @@ type ICMPv6 struct {
 	Data       []byte
 }
 
-// LayerType implements Layer.
-func (*ICMPv6) LayerType() LayerType { return LayerTypeICMPv6 }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (ic *ICMPv6) DecodeFromBytes(data []byte) error {
 	if len(data) < 4 {
 		return ErrShort
@@ -298,10 +286,7 @@ type IGMP struct {
 	Group netip.Addr
 }
 
-// LayerType implements Layer.
-func (*IGMP) LayerType() LayerType { return LayerTypeIGMP }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the layer from data.
 func (g *IGMP) DecodeFromBytes(data []byte) error {
 	if len(data) < 8 {
 		return ErrShort

@@ -1,107 +1,18 @@
-// Package matter implements the Matter commissionable- and operational-node
-// discovery records (CSA Matter 1.0 §4.3) that ride on mDNS. The paper's
-// discussion (§7) singles Matter out: it is pitched as the privacy-aware
-// cross-platform standard, yet "still considers the local network as a
-// trusted environment and exposes MAC addresses in mDNS discovery" — this
-// package reproduces exactly that record structure so the exposure analysis
-// can verify the claim.
+// Package matter reads the Matter commissionable-node discovery records
+// (CSA Matter 1.0 §4.3) that ride on mDNS. The paper's discussion (§7)
+// singles Matter out: it is pitched as the privacy-aware cross-platform
+// standard, yet "still considers the local network as a trusted environment
+// and exposes MAC addresses in mDNS discovery". The spec builds a
+// commissionable node's instance name from the upper-cased hex of its
+// 48-bit MAC, so the exposure analysis checks observed labels for exactly
+// that form.
 package matter
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 
-	"iotlan/internal/mdns"
 	"iotlan/internal/netx"
 )
-
-// Service types from the Matter spec.
-const (
-	// CommissionableService advertises an uncommissioned (or re-openable)
-	// node awaiting pairing.
-	CommissionableService = "_matterc._udp.local"
-	// OperationalService advertises a commissioned node to its fabric.
-	OperationalService = "_matter._tcp.local"
-	// Port is the default Matter UDP/TCP port.
-	Port = 5540
-)
-
-// Commissionable describes a node in commissioning mode.
-type Commissionable struct {
-	// Discriminator is the 12-bit pairing discriminator (printed on the
-	// device box).
-	Discriminator uint16
-	// VendorID / ProductID are CSA-assigned (Amazon = 0x1217 = 4631).
-	VendorID, ProductID uint16
-	// DeviceName is the user-facing name (DN key — a §5.1-style exposure).
-	DeviceName string
-	// MAC is the interface address; the spec builds the instance name from
-	// it, which is the §7 exposure.
-	MAC netx.MAC
-	// PairingHint encodes how to put the device in pairing mode.
-	PairingHint uint16
-}
-
-// InstanceName returns the spec's host-derived instance label: the upper-
-// cased hex of the 48-bit MAC (exactly why §7 says Matter leaks MACs).
-func (c Commissionable) InstanceName() string { return c.MAC.Compact() }
-
-// TXT renders the commissionable subtype TXT record keys.
-func (c Commissionable) TXT() []string {
-	return []string{
-		"D=" + strconv.Itoa(int(c.Discriminator&0x0fff)),
-		fmt.Sprintf("VP=%d+%d", c.VendorID, c.ProductID),
-		"CM=1", // commissioning mode open
-		"DN=" + c.DeviceName,
-		"PH=" + strconv.Itoa(int(c.PairingHint)),
-		"SII=5000", "SAI=300",
-	}
-}
-
-// Service builds the mDNS service advertisement for the node.
-func (c Commissionable) Service() mdns.Service {
-	return mdns.Service{
-		Instance: c.InstanceName(),
-		Type:     CommissionableService,
-		Port:     Port,
-		TXT:      c.TXT(),
-	}
-}
-
-// Operational describes a commissioned node on a fabric.
-type Operational struct {
-	// CompressedFabricID and NodeID form the operational instance name
-	// <fabric>-<node> in uppercase hex.
-	CompressedFabricID uint64
-	NodeID             uint64
-}
-
-// InstanceName returns "<fabric>-<node>".
-func (o Operational) InstanceName() string {
-	return fmt.Sprintf("%016X-%016X", o.CompressedFabricID, o.NodeID)
-}
-
-// Service builds the operational advertisement.
-func (o Operational) Service() mdns.Service {
-	return mdns.Service{
-		Instance: o.InstanceName(),
-		Type:     OperationalService,
-		Port:     Port,
-		TXT:      []string{"SII=5000", "SAI=300", "T=0"},
-	}
-}
-
-// ParsedTXT decodes commissionable TXT keys into a map.
-func ParsedTXT(txt []string) map[string]string {
-	out := make(map[string]string, len(txt))
-	for _, kv := range txt {
-		if k, v, ok := strings.Cut(kv, "="); ok {
-			out[k] = v
-		}
-	}
-	return out
-}
 
 // ExposesMAC reports whether a Matter mDNS instance name is a bare MAC — the
 // §7 finding, checkable against any observed advertisement.

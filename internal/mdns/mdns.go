@@ -83,12 +83,6 @@ func (r *Responder) Start() {
 	r.sock = r.Host.OpenUDP(Port, r.onDatagram)
 }
 
-// Stop leaves the groups and closes the socket.
-func (r *Responder) Stop() {
-	r.Host.LeaveGroup(netx.MDNSv4Group)
-	r.Host.CloseUDP(Port)
-}
-
 // onDatagram answers queries. Most of what reaches port 5353 is other
 // stations' responses and announcements, which a responder ignores, so the
 // QR bit is read from the header before paying for a full decode. A query

@@ -31,19 +31,6 @@ func TestMulticastAndBroadcastBits(t *testing.T) {
 	}
 }
 
-func TestVendorForOUI(t *testing.T) {
-	if v := VendorForOUI(OUI{0x00, 0x17, 0x88}); v != "Philips" {
-		t.Fatalf("Philips OUI → %q", v)
-	}
-	if v := VendorForOUI(OUI{0xde, 0xad, 0xbe}); v != "" {
-		t.Fatalf("unknown OUI → %q", v)
-	}
-	RegisterOUI(OUI{0xde, 0xad, 0xbe}, "Acme")
-	if v := VendorForOUI(OUI{0xde, 0xad, 0xbe}); v != "Acme" {
-		t.Fatalf("registered OUI → %q", v)
-	}
-}
-
 func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example: checksum of 00 01 f2 03 f4 f5 f6 f7 is 0x220d.
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}

@@ -18,16 +18,12 @@ import (
 // declare for the text exposition format.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WritePrometheus renders every series in the registry as Prometheus text
-// exposition. Output is deterministic: families sorted by name, samples
-// sorted by label set.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.WritePrometheusPrefixed(w, "")
-}
-
-// WritePrometheusPrefixed is WritePrometheus with a namespace prefix
-// applied to every family name (skipped when the name already starts with
-// it) — how multiple registries share one scrape without colliding.
+// WritePrometheusPrefixed renders every series in the registry as
+// Prometheus text exposition, with a namespace prefix applied to every
+// family name (skipped when the name already starts with it; "" applies
+// none) — how multiple registries share one scrape without colliding.
+// Output is deterministic: families sorted by name, samples sorted by label
+// set.
 func (r *Registry) WritePrometheusPrefixed(w io.Writer, prefix string) error {
 	type sample struct {
 		labels string // rendered {k="v",...} or ""

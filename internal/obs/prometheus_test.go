@@ -41,7 +41,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("weird.name", "label-x", `a\b"c`).Inc()
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefixed(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	want := `# TYPE queue_depth gauge
@@ -86,7 +86,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	r.Counter("hostile", "v", "quote\"back\\slash").Inc()
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefixed(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	samples := promParse(t, buf.String())
@@ -112,7 +112,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 
 	// Determinism: a second render is byte-identical.
 	var again bytes.Buffer
-	if err := r.WritePrometheus(&again); err != nil {
+	if err := r.WritePrometheusPrefixed(&again, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -170,7 +170,7 @@ func TestPromHistogramQuantile(t *testing.T) {
 		h.Observe(float64(i % 20))
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefixed(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	samples, _, err := ParsePrometheus(buf.String())
@@ -225,7 +225,7 @@ func TestPromHistogramQuantileEdgeCases(t *testing.T) {
 			h.Observe(v)
 		}
 		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
+		if err := r.WritePrometheusPrefixed(&buf, ""); err != nil {
 			t.Fatal(err)
 		}
 		samples, _, err := ParsePrometheus(buf.String())
@@ -296,7 +296,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.WritePrometheus(io.Discard); err != nil {
+		if err := r.WritePrometheusPrefixed(io.Discard, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

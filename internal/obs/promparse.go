@@ -13,9 +13,9 @@ import (
 // It validates the way a strict scraper would: metric/label name grammar,
 // quoted-and-escaped label values, TYPE declared before samples, no
 // duplicate series, histogram bucket monotonicity, a +Inf bucket equal to
-// _count. WritePrometheus output must round-trip through it (pinned by the
-// golden tests); iotload and CI use it to reject a malformed /metrics page
-// instead of grepping blindly.
+// _count. WritePrometheusPrefixed output must round-trip through it (pinned
+// by the golden tests); iotload and CI use it to reject a malformed /metrics
+// page instead of grepping blindly.
 
 // PromSample is one parsed sample line: `name{labels} value`.
 type PromSample struct {
@@ -291,8 +291,8 @@ func promValidateHistograms(types map[string]string, samples []PromSample) error
 
 // PromHistogramQuantile interpolates the q-th quantile from one histogram
 // series' parsed samples: cumulative `le` buckets from an exposition page,
-// the inverse of what WritePrometheus renders. Buckets need not be sorted.
-// Returns 0 for an empty histogram.
+// the inverse of what WritePrometheusPrefixed renders. Buckets need not be
+// sorted. Returns 0 for an empty histogram.
 //
 // The walk is the exact mirror of Histogram.Quantile over the de-cumulated
 // counts, so scraping a page and asking the live histogram agree on every

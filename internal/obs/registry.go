@@ -93,13 +93,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) from the bucket counts,
 // Prometheus histogram_quantile style: the target rank is located in its
 // bucket and position interpolated linearly between the bucket's bounds.

@@ -16,6 +16,3 @@ type Index struct {
 func NewIndex(records []Record, _ int) *Index {
 	return &Index{Records: records}
 }
-
-// Len reports the number of indexed records.
-func (ix *Index) Len() int { return len(ix.Records) }

@@ -44,8 +44,8 @@ func TestIndexViewsDeterministicAcrossWorkers(t *testing.T) {
 	recs := testRecords(t)
 	a := NewIndex(recs, 1)
 	b := NewIndex(testRecords(t), 8)
-	if a.Len() != b.Len() {
-		t.Fatalf("index lengths differ: %d vs %d", a.Len(), b.Len())
+	if len(a.Records) != len(b.Records) {
+		t.Fatalf("index lengths differ: %d vs %d", len(a.Records), len(b.Records))
 	}
 	if &a.Records[0] != &recs[0] {
 		t.Fatal("index copied the records")

@@ -205,17 +205,18 @@ func (c *Capture) Stop() { c.stopped = true }
 // Len reports the total number of captured frames.
 func (c *Capture) Len() int { return len(c.All) }
 
-// FilterLocal returns the records passing the Appendix C.1 local-traffic
-// filter: local unicast IP, multicast/broadcast destination, or non-IP
-// unicast. Its only allocation is the returned slice.
-func FilterLocal(records []Record) []Record {
-	out := make([]Record, 0, len(records))
+// CountLocal counts the records passing the Appendix C.1 local-traffic
+// filter (layers.Packet.IsLocal): local unicast IP, multicast/broadcast
+// destination, or non-IP unicast. It allocates nothing; each reader of a
+// capture applies the same filter in its own pass.
+func CountLocal(records []Record) int {
+	n := 0
 	var p layers.Packet
 	for _, r := range records {
 		p.DecodeInto(r.Data)
 		if p.IsLocal() {
-			out = append(out, r)
+			n++
 		}
 	}
-	return out
+	return n
 }

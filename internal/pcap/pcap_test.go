@@ -189,9 +189,8 @@ func TestFilterLocal(t *testing.T) {
 		{Time: now, Data: mkFrame(t, a, b, "192.168.10.1", "52.94.0.1")},                    // cloud
 		{Time: now, Data: mkFrame(t, a, netx.Broadcast, "192.168.10.1", "255.255.255.255")}, // broadcast
 	}
-	got := FilterLocal(recs)
-	if len(got) != 2 {
-		t.Fatalf("FilterLocal kept %d, want 2", len(got))
+	if got := CountLocal(recs); got != 2 {
+		t.Fatalf("CountLocal = %d, want 2", got)
 	}
 }
 

@@ -87,13 +87,6 @@ var personas = []Persona{
 		Jitter: 30 * time.Minute, MorningActs: 5, EveningActs: 8, AppSessions: 4, SensorPerHour: 2},
 }
 
-// Personas returns the built-in persona set.
-func Personas() []Persona {
-	out := make([]Persona, len(personas))
-	copy(out, personas)
-	return out
-}
-
 // PersonaNames lists the built-in persona names in definition order.
 func PersonaNames() []string {
 	names := make([]string, len(personas))
@@ -448,15 +441,6 @@ func (s *Schedule) IsAdded(name string) bool {
 		}
 	}
 	return false
-}
-
-// Counts tallies events by kind.
-func (s *Schedule) Counts() map[EventKind]int {
-	out := make(map[EventKind]int)
-	for _, ev := range s.Events {
-		out[ev.Kind]++
-	}
-	return out
 }
 
 // HourHistogram buckets resident activity (interactions, app sessions, and

@@ -66,7 +66,10 @@ func TestScheduleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := s.Counts()
+	counts := map[EventKind]int{}
+	for _, ev := range s.Events {
+		counts[ev.Kind]++
+	}
 	for _, k := range []EventKind{EventInteract, EventApp, EventSensor} {
 		if counts[k] == 0 {
 			t.Errorf("no %s events in a 4-resident week", k)

@@ -27,21 +27,6 @@ const (
 	StateOpenFiltered // UDP: no response either way
 )
 
-// String renders the state.
-func (s PortState) String() string {
-	switch s {
-	case StateOpen:
-		return "open"
-	case StateClosed:
-		return "closed"
-	case StateFiltered:
-		return "filtered"
-	case StateOpenFiltered:
-		return "open|filtered"
-	}
-	return "unknown"
-}
-
 // Result is the scan outcome for one target.
 type Result struct {
 	Target netip.Addr

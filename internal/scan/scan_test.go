@@ -152,9 +152,3 @@ func TestNmapQuirksAndCorrections(t *testing.T) {
 		t.Fatalf("only %d mislabeled ports catalogued", len(MislabeledPorts()))
 	}
 }
-
-func TestPortStateString(t *testing.T) {
-	if StateOpen.String() != "open" || StateOpenFiltered.String() != "open|filtered" {
-		t.Fatal("state strings wrong")
-	}
-}

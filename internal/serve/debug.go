@@ -18,7 +18,7 @@ import (
 //	                       the one rendering of every registry
 //	/debug/flightrecorder  recent + slowest + errored request traces
 //	                       as Chrome trace JSON (server muxes only)
-//	/healthz               liveness + drain state
+//	/healthz               liveness: drain state, stopped WAL
 //	/debug/vars            expvar (Go runtime state: memstats, cmdline)
 //	/debug/pprof           CPU/heap/goroutine profiles
 
@@ -81,16 +81,23 @@ func registerDebug(mux *http.ServeMux, s *Server, extra ...MetricsSource) {
 		})
 	}
 
+	// A stopped WAL refuses every inspector upload until a restart, so the
+	// server is not healthy while it is stopped.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		status := http.StatusOK
-		state := "ok"
-		if s != nil && s.Draining() {
-			status = http.StatusServiceUnavailable
-			state = "draining"
-		}
-		writeJSON(w, status, mustJSON(struct {
+		var body struct {
 			Status string `json:"status"`
-		}{state}))
+			Error  string `json:"error,omitempty"`
+		}
+		body.Status = "ok"
+		if s != nil && s.Draining() {
+			status, body.Status = http.StatusServiceUnavailable, "draining"
+		} else if s != nil && s.wal != nil {
+			if err := s.wal.Err(); err != nil {
+				status, body.Status, body.Error = http.StatusServiceUnavailable, "wal_stopped", err.Error()
+			}
+		}
+		writeJSON(w, status, mustJSON(body))
 	})
 
 	mux.Handle("GET /debug/vars", expvar.Handler())

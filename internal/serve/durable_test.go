@@ -228,8 +228,9 @@ func TestCheckpointCompaction(t *testing.T) {
 // TestStoppedLogFailsStop: once a WAL failure has stopped the log, every
 // inspector upload answers 503 with retry_after_ms 0 — only a restart
 // reopens the log, so a client retry cannot help — and counts under
-// serve_upload_rejected{reason="wal"}, while captures (stateless) and
-// artifact reads still answer 200.
+// serve_upload_rejected{reason="wal"}, and /healthz answers 503 naming the
+// stopped WAL, while captures (stateless) and artifact reads still answer
+// 200.
 func TestStoppedLogFailsStop(t *testing.T) {
 	ds := inspector.Generate(55, 3)
 	s := openTestServer(t, Config{Workers: 1, Shards: 2, DataDir: t.TempDir()})
@@ -250,6 +251,12 @@ func TestStoppedLogFailsStop(t *testing.T) {
 		if n := s.reg.CounterValue(obs.Key("serve_upload_rejected", "reason", "wal")); n != uint64(i) {
 			t.Fatalf("serve_upload_rejected{reason=wal} = %d after %d posts", n, i)
 		}
+	}
+	var health struct{ Status, Error string }
+	w := do(s, "GET", "/healthz", nil)
+	if err := json.Unmarshal(w.Body.Bytes(), &health); err != nil || w.Code != http.StatusServiceUnavailable ||
+		health.Status != "wal_stopped" || health.Error != store.ErrClosed.Error() {
+		t.Fatalf("/healthz on a stopped log: %d %s, want 503 wal_stopped with the log's error", w.Code, w.Body.String())
 	}
 	if w := do(s, "POST", "/v1/households/cap/capture", capturePCAP(t, ds.Households[2])); w.Code != http.StatusOK {
 		t.Fatalf("capture upload on a stopped log: %d %s", w.Code, w.Body.String())

@@ -84,6 +84,19 @@ func TestUploadSpansReachFlightRecorder(t *testing.T) {
 	}
 }
 
+// stageCount reads the observation count of one stage's serve_stage_ms
+// histogram from the server registry's snapshot.
+func stageCount(t *testing.T, s *Server, stage string) uint64 {
+	t.Helper()
+	var snap struct {
+		Histograms map[string]struct{ Count uint64 } `json:"histograms"`
+	}
+	if err := json.Unmarshal(s.reg.Snapshot(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Histograms[obs.Key("serve_stage_ms", "stage", stage)].Count
+}
+
 // TestStageHistogramsPopulated: each pipeline stage feeds its own
 // serve_stage_ms series, so /metrics can answer "where did the p99 go".
 func TestStageHistogramsPopulated(t *testing.T) {
@@ -100,7 +113,7 @@ func TestStageHistogramsPopulated(t *testing.T) {
 		t.Fatalf("wire upload: %d", w.Code)
 	}
 	for _, stage := range []string{"body.read", "pcap.decode", "inspector.decode", "analysis", "cache.lookup"} {
-		if n := s.stageHist[stage].Count(); n == 0 {
+		if n := stageCount(t, s, stage); n == 0 {
 			t.Fatalf("stage %q histogram empty", stage)
 		}
 	}
@@ -191,7 +204,7 @@ func TestTracingDisabled(t *testing.T) {
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"name":"upload"`) {
 		t.Fatalf("/debug/flightrecorder: %d %s", w.Code, w.Body.String())
 	}
-	if s.stageHist["analysis"].Count() == 0 {
+	if stageCount(t, s, "analysis") == 0 {
 		t.Fatal("stage histograms not fed from the trace")
 	}
 	m := do(s, "GET", "/metrics", nil)

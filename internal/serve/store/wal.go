@@ -247,6 +247,14 @@ func (l *Log) stop(cause error) error {
 	return l.err
 }
 
+// Err returns the failure that stopped the log (ErrClosed once Close has
+// run), or nil while the log runs.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
 // Rotate syncs and closes the current segment and starts a fresh one,
 // returning the new segment's number. Checkpointing calls this first: the
 // snapshot then covers everything below the returned segment.

@@ -114,12 +114,11 @@ type srcStats struct {
 // concurrent use; all simulated work runs inside Run on the caller's
 // goroutine, which is exactly what makes traces deterministic.
 type Scheduler struct {
-	now     time.Time
-	seq     uint64
-	seed    int64
-	events  eventHeap
-	rng     *rand.Rand
-	stopped bool
+	now    time.Time
+	seq    uint64
+	seed   int64
+	events eventHeap
+	rng    *rand.Rand
 
 	// Processed counts executed events, mostly for tests and stats output.
 	Processed uint64
@@ -159,9 +158,6 @@ func (s *Scheduler) Now() time.Time { return s.now }
 // Rand exposes the scheduler's deterministic random stream. All simulated
 // jitter must come from here so that a seed fully determines a run.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
-
-// Seed returns the seed the scheduler was built with.
-func (s *Scheduler) Seed() int64 { return s.seed }
 
 // SubRand derives an independent deterministic random stream from the
 // scheduler's seed. Layers that consume randomness out-of-band (fault
@@ -312,17 +308,13 @@ func (s *Scheduler) EveryTagged(source string, first, period, jitter time.Durati
 	return handle
 }
 
-// Stop halts Run after the current event.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Run executes events in timestamp order until the virtual clock passes
-// until, the event queue drains, or Stop is called. It returns the number of
-// events executed.
+// until or the event queue drains. It returns the number of events
+// executed.
 func (s *Scheduler) Run(until time.Time) uint64 {
 	start := s.Processed
-	s.stopped = false
 	tracing := s.Tracing()
-	for !s.stopped && s.dispatch(until, tracing) {
+	for s.dispatch(until, tracing) {
 	}
 	// The queue-depth gauge is batched: one Set per Run call instead of one
 	// per push/pop. The sim is single-threaded, so mid-run intermediate

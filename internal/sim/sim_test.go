@@ -177,22 +177,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestStopInsideEvent(t *testing.T) {
-	s := NewScheduler(1)
-	n := 0
-	s.After(time.Second, func() { n++; s.Stop() })
-	s.After(2*time.Second, func() { n++ })
-	s.RunFor(time.Hour)
-	if n != 1 {
-		t.Fatalf("Stop did not halt dispatch: n=%d", n)
-	}
-	// A later Run resumes where it left off.
-	s.Run(s.Now().Add(time.Hour))
-	if n != 2 {
-		t.Fatalf("resume after Stop: n=%d, want 2", n)
-	}
-}
-
 func TestPastEventsRunImmediately(t *testing.T) {
 	s := NewScheduler(1)
 	s.RunFor(time.Hour)

@@ -97,8 +97,6 @@ type Host struct {
 	// OnARPRequest is invoked for every ARP request seen (honeypot and
 	// analysis hooks); return value does not affect protocol handling.
 	OnARPRequest func(sender netip.Addr, target netip.Addr)
-	// OnEcho is invoked when an echo request is answered.
-	OnEcho func(from netip.Addr)
 
 	// onICMPIn lets the scanner observe ICMP responses to its probes.
 	onICMPIn func(*layers.Packet)
@@ -170,9 +168,6 @@ func (h *Host) SetDown(v bool) {
 		h.tcpConns = make(map[connKey]*TCPConn)
 	}
 }
-
-// IsDown reports whether the host is crashed (see SetDown).
-func (h *Host) IsDown() bool { return h.down }
 
 // ephemeralPort allocates a client port.
 func (h *Host) ephemeralPort() uint16 {
@@ -418,9 +413,6 @@ func (h *Host) emit(dst netip.Addr, f outFrame, mac netx.MAC) {
 
 func (h *Host) handleICMP(p *layers.Packet) {
 	if p.ICMP4.Type == layers.ICMPv4Echo && h.Policy.RespondEcho {
-		if h.OnEcho != nil {
-			h.OnEcho(p.SrcIP())
-		}
 		h.sendICMPv4(p.SrcIP(), &layers.ICMPv4{
 			Type: layers.ICMPv4EchoReply, ID: p.ICMP4.ID, Seq: p.ICMP4.Seq, Data: p.ICMP4.Data,
 		})

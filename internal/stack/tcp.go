@@ -76,9 +76,6 @@ func (c *TCPConn) Remote() (netip.Addr, uint16) { return c.key.remote, c.key.rem
 // LocalPort returns the local port.
 func (c *TCPConn) LocalPort() uint16 { return c.key.localPort }
 
-// Established reports whether the connection is fully open.
-func (c *TCPConn) Established() bool { return c.state == stateEstablished }
-
 // TCPListener accepts inbound connections on a port.
 type TCPListener struct {
 	host *Host

@@ -2,7 +2,6 @@ package stack
 
 import (
 	"net/netip"
-	"slices"
 
 	"iotlan/internal/layers"
 	"iotlan/internal/netx"
@@ -78,18 +77,6 @@ func (h *Host) JoinGroup(group netip.Addr) {
 	h.groups = append(h.groups, group)
 	if group.Is4() {
 		h.sendIGMP(layers.IGMPv3Report, group)
-	}
-}
-
-// LeaveGroup unsubscribes and emits an IGMP leave for IPv4 groups.
-func (h *Host) LeaveGroup(group netip.Addr) {
-	i := slices.Index(h.groups, group)
-	if i < 0 {
-		return
-	}
-	h.groups = slices.Delete(h.groups, i, i+1)
-	if group.Is4() {
-		h.sendIGMP(layers.IGMPLeave, group)
 	}
 }
 

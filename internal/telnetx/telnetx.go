@@ -31,25 +31,6 @@ func Negotiation() []byte {
 	}
 }
 
-// RefuseAll answers every WILL with DONT and every DO with WONT —
-// a client that wants a dumb session.
-func RefuseAll(in []byte) []byte {
-	var out []byte
-	for i := 0; i+2 < len(in); i++ {
-		if in[i] != IAC {
-			continue
-		}
-		switch in[i+1] {
-		case WILL:
-			out = append(out, IAC, DONT, in[i+2])
-		case DO:
-			out = append(out, IAC, WONT, in[i+2])
-		}
-		i += 2
-	}
-	return out
-}
-
 // StripIAC removes telnet command sequences, leaving user data.
 func StripIAC(in []byte) []byte {
 	var out []byte

@@ -1,7 +1,6 @@
 package telnetx
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -13,15 +12,6 @@ func TestNegotiationShape(t *testing.T) {
 	}
 	if IsNegotiation([]byte("login: ")) {
 		t.Fatal("plain text misdetected as negotiation")
-	}
-}
-
-func TestRefuseAll(t *testing.T) {
-	in := []byte{IAC, WILL, OptEcho, IAC, DO, OptTerminalType}
-	out := RefuseAll(in)
-	want := []byte{IAC, DONT, OptEcho, IAC, WONT, OptTerminalType}
-	if !bytes.Equal(out, want) {
-		t.Fatalf("RefuseAll = %v, want %v", out, want)
 	}
 }
 

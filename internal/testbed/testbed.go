@@ -20,7 +20,6 @@ import (
 	"iotlan/internal/sim"
 	"iotlan/internal/stack"
 	"iotlan/internal/tplink"
-	"iotlan/internal/vnet"
 )
 
 // RouterIP is the lab gateway address (192.168.10.0/24 per Appendix C.1).
@@ -48,28 +47,10 @@ type Lab struct {
 	// Interactions counts scripted interaction events (§3.1's 7,191).
 	Interactions  int
 	cInteractions *obs.Counter
-
-	pump *vnet.Pump
 }
 
 // Telemetry returns the simulation-wide metrics/tracing hub.
 func (l *Lab) Telemetry() *obs.Telemetry { return l.Sched.Telemetry }
-
-// Pump returns the lab's shared vnet pump, creating it on first use. Once
-// any vnet connection is in play, drive the simulation through
-// Pump().Run/RunFor instead of Sched.Run — the pump is what keeps blocking
-// goroutine I/O deterministic.
-func (l *Lab) Pump() *vnet.Pump {
-	if l.pump == nil {
-		l.pump = vnet.NewPump(l.Sched)
-	}
-	return l.pump
-}
-
-// VNet returns a stdlib-shaped network facade (net.Conn / net.Listener /
-// net.PacketConn) bound to h, sharing the lab's pump. h is typically a
-// fresh station host; pass l.Router to serve from the gateway address.
-func (l *Lab) VNet(h *stack.Host) *vnet.Net { return vnet.New(l.Pump(), h) }
 
 // Option configures a Lab at construction time.
 type Option func(*labConfig)

@@ -175,57 +175,3 @@ func TestAddHost(t *testing.T) {
 		t.Fatalf("aux host IP %v", h.IPv4())
 	}
 }
-
-// TestLabVNet exercises the lazy Pump/VNet accessors: two auxiliary hosts
-// exchange bytes over stdlib-shaped conns while the full 93-device lab
-// generates its usual traffic on the same scheduler.
-func TestLabVNet(t *testing.T) {
-	lab := New(3)
-	a := lab.AddHost(200, [6]byte{2, 0xaa, 0, 0, 0, 1})
-	b := lab.AddHost(201, [6]byte{2, 0xaa, 0, 0, 0, 2})
-	na, nb := lab.VNet(a), lab.VNet(b)
-	if na.Pump() != lab.Pump() || nb.Pump() != lab.Pump() {
-		t.Fatal("VNet facades must share the lab's pump")
-	}
-	l, err := nb.Listen("tcp", ":9000")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := lab.Pump().Go(func() {
-		c, err := l.Accept()
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 16)
-		n, err := c.Read(buf)
-		if err != nil {
-			t.Errorf("server read: %v", err)
-			return
-		}
-		c.Write(buf[:n])
-	})
-	cli := lab.Pump().Go(func() {
-		c, err := na.Dial("tcp", "192.168.10.201:9000")
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		defer c.Close()
-		c.Write([]byte("lab-ping"))
-		buf := make([]byte, 16)
-		n, err := c.Read(buf)
-		if err != nil || string(buf[:n]) != "lab-ping" {
-			t.Errorf("echo: %q err %v", buf[:n], err)
-		}
-	})
-	lab.Pump().RunFor(30 * time.Second)
-	for _, done := range []<-chan struct{}{srv, cli} {
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("in-sim goroutine did not finish")
-		}
-	}
-}

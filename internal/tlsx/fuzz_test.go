@@ -9,10 +9,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x16, 0x03, 0x03, 0x00, 0x04, 0x01, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = IsTLS(data)
-		_, _ = HandshakeVersion(data)
 		if r, err := ParseRecord(data); err == nil {
 			_ = r.ContentType
 			_ = VersionName(r.WireVersion)
+			if r.Hello != nil {
+				_ = VersionName(r.Hello.Version)
+			}
 		}
 	})
 }

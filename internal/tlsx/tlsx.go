@@ -166,17 +166,6 @@ func IsTLS(data []byte) bool {
 		data[1] == 3 && data[2] <= 4
 }
 
-// HandshakeVersion extracts the negotiated version visible to an observer:
-// the hello body's version field (which carries 1.3 in the
-// supported-versions sense) or the wire version.
-func HandshakeVersion(data []byte) (uint16, bool) {
-	pr, err := ParseRecord(data)
-	if err != nil || pr.ContentType != RecordHandshake || pr.Hello == nil {
-		return 0, false
-	}
-	return pr.Hello.Version, true
-}
-
 // obscure XORs app data so payloads are opaque to the classifier but the
 // endpoints (and tests) can invert it.
 func obscure(b []byte) []byte {

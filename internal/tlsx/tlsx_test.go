@@ -132,8 +132,10 @@ func TestObserverSeesVersions(t *testing.T) {
 	for _, rec := range cap.All {
 		p := rec.Decode()
 		if p.HasTCP && IsTLS(p.AppPayload) {
-			if v, ok := HandshakeVersion(p.AppPayload); ok {
-				versions = append(versions, v)
+			// The hello body's version field is the one an observer sees
+			// negotiated.
+			if pr, err := ParseRecord(p.AppPayload); err == nil && pr.ContentType == RecordHandshake && pr.Hello != nil {
+				versions = append(versions, pr.Hello.Version)
 			}
 		}
 	}

@@ -122,9 +122,9 @@ func ParseSysinfoResponse(plain []byte) (*SysInfo, error) {
 // responses and unauthenticated TCP control.
 type Device struct {
 	Host *stack.Host
+	// Info is what discovery reports; control commands set its
+	// RelayState.
 	Info SysInfo
-	// Relay mirrors Info.RelayState; control commands flip it.
-	OnControl func(on bool)
 }
 
 // Start opens UDP and TCP port 9999.
@@ -164,9 +164,6 @@ func (d *Device) onAccept(c *stack.TCPConn) {
 		var relay relayEnvelope
 		if json.Unmarshal(plain, &relay) == nil && relay.System.SetRelayState != nil {
 			d.Info.RelayState = relay.System.SetRelayState.State
-			if d.OnControl != nil {
-				d.OnControl(relay.System.SetRelayState.State == 1)
-			}
 			c.Send(FrameTCP(Obfuscate([]byte(`{"system":{"set_relay_state":{"err_code":0}}}`))))
 		}
 	}

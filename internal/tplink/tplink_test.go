@@ -115,8 +115,10 @@ func TestBroadcastDiscovery(t *testing.T) {
 
 func TestUnauthenticatedControl(t *testing.T) {
 	e := newEnv()
-	var turnedOn *bool
-	plug := &Device{Host: e.host(40), Info: plugInfo(), OnControl: func(on bool) { turnedOn = &on }}
+	plug := &Device{Host: e.host(40), Info: plugInfo()}
+	if plug.Info.RelayState != 0 {
+		t.Fatalf("plug starts with relay state %d, want 0", plug.Info.RelayState)
+	}
 	plug.Start()
 
 	attacker := e.host(66)
@@ -124,14 +126,11 @@ func TestUnauthenticatedControl(t *testing.T) {
 	Control(attacker, netip.MustParseAddr("192.168.10.40"), true, func(b bool) { ok = &b })
 	e.sched.RunFor(time.Second)
 
-	if turnedOn == nil || !*turnedOn {
-		t.Fatal("relay not switched by unauthenticated attacker")
+	if plug.Info.RelayState != 1 {
+		t.Fatalf("relay not switched by unauthenticated attacker: relay state %d", plug.Info.RelayState)
 	}
 	if ok == nil || !*ok {
 		t.Fatal("control ack not received")
-	}
-	if plug.Info.RelayState != 1 {
-		t.Fatalf("relay state %d", plug.Info.RelayState)
 	}
 }
 

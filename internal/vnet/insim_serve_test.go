@@ -356,7 +356,6 @@ func runChaosScenario(t *testing.T, seed int64, ds *inspector.Dataset) string {
 	}
 	eng := chaos.New(f.sched, f.ln, plan)
 	s := startInSimServe(t, f, serve.Config{Workers: 2, QueueCapacity: 4, RetryAfter: 500 * time.Millisecond})
-	f.a.DialTimeout = 2 * time.Second
 
 	var tally chaosTally
 	var artifactSum [sha256.Size]byte

@@ -13,10 +13,9 @@ import (
 	"iotlan/internal/stack"
 )
 
-// defaultDialTimeout bounds a handshake on the virtual clock when the caller
-// gave no usable deadline — a SYN into a partition must not park the dialer
-// forever.
-const defaultDialTimeout = 30 * time.Second
+// dialTimeout bounds a handshake on the virtual clock — a SYN into a
+// partition must not park the dialer forever.
+const dialTimeout = 30 * time.Second
 
 // Net is the stdlib-shaped network facade of one simulated host. It is what
 // code written against net.Dialer/net.Listen takes instead, and everything
@@ -25,8 +24,6 @@ type Net struct {
 	p *Pump
 	h *stack.Host
 
-	// DialTimeout bounds handshakes in virtual time (default 30s).
-	DialTimeout time.Duration
 	// ReadBuffer bounds each conn's receive buffer (default 1 MiB).
 	ReadBuffer int
 
@@ -44,9 +41,6 @@ func New(p *Pump, h *stack.Host) *Net {
 // honeypot Server, iotserve clients) run unchanged over the simulated LAN.
 var _ netx.Fabric = (*Net)(nil)
 
-// Pump returns the pump driving this net.
-func (n *Net) Pump() *Pump { return n.p }
-
 // Now returns the current virtual time. Safe to call from any goroutine the
 // pump is aware of (one holding a grant or blocked in a vnet op).
 func (n *Net) Now() time.Time { return n.p.Now() }
@@ -55,14 +49,11 @@ func (n *Net) Now() time.Time { return n.p.Now() }
 // until fn's first operation.
 func (n *Net) Go(fn func()) { n.p.Go(fn) }
 
-// Host returns the underlying stack host.
-func (n *Net) Host() *stack.Host { return n.h }
-
 // DialContext opens a TCP connection to addr ("ip:port"). Supported
 // networks: "tcp", "tcp4", "tcp6". The context's cancellation is honoured;
 // wall-clock context deadlines are not mapped onto the virtual clock (they
-// are typically years away from it) — the virtual DialTimeout bounds the
-// handshake instead.
+// are typically years away from it) — dialTimeout bounds the handshake on
+// the virtual clock instead.
 func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	switch network {
 	case "tcp", "tcp4", "tcp6":
@@ -72,10 +63,6 @@ func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, 
 	ip, port, err := netx.SplitAddrPort(addr)
 	if err != nil || !ip.IsValid() {
 		return nil, &net.OpError{Op: "dial", Net: network, Err: fmt.Errorf("invalid address %q: %v", addr, err)}
-	}
-	timeout := n.DialTimeout
-	if timeout <= 0 {
-		timeout = defaultDialTimeout
 	}
 
 	w := newWaiter(nil)
@@ -108,7 +95,7 @@ func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, 
 			d.c.tcGone = true
 			finish(&net.OpError{Op: "dial", Net: network, Addr: d.c.raddr, Err: syscall.ECONNREFUSED}, 1)
 		}
-		d.timer = n.p.sched.AfterTagged("vnet", timeout, func() {
+		d.timer = n.p.sched.AfterTagged("vnet", dialTimeout, func() {
 			if !d.c.tcGone {
 				tc.Reset()
 				d.c.tcGone = true

@@ -18,7 +18,6 @@ package iotlan
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
 	"sync"
 	"time"
@@ -406,34 +405,6 @@ func (s *Study) ExtractedIdentifiers() *analysis.ExtractedIdentifiers {
 	s.RunInspector()
 	s.idsOnce.Do(func() { s.identifiers = analysis.ExtractIdentifiers(s.Inspector, s.workers) })
 	return s.identifiers
-}
-
-// RunAll executes every pipeline.
-func (s *Study) RunAll() {
-	_ = s.RunAllContext(context.Background()) // errors only arise from ctx
-}
-
-// RunAllContext executes every pipeline, checking ctx between phases. A
-// cancelled context stops before the next phase starts and returns an error
-// naming the phase that did not run; already-finished phases keep their
-// results, so a later call resumes where it stopped.
-func (s *Study) RunAllContext(ctx context.Context) error {
-	for _, st := range []struct {
-		name string
-		run  func()
-	}{
-		{"passive", s.RunPassive},
-		{"scans", s.RunScans},
-		{"vuln", s.RunVulnScans},
-		{"apps", s.RunApps},
-		{"inspector", s.RunInspector},
-	} {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("iotlan: phase %s: %w", st.name, err)
-		}
-		st.run()
-	}
-	return nil
 }
 
 // DeviceByName exposes a lab device.

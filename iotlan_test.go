@@ -20,7 +20,7 @@ func study(t *testing.T) *Study {
 	if testStudy == nil {
 		s := New(7, WithIdleDuration(30*time.Minute), WithInteractions(60),
 			WithHouseholds(1200), WithApps(60))
-		s.RunAll()
+		s.satisfy(NeedPassive | NeedScans | NeedVuln | NeedApps | NeedInspector)
 		testStudy = s
 	}
 	return testStudy
@@ -178,8 +178,8 @@ func TestDeviceIPsComplete(t *testing.T) {
 
 func TestLocalRecordsFiltered(t *testing.T) {
 	s := study(t)
-	local := pcap.FilterLocal(s.PassiveRecords())
-	if len(local) == 0 || len(local) > s.Lab.Capture.Len() {
-		t.Fatalf("local=%d total=%d", len(local), s.Lab.Capture.Len())
+	local := pcap.CountLocal(s.PassiveRecords())
+	if local == 0 || local > s.Lab.Capture.Len() {
+		t.Fatalf("local=%d total=%d", local, s.Lab.Capture.Len())
 	}
 }

@@ -104,7 +104,10 @@ func TestNewOptions(t *testing.T) {
 	}
 	trace := obs.NewTracer(io.Discard, obs.FormatJSONL)
 	pcaps := &pcap.MACWriter{}
-	plan := chaos.Profiles()[0]
+	plan, err := chaos.Profile("lossy")
+	if err != nil {
+		t.Fatal(err)
+	}
 	residents := resident.Household(2, 1)
 	profiles := device.Subset("hue-hub", "tplink-plug")
 	c := New(11,

@@ -13,7 +13,6 @@ import (
 	"iotlan/internal/device"
 	"iotlan/internal/engine"
 	"iotlan/internal/layers"
-	"iotlan/internal/pcap"
 	"iotlan/internal/scan"
 	"iotlan/internal/sim"
 )
@@ -204,7 +203,7 @@ func tplinkSample(d *device.Device) string {
 // Figure3 cross-validates the two classifiers.
 func (s *Study) Figure3() Result {
 	s.RunPassive()
-	flows, nonFlow := classify.Assemble(pcap.FilterLocal(s.PassiveRecords()))
+	flows, nonFlow := classify.Assemble(s.PassiveRecords())
 	c := classify.Compare(flows, nonFlow)
 	spec, dpi, disagree, neither := c.Fractions()
 	return Result{
