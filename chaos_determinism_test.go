@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,6 +37,30 @@ var degradedPlan = chaos.Plan{
 	Churn:           &chaos.Churn{Start: time.Minute, Interval: 45 * time.Second, Downtime: 20 * time.Second},
 }
 
+// chaosPairSeed is the seed of the one chaos study pair the worker-count
+// tests share.
+const chaosPairSeed = 42
+
+// The degradedPlan study pair at workers=1 and workers=4, built and run
+// through the passive and Inspector phases once for every test that
+// compares them.
+var (
+	chaosPairOnce      sync.Once
+	chaosSeq, chaosPar *Study
+)
+
+func chaosPair() (seq, par *Study) {
+	chaosPairOnce.Do(func() {
+		chaosSeq = chaosStudy(chaosPairSeed, 1, degradedPlan)
+		chaosPar = chaosStudy(chaosPairSeed, 4, degradedPlan)
+		for _, s := range []*Study{chaosSeq, chaosPar} {
+			s.RunPassive()
+			s.RunInspector()
+		}
+	})
+	return chaosSeq, chaosPar
+}
+
 // TestChaosByteIdenticalAcrossWorkerCounts extends the PR 2 determinism
 // contract to fault injection: for a fixed (seed, chaos.Plan), worker count
 // may change wall time but never a byte of output. It compares the phases
@@ -47,13 +72,7 @@ var degradedPlan = chaos.Plan{
 // scan/vuln/app phases it adds run on the single-threaded scheduler and
 // repeating them here per worker count blows the -race time budget.
 func TestChaosByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	const seed = 42
-	seq := chaosStudy(seed, 1, degradedPlan)
-	par := chaosStudy(seed, 4, degradedPlan)
-	for _, s := range []*Study{seq, par} {
-		s.RunPassive()
-		s.RunInspector()
-	}
+	seq, par := chaosPair()
 	var results []Result
 	for _, name := range []string{"figure1", "figure2", "table1", "table4", "table5", "intervals", "periodicity", "chaos"} {
 		a, err := seq.RunArtifact(name)
@@ -83,7 +102,7 @@ func TestChaosByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if string(seqDS) != string(parDS) {
 		t.Errorf("Inspector corpus differs under chaos")
 	}
-	checkArtifactGolden(t, fmt.Sprintf("chaos-%d", seed), results...)
+	checkArtifactGolden(t, fmt.Sprintf("chaos-%d", chaosPairSeed), results...)
 	seqSnap := string(seq.Lab.Telemetry().Registry.Snapshot())
 	parSnap := string(par.Lab.Telemetry().Registry.Snapshot())
 	if seqSnap != parSnap {
@@ -100,17 +119,14 @@ func TestChaosByteIdenticalAcrossWorkerCounts(t *testing.T) {
 // plan) must produce the identical frame-by-frame capture regardless of
 // worker count (workers only parallelise analysis, never simulation).
 func TestChaosCaptureByteIdentical(t *testing.T) {
-	a := chaosStudy(7, 1, degradedPlan)
-	b := chaosStudy(7, 4, degradedPlan)
-	a.RunPassive()
-	b.RunPassive()
-	ra, rb := a.Lab.Capture.All, b.Lab.Capture.All
-	if len(ra) != len(rb) {
-		t.Fatalf("capture lengths differ: %d vs %d", len(ra), len(rb))
+	seq, par := chaosPair()
+	ra, rb := seq.Lab.Capture.All, par.Lab.Capture.All
+	if len(ra) == 0 || len(ra) != len(rb) {
+		t.Fatalf("capture lengths under chaos: %d vs %d records", len(ra), len(rb))
 	}
 	for i := range ra {
 		if !ra[i].Time.Equal(rb[i].Time) || string(ra[i].Data) != string(rb[i].Data) {
-			t.Fatalf("capture record %d differs between worker counts", i)
+			t.Fatalf("capture record %d differs under chaos between workers=1 and workers=4", i)
 		}
 	}
 }

@@ -46,13 +46,15 @@ func main() {
 	for {
 		select {
 		case <-ctx.Done():
-			fmt.Printf("\nfinal: %v, %d visitors\n", hp.Interactions(), len(hp.Visitors()))
+			final := srv.Snapshot()
+			fmt.Printf("\nfinal: %v, %d visitors\n", final.Interactions(), len(final.Visitors()))
 			return
 		case <-ticker.C:
-			for _, e := range hp.Events[printed:] {
+			events := srv.Snapshot().Events
+			for _, e := range events[printed:] {
 				fmt.Printf("%s %-7s %-16s %s\n", e.Time.Format("15:04:05"), e.Proto, e.From, e.Detail)
 			}
-			printed = len(hp.Events)
+			printed = len(events)
 		}
 	}
 }

@@ -85,11 +85,11 @@ func TestCaptureReadersAllocs(t *testing.T) {
 }
 
 // TestHouseholdPartialOfAllocs holds HouseholdPartialOf, over
-// BenchmarkHouseholdPartialOf's four-device household, at its measured 258
+// BenchmarkHouseholdPartialOf's four-device household, at its measured 240
 // allocations.
 func TestHouseholdPartialOfAllocs(t *testing.T) {
 	h := inspector.Generate(1, 1).Households[0]
-	if avg := testing.AllocsPerRun(100, func() { partialSink = HouseholdPartialOf(h) }); avg > 258 {
-		t.Fatalf("HouseholdPartialOf = %.0f allocs/op, want at most 258", avg)
+	if avg := testing.AllocsPerRun(100, func() { partialSink = HouseholdPartialOf(h) }); avg > 240 {
+		t.Fatalf("HouseholdPartialOf = %.0f allocs/op, want at most 240", avg)
 	}
 }

@@ -100,20 +100,26 @@ func (e *ExtractedIdentifiers) Of(d *inspector.Device) identifierSet {
 // device's discovery payloads — §6.3's three regex classes.
 func extractIdentifiers(d *inspector.Device) map[IdentifierType][]string {
 	out := map[IdentifierType][]string{}
-	for _, payload := range append(append([]string{}, d.MDNS...), d.SSDP...) {
-		// Names: an English word, apostrophe-s, space, word.
-		for _, n := range findPossessives(payload) {
-			out[IDName] = append(out[IDName], n)
-		}
-		for _, u := range findUUIDs(payload) {
-			out[IDUUID] = append(out[IDUUID], u)
-		}
-		for _, m := range findMACs(payload) {
-			// OUI validation: keep only MACs whose OUI matches the one IoT
-			// Inspector recorded for the device (§6.3's false-positive
-			// filter).
-			if strings.HasPrefix(strings.ToLower(m), strings.ToLower(d.OUI.String())) {
-				out[IDMAC] = append(out[IDMAC], strings.ToLower(m))
+	var oui string // d.OUI.String(), which is lower-case; formatted at the first MAC
+	for _, payloads := range [2][]string{d.MDNS, d.SSDP} {
+		for _, payload := range payloads {
+			// Names: an English word, apostrophe-s, space, word.
+			for _, n := range findPossessives(payload) {
+				out[IDName] = append(out[IDName], n)
+			}
+			for _, u := range findUUIDs(payload) {
+				out[IDUUID] = append(out[IDUUID], u)
+			}
+			for _, m := range findMACs(payload) {
+				// OUI validation: keep only MACs whose OUI matches the one
+				// IoT Inspector recorded for the device (§6.3's
+				// false-positive filter).
+				if oui == "" {
+					oui = d.OUI.String()
+				}
+				if m = strings.ToLower(m); strings.HasPrefix(m, oui) {
+					out[IDMAC] = append(out[IDMAC], m)
+				}
 			}
 		}
 	}

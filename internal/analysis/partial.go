@@ -530,8 +530,11 @@ type HouseholdPartial struct {
 // the live aggregates they are folded into hold each of the household's
 // distinct key strings in one allocation.
 func HouseholdPartialOf(h *inspector.Household) *HouseholdPartial {
+	ids := &ExtractedIdentifiers{byDevice: make(map[*inspector.Device]identifierSet, len(h.Devices))}
+	for _, d := range h.Devices {
+		ids.byDevice[d] = extractIdentifiers(d)
+	}
 	one := []*inspector.Household{h}
-	ids := ExtractIdentifiers(&inspector.Dataset{Households: one}, 1)
 	keys := make(keyTable, 0, 16)
 	return &HouseholdPartial{
 		Entropy:     entropyPartialOf(one, ids, &keys),

@@ -3,9 +3,12 @@ package honeypot
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,29 +127,57 @@ func TestTokenAppearsIn(t *testing.T) {
 	}
 }
 
-func TestRealServerHTTPAndTelnet(t *testing.T) {
-	hp := New("real", 1)
-	srv := &Server{HP: hp, SSDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", TelnetAddr: "127.0.0.1:0"}
+// startLoopback starts a Server whose SSDP and telnet listeners are on
+// 127.0.0.1 and whose HTTP listener is on httpAddr, and returns it with the
+// three bound addresses.
+func startLoopback(t *testing.T, name, httpAddr string) (srv *Server, ssdpAddr, descAddr, telnetAddr string) {
+	t.Helper()
+	srv = &Server{HP: New(name, 1), SSDPAddr: "127.0.0.1:0", HTTPAddr: httpAddr, TelnetAddr: "127.0.0.1:0"}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	if err := srv.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	// Find the bound addresses.
+	t.Cleanup(srv.Close)
 	srv.mu.Lock()
-	var httpAddr, telnetAddr string
+	defer srv.mu.Unlock()
 	for _, l := range srv.listeners {
-		if tl, ok := l.(net.Listener); ok {
-			if httpAddr == "" {
-				httpAddr = tl.Addr().String()
+		switch l := l.(type) {
+		case net.PacketConn:
+			ssdpAddr = l.LocalAddr().String()
+		case net.Listener:
+			// Start binds HTTP before telnet.
+			if descAddr == "" {
+				descAddr = l.Addr().String()
 			} else {
-				telnetAddr = tl.Addr().String()
+				telnetAddr = l.Addr().String()
 			}
 		}
 	}
-	srv.mu.Unlock()
+	return srv, ssdpAddr, descAddr, telnetAddr
+}
+
+// readUntil reads from c until what it has read contains want.
+func readUntil(t *testing.T, c net.Conn, want string) {
+	t.Helper()
+	buf := make([]byte, 8192)
+	total := 0
+	for total < len(buf) && !strings.Contains(string(buf[:total]), want) {
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := c.Read(buf[total:])
+		total += n
+		if err != nil {
+			break
+		}
+	}
+	if !strings.Contains(string(buf[:total]), want) {
+		t.Fatalf("read %q, want it to contain %q", buf[:total], want)
+	}
+}
+
+func TestRealServerHTTPAndTelnet(t *testing.T) {
+	srv, _, httpAddr, telnetAddr := startLoopback(t, "real", "127.0.0.1:0")
+	hp := srv.HP
 
 	// HTTP fetch must return the token-bearing description.
 	conn, err := net.Dial("tcp", httpAddr)
@@ -154,82 +185,147 @@ func TestRealServerHTTPAndTelnet(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(conn, "GET /description.xml HTTP/1.1\r\nHost: x\r\n\r\n")
-	buf := make([]byte, 8192)
-	total := 0
-	for total < len(buf) {
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, err := conn.Read(buf[total:])
-		total += n
-		if err != nil || hp.TokenAppearsIn(buf[:total]) {
-			break
-		}
-	}
+	readUntil(t, conn, hp.Token)
 	conn.Close()
-	if !hp.TokenAppearsIn(buf[:total]) {
-		t.Fatalf("HTTP response lacks token: %q", buf[:total])
-	}
-	n := 0
 
-	// Telnet greeting carries the banner.
+	// Telnet: the greeting ends in a login prompt, and a full login attempt
+	// is captured.
 	tc, err := net.Dial("tcp", telnetAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _ = tc.Read(buf)
-	tc.Close()
-	if !strings.Contains(string(buf[:n]), "login:") {
-		t.Fatalf("telnet greeting: %q", buf[:n])
-	}
+	defer tc.Close()
+	readUntil(t, tc, "login: ")
+	tc.Write([]byte("root\r\n"))
+	readUntil(t, tc, "Password: ")
+	tc.Write([]byte("hunter2\r\n"))
+	readUntil(t, tc, "Login incorrect")
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		srv.mu.Lock()
-		n := len(hp.Events)
-		srv.mu.Unlock()
-		if n >= 2 {
-			break
+	// Each event is logged before the reply that was waited for above.
+	snap := srv.Snapshot()
+	var loginLogged bool
+	prober := netip.MustParseAddr("127.0.0.1")
+	for _, e := range snap.Events {
+		if e.From != prober {
+			t.Errorf("event %q from %v, want %v", e.Detail, e.From, prober)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if e.Proto == "telnet" && e.Detail == "login root:hunter2" {
+			loginLogged = true
+		}
 	}
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	if got := len(hp.Events); got < 2 {
-		t.Fatalf("real server logged %d events", got)
+	if got := snap.Interactions(); got["http"] != 1 || got["telnet"] != 2 {
+		t.Errorf("interactions %v, want 1 http and 2 telnet (connect, login)", got)
+	}
+	if !loginLogged {
+		t.Errorf("telnet credentials not captured; events: %+v", snap.Events)
 	}
 }
 
+// TestRealServerSSDP: an M-SEARCH reply carries the honeytoken and a
+// LOCATION the searcher can fetch the token-bearing description from, both
+// with the HTTP listener on a named host and on the wildcard address, where
+// the host advertised is the one the reply leaves from.
 func TestRealServerSSDP(t *testing.T) {
-	hp := New("real-ssdp", 1)
-	srv := &Server{HP: hp, SSDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", TelnetAddr: "127.0.0.1:0"}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := srv.Start(ctx); err != nil {
-		t.Fatal(err)
+	for _, httpAddr := range []string{"127.0.0.1:0", ":0"} {
+		t.Run(httpAddr, func(t *testing.T) {
+			srv, udpAddr, descAddr, _ := startLoopback(t, "real-ssdp", httpAddr)
+			hp := srv.HP
+			c, err := net.Dial("udp", udpAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.Write(ssdp.MSearch(ssdp.TargetAll, 1))
+			buf := make([]byte, 2048)
+			c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			n, err := c.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ssdp.Parse(buf[:n])
+			if err != nil || !strings.Contains(m.USN(), hp.Token) {
+				t.Fatalf("SSDP response: %v %q", err, buf[:n])
+			}
+
+			_, port, err := net.SplitHostPort(descAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "http://127.0.0.1:" + port + "/description.xml"
+			if got := m.Location(); got != want {
+				t.Fatalf("LOCATION %q, want %q", got, want)
+			}
+			client := &http.Client{Timeout: 2 * time.Second}
+			resp, err := client.Get(m.Location())
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !hp.TokenAppearsIn(body) {
+				t.Fatalf("GET %s: %d %v %q", m.Location(), resp.StatusCode, err, body)
+			}
+		})
 	}
-	defer srv.Close()
-	srv.mu.Lock()
-	var udpAddr string
-	for _, l := range srv.listeners {
-		if pc, ok := l.(net.PacketConn); ok {
-			udpAddr = pc.LocalAddr().String()
+}
+
+// TestSnapshotWhileProbesLand reads the log the way iothoneypot does, on a
+// tick while telnet probes land, and expects every probe logged. The
+// serving goroutines append to the log under the server's lock, so a
+// reader that ranges over HP.Events directly races them; under -race this
+// test is what shows that Snapshot does not.
+func TestSnapshotWhileProbesLand(t *testing.T) {
+	const probers, probes = 4, 50
+	srv, _, _, telnetAddr := startLoopback(t, "snapshot", "127.0.0.1:0")
+	var wg sync.WaitGroup
+	errs := make(chan error, probers)
+	for range probers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 512)
+			for range probes {
+				c, err := net.Dial("tcp", telnetAddr)
+				if err != nil {
+					errs <- err
+					return
+				}
+				// The server logs the connect before it writes the greeting.
+				c.SetReadDeadline(time.Now().Add(2 * time.Second))
+				_, err = c.Read(buf)
+				c.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	printed := 0
+	for landing := true; landing; {
+		select {
+		case <-done:
+			landing = false
+		case <-time.After(time.Millisecond):
 		}
+		events := srv.Snapshot().Events
+		for _, e := range events[printed:] {
+			fmt.Fprintf(io.Discard, "%s %-7s %-16s %s\n", e.Time.Format("15:04:05"), e.Proto, e.From, e.Detail)
+		}
+		printed = len(events)
 	}
-	srv.mu.Unlock()
-	c, err := net.Dial("udp", udpAddr)
-	if err != nil {
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	c.Write(ssdp.MSearch(ssdp.TargetAll, 1))
-	buf := make([]byte, 2048)
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, err := c.Read(buf)
-	if err != nil {
-		t.Fatal(err)
+	snap := srv.Snapshot()
+	if got := snap.Interactions()["telnet"]; got != probers*probes {
+		t.Fatalf("%d telnet connects logged, want %d", got, probers*probes)
 	}
-	m, err := ssdp.Parse(buf[:n])
-	if err != nil || !strings.Contains(m.USN(), hp.Token) {
-		t.Fatalf("SSDP response: %v %q", err, buf[:n])
+	if v := snap.Visitors(); len(v) != 1 || v[0] != netip.MustParseAddr("127.0.0.1") {
+		t.Fatalf("visitors %v, want 127.0.0.1 alone", v)
 	}
 }

@@ -5,31 +5,21 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"iotlan/internal/netx"
 	"iotlan/internal/ssdp"
 	"iotlan/internal/telnetx"
 )
 
-// Server runs the honeypot against a netx.Fabric: the standard library for a
-// real home LAN (the default), or a vnet.Net to exercise the exact same
-// accept loops and session code on the simulated LAN. Ports are configurable
-// since the well-known ones need elevated privileges on a real host.
-//
-// The service loops start through the fabric's Go, so on a virtual net the
-// clock waits for each to block in its first read or accept. Per-connection
-// goroutines use a plain go: the Accept that returned the connection minted
-// the grant their first operation claims.
+// Server runs the honeypot on a real network through the standard library:
+// an SSDP responder, the HTTP description server its replies point to, and
+// a telnet login. Ports are configurable since the well-known ones need
+// elevated privileges on a real host.
 type Server struct {
 	HP *Honeypot
-	// Net is the network to bind on. Nil means the standard library
-	// (netx.System), which every program uses; only tests set it, to a
-	// *vnet.Net, so that TestServerInSim can drive this same server over
-	// the simulated LAN.
-	Net netx.Fabric
 	// SSDPAddr is the UDP listen address for SSDP (default ":1900").
 	SSDPAddr string
 	// HTTPAddr is the TCP listen address for the description server
@@ -38,22 +28,28 @@ type Server struct {
 	// TelnetAddr is the TCP listen address for telnet (default ":2323").
 	TelnetAddr string
 
+	// mu guards HP.Events, which the serving goroutines append to, and
+	// listeners.
 	mu        sync.Mutex
 	listeners []interface{ Close() error }
 }
 
-func (s *Server) fabric() netx.Fabric {
-	if s.Net == nil {
-		return netx.System{}
-	}
-	return s.Net
-}
-
 func (s *Server) logLocked(proto string, from netip.Addr, detail string) {
-	now := s.fabric().Now()
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.HP.log(now, proto, from, detail)
+}
+
+// Snapshot returns a copy of the honeypot with its event log copied under
+// the lock the serving goroutines log under. Read a running server's log
+// through it, not through HP.Events.
+func (s *Server) Snapshot() *Honeypot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hp := *s.HP
+	hp.Events = slices.Clone(s.HP.Events)
+	return &hp
 }
 
 // Start binds all listeners and serves until ctx is cancelled.
@@ -67,10 +63,11 @@ func (s *Server) Start(ctx context.Context) error {
 	if s.TelnetAddr == "" {
 		s.TelnetAddr = ":2323"
 	}
-	if err := s.startSSDP(); err != nil {
+	httpAddr, err := s.startHTTP()
+	if err != nil {
 		return err
 	}
-	if err := s.startHTTP(); err != nil {
+	if err := s.startSSDP(httpAddr); err != nil {
 		s.Close()
 		return err
 	}
@@ -109,20 +106,33 @@ func addrOf(a net.Addr) netip.Addr {
 	return ap.Addr().Unmap()
 }
 
-func (s *Server) startSSDP() error {
-	fab := s.fabric()
-	pc, err := fab.ListenPacket("udp4", s.SSDPAddr)
+// location is the description URL a reply to a searcher at to advertises:
+// the HTTP listener's bound address, or, when it is bound to a wildcard, the
+// local address that the reply leaves from toward the searcher. A connected
+// UDP socket reports that address without sending anything.
+func location(httpAddr netip.AddrPort, to net.Addr) string {
+	host := httpAddr.Addr().Unmap()
+	if host.IsUnspecified() {
+		if c, err := net.Dial("udp", to.String()); err == nil {
+			host = addrOf(c.LocalAddr())
+			c.Close()
+		}
+	}
+	return "http://" + netip.AddrPortFrom(host, httpAddr.Port()).String() + "/description.xml"
+}
+
+func (s *Server) startSSDP(httpAddr netip.AddrPort) error {
+	pc, err := net.ListenPacket("udp4", s.SSDPAddr)
 	if err != nil {
 		return fmt.Errorf("honeypot: ssdp listen: %w", err)
 	}
 	s.track(pc)
 	ad := ssdp.Advertisement{
-		UUID:     s.HP.Token,
-		Target:   ssdp.TargetBasic,
-		Server:   "Linux/3.14 UPnP/1.0 HoneyBridge/1.0",
-		Location: "http://0.0.0.0" + s.HTTPAddr + "/description.xml",
+		UUID:   s.HP.Token,
+		Target: ssdp.TargetBasic,
+		Server: "Linux/3.14 UPnP/1.0 HoneyBridge/1.0",
 	}
-	fab.Go(func() {
+	go func() {
 		buf := make([]byte, 2048)
 		for {
 			n, from, err := pc.ReadFrom(buf)
@@ -134,17 +144,19 @@ func (s *Server) startSSDP() error {
 				continue
 			}
 			s.logLocked("ssdp", addrOf(from), "M-SEARCH "+m.ST())
+			ad.Location = location(httpAddr, from)
 			pc.WriteTo(ad.Response(m.ST()), from)
 		}
-	})
+	}()
 	return nil
 }
 
-func (s *Server) startHTTP() error {
-	fab := s.fabric()
-	l, err := fab.Listen("tcp", s.HTTPAddr)
+// startHTTP serves the description document and returns the address it is
+// bound to.
+func (s *Server) startHTTP() (netip.AddrPort, error) {
+	l, err := net.Listen("tcp", s.HTTPAddr)
 	if err != nil {
-		return fmt.Errorf("honeypot: http listen: %w", err)
+		return netip.AddrPort{}, fmt.Errorf("honeypot: http listen: %w", err)
 	}
 	s.track(l)
 	desc := &ssdp.Device{
@@ -152,7 +164,7 @@ func (s *Server) startHTTP() error {
 		SerialNumber: s.HP.Token, UDN: "uuid:" + s.HP.Token, DeviceType: ssdp.TargetBasic,
 	}
 	doc, _ := desc.Document()
-	fab.Go(func() {
+	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
@@ -160,7 +172,7 @@ func (s *Server) startHTTP() error {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				conn.SetReadDeadline(fab.Now().Add(5 * time.Second))
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 				buf := make([]byte, 4096)
 				n, err := conn.Read(buf)
 				if err != nil {
@@ -176,18 +188,17 @@ func (s *Server) startHTTP() error {
 				conn.Write(body)
 			}(conn)
 		}
-	})
-	return nil
+	}()
+	return l.Addr().(*net.TCPAddr).AddrPort(), nil
 }
 
 func (s *Server) startTelnet() error {
-	fab := s.fabric()
-	l, err := fab.Listen("tcp", s.TelnetAddr)
+	l, err := net.Listen("tcp", s.TelnetAddr)
 	if err != nil {
 		return fmt.Errorf("honeypot: telnet listen: %w", err)
 	}
 	s.track(l)
-	fab.Go(func() {
+	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
@@ -201,7 +212,7 @@ func (s *Server) startTelnet() error {
 				conn.Write(sess.Greeting())
 				buf := make([]byte, 512)
 				for {
-					conn.SetReadDeadline(fab.Now().Add(30 * time.Second))
+					conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 					n, err := conn.Read(buf)
 					if err != nil {
 						return
@@ -216,6 +227,6 @@ func (s *Server) startTelnet() error {
 				}
 			}(conn)
 		}
-	})
+	}()
 	return nil
 }

@@ -64,7 +64,6 @@ type Conn struct {
 
 	// Pump-owned state below.
 	rbuf      []byte
-	rlimit    int
 	reof      bool  // peer FIN seen (or orderly teardown done)
 	rerr      error // terminal error: RST, receive overflow
 	closed    bool  // local Close ran
@@ -87,16 +86,12 @@ type Conn struct {
 }
 
 // newConn wraps an established (or connecting) stack conn. Runs on the pump.
-func newConn(p *Pump, tc *stack.TCPConn, laddr, raddr netip.AddrPort, rlimit int) *Conn {
-	if rlimit <= 0 {
-		rlimit = defaultReadBuffer
-	}
+func newConn(p *Pump, tc *stack.TCPConn, laddr, raddr netip.AddrPort) *Conn {
 	c := &Conn{
-		p:      p,
-		tc:     tc,
-		laddr:  net.TCPAddrFromAddrPort(laddr),
-		raddr:  net.TCPAddrFromAddrPort(raddr),
-		rlimit: rlimit,
+		p:     p,
+		tc:    tc,
+		laddr: net.TCPAddrFromAddrPort(laddr),
+		raddr: net.TCPAddrFromAddrPort(raddr),
 
 		cOverflow: p.sched.Telemetry.Registry.Counter("vnet_rbuf_overflow"),
 	}
@@ -127,7 +122,7 @@ func (c *Conn) onData(data []byte) {
 	}
 	c.rbuf = append(c.rbuf, data...)
 	c.deliver()
-	if len(c.rbuf) > c.rlimit {
+	if len(c.rbuf) > defaultReadBuffer {
 		c.cOverflow.Inc()
 		c.abort()
 	}

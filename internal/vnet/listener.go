@@ -44,13 +44,12 @@ type Listener struct {
 	backlog  []*Conn
 	awaiters []*acceptWaiter
 	closed   bool
-	rlimit   int
 }
 
 // newListener binds the port. Runs on the pump.
-func newListener(p *Pump, h *stack.Host, port uint16, rlimit int) *Listener {
+func newListener(p *Pump, h *stack.Host, port uint16) *Listener {
 	l := &Listener{
-		p: p, h: h, port: port, rlimit: rlimit,
+		p: p, h: h, port: port,
 		addr: net.TCPAddrFromAddrPort(netip.AddrPortFrom(h.IPv4(), port)),
 	}
 	cBacklog := p.sched.Telemetry.Registry.Counter("vnet_backlog_reset")
@@ -60,7 +59,7 @@ func newListener(p *Pump, h *stack.Host, port uint16, rlimit int) *Listener {
 			return
 		}
 		remote, rport := tc.Remote()
-		c := newConn(p, tc, netip.AddrPortFrom(h.IPv4(), port), netip.AddrPortFrom(remote, rport), l.rlimit)
+		c := newConn(p, tc, netip.AddrPortFrom(h.IPv4(), port), netip.AddrPortFrom(remote, rport))
 		if len(l.awaiters) > 0 {
 			w := l.awaiters[0]
 			l.awaiters = l.awaiters[1:]

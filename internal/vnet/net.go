@@ -17,15 +17,20 @@ import (
 // partition must not park the dialer forever.
 const dialTimeout = 30 * time.Second
 
+// timeoutError is the dial-timeout error: a net.Error that is temporary and
+// a timeout, matching what a real dialer surfaces for an unanswered SYN.
+type timeoutError struct{}
+
+func (timeoutError) Error() string   { return "i/o timeout" }
+func (timeoutError) Timeout() bool   { return true }
+func (timeoutError) Temporary() bool { return true }
+
 // Net is the stdlib-shaped network facade of one simulated host. It is what
 // code written against net.Dialer/net.Listen takes instead, and everything
 // it returns runs over the host's userspace stack on the shared Pump.
 type Net struct {
 	p *Pump
 	h *stack.Host
-
-	// ReadBuffer bounds each conn's receive buffer (default 1 MiB).
-	ReadBuffer int
 
 	// nextPort hands out listener ports for ":0" binds. Pump-owned.
 	nextPort uint16
@@ -37,17 +42,9 @@ func New(p *Pump, h *stack.Host) *Net {
 	return &Net{p: p, h: h, nextPort: 20000}
 }
 
-// Net implements netx.Fabric, so fabric-parameterized components (the
-// honeypot Server, iotserve clients) run unchanged over the simulated LAN.
-var _ netx.Fabric = (*Net)(nil)
-
 // Now returns the current virtual time. Safe to call from any goroutine the
 // pump is aware of (one holding a grant or blocked in a vnet op).
 func (n *Net) Now() time.Time { return n.p.Now() }
-
-// Go spawns fn as a granted in-sim actor (Pump.Go): the clock stays frozen
-// until fn's first operation.
-func (n *Net) Go(fn func()) { n.p.Go(fn) }
 
 // DialContext opens a TCP connection to addr ("ip:port"). Supported
 // networks: "tcp", "tcp4", "tcp6". The context's cancellation is honoured;
@@ -89,7 +86,7 @@ func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, 
 		tc := n.h.DialTCP(ip, port)
 		laddr := netip.AddrPortFrom(n.h.IPv4(), tc.LocalPort())
 		raddr := netip.AddrPortFrom(ip, port)
-		d.c = newConn(n.p, tc, laddr, raddr, n.ReadBuffer)
+		d.c = newConn(n.p, tc, laddr, raddr)
 		tc.OnConnect = func(*stack.TCPConn) { finish(nil, 1) }
 		tc.OnRefused = func(*stack.TCPConn) {
 			d.c.tcGone = true
@@ -158,7 +155,7 @@ func (n *Net) Listen(network, addr string) (net.Listener, error) {
 			lerr = &net.OpError{Op: "listen", Net: network, Err: syscall.EADDRINUSE}
 			return
 		}
-		l = newListener(n.p, n.h, port, n.ReadBuffer)
+		l = newListener(n.p, n.h, port)
 	})
 	if lerr != nil {
 		return nil, lerr
@@ -178,31 +175,4 @@ func (n *Net) freePort() uint16 {
 		}
 	}
 	return 0
-}
-
-// ListenPacket binds a UDP socket. A multicast group address joins the
-// group, so the socket receives the group's traffic (SSDP, mDNS).
-func (n *Net) ListenPacket(network, addr string) (net.PacketConn, error) {
-	switch network {
-	case "udp", "udp4", "udp6":
-	default:
-		return nil, &net.OpError{Op: "listen", Net: network, Err: net.UnknownNetworkError(network)}
-	}
-	ip, port, err := netx.SplitAddrPort(addr)
-	if err != nil {
-		return nil, &net.OpError{Op: "listen", Net: network, Err: err}
-	}
-	var pc *PacketConn
-	n.p.exec(func() {
-		if port == 0 {
-			sock := n.h.OpenUDPEphemeral(nil)
-			port = sock.Port
-			n.h.CloseUDP(port) // rebind below with the real handler
-		}
-		if ip.IsValid() && ip.IsMulticast() {
-			n.h.JoinGroup(ip)
-		}
-		pc = newPacketConn(n.p, n.h, port)
-	})
-	return pc, nil
 }

@@ -1,8 +1,8 @@
 // Package vnet adapts the callback-push surface of internal/stack into the
-// standard library's net shape — net.Conn, net.Listener, net.PacketConn and
-// a DialContext — so ordinary blocking networked code, including an
-// unmodified net/http.Server, runs inside the deterministic simulation with
-// zero real sockets.
+// standard library's net shape — net.Conn, net.Listener and a DialContext —
+// so ordinary blocking networked code, including an unmodified
+// net/http.Server, runs inside the deterministic simulation with zero real
+// sockets.
 //
 // # Determinism discipline
 //
@@ -92,10 +92,10 @@ type Pump struct {
 	births  int
 
 	// running is true while Run executes. Non-blocking operations issued
-	// before Run starts (test and scenario setup: Listen, ListenPacket)
-	// execute inline on the caller — at that point the caller is the only
-	// goroutine touching the scheduler, the same single-threaded contract
-	// Scheduler.Run has always had.
+	// before Run starts (test and scenario setup: Listen) execute inline on
+	// the caller — at that point the caller is the only goroutine touching
+	// the scheduler, the same single-threaded contract Scheduler.Run has
+	// always had.
 	running atomic.Bool
 
 	cResets *obs.Counter

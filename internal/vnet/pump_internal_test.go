@@ -15,3 +15,13 @@ func TestSelfIdentifiesGoroutine(t *testing.T) {
 		t.Fatalf("self() = %d on a second goroutine, first was %d", b, a)
 	}
 }
+
+// BenchmarkSelf is the goroutine identity every operation pays on entry:
+// one runtime.Stack header, parsed.
+func BenchmarkSelf(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		selfSink = self()
+	}
+}
+
+var selfSink actor

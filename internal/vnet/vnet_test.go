@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -25,9 +24,8 @@ import (
 
 // Interface conformance, checked at compile time.
 var (
-	_ net.Conn       = (*vnet.Conn)(nil)
-	_ net.Listener   = (*vnet.Listener)(nil)
-	_ net.PacketConn = (*vnet.PacketConn)(nil)
+	_ net.Conn     = (*vnet.Conn)(nil)
+	_ net.Listener = (*vnet.Listener)(nil)
 )
 
 type fix struct {
@@ -130,6 +128,75 @@ func TestPingPong(t *testing.T) {
 	f.pump.RunFor(30 * time.Second)
 	wait(t, srv, "server")
 	wait(t, cli, "client")
+}
+
+// BenchmarkConnRoundTrip is vnet's cost per operation: b.N round trips of
+// a 4-byte echo over one connection between two hosts on one pump. Each
+// round trip is a Write and a Read on either side, so four rendezvous with
+// the pump, and the LAN frames between them.
+func BenchmarkConnRoundTrip(b *testing.B) {
+	f := newFix(1)
+	l, err := f.b.Listen("tcp", ":7100")
+	if err != nil {
+		b.Fatalf("listen: %v", err)
+	}
+	n := b.N
+	srv := f.pump.Go(func() {
+		c, err := l.Accept()
+		if err != nil {
+			b.Errorf("accept: %v", err)
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 4)
+		for i := 0; i < n; i++ {
+			if _, err := io.ReadFull(c, buf); err != nil {
+				b.Errorf("server read %d: %v", i, err)
+				return
+			}
+			if _, err := c.Write(buf); err != nil {
+				b.Errorf("server write %d: %v", i, err)
+				return
+			}
+		}
+	})
+	cli := f.pump.Go(func() {
+		c, err := f.a.Dial("tcp", "192.168.10.11:7100")
+		if err != nil {
+			b.Errorf("dial: %v", err)
+			return
+		}
+		defer c.Close()
+		msg, buf := []byte("ping"), make([]byte, 4)
+		for i := 0; i < n; i++ {
+			if _, err := c.Write(msg); err != nil {
+				b.Errorf("client write %d: %v", i, err)
+				return
+			}
+			if _, err := io.ReadFull(c, buf); err != nil {
+				b.Errorf("client read %d: %v", i, err)
+				return
+			}
+		}
+		// The pump's wind-down after the last echo (the close handshakes,
+		// the final settle) is not a round trip.
+		b.StopTimer()
+	})
+	b.ResetTimer()
+	f.pump.RunFor(time.Minute + time.Duration(n)*10*time.Millisecond)
+	select {
+	case <-srv:
+	case <-time.After(5 * time.Second):
+		b.Fatalf("server did not finish\n%s", goroutines())
+	}
+	select {
+	case <-cli:
+	case <-time.After(5 * time.Second):
+		b.Fatalf("client did not finish\n%s", goroutines())
+	}
+	if resets := f.sched.Telemetry.Registry.Total("vnet_grant_resets"); resets != 0 {
+		b.Fatalf("vnet_grant_resets = %d: the clock moved on the real-time valve", resets)
+	}
 }
 
 // TestHalfClose exercises the full CloseWrite handshake: the client shuts its
@@ -595,102 +662,6 @@ func TestAcceptReadTruncation(t *testing.T) {
 			t.Fatalf("k=%d reassembled %d bytes, payload %d; mismatch", k, len(got), len(payload))
 		}
 	}
-}
-
-// TestPacketConnExchange runs a datagram exchange between two hosts that
-// have not resolved each other yet. net.PacketConn lets a caller reuse the
-// buffer once WriteTo returns, so the second input overwrites it then,
-// while a's first datagram still waits for ARP: b must read what was sent.
-func TestPacketConnExchange(t *testing.T) {
-	for _, reuse := range []bool{false, true} {
-		t.Run(fmt.Sprintf("reuse=%v", reuse), func(t *testing.T) { packetConnExchange(t, reuse) })
-	}
-}
-
-func packetConnExchange(t *testing.T, reuse bool) {
-	f := newFix(1)
-	pa, err := f.a.ListenPacket("udp", ":5000")
-	if err != nil {
-		t.Fatalf("listen a: %v", err)
-	}
-	pb, err := f.b.ListenPacket("udp", ":5001")
-	if err != nil {
-		t.Fatalf("listen b: %v", err)
-	}
-	bSide := f.pump.Go(func() {
-		buf := make([]byte, 64)
-		n, from, err := pb.ReadFrom(buf)
-		if err != nil {
-			t.Errorf("b read: %v", err)
-			return
-		}
-		if string(buf[:n]) != "hello" {
-			t.Errorf("b got %q", buf[:n])
-		}
-		if from.String() != "192.168.10.10:5000" {
-			t.Errorf("b saw source %v", from)
-		}
-		if _, err := pb.WriteTo([]byte("a long reply that will truncate"), from); err != nil {
-			t.Errorf("b reply: %v", err)
-		}
-	})
-	aSide := f.pump.Go(func() {
-		dst := &net.UDPAddr{IP: net.IPv4(192, 168, 10, 11), Port: 5001}
-		msg := []byte("hello")
-		if _, err := pa.WriteTo(msg, dst); err != nil {
-			t.Errorf("a write: %v", err)
-			return
-		}
-		if reuse {
-			copy(msg, "XXXXX")
-		}
-		small := make([]byte, 6)
-		n, from, err := pa.ReadFrom(small)
-		if err != nil {
-			t.Errorf("a read: %v", err)
-			return
-		}
-		if n != 6 || string(small) != "a long" {
-			t.Errorf("truncated read = %q (%d bytes)", small[:n], n)
-		}
-		if from.String() != "192.168.10.11:5001" {
-			t.Errorf("a saw source %v", from)
-		}
-	})
-	f.pump.RunFor(10 * time.Second)
-	wait(t, aSide, "a")
-	wait(t, bSide, "b")
-	pa.Close()
-	pb.Close()
-}
-
-func TestPacketConnDeadlineAndClose(t *testing.T) {
-	f := newFix(1)
-	pa, err := f.a.ListenPacket("udp", ":5002")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	g := f.pump.Go(func() {
-		pa.SetReadDeadline(f.start.Add(time.Second))
-		buf := make([]byte, 16)
-		_, _, err := pa.ReadFrom(buf)
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Errorf("read past deadline = %v", err)
-			return
-		}
-		pa.SetReadDeadline(time.Time{}) // clear
-		reader := f.pump.Go(func() {
-			_, _, err := pa.ReadFrom(buf)
-			if !errors.Is(err, net.ErrClosed) {
-				t.Errorf("read unblocked with %v, want net.ErrClosed", err)
-			}
-		})
-		f.pump.Sleep(time.Second)
-		pa.Close()
-		<-reader
-	})
-	f.pump.RunFor(30 * time.Second)
-	wait(t, g, "udp")
 }
 
 // TestListenErrors covers address validation and port collisions.
