@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify lint reach bench4 bench5 bench6 microbench repro serve examples clean
+.PHONY: all build vet test race verify lint reach microbench repro serve examples clean
 
 all: build vet test
 
@@ -41,29 +41,6 @@ test:
 # shared state; they must stay clean under -race).
 race:
 	$(GO) test -race ./... 2>&1 | tee race_output.txt
-
-# Serving benchmark: iotload self-hosts an in-process iotserve, uploads 200
-# synthesized households (wire + capture) at concurrency 16 honoring 429
-# backpressure, and records BENCH_4.json — throughput, p50/p95/p99, and the
-# gate that the served fleet Table 2 checksums equal to the offline Study.
-bench4:
-	$(GO) run ./cmd/iotload -households 200 -concurrency 16 -seed 1 -dup-frac 0 -out BENCH_4.json
-
-# Observability benchmark: the bench4 load plus a 25% duplicate tail whose
-# captures exercise the content-hash cache, with per-stage p50/p95/p99
-# scraped from the /metrics exposition folded into BENCH_5.json. Uploads/sec
-# must stay within 5% of bench4 — the cost of always-on spans and histograms.
-bench5:
-	$(GO) run ./cmd/iotload -households 200 -concurrency 16 -seed 1 -out BENCH_5.json
-
-# Scale benchmark: 100k streamed synthetic households into a sharded
-# self-hosted server (uploaders draw households on demand; the offline gate
-# folds batched entropy partials, so neither side materializes the corpus).
-# Gates: zero drops, and the served fleet Table 2 checksums identical to the
-# offline pipeline. Records BENCH_6.json.
-bench6:
-	$(GO) run ./cmd/iotload -households 100000 -mode inspector -stream \
-		-concurrency 32 -seed 1 -dup-frac 0 -shards 8 -out BENCH_6.json
 
 # Run the capture-ingestion service on :8080.
 serve:

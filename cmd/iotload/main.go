@@ -1,47 +1,43 @@
-// Command iotload drives iotserve with synthesized households and writes a
-// bench record (BENCH_5.json by default): upload throughput, latency
-// percentiles, per-stage server-side quantiles scraped from /metrics, and
-// the determinism gate — after all uploads land, the server's fleet
-// artifacts, Table 2 and the §7 mitigation sweep, must each checksum
-// identically to the offline Study pipeline over the same generated
-// dataset.
+// Command iotload drives iotserve with synthesized households and gates the
+// result. It prints one key=value summary line (uploads, retries_429,
+// dropped, cache_hits, wall_ms, uploads_per_s, p50_ms, p99_ms, identical,
+// table2_sha256) and exits 1 when a gate fails:
+//
+//   - no upload is dropped: a 429 answer sleeps the server's retry hint and
+//     retries, so an upload is dropped only when the server refuses it for a
+//     non-backpressure reason;
+//   - after all uploads land, the server's fleet artifacts, Table 2 and the
+//     §7 mitigation sweep, each checksum identically to the offline pipeline
+//     over the same generated households (skipped under -mode capture, which
+//     uploads no inspector corpus);
+//   - the server's /metrics page strict-parses as Prometheus text (the parser
+//     the obs golden tests use) and its body.read and analysis stage
+//     histograms are populated.
 //
 // With no -addr it self-hosts an in-process serve.Server on a real
-// 127.0.0.1 TCP listener, so `make bench5` is a single command; -addr
-// points it at an external iotserve instead (the determinism gate then
-// requires the server to have ingested exactly this load).
+// 127.0.0.1 TCP listener; -addr points it at an external iotserve instead
+// (the checksum gate then requires the server to have ingested exactly this
+// load). The self-hosted server admits -workers + -queue uploads at once,
+// each on its request goroutine, so a -concurrency above that sum sheds load
+// (retries_429 > 0) without dropping any. -shards sizes its fleet sharding,
+// and -data-dir makes it durable (WAL + checkpoints).
 //
-// Every upload honors backpressure: a 429 answer sleeps the Retry-After
-// hint and retries, so the "dropped" count is zero unless the server
-// refuses an upload for a non-backpressure reason. The self-hosted server
-// admits -workers + -queue uploads at once, each on its request goroutine,
-// so a -concurrency above that sum sheds load (retries_429 > 0) without
-// dropping any. -dup-frac re-posts a fraction of the upload set after the
-// originals: re-posted captures exercise the server's content-hash cache
-// (the bench record counts the observed hits), and re-posted wire records
-// the fold's idempotent skip.
-//
-// After the load, iotload scrapes GET /metrics and strict-parses the
-// Prometheus exposition (the same parser the obs golden tests use). A
-// malformed page or empty per-stage histograms fail the run — observability
-// regressions break the bench, not just dashboards.
-//
-// -stream switches to streamed generation for very large fleets (the
-// BENCH_6 gate runs ≥100k households): uploaders draw each household on
-// demand from inspector.Generator instead of materializing the corpus, and
-// the offline side of the determinism gate folds batched entropy and
-// mitigation partials with Add so neither side ever holds the full fleet.
-// -shards sizes the self-hosted server's fleet sharding, and -data-dir
-// makes it durable (WAL + checkpoints), so one command exercises the full
-// sharded/durable ingest path.
+// Each household sends one upload per kind of its -mode: a wire record
+// (inspector), a pcap capture (capture), or both in that order (mixed).
+// Uploaders build each upload when they take it, drawing the household from
+// inspector.Generator, and the offline gate folds batched partials with Add,
+// so neither side holds the whole fleet and memory stays flat at any size.
+// -dup-frac re-posts a fraction of the upload set after the originals:
+// re-posted captures exercise the server's content-hash cache (cache_hits
+// counts the observed hits), and re-posted wire records the fold's
+// idempotent skip.
 //
 // Usage:
 //
 //	iotload [-households 200] [-concurrency 16] [-seed 1]
 //	        [-mode mixed|inspector|capture] [-dup-frac 0.25]
 //	        [-addr host:port] [-queue 64] [-workers N] [-shards N]
-//	        [-data-dir DIR] [-checkpoint-every 4096] [-stream]
-//	        [-out BENCH_5.json]
+//	        [-data-dir DIR] [-checkpoint-every 4096]
 package main
 
 import (
@@ -67,43 +63,6 @@ import (
 	"iotlan/internal/serve"
 )
 
-// benchRecord is the bench JSON schema. Wall-clock and percentile fields
-// vary run to run; uploads/dropped/identical/checksum are the gates.
-type benchRecord struct {
-	Seed          int64   `json:"seed"`
-	Households    int     `json:"households"`
-	Concurrency   int     `json:"concurrency"`
-	Mode          string  `json:"mode"`
-	DupFrac       float64 `json:"dup_frac"`
-	Shards        int     `json:"shards,omitempty"`
-	Stream        bool    `json:"stream,omitempty"`
-	Uploads       int     `json:"uploads"`
-	Retries429    int     `json:"retries_429"`
-	Dropped       int     `json:"dropped"`
-	CacheHits     int     `json:"cache_hits"`
-	WallMS        float64 `json:"wall_ms"`
-	UploadsPerSec float64 `json:"uploads_per_sec"`
-	P50MS         float64 `json:"p50_ms"`
-	P95MS         float64 `json:"p95_ms"`
-	P99MS         float64 `json:"p99_ms"`
-	// StageQuantiles is the server's own view of where upload time went,
-	// read back from the /metrics exposition's serve_stage_ms histograms.
-	StageQuantiles map[string]stageQuantiles `json:"stage_quantiles_ms,omitempty"`
-	// Identical asserts the serving determinism contract: fleet Table 2 and
-	// the §7 sweep from the concurrently-loaded server each checksum equal
-	// to the offline Study. ChecksumSHA256 is the served Table 2's.
-	Identical      bool   `json:"identical"`
-	ChecksumSHA256 string `json:"checksum_sha256"`
-}
-
-// stageQuantiles is one pipeline stage's scraped latency distribution.
-type stageQuantiles struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
 // upload is one queued HTTP POST.
 type upload struct {
 	path string
@@ -118,6 +77,13 @@ type outcome struct {
 	cacheHit bool
 }
 
+// modeKinds lists, per -mode, the upload kinds each household sends.
+var modeKinds = map[string][]string{
+	"inspector": {"inspector"},
+	"capture":   {"capture"},
+	"mixed":     {"inspector", "capture"},
+}
+
 func main() {
 	households := flag.Int("households", 200, "households to synthesize and upload")
 	concurrency := flag.Int("concurrency", 16, "concurrent uploaders")
@@ -130,10 +96,9 @@ func main() {
 	shards := flag.Int("shards", 0, "self-hosted server fleet shards (0 = server default)")
 	dataDir := flag.String("data-dir", "", "self-hosted server durable state dir (empty = in-memory)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "self-hosted server checkpoint cadence in WAL records")
-	stream := flag.Bool("stream", false, "generate each household on demand instead of materializing the corpus (inspector mode only)")
-	out := flag.String("out", "BENCH_5.json", "output file (\"-\" for stdout)")
 	flag.Parse()
-	if *mode != "inspector" && *mode != "capture" && *mode != "mixed" {
+	kinds, ok := modeKinds[*mode]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "iotload: unknown -mode %q\n", *mode)
 		os.Exit(2)
 	}
@@ -141,8 +106,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "iotload: -dup-frac %v outside [0,1]\n", *dupFrac)
 		os.Exit(2)
 	}
-	if *stream && *mode != "inspector" {
-		fmt.Fprintln(os.Stderr, "iotload: -stream requires -mode inspector")
+	if *households < 0 || *concurrency < 1 {
+		fmt.Fprintln(os.Stderr, "iotload: -households must be ≥ 0 and -concurrency ≥ 1")
 		os.Exit(2)
 	}
 
@@ -153,14 +118,12 @@ func main() {
 			DataDir: *dataDir, CheckpointEvery: *checkpointEvery,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "iotload:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		httpSrv := serve.NewHTTPServer("", srv.Mux())
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "iotload:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		go httpSrv.Serve(ln)
 		defer func() {
@@ -172,131 +135,59 @@ func main() {
 	}
 	base = "http://" + base
 
+	// Upload i is kind i mod k of household i/k; the duplicate tail after
+	// the originals re-posts upload i mod originals, so by the time one is
+	// posted its original has (almost always) landed: a capture's is
+	// answered from the content-hash cache, a wire record's folds nothing.
 	client := &http.Client{Timeout: 2 * time.Minute}
-	var wg sync.WaitGroup
-	var uploadCount int
-	var results chan outcome
 	gen := inspector.NewGenerator(*seed)
+	originals := *households * len(kinds)
+	total := originals + int(*dupFrac*float64(originals))
+	results := make(chan outcome, total)
+	work := make(chan int)
+	var wg sync.WaitGroup
 	start := time.Now()
-	if *stream {
-		// Streamed load: uploaders draw households on demand — index i
-		// beyond the fleet re-uploads household i mod fleet (the duplicate
-		// tail), encoding at post time so memory stays flat at any scale.
-		nDup := int(*dupFrac * float64(*households))
-		uploadCount = *households + nDup
-		results = make(chan outcome, uploadCount)
-		work := make(chan int)
-		for i := 0; i < *concurrency; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range work {
-					h := gen.Household(idx % *households)
-					var buf bytes.Buffer
-					if err := inspector.EncodeWire(&buf, []*inspector.Household{h}); err != nil {
-						fatal(err)
-					}
-					results <- post(client, base, upload{path: "/v1/ingest/inspector", body: buf.Bytes()})
-				}
-			}()
-		}
-		for i := 0; i < uploadCount; i++ {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		// Build the upload set up front so the timed region is pure load.
-		ds := inspector.Generate(*seed, *households)
-		var uploads []upload
-		for _, h := range ds.Households {
-			if *mode == "inspector" || *mode == "mixed" {
-				var buf bytes.Buffer
-				if err := inspector.EncodeWire(&buf, []*inspector.Household{h}); err != nil {
-					fatal(err)
-				}
-				uploads = append(uploads, upload{path: "/v1/ingest/inspector", body: buf.Bytes()})
+	for range *concurrency {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				i %= originals
+				results <- post(client, base, build(gen.Household(i/len(kinds)), kinds[i%len(kinds)]))
 			}
-			if *mode == "capture" || *mode == "mixed" {
-				var buf bytes.Buffer
-				if err := pcap.WriteFile(&buf, inspector.SyntheticCapture(h)); err != nil {
-					fatal(err)
-				}
-				uploads = append(uploads, upload{
-					path: fmt.Sprintf("/v1/households/%s/capture", h.ID),
-					body: buf.Bytes(),
-				})
-			}
-		}
-		// Duplicates go after the originals, so by the time one is posted its
-		// original has (almost always) landed: a capture's is answered from
-		// the content-hash cache, a wire record's folds nothing.
-		nDup := int(*dupFrac * float64(len(uploads)))
-		for i := 0; i < nDup; i++ {
-			uploads = append(uploads, uploads[i%len(uploads)])
-		}
-		uploadCount = len(uploads)
-		results = make(chan outcome, uploadCount)
-		work := make(chan upload)
-		start = time.Now()
-		for i := 0; i < *concurrency; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for u := range work {
-					results <- post(client, base, u)
-				}
-			}()
-		}
-		for _, u := range uploads {
-			work <- u
-		}
-		close(work)
-		wg.Wait()
+		}()
 	}
+	for i := range total {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 	wall := time.Since(start)
 	close(results)
 
-	rec := benchRecord{
-		Seed:        *seed,
-		Households:  *households,
-		Concurrency: *concurrency,
-		Mode:        *mode,
-		DupFrac:     *dupFrac,
-		Shards:      *shards,
-		Stream:      *stream,
-		WallMS:      float64(wall) / float64(time.Millisecond),
-	}
+	var retries, dropped, cacheHits int
 	var lats []time.Duration
 	for o := range results {
-		rec.Uploads++
-		rec.Retries429 += o.retries
+		retries += o.retries
 		if o.dropped {
-			rec.Dropped++
+			dropped++
 		}
 		if o.cacheHit {
-			rec.CacheHits++
+			cacheHits++
 		}
 		lats = append(lats, o.latency)
 	}
+	var perSec float64
 	if s := wall.Seconds(); s > 0 {
-		rec.UploadsPerSec = float64(rec.Uploads) / s
+		perSec = float64(total) / s
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rec.P50MS = percentileMS(lats, 0.50)
-	rec.P95MS = percentileMS(lats, 0.95)
-	rec.P99MS = percentileMS(lats, 0.99)
 
-	// Determinism gate: the loaded server's fleet artifacts vs the offline
-	// pipeline over the identical corpus, compared by checksum.
-	// Capture-only load ingests no inspector corpus, so the gate only
-	// applies when wire uploads happened.
-	rec.Identical = true
+	// Checksum gate: the loaded server's fleet artifacts vs the offline
+	// pipeline over the identical households.
+	identical, table2Sum := true, ""
 	if *mode != "capture" {
-		offline, err := offlineFleet(gen, *seed, *households, *stream)
-		if err != nil {
-			fatal(err)
-		}
+		offline := offlineFleet(gen, *households)
 		for _, name := range fleetArtifacts {
 			served, err := fetchArtifact(client, base, name)
 			if err != nil {
@@ -304,60 +195,55 @@ func main() {
 			}
 			servedSum := checksum(served)
 			if servedSum != checksum(offline[name]) {
-				rec.Identical = false
-				fmt.Fprintf(os.Stderr, "bench: served %s differs from the offline pipeline's\n", name)
+				identical = false
+				fmt.Fprintf(os.Stderr, "iotload: served %s differs from the offline pipeline's\n", name)
 			}
 			if name == "table2" {
-				rec.ChecksumSHA256 = servedSum
+				table2Sum = servedSum
 			}
 		}
 	}
-
-	// Read back the server's own stage accounting from /metrics. A page the
-	// strict parser refuses, or stage histograms that saw no samples, fail
-	// the bench outright.
-	sq, err := scrapeStageQuantiles(client, base)
-	if err != nil {
-		fatal(err)
+	metricsErr := checkMetrics(client, base)
+	if metricsErr != nil {
+		fmt.Fprintln(os.Stderr, "iotload:", metricsErr)
 	}
-	rec.StageQuantiles = sq
-
-	writeJSON(rec, *out)
-	fmt.Printf("bench: %d uploads at concurrency %d in %.0f ms (%.0f/sec, %d retries, %d dropped, %d cache hits), p50 %.1f ms p95 %.1f ms p99 %.1f ms, identical=%v → %s\n",
-		rec.Uploads, rec.Concurrency, rec.WallMS, rec.UploadsPerSec, rec.Retries429, rec.Dropped,
-		rec.CacheHits, rec.P50MS, rec.P95MS, rec.P99MS, rec.Identical, *out)
-	if rec.Dropped > 0 {
-		fmt.Fprintln(os.Stderr, "bench: uploads dropped — backpressure contract violated")
-		os.Exit(1)
+	if dropped > 0 {
+		fmt.Fprintln(os.Stderr, "iotload: uploads dropped — backpressure contract violated")
 	}
-	if !rec.Identical {
-		fmt.Fprintln(os.Stderr, "bench: served fleet artifact diverged from offline pipeline")
+
+	fmt.Printf("uploads=%d retries_429=%d dropped=%d cache_hits=%d wall_ms=%.0f uploads_per_s=%.0f p50_ms=%.1f p99_ms=%.1f identical=%v table2_sha256=%s\n",
+		total, retries, dropped, cacheHits, float64(wall)/float64(time.Millisecond), perSec,
+		percentileMS(lats, 0.50), percentileMS(lats, 0.99), identical, table2Sum)
+	if dropped > 0 || !identical || metricsErr != nil {
 		os.Exit(1)
 	}
 }
 
+// build encodes one household's upload of the given kind.
+func build(h *inspector.Household, kind string) upload {
+	var buf bytes.Buffer
+	if kind == "inspector" {
+		if err := inspector.EncodeWire(&buf, []*inspector.Household{h}); err != nil {
+			fatal(err)
+		}
+		return upload{path: "/v1/ingest/inspector", body: buf.Bytes()}
+	}
+	if err := pcap.WriteFile(&buf, inspector.SyntheticCapture(h)); err != nil {
+		fatal(err)
+	}
+	return upload{path: fmt.Sprintf("/v1/households/%s/capture", h.ID), body: buf.Bytes()}
+}
+
 // fleetArtifacts are the artifacts iotserve computes from uploads, which the
-// determinism gate compares.
+// checksum gate compares.
 var fleetArtifacts = []string{"table2", "mitigations"}
 
-// offlineFleet computes the gate's reference fleet artifacts, by name. The
-// materialized path runs the full offline Study; the streamed path folds
-// batched partials with Add so it never holds the corpus —
-// partition-invariant merging (internal/analysis/partial.go) makes the two
-// renderings byte-identical.
-func offlineFleet(gen *inspector.Generator, seed int64, households int, stream bool) (map[string]iotlan.Result, error) {
-	out := map[string]iotlan.Result{}
-	if !stream {
-		st := iotlan.New(seed, iotlan.WithHouseholds(households))
-		for _, name := range fleetArtifacts {
-			r, err := st.RunArtifact(name)
-			if err != nil {
-				return nil, err
-			}
-			out[name] = r
-		}
-		return out, nil
-	}
+// offlineFleet computes the gate's reference fleet artifacts, by name, by
+// folding batched entropy and mitigation partials with Add, so it never
+// holds the whole fleet; partition-invariant merging
+// (internal/analysis/partial.go) makes the result byte-identical to one
+// whole-corpus Study pass.
+func offlineFleet(gen *inspector.Generator, households int) map[string]iotlan.Result {
 	const batch = 4096
 	entropy, mitigations := analysis.NewEntropyPartial(), analysis.NewMitigationPartial()
 	for lo := 0; lo < households; lo += batch {
@@ -369,75 +255,45 @@ func offlineFleet(gen *inspector.Generator, seed int64, households int, stream b
 		entropy.Add(analysis.EntropyPartialOf(hhs, ids))
 		mitigations.Add(analysis.MitigationPartialOf(hhs, ids))
 	}
-	out["table2"] = iotlan.EntropyResult(entropy.Rows())
-	out["mitigations"] = iotlan.MitigationResult(mitigations.Rows())
-	return out, nil
+	return map[string]iotlan.Result{
+		"table2":      iotlan.EntropyResult(entropy.Rows()),
+		"mitigations": iotlan.MitigationResult(mitigations.Rows()),
+	}
 }
 
-// scrapeStageQuantiles fetches /metrics, strict-parses the exposition, and
-// interpolates p50/p95/p99 for every serve_stage_ms series from its
-// cumulative buckets — server-side truth, not client-observed latency.
-func scrapeStageQuantiles(client *http.Client, base string) (map[string]stageQuantiles, error) {
+// checkMetrics fetches /metrics and strict-parses the exposition. Every
+// upload, whatever its kind, passes through the body.read and analysis
+// stages, so a page the parser refuses, or either stage's histogram empty
+// after the load, means broken instrumentation.
+func checkMetrics(client *http.Client, base string) error {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics: status %d", resp.StatusCode)
+		return fmt.Errorf("/metrics: status %d", resp.StatusCode)
 	}
 	samples, _, err := obs.ParsePrometheus(string(body))
 	if err != nil {
-		return nil, fmt.Errorf("/metrics exposition invalid: %v", err)
+		return fmt.Errorf("/metrics exposition invalid: %v", err)
 	}
-	buckets := map[string]map[float64]float64{}
-	counts := map[string]uint64{}
+	counts := map[string]float64{}
 	for _, s := range samples {
-		stage := s.Labels["stage"]
-		switch s.Name {
-		case "serve_stage_ms_bucket":
-			le, err := obs.ParsePromFloat(s.Labels["le"])
-			if err != nil {
-				return nil, fmt.Errorf("/metrics: bad le on stage %q: %v", stage, err)
-			}
-			if buckets[stage] == nil {
-				buckets[stage] = map[float64]float64{}
-			}
-			buckets[stage][le] = s.Value
-		case "serve_stage_ms_count":
-			counts[stage] = uint64(s.Value)
+		if s.Name == "serve_stage_ms_count" {
+			counts[s.Labels["stage"]] = s.Value
 		}
 	}
-	if len(buckets) == 0 {
-		return nil, fmt.Errorf("/metrics carries no serve_stage_ms histograms")
-	}
-	// Every upload, whatever its kind, passes through these stages; if one
-	// of them recorded nothing the instrumentation is broken. Kind-specific
-	// stages (pcap.decode and cache.lookup vs inspector.decode,
-	// artifact.build) may legitimately be idle and are simply omitted from
-	// the record.
 	for _, stage := range []string{"body.read", "analysis"} {
 		if counts[stage] == 0 {
-			return nil, fmt.Errorf("/metrics: stage %q histogram empty after load", stage)
+			return fmt.Errorf("/metrics: stage %q histogram empty after load", stage)
 		}
 	}
-	out := make(map[string]stageQuantiles, len(buckets))
-	for stage, b := range buckets {
-		if counts[stage] == 0 {
-			continue
-		}
-		out[stage] = stageQuantiles{
-			Count: counts[stage],
-			P50:   obs.PromHistogramQuantile(b, 0.50),
-			P95:   obs.PromHistogramQuantile(b, 0.95),
-			P99:   obs.PromHistogramQuantile(b, 0.99),
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // post sends one upload, honoring backpressure by sleeping the server's
@@ -550,19 +406,4 @@ func percentileMS(sorted []time.Duration, q float64) float64 {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "iotload:", err)
 	os.Exit(1)
-}
-
-func writeJSON(v interface{}, out string) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	b = append(b, '\n')
-	if out == "-" {
-		os.Stdout.Write(b)
-		return
-	}
-	if err := os.WriteFile(out, b, 0o644); err != nil {
-		fatal(err)
-	}
 }

@@ -130,13 +130,11 @@ func truncate(s string, n int) string {
 
 // Final is the study's corrected classifier: nDPI output plus the manual
 // override rules built from lab ground truth (§3.5).
-type Final struct {
-	DPI DPIClassifier
-}
+type Final struct{}
 
 // Classify applies DPI plus the manual corrections.
 func (f Final) Classify(fl *Flow) string {
-	label := f.DPI.Classify(fl)
+	label := DPIClassifier{}.Classify(fl)
 	switch {
 	case label == "CISCOVPN":
 		return "SSDP" // manual rule: CiscoVPN on the LAN is really SSDP

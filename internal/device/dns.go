@@ -12,8 +12,6 @@ import (
 // some devices run (§5.2: HomePod Mini's SheerDNS, the WeMo plug).
 type dnsQuery struct {
 	msg *dnsmsg.Message
-	// software is filled by the responder for version.bind answers.
-	software string
 }
 
 func parseDNSQuery(data []byte) (*dnsQuery, error) {
@@ -39,7 +37,7 @@ func (q *dnsQuery) respond(ip netip.Addr, hostname string, recent []string) []by
 	case name == "version.bind":
 		resp.Answers = append(resp.Answers, dnsmsg.Record{
 			Name: question.Name, Type: dnsmsg.TypeTXT, Class: question.Class,
-			TXT: []string{q.softwareOr("SheerDNS 1.0.0")},
+			TXT: []string{"SheerDNS 1.0.0"},
 		})
 	case name == "hostname.bind" || strings.EqualFold(question.Name, hostname) ||
 		strings.EqualFold(question.Name, hostname+".local"):
@@ -59,11 +57,4 @@ func (q *dnsQuery) respond(ip netip.Addr, hostname string, recent []string) []by
 		}
 	}
 	return resp.Marshal()
-}
-
-func (q *dnsQuery) softwareOr(def string) string {
-	if q.software != "" {
-		return q.software
-	}
-	return def
 }

@@ -221,6 +221,47 @@ func TestRealServerHTTPAndTelnet(t *testing.T) {
 	}
 }
 
+// TestRealServerTelnetPipelinedLogin: a client that sends its user name and
+// password in one write has both read as lines, so the attempt is captured.
+func TestRealServerTelnetPipelinedLogin(t *testing.T) {
+	srv, _, _, telnetAddr := startLoopback(t, "pipelined", "127.0.0.1:0")
+	tc, err := net.Dial("tcp", telnetAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	readUntil(t, tc, "login: ")
+	tc.Write([]byte("root\r\nhunter2\r\n"))
+	readUntil(t, tc, "Login incorrect")
+	for _, e := range srv.Snapshot().Events {
+		if e.Proto == "telnet" && e.Detail == "login root:hunter2" {
+			return
+		}
+	}
+	t.Fatalf("pipelined login not captured; events: %+v", srv.Snapshot().Events)
+}
+
+// TestRealServerHTTPSplitRequestLine: a request line that arrives over two
+// writes is logged whole.
+func TestRealServerHTTPSplitRequestLine(t *testing.T) {
+	srv, _, httpAddr, _ := startLoopback(t, "split", "127.0.0.1:0")
+	conn, err := net.Dial("tcp", httpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Write([]byte("GET /descr"))
+	// The pause lets the first part reach the server as a read of its own;
+	// the request line must be logged whole however the reads fall.
+	time.Sleep(20 * time.Millisecond)
+	conn.Write([]byte("iption.xml HTTP/1.1\r\nHost: x\r\n\r\n"))
+	readUntil(t, conn, srv.HP.Token)
+	events := srv.Snapshot().Events
+	if len(events) != 1 || events[0].Proto != "http" || events[0].Detail != "GET /description.xml HTTP/1.1" {
+		t.Fatalf("events %+v, want one http event with the whole request line", events)
+	}
+}
+
 // TestRealServerSSDP: an M-SEARCH reply carries the honeytoken and a
 // LOCATION the searcher can fetch the token-bearing description from, both
 // with the HTTP listener on a named host and on the wildcard address, where

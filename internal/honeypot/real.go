@@ -1,6 +1,7 @@
 package honeypot
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -173,16 +174,13 @@ func (s *Server) startHTTP() (netip.AddrPort, error) {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				buf := make([]byte, 4096)
-				n, err := conn.Read(buf)
-				if err != nil {
+				// The request line may arrive over several reads; one
+				// longer than the buffer is logged cut at its size.
+				line, err := bufio.NewReaderSize(conn, 4096).ReadSlice('\n')
+				if err != nil && err != bufio.ErrBufferFull {
 					return
 				}
-				line := string(buf[:n])
-				if i := strings.IndexByte(line, '\r'); i > 0 {
-					line = line[:i]
-				}
-				s.logLocked("http", addrOf(conn.RemoteAddr()), line)
+				s.logLocked("http", addrOf(conn.RemoteAddr()), strings.TrimRight(string(line), "\r\n"))
 				body := doc
 				fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nServer: HoneyBridge/1.0\r\nContent-Type: text/xml\r\nContent-Length: %d\r\n\r\n", len(body))
 				conn.Write(body)
@@ -210,15 +208,18 @@ func (s *Server) startTelnet() error {
 				from := addrOf(conn.RemoteAddr())
 				s.logLocked("telnet", from, "connect")
 				conn.Write(sess.Greeting())
-				buf := make([]byte, 512)
+				// Feed takes one line, however the client splits or
+				// pipelines its input; a line longer than the buffer is fed
+				// in buffer-sized pieces.
+				r := bufio.NewReaderSize(conn, 512)
 				for {
 					conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-					n, err := conn.Read(buf)
-					if err != nil {
+					line, err := r.ReadSlice('\n')
+					if err != nil && err != bufio.ErrBufferFull {
 						return
 					}
 					before := len(sess.Attempts)
-					reply := sess.Feed(buf[:n])
+					reply := sess.Feed(line)
 					if len(sess.Attempts) > before {
 						last := sess.Attempts[len(sess.Attempts)-1]
 						s.logLocked("telnet", from, fmt.Sprintf("login %s:%s", last[0], last[1]))

@@ -171,8 +171,6 @@ type Server struct {
 	ServerHeader string
 
 	mux map[string]Handler
-	// NotFound handles unmatched paths (default: plain 404).
-	NotFound Handler
 	// OnRequest observes every request (honeypot/analysis hook).
 	OnRequest func(req *Request)
 }
@@ -201,12 +199,8 @@ func (s *Server) onAccept(c *stack.TCPConn) {
 		}
 		h, ok := s.mux[req.Path]
 		if !ok {
-			if s.NotFound != nil {
-				h = s.NotFound
-			} else {
-				h = func(*Request) *Response {
-					return &Response{Status: 404, Body: []byte("not found")}
-				}
+			h = func(*Request) *Response {
+				return &Response{Status: 404, Body: []byte("not found")}
 			}
 		}
 		resp := h(req)

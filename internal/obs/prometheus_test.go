@@ -10,7 +10,7 @@ import (
 
 // promParse runs the package's strict exposition parser (promparse.go) and
 // fails the test on any violation. The parser is shared with iotload, which
-// uses it to reject a malformed /metrics page at bench time.
+// uses it to reject a malformed /metrics page after a load.
 func promParse(t *testing.T, text string) []PromSample {
 	t.Helper()
 	samples, _, err := ParsePrometheus(text)
@@ -157,94 +157,6 @@ func TestParsePrometheusRejects(t *testing.T) {
 	for name, page := range bad {
 		if _, _, err := ParsePrometheus(page); err == nil {
 			t.Errorf("%s: parser accepted invalid page:\n%s", name, page)
-		}
-	}
-}
-
-// TestPromHistogramQuantile: quantiles read back from parsed cumulative
-// buckets agree with the live histogram's own interpolation.
-func TestPromHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_ms", []float64{1, 5, 10, 50}, "stage", "analysis")
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i % 20))
-	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheusPrefixed(&buf, ""); err != nil {
-		t.Fatal(err)
-	}
-	samples, _, err := ParsePrometheus(buf.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buckets := map[float64]float64{}
-	for _, s := range samples {
-		if s.Name == "lat_ms_bucket" {
-			le, _ := ParsePromFloat(s.Labels["le"])
-			buckets[le] = s.Value
-		}
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		got := PromHistogramQuantile(buckets, q)
-		want := h.Quantile(q)
-		// The two interpolations order their arithmetic differently, so
-		// allow an ulp-scale relative difference.
-		if diff := got - want; diff < -1e-9*want || diff > 1e-9*want {
-			t.Fatalf("q%.2f: parsed-bucket quantile %v != live histogram quantile %v", q, got, want)
-		}
-	}
-	if PromHistogramQuantile(nil, 0.5) != 0 {
-		t.Fatal("empty histogram quantile not 0")
-	}
-}
-
-// TestPromHistogramQuantileEdgeCases pins the shapes where the parsed-bucket
-// walk used to diverge from the live histogram: every observation overflowing
-// into +Inf (the old walk stopped at the first zero-count finite bucket and
-// reported its bound — or 0 — instead of the largest finite bound), a single
-// finite bucket, a +Inf-only histogram, and the q=0 / q=1 / out-of-range
-// extremes. The property is always the same: parsed buckets and the live
-// Histogram.Quantile must agree.
-func TestPromHistogramQuantileEdgeCases(t *testing.T) {
-	quantiles := []float64{0, 0.25, 0.5, 0.9, 0.99, 1, -0.5, 1.5}
-	cases := []struct {
-		name    string
-		bounds  []float64
-		observe []float64
-	}{
-		{"all overflow", []float64{1, 5}, []float64{100, 200, 300, 400}},
-		{"single finite bucket", []float64{10}, []float64{3, 4, 5, 6}},
-		{"no finite buckets", nil, []float64{1, 2, 3}},
-		{"sparse with empty buckets", []float64{1, 2, 4, 8, 16}, []float64{0.5, 0.5, 9, 9, 9, 100}},
-		{"everything in first bucket", []float64{1, 5, 10}, []float64{0.1, 0.2, 0.3}},
-	}
-	for _, tc := range cases {
-		r := NewRegistry()
-		h := r.Histogram("edge", tc.bounds)
-		for _, v := range tc.observe {
-			h.Observe(v)
-		}
-		var buf bytes.Buffer
-		if err := r.WritePrometheusPrefixed(&buf, ""); err != nil {
-			t.Fatal(err)
-		}
-		samples, _, err := ParsePrometheus(buf.String())
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		buckets := map[float64]float64{}
-		for _, s := range samples {
-			if s.Name == "edge_bucket" {
-				le, _ := ParsePromFloat(s.Labels["le"])
-				buckets[le] = s.Value
-			}
-		}
-		for _, q := range quantiles {
-			got := PromHistogramQuantile(buckets, q)
-			want := h.Quantile(q)
-			if diff := got - want; diff < -1e-9 || diff > 1e-9 {
-				t.Errorf("%s q=%v: parsed-bucket quantile %v != live histogram quantile %v", tc.name, q, got, want)
-			}
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // quoted-and-escaped label values, TYPE declared before samples, no
 // duplicate series, histogram bucket monotonicity, a +Inf bucket equal to
 // _count. WritePrometheusPrefixed output must round-trip through it (pinned
-// by the golden tests); iotload and CI use it to reject a malformed /metrics
-// page instead of grepping blindly.
+// by the golden tests); iotload uses it to reject a malformed /metrics page
+// instead of grepping blindly.
 
 // PromSample is one parsed sample line: `name{labels} value`.
 type PromSample struct {
@@ -164,7 +164,7 @@ func parsePromSampleLine(ln int, line string) (PromSample, error) {
 	if len(fields) < 1 || len(fields) > 2 { // optional timestamp
 		return s, fmt.Errorf("line %d: malformed value: %q", ln, rest)
 	}
-	v, err := ParsePromFloat(fields[0])
+	v, err := parsePromFloat(fields[0])
 	if err != nil {
 		return s, fmt.Errorf("line %d: bad value %q: %v", ln, fields[0], err)
 	}
@@ -172,9 +172,9 @@ func parsePromSampleLine(ln int, line string) (PromSample, error) {
 	return s, nil
 }
 
-// ParsePromFloat parses a sample value, including the exposition format's
+// parsePromFloat parses a sample value, including the exposition format's
 // spelled-out specials.
-func ParsePromFloat(s string) (float64, error) {
+func parsePromFloat(s string) (float64, error) {
 	switch s {
 	case "+Inf":
 		return math.Inf(1), nil
@@ -251,7 +251,7 @@ func promValidateHistograms(types map[string]string, samples []PromSample) error
 			if !ok {
 				return fmt.Errorf("bucket sample without le: %s", s.Name)
 			}
-			bound, err := ParsePromFloat(le)
+			bound, err := parsePromFloat(le)
 			if err != nil {
 				return fmt.Errorf("bad le %q: %v", le, err)
 			}
@@ -287,68 +287,4 @@ func promValidateHistograms(types map[string]string, samples []PromSample) error
 		}
 	}
 	return nil
-}
-
-// PromHistogramQuantile interpolates the q-th quantile from one histogram
-// series' parsed samples: cumulative `le` buckets from an exposition page,
-// the inverse of what WritePrometheusPrefixed renders. Buckets need not be
-// sorted. Returns 0 for an empty histogram.
-//
-// The walk is the exact mirror of Histogram.Quantile over the de-cumulated
-// counts, so scraping a page and asking the live histogram agree on every
-// input. Empty buckets are skipped when locating the target rank — the old
-// `cum >= target` walk stopped at the first bucket whose cumulative count
-// met the rank even when that bucket held no observations, which made a
-// histogram whose every observation overflowed into +Inf report 0 (no finite
-// bucket had advanced prevBound past its zero value) instead of the largest
-// finite bound the live histogram reports.
-func PromHistogramQuantile(buckets map[float64]float64, q float64) float64 {
-	bounds := make([]float64, 0, len(buckets))
-	for b := range buckets {
-		bounds = append(bounds, b)
-	}
-	sort.Float64s(bounds)
-	if len(bounds) == 0 {
-		return 0
-	}
-	total := buckets[bounds[len(bounds)-1]]
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// largestFinite is what the +Inf bucket reports: nothing to interpolate
-	// against above the top finite bound.
-	largestFinite := func() float64 {
-		for i := len(bounds) - 1; i >= 0; i-- {
-			if !math.IsInf(bounds[i], 1) {
-				return bounds[i]
-			}
-		}
-		return 0
-	}
-	rank := q * total
-	var prevCum float64
-	for i, b := range bounds {
-		cum := buckets[b]
-		c := cum - prevCum
-		prevCum = cum
-		if cum < rank || c == 0 {
-			continue
-		}
-		if math.IsInf(b, 1) {
-			return largestFinite()
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		within := (rank - (cum - c)) / c
-		return lo + (b-lo)*within
-	}
-	return largestFinite()
 }

@@ -93,50 +93,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) from the bucket counts,
-// Prometheus histogram_quantile style: the target rank is located in its
-// bucket and position interpolated linearly between the bucket's bounds.
-// The +Inf bucket reports the highest finite bound (there is nothing to
-// interpolate against); an empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket
-			if len(h.bounds) == 0 {
-				return 0
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		within := (rank - (cum - float64(c))) / float64(c)
-		return lo + (hi-lo)*within
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // histSnapshot is the serialized form of a Histogram.
 type histSnapshot struct {
 	Count   uint64            `json:"count"`

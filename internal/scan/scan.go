@@ -54,8 +54,6 @@ type Scanner struct {
 	TCPPorts []uint16
 	// UDPPorts is the UDP-scan list (default 1–1024, §3.1).
 	UDPPorts []uint16
-	// Protos is the IP-protocol scan list.
-	Protos []uint8
 }
 
 // AllTCPPorts returns 1–65535.
@@ -92,10 +90,7 @@ func (s *Scanner) Scan(target netip.Addr, done func(*Result)) {
 	if udpPorts == nil {
 		udpPorts = WellKnownUDPPorts()
 	}
-	protos := s.Protos
-	if protos == nil {
-		protos = CommonProtos()
-	}
+	protos := CommonProtos()
 
 	// Prime ARP/NDP with the discovery ping before the port sweep fires: a
 	// present target's MAC is cached by the time the thousands of probe

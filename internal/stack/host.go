@@ -94,10 +94,6 @@ type Host struct {
 	nextPort uint16
 	ipID     uint16
 
-	// OnARPRequest is invoked for every ARP request seen (honeypot and
-	// analysis hooks); return value does not affect protocol handling.
-	OnARPRequest func(sender netip.Addr, target netip.Addr)
-
 	// onICMPIn lets the scanner observe ICMP responses to its probes.
 	onICMPIn func(*layers.Packet)
 
@@ -259,9 +255,6 @@ func (h *Host) handleARP(a *layers.ARP, eth *layers.Ethernet) {
 	}
 	switch a.Op {
 	case layers.ARPRequest:
-		if h.OnARPRequest != nil {
-			h.OnARPRequest(sender, target)
-		}
 		if !h.ip4.IsValid() || target != h.ip4 {
 			if eth.Dst.IsBroadcast() {
 				// Remember sweep activity per sender for the silent policy.

@@ -58,9 +58,6 @@ type TCPConn struct {
 	// handlers can distinguish an abort from an orderly FIN exchange.
 	ClosedByRST bool
 
-	// UserData carries protocol state (an HTTP server's per-conn parser…).
-	UserData interface{}
-
 	// listenerAccept defers the accept callback until the handshake's final
 	// ACK arrives.
 	listenerAccept func(c *TCPConn)

@@ -310,17 +310,17 @@ func (p *Pump) settle() bool {
 	return false
 }
 
-// settleHard is settle with real-time backoff, used only right before Run
-// returns: a goroutine preempted mid-compute gets up to ~2 ms of wall time
+// settleHard is settle with a real-time wait, used only right before Run
+// returns: a goroutine preempted mid-compute gets up to 2 ms of wall time
 // to land its operation instead of being stranded past the end of Run.
 func (p *Pump) settleHard() bool {
-	for i := 0; i < 20; i++ {
-		select {
-		case fn := <-p.calls:
-			fn()
-			return true
-		case <-time.After(100 * time.Microsecond):
-		}
+	t := time.NewTimer(2 * time.Millisecond)
+	defer t.Stop()
+	select {
+	case fn := <-p.calls:
+		fn()
+		return true
+	case <-t.C:
+		return false
 	}
-	return false
 }

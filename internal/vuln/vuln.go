@@ -52,9 +52,6 @@ type Finding struct {
 // Scanner audits targets from an auditor host on the LAN.
 type Scanner struct {
 	Host *stack.Host
-	// TLSCandidates are extra ports to try TLS handshakes on beyond the
-	// well-known ones.
-	TLSCandidates []uint16
 }
 
 // tlsPorts are ports the scanner attempts TLS handshakes on when open.
